@@ -2,10 +2,9 @@
 
 Variables are path masses q(x_1, ..., x_n) >= 0 on the product grid; equality
 rows fix every marginal atom mass and force zero conditional drift for every
-prefix. The solver is a dense two-phase tableau simplex (Dantzig pricing with
-a Bland fallback under degeneracy) so pivot tolerances stay under our control
-and no external LP dependency is needed at desk scale. A vertex-enumeration
-oracle covers tiny instances.
+prefix. The constraint matrix is assembled sparse and solved by the HiGHS
+solver that scipy ships, whose equality multipliers become the semi-static
+position. A vertex-enumeration oracle covers tiny instances.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .cascade import CostSpec
 from .measures import MarginalSequence
@@ -25,9 +26,7 @@ MARTINGALE_TOL = 1e-8
 PREFIX_MASS_FLOOR = 1e-12
 
 DEFAULT_VAR_CAP = 200_000
-DEFAULT_PIVOT_CAP = 1_000_000
 BRUTE_FORCE_PATH_CAP = 64
-PIVOT_TOL = 1e-9  # relative
 SEMISTATIC_TOL = 1e-9
 
 
@@ -106,7 +105,7 @@ class LpProblem:
     """Equality-form LP: min c.x, A x = b, x >= 0, plus row bookkeeping."""
 
     c: np.ndarray
-    A: np.ndarray
+    A: sparse.csr_array
     b: np.ndarray
     row_labels: tuple  # ("marginal", i, atom_index) | ("martingale", i, prefix_flat)
     grid_shape: tuple
@@ -125,8 +124,9 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
 
     Marginal rows: one per (period, atom), coefficients one on matching paths.
     Martingale rows: one per (period < n, prefix), coefficients x_{i+1} - x_i
-    on the paths extending the prefix. Redundant rows (each block re-encodes
-    total mass) are left in; the solver tolerates degenerate rank.
+    on the paths extending the prefix. Every path enters one row of each of
+    the 2n - 1 blocks, so A is stored sparse. Redundant rows (each block
+    re-encodes total mass) are left in; the solver tolerates degenerate rank.
     """
     n_paths = ms.path_count
     if n_paths > var_cap:
@@ -134,182 +134,34 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     sizes = ms.sizes
     n = ms.n
     c = cost.tensor_on(ms).ravel()
-    rows = []
+    paths = np.arange(n_paths)
+    atom = np.indices(sizes).reshape(n, n_paths)  # atom index of each path per period
+    row_blocks = []
+    coef_blocks = []
     labels = []
+    b = []
+    offset = 0
 
     for i in range(n):
-        for a in range(sizes[i]):
-            block = np.zeros(sizes)
-            idx = [slice(None)] * n
-            idx[i] = a
-            block[tuple(idx)] = 1.0
-            rows.append(block.ravel())
-            labels.append(("marginal", i, a))
-    b = [ms[i].weights[a] for i in range(n) for a in range(sizes[i])]
+        row_blocks.append(offset + atom[i])
+        coef_blocks.append(np.ones(n_paths))
+        labels.extend(("marginal", i, a) for a in range(sizes[i]))
+        b.extend(ms[i].weights)
+        offset += sizes[i]
 
-    grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
     for i in range(n - 1):
-        coef = np.broadcast_to(grids[i + 1] - grids[i], sizes)
         prefix_count = int(np.prod(sizes[: i + 1]))
-        tail = n_paths // prefix_count
-        coef_mat = coef.reshape(prefix_count, tail)
-        for p in range(prefix_count):
-            row = np.zeros(n_paths)
-            row[p * tail : (p + 1) * tail] = coef_mat[p]
-            rows.append(row)
-            labels.append(("martingale", i, p))
-            b.append(0.0)
+        row_blocks.append(offset + paths // (n_paths // prefix_count))
+        coef_blocks.append(ms.grids[i + 1][atom[i + 1]] - ms.grids[i][atom[i]])
+        labels.extend(("martingale", i, p) for p in range(prefix_count))
+        offset += prefix_count
+        b.extend([0.0] * prefix_count)
 
-    return LpProblem(c, np.asarray(rows), np.asarray(b), tuple(labels), sizes)
-
-
-@dataclass
-class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "iteration_limit" | "unbounded"
-    x: Optional[np.ndarray]
-    value: float
-    duals: Optional[np.ndarray]
-    pivots: int
-
-
-def _pivot_loop(T, zrow, basis, n_cols, tol_enter, tol_piv, maxiter, pivots, degen_switch=40):
-    """Run pivots until the phase is optimal; returns (status, pivots).
-
-    Dantzig pricing by default; after degen_switch consecutive degenerate
-    pivots the rule switches to Bland (smallest eligible index, smallest basis
-    index leaving) until the objective strictly improves, which guarantees
-    escape from cycling. Pivot elements must clear a threshold relative to
-    their column, and ratio ties resolve to the largest pivot element for
-    stability (smallest basis index under Bland).
-    """
-    bland = False
-    degen_run = 0
-    while pivots < maxiter:
-        reduced = zrow[:n_cols]
-        if bland:
-            elig = np.flatnonzero(reduced < -tol_enter)
-            if elig.size == 0:
-                return "optimal", pivots
-            j = int(elig[0])
-        else:
-            j = int(np.argmin(reduced))
-            if reduced[j] >= -tol_enter:
-                return "optimal", pivots
-        col = T[:, j]
-        floor = max(tol_piv, 1e-7 * float(np.max(np.abs(col))))
-        pos = np.flatnonzero(col > floor)
-        if pos.size == 0:
-            return "unbounded", pivots
-        ratios = T[pos, -1] / col[pos]
-        theta = ratios.min()
-        ties = pos[ratios <= theta + tol_piv * max(1.0, abs(theta))]
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(col[ties])])
-        obj_before = zrow[-1]
-        piv = T[r] / T[r, j]
-        T -= np.outer(T[:, j], piv)
-        T[r] = piv
-        zrow -= zrow[j] * piv
-        basis[r] = j
-        pivots += 1
-        if abs(zrow[-1] - obj_before) <= tol_enter:
-            degen_run += 1
-            if degen_run >= degen_switch:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
-    return "iteration_limit", pivots
-
-
-def simplex_solve(c, A, b, maxiter: int = DEFAULT_PIVOT_CAP) -> SimplexResult:
-    """Two-phase dense tableau simplex for min c.x, A x = b, x >= 0.
-
-    Rows are equilibrated to unit max magnitude before pivoting so the relative
-    pivot tolerances are meaningful across blocks of very different scale. The
-    artificial columns stay in the tableau through phase 2; redundant rows
-    surface as artificial basics stuck at zero and get multiplier zero. The
-    solution and the equality multipliers are re-solved from the final basis
-    against the original data, shedding accumulated elimination error.
-    """
-    A_orig = np.asarray(A, dtype=float)
-    b_orig = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = A_orig.shape
-    flip = b_orig < 0
-    A_w = np.where(flip[:, None], -A_orig, A_orig)
-    b_w = np.where(flip, -b_orig, b_orig)
-    row_scale = np.maximum(np.abs(A_w).max(axis=1), np.abs(b_w))
-    row_scale = np.where(row_scale > 0, row_scale, 1.0)
-    A_s = A_w / row_scale[:, None]
-    b_s = b_w / row_scale
-
-    T = np.hstack([A_s, np.eye(m), b_s[:, None]])
-    basis = np.arange(n, n + m)
-    scale_c = max(1.0, float(np.abs(c).max()) if c.size else 1.0)
-    tol_enter = PIVOT_TOL
-    tol_piv = PIVOT_TOL
-    pivots = 0
-
-    # phase 1: minimize the artificial mass
-    zrow = np.zeros(n + m + 1)
-    zrow[: n + m] = np.concatenate([np.zeros(n), np.ones(m)])
-    for k in range(m):
-        zrow -= T[k]  # basic artificials have unit cost
-    status, pivots = _pivot_loop(T, zrow, basis, n, tol_enter, tol_piv, maxiter, pivots)
-    if status == "iteration_limit":
-        return SimplexResult(status, None, float("nan"), None, pivots)
-    infeas = -zrow[-1]
-    if infeas > 1e-8 * max(1.0, float(np.abs(b_s).sum())):
-        return SimplexResult("infeasible", None, float("nan"), None, pivots)
-
-    # pivot artificials out where the row still has structural support
-    redundant = []
-    for r in range(m):
-        if basis[r] >= n:
-            in_basis = set(basis.tolist())
-            row = np.where(
-                np.isin(np.arange(n), list(in_basis)), 0.0, np.abs(T[r, :n])
-            )
-            j = int(np.argmax(row))
-            if row[j] > tol_piv:
-                piv = T[r] / T[r, j]
-                T -= np.outer(T[:, j], piv)
-                T[r] = piv
-                basis[r] = j
-                pivots += 1
-            else:
-                redundant.append(r)
-                T[r] = 0.0
-
-    # phase 2 on the true objective
-    zrow = np.zeros(n + m + 1)
-    zrow[:n] = c / scale_c
-    for r in range(m):
-        if basis[r] < n and zrow[basis[r]] != 0.0:
-            zrow -= zrow[basis[r]] * T[r]
-    status, pivots = _pivot_loop(T, zrow, basis, n, tol_enter, tol_piv, maxiter, pivots)
-    if status != "optimal":
-        return SimplexResult(status, None, float("nan"), None, pivots)
-
-    # refine the basic solution and the multipliers against the original data
-    rows_kept = [r for r in range(m) if r not in set(redundant)]
-    struct = [r for r in rows_kept if basis[r] < n]
-    cols = [int(basis[r]) for r in struct]
-    x = np.zeros(n)
-    if cols:
-        B = A_w[np.ix_(rows_kept, cols)]
-        xb, *_ = np.linalg.lstsq(B, b_w[rows_kept], rcond=None)
-        x[cols] = xb
-    x = np.where(np.abs(x) < 1e-14, 0.0, x)
-    duals = np.zeros(m)
-    if cols:
-        yk, *_ = np.linalg.lstsq(B.T, c[cols], rcond=None)
-        duals[rows_kept] = yk
-    duals = np.where(flip, -duals, duals)
-    return SimplexResult("optimal", x, float(np.dot(c, x)), duals, pivots)
+    A = sparse.coo_array(
+        (np.concatenate(coef_blocks), (np.concatenate(row_blocks), np.tile(paths, 2 * n - 1))),
+        shape=(offset, n_paths),
+    ).tocsr()
+    return LpProblem(c, A, np.asarray(b), tuple(labels), sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,27 +176,31 @@ class PrimalSolution:
     row_labels: tuple = ()
 
 
-def _solve(cost: CostSpec, ms: MarginalSequence, sense: int, var_cap: int, maxiter: int) -> PrimalSolution:
+# scipy.optimize.linprog status codes; anything else (numerical trouble) is "failed"
+_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+
+
+def _solve(cost: CostSpec, ms: MarginalSequence, sense: int, var_cap: int) -> PrimalSolution:
     lp = assemble_lp(cost, ms, var_cap)
-    res = simplex_solve(sense * lp.c, lp.A, lp.b, maxiter=maxiter)
-    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "pivots": res.pivots}
-    if res.status != "optimal":
-        return PrimalSolution(float("nan"), None, res.status, stats, None, lp.row_labels)
+    res = linprog(sense * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    status = _STATUS.get(res.status, "failed")
+    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": int(res.nit)}
+    if status != "optimal":
+        return PrimalSolution(float("nan"), None, status, stats, None, lp.row_labels)
     q = np.clip(res.x, 0.0, None).reshape(lp.grid_shape)
     value = float(np.dot(lp.c, res.x))
-    return PrimalSolution(value, Coupling(q), "optimal", stats, sense * res.duals, lp.row_labels)
+    duals = sense * res.eqlin.marginals
+    return PrimalSolution(value, Coupling(q), "optimal", stats, duals, lp.row_labels)
 
 
-def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP,
-                 maxiter: int = DEFAULT_PIVOT_CAP) -> PrimalSolution:
+def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:
     """Minimize over martingale couplings with the given marginals."""
-    return _solve(cost, ms, +1, var_cap, maxiter)
+    return _solve(cost, ms, +1, var_cap)
 
 
-def solve_primal_max(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP,
-                     maxiter: int = DEFAULT_PIVOT_CAP) -> PrimalSolution:
+def solve_primal_max(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:
     """Maximize over martingale couplings (negated objective)."""
-    return _solve(cost, ms, -1, var_cap, maxiter)
+    return _solve(cost, ms, -1, var_cap)
 
 
 def _independent_rows(A, b, tol=1e-10):
@@ -380,13 +236,13 @@ def brute_force_value(cost: CostSpec, ms: MarginalSequence,
     """Minimum objective over the vertices of the coupling polytope.
 
     Enumerates basic solutions over all column subsets of the row-reduced
-    equality system and keeps the feasible ones. Independent of the simplex
-    code path; practical only for tiny instances.
+    equality system and keeps the feasible ones. Independent of the LP
+    solver; practical only for tiny instances.
     """
     lp = assemble_lp(cost, ms)
     if lp.n_paths > path_cap:
         raise SizeCapError(f"{lp.n_paths} paths exceed the brute-force cap {path_cap}")
-    A_red, b_red, consistent = _independent_rows(lp.A, lp.b)
+    A_red, b_red, consistent = _independent_rows(lp.A.toarray(), lp.b)
     if not consistent:
         raise ValueError("equality system inconsistent: instance infeasible")
     r, ncols = A_red.shape

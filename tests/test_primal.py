@@ -1,8 +1,8 @@
-"""LP assembly, simplex solver, vertex-enumeration oracle, semi-static check."""
+"""LP assembly, HiGHS solve, vertex-enumeration oracle, semi-static check."""
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy import sparse
 
 from motbounds import (
     CostSpec,
@@ -13,7 +13,6 @@ from motbounds import (
     brute_force_value,
     multipliers_to_semistatic,
     semistatic_value_check,
-    simplex_solve,
     solve_primal,
     solve_primal_max,
     validate_coupling,
@@ -43,7 +42,19 @@ def last_step_squared(n):
     return build
 
 
+def negated(cost, ms):
+    """The payoff -c as a table on the grid of ms."""
+    return CostSpec(ms.n, "custom_table", table=-cost.tensor_on(ms))
+
+
 class TestAssembleLp:
+    def test_sparse_storage(self):
+        lp = assemble_lp(CostSpec(3, "basket", strike=0.0), MarginalSequence([D0, PM1, PM2]))
+        assert sparse.issparse(lp.A)
+        assert lp.A.nnz == lp.n_paths * (2 * 3 - 1)  # one entry per path in every block
+        q = np.array([[[0.375, 0.125], [0.125, 0.375]]])  # 0 -> +-1 -> +-2, a martingale
+        np.testing.assert_allclose(lp.A @ q.ravel(), lp.b, atol=1e-15)
+
     def test_two_period_row_counts(self):
         lp = assemble_lp(SQ2, MS_SINGLE)
         assert lp.n_paths == 2
@@ -111,9 +122,40 @@ class TestSolvePrimal:
         )
         assert solve_primal(SQ2, shuffled).value == pytest.approx(3.0, abs=1e-10)
 
-    def test_iteration_limit_status(self):
-        sol = solve_primal(SQ2, MS_PAIR, maxiter=1)
-        assert sol.status == "iteration_limit"
+    def test_seed_13_basket_lower_lp(self):
+        # degenerate basket LP: a dense tableau simplex once reported an
+        # infeasible vertex of it as optimal, with value 0.056463
+        ms = MarginalSequence([
+            DiscreteMeasure(
+                np.array([0.26457738333352687, 1.729317829280829, 1.7547253377682224]),
+                np.array([0.25, 0.5, 0.25]),
+            ),
+            DiscreteMeasure(
+                np.array([-0.6494002869708894, -0.40689661580125713, 0.10763336283068703,
+                          0.42597444092400527, 0.7965389221561162, 1.2373384526759525,
+                          1.5389740071456335, 1.7805324663525783, 1.9704766683908113,
+                          1.981211617111276, 2.3553822049233664]),
+                np.array([0.015625, 0.125, 0.015625, 0.125, 0.03125, 0.03125, 0.125,
+                          0.125, 0.125, 0.03125, 0.25]),
+            ),
+            DiscreteMeasure(
+                np.array([-1.482697065784457, -0.7127677913677848, -0.40689661580125713,
+                          -0.22567644366515915, -0.17645984706615642, 0.10763336283068703,
+                          0.42597444092400527, 0.7965389221561162, 1.2373384526759525,
+                          1.5389740071456335, 1.7805324663525783, 1.9704766683908113,
+                          1.981211617111276, 2.0209384713607874, 2.6898259384859453]),
+                np.array([0.00390625, 0.00390625, 0.125, 0.00390625, 0.00390625, 0.015625,
+                          0.125, 0.03125, 0.03125, 0.125, 0.125, 0.125, 0.03125, 0.125,
+                          0.125]),
+            ),
+        ])
+        cost = CostSpec(3, "basket", strike=1.8821647702172535)
+        sol = solve_primal(cost, ms)
+        assert sol.status == "optimal"
+        assert validate_coupling(sol.coupling, ms).ok
+        u, deltas = multipliers_to_semistatic(sol, ms)
+        assert semistatic_value_check(cost, ms, u, deltas) == pytest.approx(sol.value, abs=1e-9)
+        assert sol.value == pytest.approx(0.056113276037061253, abs=1e-9)
 
 
 class TestSolvePrimalMax:
@@ -178,47 +220,30 @@ class TestBruteForce:
 
 
 class TestSimplexAgainstScipy:
+    """HiGHS answers checked by certificates that do not come from the solver."""
+
     def test_transport_lps_match_highs(self, rng):
         # larger spread chains produce nearly coincident atoms, hence
-        # martingale rows with tiny coefficients; guards the row scaling
+        # martingale rows with tiny coefficients; each side must return a
+        # feasible plan and multipliers dominated by the cost whose value
+        # equals the LP value (primal and dual feasibility, zero gap)
         for k in range(10):
             cost, ms = random_instance(rng, n=2 + k % 2, max_size=14, start_atoms=3)
-            lp = assemble_lp(cost, ms)
-            sol = solve_primal(cost, ms)
-            assert sol.status == "optimal"
-            assert validate_coupling(sol.coupling, ms).ok
-            ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
-            assert ref.status == 0
-            assert sol.value == pytest.approx(ref.fun, abs=1e-8, rel=1e-8)
-
-    def test_random_equality_lps(self, rng):
-        for _ in range(20):
-            m_rows = int(rng.integers(2, 6))
-            n_cols = int(rng.integers(m_rows, m_rows + 7))
-            A = rng.standard_normal((m_rows, n_cols))
-            x_feas = rng.random(n_cols)
-            b = A @ x_feas
-            c = rng.standard_normal(n_cols)
-            ours = simplex_solve(c, A, b)
-            ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-            if ref.status == 3:  # unbounded
-                assert ours.status == "unbounded"
-            else:
-                assert ref.status == 0
-                assert ours.status == "optimal"
-                assert ours.value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+            for solve in (solve_primal, solve_primal_max):
+                sol = solve(cost, ms)
+                assert sol.status == "optimal"
+                assert validate_coupling(sol.coupling, ms).ok
+                u, deltas = multipliers_to_semistatic(sol, ms)
+                if solve is solve_primal_max:  # a super-hedge of c is a sub-hedge of -c
+                    value = -semistatic_value_check(
+                        negated(cost, ms), ms, [-t for t in u], [-d for d in deltas])
+                else:
+                    value = semistatic_value_check(cost, ms, u, deltas)
+                assert value == pytest.approx(sol.value, abs=1e-9)
 
     def test_infeasible_system(self):
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        b = np.array([1.0, 2.0])
-        assert simplex_solve(np.ones(2), A, b).status == "infeasible"
-
-    def test_redundant_rows_tolerated(self):
-        A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        b = np.array([1.0, 2.0])
-        res = simplex_solve(np.array([1.0, 3.0]), A, b)
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(1.0)
+        # mu_1 wider than mu_2: not in convex order, so no martingale coupling
+        assert solve_primal(SQ2, MarginalSequence([PM2, PM1])).status == "infeasible"
 
 
 class TestSemistatic:
