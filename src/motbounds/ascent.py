@@ -2,15 +2,16 @@
 
 The dual objective is piecewise affine and concave (lower variants) or convex
 (upper variant) in the finitely many table entries, so plain subgradient steps
-zigzag between facets and crawl along ridges. The adaptive rule therefore
-accumulates an adaptive metric from the gradient history (space dilation along
-successive gradient differences), which contracts the across-ridge component
-and lets the iterate travel the ridge; when the transport LP value is
-available the global step length targets the remaining gap directly, and
-otherwise falls back to diagonally normalized moment steps on a 1/sqrt(k)
-schedule. Every iterate is a valid bound, so the best-so-far certificate is
-sound regardless of oscillation. Certification solves the LP on both sides
-and closes the relative gap against the best certificate of each variant.
+zigzag between facets and crawl along ridges. When the transport LP value is
+available, the optimizer therefore accumulates an adaptive metric from the
+gradient history (space dilation along successive gradient differences),
+which contracts the across-ridge component and lets the iterate travel the
+ridge, and the global step length targets the remaining gap directly.
+Without a reference value it takes plain supergradient steps of length
+initial_step / sqrt(k). Every iterate is a valid bound, so the best-so-far
+certificate is sound regardless of oscillation. Certification solves the LP
+on both sides and closes the relative gap against the best certificate of
+each variant.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .cascade import (
+    LOWER_VARIANTS,
+    VARIANTS,
     CostSpec,
     DualCertificate,
     DualVariables,
@@ -33,6 +36,8 @@ from .measures import MarginalSequence, SequenceReport, validate_sequence
 from .primal import PrimalSolution, solve_primal, solve_primal_max
 
 GRAD_TOL = 1e-7
+DILATION = 2.0  # metric contraction along gradient differences
+EPSILON = 1e-8
 
 
 def relative_gap(value: float, reference: float) -> float:
@@ -45,24 +50,15 @@ class AscentConfig:
     variant: str = "proposition"
     max_iters: int = 5000
     initial_step: float = 1.0
-    step_rule: str = "adaptive"  # "adaptive" | "diminishing"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    dilation: float = 2.0  # metric contraction along gradient differences
     target_gap: float = 1e-4  # relative
-    grad_tol: float = GRAD_TOL
-    seed: int = 0
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.initial_step <= 0:
             raise ValueError("initial_step must be positive")
-        if self.dilation <= 1:
-            raise ValueError("dilation must exceed 1")
-        if self.step_rule not in ("adaptive", "diminishing"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass(eq=False)
@@ -110,8 +106,6 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig, variant: st
     tables = [np.zeros(s) for s in sizes]
     metric = np.eye(sum(sizes))  # dilated-space basis, accumulated over the run
     grad_prev = None
-    mom = [np.zeros_like(t) for t in tables]
-    sec = [np.zeros_like(t) for t in tables]
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
     best_tables = [t.copy() for t in tables]
@@ -131,12 +125,12 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig, variant: st
         if reference is not None and relative_gap(best_value, reference) < config.target_gap:
             status = "converged_gap"
             break
-        if gnorm < config.grad_tol:
+        if gnorm < GRAD_TOL:
             status = "converged_stationary"
             break
         if k == config.max_iters:
             break
-        if config.step_rule == "adaptive" and reference is not None:
+        if reference is not None:
             # Contract the metric along the latest gradient difference (the
             # across-kink direction), then take a gap-targeted step in the
             # dilated space; exact when the attained affine piece is active
@@ -145,30 +139,22 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig, variant: st
             if grad_prev is not None:
                 xi = metric.T @ (flat_g - grad_prev)
                 norm_xi = float(np.linalg.norm(xi))
-                if norm_xi > config.epsilon:
+                if norm_xi > EPSILON:
                     xi /= norm_xi
-                    metric += np.outer(metric @ xi, xi) * (1.0 / config.dilation - 1.0)
+                    metric += np.outer(metric @ xi, xi) * (1.0 / DILATION - 1.0)
             grad_prev = flat_g
             dilated = metric.T @ flat_g
             direction = metric @ dilated
             gap = (reference - value) * sign
             denom = float(dilated @ dilated)
-            if gap > 0 and denom > config.epsilon**2:
+            if gap > 0 and denom > EPSILON**2:
                 alpha = min(gap / denom, MAX_GAP_STEP)
             else:
                 alpha = config.initial_step / np.sqrt(k)
             for i, part in enumerate(np.split(sign * alpha * direction, cuts)):
                 tables[i] += part
-        elif config.step_rule == "adaptive":
-            # no reference to aim at: diagonally normalized moment steps
-            alpha = config.initial_step / np.sqrt(k)
-            for i, g in enumerate(grads):
-                mom[i] = config.beta1 * mom[i] + (1 - config.beta1) * g
-                sec[i] = config.beta2 * sec[i] + (1 - config.beta2) * g * g
-                mhat = mom[i] / (1 - config.beta1**k)
-                vhat = sec[i] / (1 - config.beta2**k)
-                tables[i] += sign * alpha * mhat / (np.sqrt(vhat) + config.epsilon)
         else:
+            # no reference to aim at: plain supergradient steps
             alpha = config.initial_step / np.sqrt(k)
             for i, g in enumerate(grads):
                 tables[i] += sign * alpha * g
@@ -193,7 +179,7 @@ def ascend(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] 
     iteration cap.
     """
     config = config or AscentConfig()
-    if config.variant not in ("proposition", "remark_b"):
+    if config.variant not in LOWER_VARIANTS:
         raise ValueError(f"ascend handles the lower variants, not {config.variant!r}")
     return _run(cost, ms, config, config.variant, maximize=True, reference=primal_value)
 
@@ -278,7 +264,7 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
         report.elapsed_s = time.perf_counter() - start
         return report
 
-    for variant in ("proposition", "remark_b"):
+    for variant in LOWER_VARIANTS:
         cert, trace = ascend(cost, ms, replace(config, variant=variant), primal_value=lower.value)
         report.certificates[variant] = cert
         report.traces[variant] = trace

@@ -3,7 +3,8 @@
 Starting from the terminal tensor c(x_1..x_n) - sum_i u_i(x_i), each level
 replaces the dependence on the last coordinate by the value of its convex
 (lower-bound problem) or concave (upper-bound problem) envelope at the
-previous coordinate. Three variants are supported:
+previous coordinate. One loop, cascade_down, serves three variants, which
+differ only in where u is subtracted and which way the hull faces:
 
 * "proposition": subtract all u_i upfront, then envelope level by level;
 * "remark_a":    same recursion with concave envelopes (upper bound);
@@ -33,7 +34,6 @@ LOWER_VARIANTS = ("proposition", "remark_b")
 COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
 
 GROWTH_TOL = 1e-9
-RECOMPUTE_TOL = 1e-10
 SUBHEDGE_TOL = 1e-9
 
 
@@ -251,63 +251,39 @@ def _batched_envelope(sections, sec_grid, eval_atoms, lower):
     return vals, left, right, lam
 
 
-def cascade_down(t_n: np.ndarray, ms: MarginalSequence, variant: str = "proposition") -> CascadeTensors:
-    """Run the envelope recursion from the terminal tensor down to level 1.
+def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> CascadeTensors:
+    """Run the envelope recursion from the top level down to level 1.
 
-    For i = n-1, ..., 1: every one-dimensional section of T_{i+1} in its last
-    coordinate (on the atoms of mu_{i+1}) is replaced by the value of its
-    convex envelope (lower variants) or concave envelope (remark_a) at the
-    matching atom of mu_i.
+    proposition and remark_a start from the terminal tensor; remark_b starts
+    from the raw cost and subtracts u_{i+1} from each section right before
+    the envelope at level i. For i = n-1, ..., 1 every one-dimensional section
+    of T_{i+1} in its last coordinate (on the atoms of mu_{i+1}) is replaced
+    by the value of its convex envelope (lower variants) or concave envelope
+    (remark_a) at the matching atom of mu_i. remark_b coincides with
+    proposition for n = 2 and for u identically 0.
     """
-    if variant not in ("proposition", "remark_a"):
-        raise ValueError(f"variant {variant!r} not handled by cascade_down")
-    if t_n.shape != ms.sizes:
-        raise ValueError(f"terminal tensor shape {t_n.shape} vs grids {ms.sizes}")
-    lower = variant != "remark_a"
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    stepwise = variant == "remark_b"
+    if stepwise:
+        u.validate_against(ms)
+        cur = cost.tensor_on(ms)
+    else:
+        cur = terminal_tensor(cost, ms, u)
     levels = [None] * ms.n
     supports = [None] * (ms.n - 1)
-    levels[ms.n - 1] = t_n
-    cur = t_n
+    levels[ms.n - 1] = cur
     for i in range(ms.n - 1, 0, -1):  # build T_i from T_{i+1}
         sections = cur.reshape(-1, ms.sizes[i])
+        if stepwise:
+            sections = sections - u.funcs[i - 1].values[None, :]
         vals, lft, rgt, lam = _batched_envelope(
-            sections, ms.grids[i], ms.grids[i - 1], lower
+            sections, ms.grids[i], ms.grids[i - 1], lower=variant != "remark_a"
         )
         cur = vals.reshape(ms.sizes[:i])
         levels[i - 1] = cur
         supports[i - 1] = (lft, rgt, lam)
     return CascadeTensors(variant, tuple(levels), tuple(supports))
-
-
-def cascade_down_stepwise(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> CascadeTensors:
-    """Deferred-subtraction recursion: the top level is the raw cost and each
-    u_{i+1} is subtracted from the section right before the envelope at level i.
-
-    Coincides with the proposition recursion for n = 2 and for u identically 0.
-    """
-    u.validate_against(ms)
-    cur = cost.tensor_on(ms)
-    levels = [None] * ms.n
-    supports = [None] * (ms.n - 1)
-    levels[ms.n - 1] = cur
-    for i in range(ms.n - 1, 0, -1):
-        sections = cur.reshape(-1, ms.sizes[i]) - u.funcs[i - 1].values[None, :]
-        vals, lft, rgt, lam = _batched_envelope(
-            sections, ms.grids[i], ms.grids[i - 1], lower=True
-        )
-        cur = vals.reshape(ms.sizes[:i])
-        levels[i - 1] = cur
-        supports[i - 1] = (lft, rgt, lam)
-    return CascadeTensors("remark_b", tuple(levels), tuple(supports))
-
-
-def dual_cascade(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> CascadeTensors:
-    """Dispatch to the variant's recursion."""
-    if variant == "remark_b":
-        return cascade_down_stepwise(cost, ms, u)
-    if variant in ("proposition", "remark_a"):
-        return cascade_down(terminal_tensor(cost, ms, u), ms, variant)
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> float:
@@ -316,7 +292,7 @@ def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVa
     Lower bound of the transport value for the lower variants, upper bound of
     the sup problem for remark_a.
     """
-    casc = dual_cascade(variant, cost, ms, u)
+    casc = cascade_down(variant, cost, ms, u)
     return _objective_from_cascade(casc, ms, u)
 
 
@@ -335,7 +311,7 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     it (at the terminal level for proposition/remark_a, at its own level for
     remark_b) plus its marginal weight. Sums to zero per u_i by conservation.
     """
-    casc = dual_cascade(variant, cost, ms, u)
+    casc = cascade_down(variant, cost, ms, u)
     value = _objective_from_cascade(casc, ms, u)
     grads = [ms[i].weights.copy() for i in range(1, ms.n)]
     mass = ms[0].weights.copy()
@@ -388,8 +364,9 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coup
 
     For every first-period atom with positive mass the conditional expectation
     under the coupling of T_1(S_1) + sum u_i(S_i) must not exceed the
-    conditional expectation of the cost, up to 1e-9. The coupling must pass
-    marginal and martingale validation first.
+    conditional expectation of the cost, up to 1e-9; equivalently T_1 must not
+    exceed the conditional expectation of the terminal tensor T_n. The coupling
+    must pass marginal and martingale validation first.
     """
     from .primal import validate_coupling  # deferred to avoid a module cycle
 
@@ -397,21 +374,11 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coup
     report = validate_coupling(q, ms)
     if not report.ok:
         raise ValueError(f"coupling failed validation: {report.summary()}")
-    casc = dual_cascade("proposition", cost, ms, u)
-    t1 = casc.levels[0]
-    cost_tensor = cost.tensor_on(ms)
-    static_total = np.zeros(ms.sizes)
-    for i, f in enumerate(u.funcs, start=1):
-        shape = [1] * ms.n
-        shape[i] = len(f)
-        static_total = static_total + f.values.reshape(shape)
+    casc = cascade_down("proposition", cost, ms, u)
+    t1, t_n = casc.levels[0], casc.levels[-1]
     tail_axes = tuple(range(1, ms.n))
     start_mass = q.sum(axis=tail_axes)
-    cond_cost = (q * cost_tensor).sum(axis=tail_axes)
-    cond_static = (q * static_total).sum(axis=tail_axes)
-    keep = ms[0].weights > 0
     mass = np.where(start_mass > 0, start_mass, 1.0)
-    lhs = t1 + cond_static / mass
-    rhs = cond_cost / mass
-    slacks = (rhs - lhs)[keep]
+    keep = ms[0].weights > 0
+    slacks = ((q * t_n).sum(axis=tail_axes) / mass - t1)[keep]
     return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -SUBHEDGE_TOL)))

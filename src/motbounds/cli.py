@@ -114,8 +114,8 @@ def parse_instance(path: str) -> Instance:
     form = raw_cost["form"]
     if form not in COST_FORMS:
         raise InstanceError("cost.form", f"unknown form {form!r}; expected one of {COST_FORMS}")
-    growth = float(raw_cost.get("growth_constant", 0.0))
     try:
+        growth = float(raw_cost.get("growth_constant", 0.0))
         if form == "custom_table":
             if "path" not in raw_cost:
                 raise InstanceError("cost.path", "custom_table needs a tensor CSV path")
@@ -135,8 +135,7 @@ def parse_instance(path: str) -> Instance:
     if not isinstance(options, dict):
         raise InstanceError("options", "expected an object")
     known = {
-        "variant": str, "max_iters": int, "initial_step": float,
-        "step_rule": str, "target_gap": float, "seed": int,
+        "variant": str, "max_iters": int, "initial_step": float, "target_gap": float,
     }
     kwargs = {}
     for key, cast in known.items():
@@ -166,8 +165,6 @@ def _apply_flags(config: AscentConfig, args) -> AscentConfig:
         updates["target_gap"] = args.tol
     if args.max_iters is not None:
         updates["max_iters"] = args.max_iters
-    if args.seed is not None:
-        updates["seed"] = args.seed
     return replace(config, **updates) if updates else config
 
 
@@ -264,6 +261,8 @@ def cmd_certify(args) -> int:
 def cmd_envelope(args) -> int:
     try:
         raw = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+        if raw.shape[1] != 2:
+            raise ValueError(f"expected two columns x,f(x), got {raw.shape[1]}")
         f = GridFunction(raw[:, 0], raw[:, 1])
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="structured JSON output")
     parser.add_argument("--out", metavar="DIR", help="directory for artifact files")
-    parser.add_argument("--seed", type=int, help="optimizer seed")
     parser.add_argument("--tol", type=float, help="relative gap target")
     parser.add_argument("--max-iters", type=int, dest="max_iters", help="ascent iteration cap")
     parser.add_argument("--variant", choices=("proposition", "remark_b"),
@@ -343,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse prints its usage error to stderr
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except InstanceError as exc:

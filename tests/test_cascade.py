@@ -12,7 +12,6 @@ from motbounds import (
     MarginalSequence,
     OutOfDomainError,
     cascade_down,
-    cascade_down_stepwise,
     concave_envelope,
     convex_envelope,
     dual_objective,
@@ -97,13 +96,13 @@ class TestTerminalTensor:
 class TestCascadeDown:
     def test_single_start_chord(self):
         u = DualVariables.zeros(MS_SINGLE)
-        casc = cascade_down(terminal_tensor(SQ2, MS_SINGLE, u), MS_SINGLE)
+        casc = cascade_down("proposition", SQ2, MS_SINGLE, u)
         # section values (1, 1), chord at 0 -> 1
         assert casc.levels[0][0] == pytest.approx(1.0)
 
     def test_symmetric_pair_chord(self):
         u = DualVariables.zeros(MS_PAIR)
-        casc = cascade_down(terminal_tensor(SQ2, MS_PAIR, u), MS_PAIR)
+        casc = cascade_down("proposition", SQ2, MS_PAIR, u)
         # chord through (-2, 1), (2, 9) at -1 is 3; symmetric at +1
         assert casc.levels[0][0] == pytest.approx(3.0)
         assert casc.levels[0][1] == pytest.approx(3.0)
@@ -115,7 +114,7 @@ class TestCascadeDown:
                                                     np.full(4, 0.25))])
         cost = CostSpec(2, "squared_increment")
         u = DualVariables.zeros(ms)
-        casc = cascade_down(terminal_tensor(cost, ms, u), ms)
+        casc = cascade_down("proposition", cost, ms, u)
         assert casc.levels[0][0] == pytest.approx(0.0)  # (x - x)^2 at knot
         assert casc.levels[0][1] == pytest.approx(0.0)
 
@@ -123,7 +122,7 @@ class TestCascadeDown:
         for _ in range(20):
             cost, ms = random_instance(rng, n=3, max_size=6)
             u = random_duals(rng, ms)
-            casc = cascade_down(terminal_tensor(cost, ms, u), ms)
+            casc = cascade_down("proposition", cost, ms, u)
             for i in range(ms.n - 1, 0, -1):
                 upper = casc.levels[i]
                 lower = casc.levels[i - 1]
@@ -140,10 +139,7 @@ class TestCascadeDown:
             for n in (2, 3):
                 cost, ms = random_instance(rng, n=n, max_size=6)
                 u = random_duals(rng, ms)
-                if variant == "remark_b":
-                    casc = cascade_down_stepwise(cost, ms, u)
-                else:
-                    casc = cascade_down(terminal_tensor(cost, ms, u), ms, variant)
+                casc = cascade_down(variant, cost, ms, u)
                 ref = reference_cascade(cost, ms, u, variant)
                 for lvl, expected in zip(casc.levels, ref):
                     assert np.allclose(lvl, expected, atol=1e-12)
@@ -153,7 +149,12 @@ class TestCascadeDown:
         ms = MarginalSequence([PM2, PM1])
         u = DualVariables.zeros(ms)
         with pytest.raises(OutOfDomainError):
-            cascade_down(terminal_tensor(SQ2, ms, u), ms)
+            cascade_down("proposition", SQ2, ms, u)
+
+    def test_unknown_variant_raises(self):
+        u = DualVariables.zeros(MS_SINGLE)
+        with pytest.raises(ValueError, match="unknown variant"):
+            cascade_down("bogus", SQ2, MS_SINGLE, u)
 
 
 class TestStepwiseVariant:
@@ -161,15 +162,15 @@ class TestStepwiseVariant:
         for _ in range(10):
             cost, ms = random_instance(rng, n=2, max_size=8)
             u = random_duals(rng, ms)
-            a = cascade_down(terminal_tensor(cost, ms, u), ms).levels[0]
-            b = cascade_down_stepwise(cost, ms, u).levels[0]
+            a = cascade_down("proposition", cost, ms, u).levels[0]
+            b = cascade_down("remark_b", cost, ms, u).levels[0]
             assert np.allclose(a, b, atol=1e-12)
 
     def test_zero_duals_match_at_every_level(self, rng):
         cost, ms = random_instance(rng, n=3, max_size=6)
         u = DualVariables.zeros(ms)
-        a = cascade_down(terminal_tensor(cost, ms, u), ms)
-        b = cascade_down_stepwise(cost, ms, u)
+        a = cascade_down("proposition", cost, ms, u)
+        b = cascade_down("remark_b", cost, ms, u)
         for x, y in zip(a.levels, b.levels):
             assert np.allclose(x, y, atol=1e-12)
 

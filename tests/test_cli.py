@@ -167,6 +167,12 @@ class TestEnvelopeCommand:
         csv.write_text("1,0\n0,1\n")
         assert main(["envelope", str(csv)]) == 1
 
+    def test_one_column_exit_1(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        csv.write_text("0\n1\n2\n")
+        assert main(["envelope", str(csv)]) == 1
+        assert capsys.readouterr().err.startswith("error: expected two columns")
+
 
 class TestQuantizeCommand:
     def test_emits_measure_json(self, capsys):
@@ -203,6 +209,26 @@ class TestInstanceParsing:
         inst = parse_instance(write_instance(tmp_path, payload))
         assert inst.config.variant == "remark_b"
         assert inst.config.max_iters == 77
+
+    def test_bad_growth_constant_exit_1(self, tmp_path, capsys):
+        payload = dict(HAND_INSTANCE, cost={"form": "squared_increment",
+                                            "growth_constant": "abc"})
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err.startswith("error: cost:")
+
+    def test_unknown_option_variant_exit_1(self, tmp_path, capsys):
+        payload = dict(HAND_INSTANCE, options={"variant": "bogus"})
+        code = main(["solve", write_instance(tmp_path, payload), "--method", "dual"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: options: unknown variant")
+
+    @pytest.mark.parametrize("flags", [["--tol", "abc"], ["--seed", "3"]])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, flags):
+        code = main(flags + ["solve", write_instance(tmp_path, HAND_INSTANCE)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_flags_override_options(self, tmp_path, capsys):
         payload = dict(HAND_INSTANCE, options={"max_iters": 7})
