@@ -104,7 +104,8 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig, variant: st
     sizes = [len(m) for m in ms.marginals[1:]]
     cuts = np.cumsum(sizes)[:-1]
     tables = [np.zeros(s) for s in sizes]
-    metric = np.eye(sum(sizes))  # dilated-space basis, accumulated over the run
+    # dilated-space basis, accumulated over a run that aims at a reference
+    metric = np.eye(sum(sizes)) if reference is not None else None
     grad_prev = None
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf

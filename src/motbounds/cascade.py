@@ -11,6 +11,10 @@ differ only in where u is subtracted and which way the hull faces:
 * "remark_b":    keep the raw cost at the top and subtract each u_{i+1}
                  from the section right before the envelope at level i.
 
+Each level evaluates every section's envelope at once: an exact alternating
+search finds the pair of atoms whose chord supports the hull at the
+evaluation point, at O(m) per section and round and a few rounds per section.
+
 The dual objective is the mu_1-expectation of the bottom level plus the
 marginal expectations of the u_i. It is concave (proposition / remark_b) or
 convex (remark_a) and piecewise affine in the u tables; the supergradient is
@@ -203,52 +207,111 @@ def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> n
     return out
 
 
+BLOCK_VALUES = 32768  # section values per block of rows: 256 KB keeps the search in cache
+
+
 def _batched_envelope(sections, sec_grid, eval_atoms, lower):
     """Envelope value of every section row at one point per row.
 
     sections has shape (rows, m) with row r tabulating a function on sec_grid;
-    row r is evaluated at eval_atoms[r % len(eval_atoms)] (rows enumerate
+    row r is evaluated at t = eval_atoms[r % len(eval_atoms)] (rows enumerate
     prefixes in row-major order, so the last prefix coordinate cycles
-    fastest). The value at t of the lower (upper) hull equals the min (max)
-    over two-point convex combinations lam*f(y_a) + (1-lam)*f(y_b) with
-    y_a <= t <= y_b and lam*y_a + (1-lam)*y_b = t; the minimizing pair is the
-    supporting pair of the hull, returned for the supergradient.
+    fastest). The value at t of the lower (upper) hull is lam*f(y_a) +
+    (1-lam)*f(y_b) for a supporting pair y_a <= t <= y_b of the hull, with
+    lam*y_a + (1-lam)*y_b = t; the pair is returned for the supergradient.
+    The pairs come from _supporting_pairs, one block of rows at a time.
     """
     rows, m = sections.shape
-    me = eval_atoms.size
-    span = sec_grid[-1] - sec_grid[0]
-    eps = CLAMP_REL * span
-    vals = np.empty(rows)
+    y = sec_grid
+    t = np.asarray(eval_atoms, dtype=float)
+    eps = CLAMP_REL * (y[-1] - y[0])
+    outside = (t < y[0] - eps) | (t > y[-1] + eps)
+    if outside.any():
+        raise OutOfDomainError(
+            f"evaluation point {float(t[outside][0])!r} outside the next support "
+            f"[{y[0]!r}, {y[-1]!r}]; support nesting violated"
+        )
+    t = np.clip(t, y[0], y[-1])
+    if m == 1:
+        return sections[:, 0].copy(), np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows)
+    reps = rows // t.size
+    split = np.tile(np.minimum(np.searchsorted(y, t, side="right"), m - 1), reps)
+    t = np.tile(t, reps)
+    sign = 1.0 if lower else -1.0
+    # inv_run[c, j] = sign / (y_j - y_c), and 0 at j == c; the rows of bars
+    # add +inf left of a split s (bars[m - s]) or -inf right of it (bars[2m - s])
+    inv_run = y[None, :] - y[:, None]
+    np.fill_diagonal(inv_run, np.inf)
+    np.divide(sign, inv_run, out=inv_run)
+    bars = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.full(m, np.inf), np.zeros(m), np.full(m, -np.inf)]), m)
     left = np.empty(rows, dtype=np.intp)
     right = np.empty(rows, dtype=np.intp)
     lam = np.empty(rows)
-    for k in range(me):
-        t = float(eval_atoms[k])
-        if t < sec_grid[0] - eps or t > sec_grid[-1] + eps:
-            raise OutOfDomainError(
-                f"evaluation point {t!r} outside the next support "
-                f"[{sec_grid[0]!r}, {sec_grid[-1]!r}]; support nesting violated"
-            )
-        t = min(max(t, float(sec_grid[0])), float(sec_grid[-1]))
-        p = int(np.searchsorted(sec_grid, t, side="right")) - 1
-        q = int(np.searchsorted(sec_grid, t, side="left"))
-        li = np.arange(0, p + 1)
-        ri = np.arange(q, m)
-        den = sec_grid[ri][None, :] - sec_grid[li][:, None]
-        safe = np.where(den > 0, den, 1.0)
-        lam_pairs = np.where(den > 0, (sec_grid[ri][None, :] - t) / safe, 1.0)
-        rows_k = sections[k::me]
-        chords = (
-            rows_k[:, li][:, :, None] * lam_pairs[None]
-            + rows_k[:, ri][:, None, :] * (1.0 - lam_pairs[None])
-        ).reshape(rows_k.shape[0], -1)
-        pos = chords.argmin(axis=1) if lower else chords.argmax(axis=1)
-        ai, bi = np.unravel_index(pos, (li.size, ri.size))
-        vals[k::me] = chords[np.arange(rows_k.shape[0]), pos]
-        left[k::me] = li[ai]
-        right[k::me] = ri[bi]
-        lam[k::me] = lam_pairs[ai, bi]
+    block = max(1, BLOCK_VALUES // m)
+    for lo in range(0, rows, block):
+        rs = slice(lo, lo + block)
+        left[rs], right[rs], lam[rs] = _supporting_pairs(
+            sections[rs], y, t[rs], split[rs], inv_run, bars, sign)
+    every = np.arange(rows)
+    vals = lam * sections[every, left] + (1.0 - lam) * sections[every, right]
     return vals, left, right, lam
+
+
+def _supporting_pairs(f, y, t, split, inv_run, bars, sign):
+    """Exact supporting pair (a, b) and weight lam of each row's hull at its t.
+
+    Atoms before split[r] are the left points of row r (y <= t, except that
+    the last atom is always a right point), the rest its right points. From
+    a = the left point nearest t, b becomes the right point of least slope
+    seen from a, then a the left point of greatest slope seen from b, and so
+    on; sign = -1 flips the slopes for the upper hull. No half-step raises
+    the chord value at t. A row stops when a half-step returns the index it
+    replaces: every point then lies on or above the line through (a, b), so
+    the pair supports the hull at t. It also stops when its chord value did
+    not drop over the last two half-steps; in exact arithmetic that only
+    happens at such a pair, and it ends the search whatever the rounding.
+    Each half-step costs O(m) per row still searching, and a handful of
+    half-steps is typical. All rows are searched at once, with no loop over
+    atoms.
+    """
+    rows, m = f.shape
+    left = np.empty(rows, dtype=np.intp)
+    right = np.empty(rows, dtype=np.intp)
+    lam_out = np.empty(rows)
+    live = np.arange(rows)  # the rows still searching
+    a = split - 1
+    b = np.full(rows, -1)
+    w_back1 = np.full(rows, np.inf)  # signed chord value one half-step back
+    w_back2 = np.full(rows, np.inf)  # and two half-steps back
+    move_right = True
+    while live.size:
+        c = a if move_right else b  # slopes are seen from c
+        f_c = f[live, c]
+        slopes = f[live]
+        slopes -= f_c[:, None]
+        slopes *= inv_run.take(c, axis=0)
+        if move_right:
+            slopes += bars[m - split]
+            new = slopes.argmin(axis=1)
+            moved = new != b
+            b, f_a, f_b = new, f_c, f[live, new]
+        else:
+            slopes += bars[2 * m - split]
+            new = slopes.argmax(axis=1)
+            moved = new != a
+            a, f_a, f_b = new, f[live, new], f_c
+        lam = (y[b] - t) / (y[b] - y[a])
+        w = sign * (lam * f_a + (1.0 - lam) * f_b)
+        done = ~moved | (w >= w_back2)
+        w_back2, w_back1 = w_back1, w
+        move_right = not move_right
+        if done.any():
+            left[live[done]], right[live[done]], lam_out[live[done]] = a[done], b[done], lam[done]
+            keep = ~done
+            live, a, b, split, t = live[keep], a[keep], b[keep], split[keep], t[keep]
+            w_back1, w_back2 = w_back1[keep], w_back2[keep]
+    return left, right, lam_out
 
 
 def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> CascadeTensors:

@@ -76,15 +76,19 @@ def _load_cost_table(path: str, ms: MarginalSequence) -> np.ndarray:
         raise InstanceError("cost.path", str(exc)) from exc
     if raw.shape[1] != ms.n + 1:
         raise InstanceError("cost.path", f"expected {ms.n + 1} columns, got {raw.shape[1]}")
+    index = []
+    for i, grid in enumerate(ms.grids):  # nearest atom of each coordinate
+        coords = raw[:, i]
+        hi = np.minimum(np.searchsorted(grid, coords), grid.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        pos = np.where(np.abs(grid[lo] - coords) <= np.abs(grid[hi] - coords), lo, hi)
+        off = ~(np.abs(grid[pos] - coords) <= 1e-9)  # NaN is off too
+        if off.any():
+            raise InstanceError(
+                "cost.path", f"coordinate {coords[off][0]!r} is not an atom of marginal {i + 1}")
+        index.append(pos)
     table = np.full(ms.sizes, np.nan)
-    for row in raw:
-        idx = []
-        for i in range(ms.n):
-            pos = int(np.argmin(np.abs(ms.grids[i] - row[i])))
-            if abs(ms.grids[i][pos] - row[i]) > 1e-9:
-                raise InstanceError("cost.path", f"coordinate {row[i]!r} is not an atom of marginal {i + 1}")
-            idx.append(pos)
-        table[tuple(idx)] = row[-1]
+    table[tuple(index)] = raw[:, -1]
     if np.any(np.isnan(table)):
         raise InstanceError("cost.path", "tensor does not cover the full product grid")
     return table
@@ -137,6 +141,10 @@ def parse_instance(path: str) -> Instance:
     known = {
         "variant": str, "max_iters": int, "initial_step": float, "target_gap": float,
     }
+    unknown = sorted(set(options) - set(known) - {"var_cap"})
+    if unknown:
+        raise InstanceError(f"options.{unknown[0]}",
+                            f"unknown option; expected one of {sorted([*known, 'var_cap'])}")
     kwargs = {}
     for key, cast in known.items():
         if key in options:

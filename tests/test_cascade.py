@@ -1,4 +1,4 @@
-"""Cascade recursion, dual objective, supergradient, and sub-hedge check."""
+"""Cascade recursion, batched envelope, dual objective, supergradient, sub-hedge check."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,9 @@ from motbounds import (
     terminal_tensor,
     verify_subhedge,
 )
+
+from motbounds.cascade import _batched_envelope
+from motbounds.envelope import CLAMP_REL
 
 from conftest import random_duals, random_instance
 
@@ -60,6 +63,42 @@ def reference_cascade(cost, ms, u, variant):
         cur = out.reshape(ms.sizes[:i])
         levels.append(cur)
     return levels[::-1]  # T_1 first
+
+
+def pair_enumeration(sections, grid, eval_atoms, lower):
+    """Envelope by enumerating every chord (a, b) with y_a <= t <= y_b; O(m^2) per row.
+
+    Row r is evaluated at eval_atoms[r % len(eval_atoms)], clamped to the grid.
+    Returns (values, left, right, lam) like the batched envelope; among tied
+    chords the first in (a, b) row-major order wins.
+    """
+    rows, m = sections.shape
+    me = eval_atoms.size
+    vals = np.empty(rows)
+    left = np.empty(rows, dtype=int)
+    right = np.empty(rows, dtype=int)
+    lam = np.empty(rows)
+    for r in range(rows):
+        t = min(max(float(eval_atoms[r % me]), grid[0]), grid[-1])
+        best = None
+        for a in range(m):
+            for b in range(a, m):
+                if not grid[a] <= t <= grid[b]:
+                    continue
+                w = (grid[b] - t) / (grid[b] - grid[a]) if b > a else 1.0
+                v = w * sections[r, a] + (1.0 - w) * sections[r, b]
+                if best is None or (v < best[0] if lower else v > best[0]):
+                    best = (v, a, b, w)
+        vals[r], left[r], right[r], lam[r] = best
+    return vals, left, right, lam
+
+
+def mass_split(left, right, lam, m):
+    """Weight that each row puts on each atom: lam on left, 1 - lam on right."""
+    out = np.zeros((left.size, m))
+    np.add.at(out, (np.arange(left.size), left), lam)
+    np.add.at(out, (np.arange(left.size), right), 1.0 - lam)
+    return out
 
 
 def reference_objective(cost, ms, u, variant):
@@ -155,6 +194,110 @@ class TestCascadeDown:
         u = DualVariables.zeros(MS_SINGLE)
         with pytest.raises(ValueError, match="unknown variant"):
             cascade_down("bogus", SQ2, MS_SINGLE, u)
+
+
+class TestBatchedEnvelope:
+    """The supporting-pair search against pair enumeration."""
+
+    @staticmethod
+    def random_grid(rng, m):
+        return np.sort(rng.choice(np.arange(-60, 60), size=m, replace=False)) / 7.0
+
+    def assert_matches_enumeration(self, sections, grid, eval_atoms, lower, same_split=True):
+        vals, left, right, lam = _batched_envelope(sections, grid, eval_atoms, lower)
+        ref_vals, ref_left, ref_right, ref_lam = pair_enumeration(sections, grid, eval_atoms, lower)
+        np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12)
+        t = np.clip(np.tile(eval_atoms, sections.shape[0] // eval_atoms.size), grid[0], grid[-1])
+        assert np.all(grid[left] <= t) and np.all(t <= grid[right])
+        assert np.all((lam >= 0) & (lam <= 1))
+        if same_split:
+            m = grid.size
+            np.testing.assert_array_equal(mass_split(left, right, lam, m),
+                                          mass_split(ref_left, ref_right, ref_lam, m))
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_random_sections_between_atoms(self, rng, lower):
+        for _ in range(60):
+            m, me, reps = int(rng.integers(2, 25)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            grid = self.random_grid(rng, m)
+            eval_atoms = rng.uniform(grid[0], grid[-1], size=me)
+            sections = rng.standard_normal((me * reps, m))
+            self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_on_grid_atoms_and_at_both_ends(self, rng, lower):
+        for _ in range(60):
+            m = int(rng.integers(2, 25))
+            grid = self.random_grid(rng, m)
+            eval_atoms = np.concatenate([[grid[0], grid[-1]], rng.choice(grid, size=3)])
+            sections = rng.standard_normal((2 * eval_atoms.size, m))
+            self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_within_the_clamp_evaluates_at_the_end(self, rng, lower):
+        grid = self.random_grid(rng, 9)
+        eps = CLAMP_REL * (grid[-1] - grid[0])
+        sections = rng.standard_normal((2, 9))
+        inside = np.array([grid[0] - 0.5 * eps, grid[-1] + 0.5 * eps])
+        at_ends = _batched_envelope(sections, grid, np.array([grid[0], grid[-1]]), lower)[0]
+        np.testing.assert_array_equal(_batched_envelope(sections, grid, inside, lower)[0], at_ends)
+        np.testing.assert_array_equal(at_ends, [sections[0, 0], sections[1, -1]])
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_past_the_clamp_raises(self, rng, lower):
+        grid = self.random_grid(rng, 9)
+        eps = CLAMP_REL * (grid[-1] - grid[0])
+        sections = rng.standard_normal((1, 9))
+        for t in (grid[0] - 2 * eps, grid[-1] + 2 * eps):
+            with pytest.raises(OutOfDomainError, match="support nesting violated"):
+                _batched_envelope(sections, grid, np.array([t]), lower)
+
+    def test_blocks_of_rows_give_the_same_pairs(self, rng, monkeypatch):
+        grid = self.random_grid(rng, 9)
+        eval_atoms = np.concatenate([rng.uniform(grid[0], grid[-1], 4), grid[[0, 3, 8]]])
+        sections = rng.standard_normal((eval_atoms.size * 5, 9))
+        for lower in (True, False):
+            whole = _batched_envelope(sections, grid, eval_atoms, lower)
+            with monkeypatch.context() as patch:
+                patch.setattr("motbounds.cascade.BLOCK_VALUES", 20)  # two rows per block
+                blocked = _batched_envelope(sections, grid, eval_atoms, lower)
+            for x, y in zip(whole, blocked):
+                np.testing.assert_array_equal(x, y)
+            self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
+
+    def test_single_atom_section(self):
+        vals, left, right, lam = _batched_envelope(
+            np.array([[2.5], [-1.0]]), np.array([0.0]), np.array([0.0]), True)
+        np.testing.assert_array_equal(vals, [2.5, -1.0])
+        assert left.tolist() == right.tolist() == [0, 0] and lam.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("m", [12, 60, 300])
+    def test_many_round_sections(self, m):
+        """Two convex arms that rise towards t, with their minima at the far ends.
+
+        The search starts next to t and only reaches the bridge between the
+        two ends after several rounds; a convex run that ends in one very low
+        point sends the first right step straight to that point.
+        """
+        grid = np.arange(m, dtype=float)
+        t = np.array([m // 2 - 0.5])
+        arms = np.where(grid < m // 2, grid ** 2, (grid - (m - 1)) ** 2) * 1e-3
+        low_end = (grid - m / 2) ** 2 * 1e-3
+        low_end[-1] = -1.0
+        for section in (arms, low_end, -arms):
+            for lower in (True, False):
+                self.assert_matches_enumeration(section[None, :], grid, t, lower)
+
+    def test_collinear_runs_match_in_value(self, rng):
+        """Rounded sections have collinear atoms; the pair may differ, the value not."""
+        for _ in range(40):
+            m = int(rng.integers(2, 15))
+            grid = np.arange(m, dtype=float)
+            eval_atoms = np.concatenate([rng.uniform(0, m - 1, 2), rng.choice(grid, 2)])
+            sections = np.round(rng.standard_normal((8, m)), 0)
+            for lower in (True, False):
+                self.assert_matches_enumeration(sections, grid, eval_atoms, lower,
+                                                same_split=False)
 
 
 class TestStepwiseVariant:

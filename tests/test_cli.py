@@ -210,6 +210,51 @@ class TestInstanceParsing:
         assert inst.config.variant == "remark_b"
         assert inst.config.max_iters == 77
 
+    @pytest.mark.parametrize("key", ["max_iter", "step_rule", "seed"])
+    def test_unknown_option_key_exit_1(self, tmp_path, capsys, key):
+        payload = dict(HAND_INSTANCE, options={key: 2})
+        code = main(["solve", write_instance(tmp_path, payload), "--method", "dual"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: options.{key}: unknown option")
+
+    def test_cost_table_rows_in_any_order(self, tmp_path):
+        ms_payload = {
+            "marginals": [
+                {"atoms": [0.0], "weights": [1.0]},
+                {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
+                {"atoms": [-2.0, 0.0, 2.0], "weights": [0.25, 0.5, 0.25]},
+            ],
+        }
+        grid = [(x1, x2, x3) for x1 in (0.0,) for x2 in (-1.0, 1.0) for x3 in (-2.0, 0.0, 2.0)]
+        rows = [f"{x1!r},{x2!r},{x3 + 1e-12!r},{x1 + 10 * x2 + 100 * x3!r}" for x1, x2, x3 in grid]
+        csv = tmp_path / "table.csv"
+        csv.write_text("\n".join(rows[::-1]) + "\n")
+        payload = dict(ms_payload, cost={"form": "custom_table", "path": str(csv)})
+        table = parse_instance(write_instance(tmp_path, payload)).cost.table
+        expected = np.array([[[10 * x2 + 100 * x3 for x3 in (-2.0, 0.0, 2.0)]
+                              for x2 in (-1.0, 1.0)]])
+        assert np.allclose(table, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("coordinate", ["1.5", "nan"])
+    def test_cost_table_off_atom_exit_1(self, tmp_path, capsys, coordinate):
+        rows = ["-1.0,-2.0,0.0", "-1.0,2.0,0.0", "1.0,-2.0,0.0", f"1.0,{coordinate},0.0"]
+        csv = tmp_path / "off.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": str(csv)})
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost.path: coordinate")
+        assert coordinate in err and "is not an atom of marginal 2" in err
+
+    def test_cost_table_incomplete_exit_1(self, tmp_path, capsys):
+        rows = ["-1.0,-2.0,0.0", "-1.0,2.0,0.0", "1.0,-2.0,0.0", "1.0,-2.0,1.0"]
+        csv = tmp_path / "partial.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": str(csv)})
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cost.path: tensor does not cover the full product grid\n")
+
     def test_bad_growth_constant_exit_1(self, tmp_path, capsys):
         payload = dict(HAND_INSTANCE, cost={"form": "squared_increment",
                                             "growth_constant": "abc"})
