@@ -2,16 +2,16 @@
 
 The dual objective is piecewise affine and concave (lower variants) or convex
 (upper variant) in the finitely many table entries, so plain subgradient steps
-zigzag between facets and crawl along ridges. When the transport LP value is
-available, the optimizer therefore accumulates an adaptive metric from the
-gradient history (space dilation along successive gradient differences),
-which contracts the across-ridge component and lets the iterate travel the
-ridge, and the global step length targets the remaining gap directly.
-Without a reference value it takes plain supergradient steps of length
-initial_step / sqrt(k). Every iterate is a valid bound, so the best-so-far
-certificate is sound regardless of oscillation. Certification solves the LP
-on both sides and closes the relative gap against the best certificate of
-each variant.
+zigzag between facets and crawl along ridges. The optimizer therefore
+accumulates an adaptive metric from the gradient history (space dilation
+along successive gradient differences, after Shor's r-algorithm), which
+contracts the across-ridge component and lets the iterate travel the ridge.
+The reference only sets the step length: when the transport LP value is
+available and not yet reached, the step targets the remaining gap directly;
+otherwise it is initial_step / sqrt(k). Every iterate is a valid bound, so
+the best-so-far certificate is sound regardless of oscillation.
+Certification solves the LP on both sides and closes the relative gap
+against the best certificate of each variant.
 """
 
 from __future__ import annotations
@@ -98,14 +98,15 @@ def _project_zero_mean(tables, ms: MarginalSequence) -> None:
 MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
 
 
-def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig, variant: str,
-         maximize: bool, reference: Optional[float]):
+def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
+         reference: Optional[float]):
+    variant = config.variant
+    maximize = variant != "remark_a"
     sign = 1.0 if maximize else -1.0
     sizes = [len(m) for m in ms.marginals[1:]]
     cuts = np.cumsum(sizes)[:-1]
     tables = [np.zeros(s) for s in sizes]
-    # dilated-space basis, accumulated over a run that aims at a reference
-    metric = np.eye(sum(sizes)) if reference is not None else None
+    metric = np.eye(sum(sizes))  # dilated-space basis, accumulated over the run
     grad_prev = None
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
@@ -131,34 +132,28 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig, variant: st
             break
         if k == config.max_iters:
             break
-        if reference is not None:
-            # Contract the metric along the latest gradient difference (the
-            # across-kink direction), then take a gap-targeted step in the
-            # dilated space; exact when the attained affine piece is active
-            # at the optimum.
-            flat_g = np.concatenate(grads)
-            if grad_prev is not None:
-                xi = metric.T @ (flat_g - grad_prev)
-                norm_xi = float(np.linalg.norm(xi))
-                if norm_xi > EPSILON:
-                    xi /= norm_xi
-                    metric += np.outer(metric @ xi, xi) * (1.0 / DILATION - 1.0)
-            grad_prev = flat_g
-            dilated = metric.T @ flat_g
-            direction = metric @ dilated
-            gap = (reference - value) * sign
-            denom = float(dilated @ dilated)
-            if gap > 0 and denom > EPSILON**2:
-                alpha = min(gap / denom, MAX_GAP_STEP)
-            else:
-                alpha = config.initial_step / np.sqrt(k)
-            for i, part in enumerate(np.split(sign * alpha * direction, cuts)):
-                tables[i] += part
+        # Contract the metric along the latest gradient difference (the
+        # across-kink direction) and step along the gradient in the dilated
+        # space. With a reference the step targets the remaining gap, which
+        # is exact when the attained affine piece is active at the optimum.
+        flat_g = np.concatenate(grads)
+        if grad_prev is not None:
+            xi = metric.T @ (flat_g - grad_prev)
+            norm_xi = float(np.linalg.norm(xi))
+            if norm_xi > EPSILON:
+                xi /= norm_xi
+                metric += np.outer(metric @ xi, xi) * (1.0 / DILATION - 1.0)
+        grad_prev = flat_g
+        dilated = metric.T @ flat_g
+        direction = metric @ dilated
+        gap = (reference - value) * sign if reference is not None else 0.0
+        denom = float(dilated @ dilated)
+        if gap > 0 and denom > EPSILON**2:
+            alpha = min(gap / denom, MAX_GAP_STEP)
         else:
-            # no reference to aim at: plain supergradient steps
             alpha = config.initial_step / np.sqrt(k)
-            for i, g in enumerate(grads):
-                tables[i] += sign * alpha * g
+        for i, part in enumerate(np.split(sign * alpha * direction, cuts)):
+            tables[i] += part
         _project_zero_mean(tables, ms)
     trace = AscentTrace(
         np.asarray(values), np.asarray(norms), np.asarray(bests), np.asarray(stamps), status
@@ -182,14 +177,17 @@ def ascend(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] 
     config = config or AscentConfig()
     if config.variant not in LOWER_VARIANTS:
         raise ValueError(f"ascend handles the lower variants, not {config.variant!r}")
-    return _run(cost, ms, config, config.variant, maximize=True, reference=primal_value)
+    return _run(cost, ms, config, reference=primal_value)
 
 
 def descend_upper(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
                   primal_value: Optional[float] = None):
-    """Minimize the upper-bound dual objective; mirror image of ascend."""
-    config = config or AscentConfig(variant="remark_a")
-    return _run(cost, ms, config, "remark_a", maximize=False, reference=primal_value)
+    """Minimize the upper-bound dual objective; mirror image of ascend.
+
+    The run uses the remark_a variant whatever config.variant says.
+    """
+    config = replace(config or AscentConfig(), variant="remark_a")
+    return _run(cost, ms, config, reference=primal_value)
 
 
 @dataclass(eq=False)
@@ -270,8 +268,7 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
         report.certificates[variant] = cert
         report.traces[variant] = trace
         report.gaps[variant] = relative_gap(cert.dual_value, lower.value)
-    cert, trace = descend_upper(cost, ms, replace(config, variant="remark_a"),
-                                primal_value=upper.value)
+    cert, trace = descend_upper(cost, ms, config, primal_value=upper.value)
     report.certificates["remark_a"] = cert
     report.traces["remark_a"] = trace
     report.gaps["remark_a"] = relative_gap(cert.dual_value, upper.value)

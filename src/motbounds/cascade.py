@@ -9,7 +9,8 @@ differ only in where u is subtracted and which way the hull faces:
 * "proposition": subtract all u_i upfront, then envelope level by level;
 * "remark_a":    same recursion with concave envelopes (upper bound);
 * "remark_b":    keep the raw cost at the top and subtract each u_{i+1}
-                 from the section right before the envelope at level i.
+                 from the section right before the envelope at level i;
+                 it gives the same values as "proposition" (see cascade_down).
 
 Each level evaluates every section's envelope at once: an exact alternating
 search finds the pair of atoms whose chord supports the hull at the
@@ -37,7 +38,6 @@ LOWER_VARIANTS = ("proposition", "remark_b")
 
 COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
 
-GROWTH_TOL = 1e-9
 SUBHEDGE_TOL = 1e-9
 
 
@@ -47,16 +47,13 @@ class CostSpec:
 
     Named forms: squared_increment sum (x_{i+1}-x_i)^2, abs_increment
     sum |x_{i+1}-x_i|, terminal_call (x_n-K)_+, basket (mean(x)-K)_+.
-    custom_table takes a tensor on the product grid. growth_constant K
-    declares the lower-bound c(x) >= -K (1 + sum |x_i|), checked by scanning
-    the tensor.
+    custom_table takes a tensor on the product grid.
     """
 
     n: int
     form: str
     strike: Optional[float] = None
     table: Optional[np.ndarray] = None
-    growth_constant: float = 0.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -93,19 +90,6 @@ class CostSpec:
                 )
             return self.table.copy()
         return np.broadcast_to(out, ms.sizes).copy()
-
-    def check_growth(self, ms: MarginalSequence) -> float:
-        """Scan the tensor for c(x) >= -K (1 + sum |x_i|); returns worst slack."""
-        grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
-        bound = -self.growth_constant * (1.0 + sum(np.abs(g) for g in grids))
-        slack = self.tensor_on(ms) - bound
-        worst = float(slack.min())
-        if worst < -GROWTH_TOL:
-            raise ValueError(
-                f"cost dips {-worst:.3e} below the declared growth bound "
-                f"(growth_constant = {self.growth_constant})"
-            )
-        return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +307,10 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     of T_{i+1} in its last coordinate (on the atoms of mu_{i+1}) is replaced
     by the value of its convex envelope (lower variants) or concave envelope
     (remark_a) at the matching atom of mu_i. remark_b coincides with
-    proposition for n = 2 and for u identically 0.
+    proposition at every u up to rounding: each remark_b level is
+    T_i + sum_{j=2..i} u_j(x_j), because that sum is constant along every
+    section of level i+1 and adding a constant commutes with the envelope.
+    The two T_1, and so the two dual objectives, are the same.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -370,29 +357,26 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     """Objective value and one supergradient table per u_i, in one pass.
 
     The mu_1 weights are pushed down level by level through the supporting
-    two-point combinations; each u_i slot receives minus the mass that reaches
-    it (at the terminal level for proposition/remark_a, at its own level for
-    remark_b) plus its marginal weight. Sums to zero per u_i by conservation.
+    two-point combinations; each u_{i+1} slot receives its marginal weight
+    minus the mass that arrives on it at level i+1. Every transition splits a
+    prefix's mass into weights summing to one, so later levels leave that
+    marginal unchanged and the same push-down serves all three variants. Sums
+    to zero per u_i by conservation.
     """
     casc = cascade_down(variant, cost, ms, u)
     value = _objective_from_cascade(casc, ms, u)
-    grads = [ms[i].weights.copy() for i in range(1, ms.n)]
-    mass = ms[0].weights.copy()
+    grads = []
+    mass = ms[0].weights
     for i in range(1, ms.n):  # transition: level i prefixes -> level i+1
         lft, rgt, lam = casc.supports[i - 1]
         m_next = ms.sizes[i]
-        base = np.arange(mass.size) * m_next
-        nxt = np.zeros(mass.size * m_next)
-        np.add.at(nxt, base + lft, mass * lam)
-        np.add.at(nxt, base + rgt, mass * (1.0 - lam))
-        if variant == "remark_b":
-            grads[i - 1] -= nxt.reshape(mass.size, m_next).sum(axis=0)
-        mass = nxt
-    if variant != "remark_b":
-        full = mass.reshape(ms.sizes)
-        for i in range(1, ms.n):
-            axes = tuple(a for a in range(ms.n) if a != i)
-            grads[i - 1] -= full.sum(axis=axes)
+        to_left, to_right = mass * lam, mass * (1.0 - lam)
+        arriving = np.bincount(lft, to_left, m_next) + np.bincount(rgt, to_right, m_next)
+        grads.append(ms[i].weights - arriving)
+        if i < ms.n - 1:
+            base = np.arange(mass.size) * m_next
+            mass = (np.bincount(base + lft, to_left, mass.size * m_next)
+                    + np.bincount(base + rgt, to_right, mass.size * m_next))
     return value, grads
 
 

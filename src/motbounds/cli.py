@@ -91,6 +91,11 @@ def _load_cost_table(path: str, ms: MarginalSequence) -> np.ndarray:
     table[tuple(index)] = raw[:, -1]
     if np.any(np.isnan(table)):
         raise InstanceError("cost.path", "tensor does not cover the full product grid")
+    if len(raw) > table.size:  # every point is covered, so some point repeats
+        _, first, counts = np.unique(np.ravel_multi_index(index, ms.sizes),
+                                     return_index=True, return_counts=True)
+        point = tuple(raw[first[counts > 1][0], :-1].tolist())
+        raise InstanceError("cost.path", f"grid point {point!r} is listed more than once")
     return table
 
 
@@ -118,18 +123,19 @@ def parse_instance(path: str) -> Instance:
     form = raw_cost["form"]
     if form not in COST_FORMS:
         raise InstanceError("cost.form", f"unknown form {form!r}; expected one of {COST_FORMS}")
+    cost_keys = ["form", "path", "strike"]
+    unknown = sorted(set(raw_cost) - set(cost_keys))
+    if unknown:
+        raise InstanceError(f"cost.{unknown[0]}", f"unknown key; expected one of {cost_keys}")
     try:
-        growth = float(raw_cost.get("growth_constant", 0.0))
         if form == "custom_table":
             if "path" not in raw_cost:
                 raise InstanceError("cost.path", "custom_table needs a tensor CSV path")
             table = _load_cost_table(raw_cost["path"], ms)
-            cost = CostSpec(ms.n, form, table=table, growth_constant=growth)
+            cost = CostSpec(ms.n, form, table=table)
         else:
             strike = raw_cost.get("strike")
-            cost = CostSpec(ms.n, form,
-                            strike=None if strike is None else float(strike),
-                            growth_constant=growth)
+            cost = CostSpec(ms.n, form, strike=None if strike is None else float(strike))
     except InstanceError:
         raise
     except (TypeError, ValueError) as exc:
@@ -233,8 +239,7 @@ def cmd_solve(args) -> int:
         if args.side == "lower":
             cert, trace = ascend(inst.cost, ms, config, primal_value=ref)
         else:
-            cert, trace = descend_upper(inst.cost, ms, replace(config, variant="remark_a"),
-                                        primal_value=ref)
+            cert, trace = descend_upper(inst.cost, ms, config, primal_value=ref)
         payload["dual_value"] = cert.dual_value
         payload["dual_status"] = trace.status
         payload["iterations"] = len(trace)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 WEIGHT_SUM_TOL = 1e-12
 MEAN_TOL = 1e-9
@@ -259,7 +259,7 @@ def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure
     full_mean = math.exp(location + scale**2 / 2.0)
     if scale == 0:
         return DiscreteMeasure.point(math.exp(location))
-    z = norm.ppf(np.arange(m + 1) / m)  # includes -inf and +inf
-    tail_mass = norm.cdf(z - scale)  # partial expectations / full mean
+    z = ndtri(np.arange(m + 1) / m)  # includes -inf and +inf
+    tail_mass = ndtr(z - scale)  # partial expectations / full mean
     atoms = m * full_mean * np.diff(tail_mass)
     return DiscreteMeasure(atoms, np.full(m, 1.0 / m))

@@ -101,6 +101,15 @@ def mass_split(left, right, lam, m):
     return out
 
 
+def pushed_down_coupling(casc, ms):
+    """Path masses on the full product grid: mu_1 pushed through every support."""
+    mass = ms[0].weights.copy()
+    for lft, rgt, lam in casc.supports:
+        nxt = mass_split(lft, rgt, lam, ms.sizes[mass.ndim])
+        mass = mass[..., None] * nxt.reshape(mass.shape + nxt.shape[-1:])
+    return mass
+
+
 def reference_objective(cost, ms, u, variant):
     levels = reference_cascade(cost, ms, u, variant)
     value = float(np.dot(ms[0].weights, levels[0]))
@@ -317,6 +326,24 @@ class TestStepwiseVariant:
         for x, y in zip(a.levels, b.levels):
             assert np.allclose(x, y, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_value_and_supergradient_agree_at_every_u(self, rng, n):
+        """remark_b level i is T_i + sum_{j=2..i} u_j(x_j), so T_1 and the rest agree."""
+        for _ in range(10):
+            cost, ms = random_instance(rng, n=n, max_size=6)
+            u = random_duals(rng, ms)
+            a = cascade_down("proposition", cost, ms, u)
+            b = cascade_down("remark_b", cost, ms, u)
+            for i in range(1, n + 1):
+                grids = np.meshgrid(*[f.values for f in u.funcs[:i - 1]], indexing="ij")
+                shift = sum(grids) if grids else 0.0
+                assert np.allclose(b.levels[i - 1], a.levels[i - 1] + shift, rtol=0, atol=1e-12)
+            val_a, grads_a = dual_value_and_subgradient("proposition", cost, ms, u)
+            val_b, grads_b = dual_value_and_subgradient("remark_b", cost, ms, u)
+            assert val_b == pytest.approx(val_a, abs=1e-12)
+            for ga, gb in zip(grads_a, grads_b):
+                assert np.allclose(ga, gb, rtol=0, atol=1e-12)
+
 
 class TestDualObjective:
     def test_unique_coupling_value(self):
@@ -359,8 +386,8 @@ class TestDualObjective:
             u = random_duals(rng, ms)
             base_table = rng.standard_normal(ms.sizes)
             bump = rng.random(ms.sizes)
-            lo = CostSpec(ms.n, "custom_table", table=base_table, growth_constant=100.0)
-            hi = CostSpec(ms.n, "custom_table", table=base_table + bump, growth_constant=100.0)
+            lo = CostSpec(ms.n, "custom_table", table=base_table)
+            hi = CostSpec(ms.n, "custom_table", table=base_table + bump)
             assert dual_objective("proposition", lo, ms, u) <= dual_objective(
                 "proposition", hi, ms, u
             ) + 1e-12
@@ -398,6 +425,16 @@ class TestSubgradient:
                         dn = dual_objective(variant, cost, ms, DualVariables.from_tables(ms, tables))
                         fd = (up - dn) / (2 * step)
                         assert grads[i][j] == pytest.approx(fd, abs=1e-4)
+
+    def test_weights_minus_marginals_of_the_pushed_down_coupling(self, rng):
+        for _ in range(10):
+            cost, ms = random_instance(rng, n=4, max_size=7)
+            u = random_duals(rng, ms)
+            q = pushed_down_coupling(cascade_down("proposition", cost, ms, u), ms)
+            _, grads = dual_value_and_subgradient("proposition", cost, ms, u)
+            for i in range(1, ms.n):
+                arriving = q.sum(axis=tuple(a for a in range(ms.n) if a != i))
+                assert np.allclose(grads[i - 1], ms[i].weights - arriving, rtol=0, atol=1e-14)
 
     def test_components_sum_to_zero(self, rng):
         for variant in ("proposition", "remark_a", "remark_b"):
@@ -456,15 +493,6 @@ class TestCostSpec:
         assert call[0, 0, 1] == pytest.approx(1.0)
         absn = CostSpec(3, "abs_increment").tensor_on(ms)
         assert absn[0, 1, 0] == pytest.approx(1.0 + 3.0)
-
-    def test_growth_scan_passes_for_nonnegative_forms(self):
-        assert CostSpec(2, "squared_increment").check_growth(MS_PAIR) >= 0
-
-    def test_growth_scan_rejects_deep_dip(self):
-        table = np.full((2, 2), -100.0)
-        cost = CostSpec(2, "custom_table", table=table, growth_constant=1.0)
-        with pytest.raises(ValueError, match="growth"):
-            cost.check_growth(MS_PAIR)
 
     def test_strike_required(self):
         with pytest.raises(ValueError, match="strike"):

@@ -255,11 +255,28 @@ class TestInstanceParsing:
         assert capsys.readouterr().err == (
             "error: cost.path: tensor does not cover the full product grid\n")
 
-    def test_bad_growth_constant_exit_1(self, tmp_path, capsys):
-        payload = dict(HAND_INSTANCE, cost={"form": "squared_increment",
-                                            "growth_constant": "abc"})
+    def test_cost_table_repeated_point_exit_1(self, tmp_path, capsys):
+        # (1.0, 2.0) is listed twice with different values
+        rows = ["1.0,0.0,1.0", "1.0,2.0,0.0", "1.0,2.0,5.0"]
+        csv = tmp_path / "repeated.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        payload = {
+            "marginals": [
+                {"atoms": [1.0], "weights": [1.0]},
+                {"atoms": [0.0, 2.0], "weights": [0.5, 0.5]},
+            ],
+            "cost": {"form": "custom_table", "path": str(csv)},
+        }
+        assert main(["solve", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cost.path: grid point (1.0, 2.0) is listed more than once\n")
+
+    @pytest.mark.parametrize("key", ["growth_constant", "strik"])
+    def test_unknown_cost_key_exit_1(self, tmp_path, capsys, key):
+        payload = dict(HAND_INSTANCE, cost={"form": "squared_increment", key: 1.0})
         assert main(["check", write_instance(tmp_path, payload)]) == 1
-        assert capsys.readouterr().err.startswith("error: cost:")
+        assert capsys.readouterr().err == (
+            f"error: cost.{key}: unknown key; expected one of ['form', 'path', 'strike']\n")
 
     def test_unknown_option_variant_exit_1(self, tmp_path, capsys):
         payload = dict(HAND_INSTANCE, options={"variant": "bogus"})

@@ -167,7 +167,7 @@ class TestSolvePrimalMax:
     def test_constant_cost(self, rng):
         _, ms = random_instance(rng, n=2, max_size=6)
         kappa = 2.5
-        cost = CostSpec(2, "custom_table", table=np.full(ms.sizes, kappa), growth_constant=0.0)
+        cost = CostSpec(2, "custom_table", table=np.full(ms.sizes, kappa))
         assert solve_primal(cost, ms).value == pytest.approx(kappa, abs=1e-10)
         assert solve_primal_max(cost, ms).value == pytest.approx(kappa, abs=1e-10)
 
@@ -185,8 +185,7 @@ class TestAffineCostShift:
             i = int(rng.integers(ms.n))
             grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
             table = cost.tensor_on(ms) + a + b * grids[i]
-            shifted = CostSpec(ms.n, "custom_table", table=np.broadcast_to(table, ms.sizes).copy(),
-                               growth_constant=1e3)
+            shifted = CostSpec(ms.n, "custom_table", table=np.broadcast_to(table, ms.sizes).copy())
             base = solve_primal(cost, ms)
             moved = solve_primal(shifted, ms)
             assert moved.value == pytest.approx(base.value + a + b * ms[0].mean, abs=1e-8)
