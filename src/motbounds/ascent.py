@@ -9,9 +9,14 @@ contracts the across-ridge component and lets the iterate travel the ridge.
 The reference only sets the step length: when the transport LP value is
 available and not yet reached, the step targets the remaining gap directly;
 otherwise it is initial_step / sqrt(k). Every iterate is a valid bound, so
-the best-so-far certificate is sound regardless of oscillation.
-Certification solves the LP on both sides and closes the relative gap
-against the best certificate of each variant.
+the best-so-far certificate is sound regardless of oscillation. A run starts
+at u = 0 unless it is given a start.
+
+Certification solves the LP on both sides and starts each variant's run at
+the LP's own marginal multipliers. By the multi-period duality, the cascade
+at those tables already finds the best u_1 and trading positions, so its
+value meets the LP value and the run stops on its first iterate; a start
+that falls short of the target gap is ascended from like any other.
 """
 
 from __future__ import annotations
@@ -33,7 +38,13 @@ from .cascade import (
     verify_subhedge,
 )
 from .measures import MarginalSequence, SequenceReport, validate_sequence
-from .primal import PrimalSolution, solve_primal, solve_primal_max
+from .primal import (
+    DEFAULT_VAR_CAP,
+    PrimalSolution,
+    multipliers_to_semistatic,
+    solve_primal,
+    solve_primal_max,
+)
 
 GRAD_TOL = 1e-7
 DILATION = 2.0  # metric contraction along gradient differences
@@ -98,21 +109,41 @@ def _project_zero_mean(tables, ms: MarginalSequence) -> None:
 MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
 
 
+def _start_tables(start, ms: MarginalSequence) -> list:
+    """Copy a starting point u_2, ..., u_n into float tables, checking its shape."""
+    sizes = [len(m) for m in ms.marginals[1:]]
+    if start is None:
+        return [np.zeros(s) for s in sizes]
+    start = list(start)
+    if len(start) != len(sizes):
+        raise ValueError(f"start needs {len(sizes)} tables (u_2..u_n), got {len(start)}")
+    tables = []
+    for i, (t, size) in enumerate(zip(start, sizes), start=2):
+        t = np.array(t, dtype=float)
+        if t.shape != (size,):
+            raise ValueError(f"start table u_{i} has shape {t.shape}, expected ({size},)")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"start table u_{i} has a non-finite entry")
+        tables.append(t)
+    return tables
+
+
 def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
-         reference: Optional[float]):
+         reference: Optional[float], start=None):
     variant = config.variant
     maximize = variant != "remark_a"
     sign = 1.0 if maximize else -1.0
-    sizes = [len(m) for m in ms.marginals[1:]]
+    tables = _start_tables(start, ms)
+    _project_zero_mean(tables, ms)
+    sizes = [t.size for t in tables]
     cuts = np.cumsum(sizes)[:-1]
-    tables = [np.zeros(s) for s in sizes]
     metric = np.eye(sum(sizes))  # dilated-space basis, accumulated over the run
     grad_prev = None
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
     best_tables = [t.copy() for t in tables]
     status = "iteration_limit"
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         u = DualVariables.from_tables(ms, tables)
         value, grads = dual_value_and_subgradient(variant, cost, ms, u)
@@ -123,7 +154,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
         values.append(value)
         norms.append(gnorm)
         bests.append(best_value)
-        stamps.append((time.perf_counter() - start) * 1e3)
+        stamps.append((time.perf_counter() - t0) * 1e3)
         if reference is not None and relative_gap(best_value, reference) < config.target_gap:
             status = "converged_gap"
             break
@@ -166,9 +197,10 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
 
 
 def ascend(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
-           primal_value: Optional[float] = None):
-    """Maximize the lower-bound dual objective from u = 0.
+           primal_value: Optional[float] = None, start=None):
+    """Maximize the lower-bound dual objective from start (u = 0 by default).
 
+    start holds the tables u_2, ..., u_n on the atoms of mu_2, ..., mu_n.
     Every iterate is a valid lower bound by weak duality; the certificate
     carries the best value seen. When a primal value is supplied the run stops
     at the configured relative gap, otherwise at a flat supergradient or the
@@ -177,22 +209,27 @@ def ascend(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] 
     config = config or AscentConfig()
     if config.variant not in LOWER_VARIANTS:
         raise ValueError(f"ascend handles the lower variants, not {config.variant!r}")
-    return _run(cost, ms, config, reference=primal_value)
+    return _run(cost, ms, config, reference=primal_value, start=start)
 
 
 def descend_upper(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
-                  primal_value: Optional[float] = None):
+                  primal_value: Optional[float] = None, start=None):
     """Minimize the upper-bound dual objective; mirror image of ascend.
 
     The run uses the remark_a variant whatever config.variant says.
     """
     config = replace(config or AscentConfig(), variant="remark_a")
-    return _run(cost, ms, config, reference=primal_value)
+    return _run(cost, ms, config, reference=primal_value, start=start)
 
 
 @dataclass(eq=False)
 class CertifyReport:
-    """Five-value certification: both LP sides and all three dual optima."""
+    """Five-value certification: both LP sides and all three dual certificates.
+
+    Each certificate is the best cascade value of a run started at its LP
+    side's marginal multipliers. timings holds the wall seconds of each phase
+    that ran: validation, lp_lower, lp_upper, duals and subhedge.
+    """
 
     feasible: bool
     validation: SequenceReport
@@ -206,6 +243,7 @@ class CertifyReport:
     subhedge_best: Optional[SubhedgeReport] = None
     passed: bool = False
     elapsed_s: float = 0.0
+    timings: dict = field(default_factory=dict)  # wall seconds per phase that ran
 
     def as_dict(self) -> dict:
         out = {
@@ -214,6 +252,7 @@ class CertifyReport:
             "target_gap": self.target_gap,
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
+            "timings": dict(self.timings),
             "gaps": dict(self.gaps),
         }
         if self.primal_lower is not None:
@@ -239,23 +278,39 @@ class CertifyReport:
 
 def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
             var_cap: Optional[int] = None) -> CertifyReport:
-    """Solve both LP sides, run all three dual routines, and check the gaps.
+    """Solve both LP sides, run all three dual routines from the LP multipliers.
 
-    Also verifies the conditional sub-hedge property of the cascade strategy
-    under the LP-optimal coupling, for u = 0 and for the optimized u.
+    Every dual run starts at the marginal multipliers u_2, ..., u_n of its LP
+    side: the lower LP's for proposition and remark_b, the upper LP's for
+    remark_a. For fixed u_2..u_n the cascade finds the best u_1 and trading
+    positions, so its value there matches the LP value up to the solver's
+    dual tolerance, and the run usually stops on its first iterate. A start
+    that misses target_gap costs further ascent steps, never soundness: every
+    reported value is a cascade value. Also verifies the conditional sub-hedge
+    property of the cascade strategy under the LP-optimal coupling, for u = 0
+    and for the proposition certificate's u.
     """
-    from .primal import DEFAULT_VAR_CAP
-
     config = config or AscentConfig()
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
-    start = time.perf_counter()
+    clock = start = time.perf_counter()
+    timings = {}
+
+    def lap(phase: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timings[phase] = now - clock
+        clock = now
+
     validation = validate_sequence(ms)
-    report = CertifyReport(validation.ok, validation, config.target_gap)
+    lap("validation")
+    report = CertifyReport(validation.ok, validation, config.target_gap, timings=timings)
     if not validation.ok:
         report.elapsed_s = time.perf_counter() - start
         return report
     lower = solve_primal(cost, ms, var_cap=cap)
+    lap("lp_lower")
     upper = solve_primal_max(cost, ms, var_cap=cap)
+    lap("lp_upper")
     report.primal_lower = lower
     report.primal_upper = upper
     if lower.status != "optimal" or upper.status != "optimal":
@@ -263,21 +318,26 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
         report.elapsed_s = time.perf_counter() - start
         return report
 
+    lower_start = multipliers_to_semistatic(lower, ms)[0][1:]
     for variant in LOWER_VARIANTS:
-        cert, trace = ascend(cost, ms, replace(config, variant=variant), primal_value=lower.value)
+        cert, trace = ascend(cost, ms, replace(config, variant=variant),
+                             primal_value=lower.value, start=lower_start)
         report.certificates[variant] = cert
         report.traces[variant] = trace
         report.gaps[variant] = relative_gap(cert.dual_value, lower.value)
-    cert, trace = descend_upper(cost, ms, config, primal_value=upper.value)
+    cert, trace = descend_upper(cost, ms, config, primal_value=upper.value,
+                                start=multipliers_to_semistatic(upper, ms)[0][1:])
     report.certificates["remark_a"] = cert
     report.traces["remark_a"] = trace
     report.gaps["remark_a"] = relative_gap(cert.dual_value, upper.value)
+    lap("duals")
 
     coupling = lower.coupling
     report.subhedge_zero = verify_subhedge(cost, ms, DualVariables.zeros(ms), coupling)
     report.subhedge_best = verify_subhedge(
         cost, ms, report.certificates["proposition"].dual_variables, coupling
     )
+    lap("subhedge")
     report.passed = all(g < config.target_gap for g in report.gaps.values())
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -16,8 +16,11 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 WEIGHT_SUM_TOL = 1e-12
-MEAN_TOL = 1e-9
-POTENTIAL_TOL = 1e-12
+# convex-order tolerances, relative to the largest atom magnitude of the pair:
+# float rounding in means and potentials grows with the atoms, so a rescaled
+# instance gets the same verdict
+MEAN_REL = 1e-9
+POTENTIAL_REL = 1e-12
 
 
 def _canonical_support(atoms, weights):
@@ -125,15 +128,16 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ConvexOrderR
     Equivalent criterion for equal-mean discrete measures: the potential of mu
     never exceeds the potential of nu. Both potentials are piecewise linear
     with kinks only at atoms, so checking the union of the two atom sets is
-    sufficient.
+    sufficient. Both tolerances scale with the largest |atom| of the pair.
     """
+    scale = max(abs(mu.atoms[0]), abs(mu.atoms[-1]), abs(nu.atoms[0]), abs(nu.atoms[-1]))
     mean_gap = mu.mean - nu.mean
-    if abs(mean_gap) > MEAN_TOL:
+    if abs(mean_gap) > MEAN_REL * scale:
         return ConvexOrderResult(False, "mean_mismatch", mean_gap)
     ks = np.union1d(mu.atoms, nu.atoms)
     gap = potential(mu, ks) - potential(nu, ks)
     worst = int(np.argmax(gap))
-    if gap[worst] > POTENTIAL_TOL:
+    if gap[worst] > POTENTIAL_REL * scale:
         return ConvexOrderResult(
             False,
             "potential_violation",

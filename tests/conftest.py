@@ -9,6 +9,7 @@ from motbounds import (
     DualVariables,
     GridFunction,
     MarginalSequence,
+    quantize_lognormal,
     split_atom,
     validate_sequence,
 )
@@ -68,6 +69,15 @@ def random_cost(rng, ms: MarginalSequence) -> CostSpec:
 def random_instance(rng, n: int, max_size: int = 15, start_atoms: int = 1):
     ms = random_marginals(rng, n, max_size=max_size, start_atoms=start_atoms)
     return random_cost(rng, ms), ms
+
+
+def lognormal_showcase(scale: float = 1.0):
+    """Criterion 10's basket instance with every atom and the strike times scale."""
+    marginals = []
+    for s in (0.1, 0.2, 0.3):
+        mu = quantize_lognormal(-s**2 / 2, s, 15)
+        marginals.append(DiscreteMeasure(scale * mu.atoms, mu.weights))
+    return CostSpec(3, "basket", strike=scale), MarginalSequence(marginals)
 
 
 def random_duals(rng, ms: MarginalSequence, scale: float = 1.0) -> DualVariables:

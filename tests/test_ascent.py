@@ -16,13 +16,13 @@ from motbounds import (
     certify,
     descend_upper,
     dual_objective,
-    quantize_lognormal,
+    multipliers_to_semistatic,
     relative_gap,
     solve_primal,
     solve_primal_max,
 )
 
-from conftest import random_instance
+from conftest import lognormal_showcase, random_cost, random_instance, random_marginals
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -31,6 +31,31 @@ TRI = DiscreteMeasure(np.array([-2.0, 0.0, 2.0]), np.full(3, 1 / 3))
 
 MS_SINGLE = MarginalSequence([D0, PM1])
 SQ2 = CostSpec(2, "squared_increment")
+
+# criterion-10 anchors: LP optima of the lognormal basket showcase
+ANCHOR_LOWER = 0.05557820586252965
+ANCHOR_UPPER = 0.07759932619178003
+
+
+def lp_start(solution, ms):
+    """The marginal multipliers u_2, ..., u_n of an LP solution."""
+    return multipliers_to_semistatic(solution, ms)[0][1:]
+
+
+def criterion1_n3_instances():
+    """The 20 n = 3 instances of criterion 1's suite, drawn the same way."""
+    rng = np.random.default_rng(20260808)
+    drawn, instances = 0, []
+    while len(instances) < 20:
+        n = 2 if drawn % 2 == 0 else 3
+        ms = random_marginals(rng, n, max_size=15, start_atoms=3)
+        if not (3 <= min(ms.sizes) and max(ms.sizes) <= 15):
+            continue
+        cost = random_cost(rng, ms)
+        drawn += 1
+        if n == 3:
+            instances.append((cost, ms))
+    return instances
 
 
 class TestAscend:
@@ -75,8 +100,7 @@ class TestAscend:
 
     def test_reference_free_closes_the_showcase_gap(self):
         # criterion-10 basket; the dilated steps need no LP value to get close
-        ms = MarginalSequence([quantize_lognormal(-s**2 / 2, s, 15) for s in (0.1, 0.2, 0.3)])
-        cost = CostSpec(3, "basket", strike=1.0)
+        cost, ms = lognormal_showcase()
         cert, _ = ascend(cost, ms, AscentConfig(max_iters=300))
         assert relative_gap(cert.dual_value, solve_primal(cost, ms).value) < 1e-4
 
@@ -119,6 +143,84 @@ class TestDescendUpper:
             up_cert, _ = descend_upper(cost, ms, primal_value=hi.value)
             lo_cert, _ = ascend(cost, ms, primal_value=lo.value)
             assert up_cert.dual_value >= lo_cert.dual_value - 1e-9
+
+
+class TestStart:
+    COST = CostSpec(2, "abs_increment")
+    MS = MarginalSequence([PM1, TRI])
+
+    def test_wrong_table_count_rejected(self):
+        for run in (ascend, descend_upper):
+            for start in ([], [np.zeros(3), np.zeros(3)]):
+                with pytest.raises(ValueError, match="start needs 1 tables"):
+                    run(self.COST, self.MS, start=start)
+
+    def test_wrong_table_length_rejected(self):
+        for run in (ascend, descend_upper):
+            for table in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+                with pytest.raises(ValueError, match="shape"):
+                    run(self.COST, self.MS, start=[table])
+
+    def test_non_finite_entry_rejected(self):
+        for run in (ascend, descend_upper):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="non-finite"):
+                    run(self.COST, self.MS, start=[np.array([0.0, bad, 0.0])])
+
+    def test_zero_start_is_the_default(self, rng):
+        cost, ms = random_instance(rng, n=3, max_size=8)
+        zeros = [np.zeros(len(m)) for m in ms.marginals[1:]]
+        config = AscentConfig(max_iters=30)
+        for solve, run in ((solve_primal, ascend), (solve_primal_max, descend_upper)):
+            ref = solve(cost, ms).value
+            c1, t1 = run(cost, ms, config, primal_value=ref)
+            c2, t2 = run(cost, ms, config, primal_value=ref, start=zeros)
+            assert np.array_equal(t1.values, t2.values)
+            assert c1.dual_value == c2.dual_value
+
+    def test_lp_multipliers_meet_the_lp_at_once(self, rng):
+        # for fixed u_2..u_n the cascade finds the best u_1 and trading positions
+        for n in (2, 3, 4):
+            cost, ms = random_instance(rng, n=n, max_size=8)
+            lo = solve_primal(cost, ms)
+            hi = solve_primal_max(cost, ms)
+            for variant in ("proposition", "remark_b"):
+                cert, trace = ascend(cost, ms, AscentConfig(variant=variant),
+                                     primal_value=lo.value, start=lp_start(lo, ms))
+                assert (len(trace), trace.status) == (1, "converged_gap")
+                assert relative_gap(cert.dual_value, lo.value) < 1e-9
+            cert, trace = descend_upper(cost, ms, primal_value=hi.value, start=lp_start(hi, ms))
+            assert (len(trace), trace.status) == (1, "converged_gap")
+            assert relative_gap(cert.dual_value, hi.value) < 1e-9
+
+    def test_noisy_start_still_reaches_the_target(self, rng):
+        # a start that misses the target gap is ascended from, not trusted
+        for _ in range(3):
+            cost, ms = random_instance(rng, n=3, max_size=8)
+            for solve, run in ((solve_primal, ascend), (solve_primal_max, descend_upper)):
+                sol = solve(cost, ms)
+                start = [t + 0.1 * rng.standard_normal(t.size) for t in lp_start(sol, ms)]
+                cert, trace = run(cost, ms, primal_value=sol.value, start=start)
+                assert relative_gap(trace.values[0], sol.value) >= 1e-4
+                assert trace.status == "converged_gap" and len(trace) > 1
+                assert relative_gap(cert.dual_value, sol.value) < 1e-4
+
+
+class TestAscentFromZero:
+    def test_criterion1_n3_suite_closes_from_zero(self):
+        # certify starts at the LP multipliers; this keeps the u = 0 ascent covered
+        instances = criterion1_n3_instances()
+        assert len(instances) == 20
+        worst = 0.0
+        for cost, ms in instances:
+            lo = solve_primal(cost, ms)
+            hi = solve_primal_max(cost, ms)
+            for variant in ("proposition", "remark_b"):
+                cert, _ = ascend(cost, ms, AscentConfig(variant=variant), primal_value=lo.value)
+                worst = max(worst, relative_gap(cert.dual_value, lo.value))
+            cert, _ = descend_upper(cost, ms, primal_value=hi.value)
+            worst = max(worst, relative_gap(cert.dual_value, hi.value))
+        assert worst < 1e-3
 
 
 class TestTraceInvariants:
@@ -187,6 +289,35 @@ class TestCertify:
         assert not rep.feasible
         assert not rep.passed
         assert rep.primal_lower is None
+        assert set(rep.timings) == {"validation"}
+
+    def test_report_times_each_phase(self, rng):
+        cost, ms = random_instance(rng, n=3, max_size=6)
+        rep = certify(cost, ms)
+        assert set(rep.timings) == {"validation", "lp_lower", "lp_upper", "duals", "subhedge"}
+        assert all(t >= 0.0 for t in rep.timings.values())
+        assert sum(rep.timings.values()) <= rep.elapsed_s + 1e-9
+        assert json.loads(json.dumps(rep.as_dict()))["timings"] == rep.timings
+
+    def test_showcase_certifies_on_the_first_iterate(self):
+        cost, ms = lognormal_showcase()
+        rep = certify(cost, ms)
+        assert rep.passed
+        assert abs(rep.primal_lower.value - ANCHOR_LOWER) < 1e-9
+        assert abs(rep.primal_upper.value - ANCHOR_UPPER) < 1e-9
+        for variant, trace in rep.traces.items():
+            assert (len(trace), trace.status) == (1, "converged_gap"), variant
+
+    def test_rescaled_showcase_certifies(self):
+        # every atom and the strike times 1e6: the LP values scale with them
+        scale = 1e6
+        cost, ms = lognormal_showcase(scale)
+        rep = certify(cost, ms)
+        assert rep.validation.ok and rep.feasible and rep.passed
+        for value, anchor in ((rep.primal_lower.value, ANCHOR_LOWER),
+                              (rep.primal_upper.value, ANCHOR_UPPER)):
+            assert abs(value - scale * anchor) <= 1e-9 * scale * anchor
+        assert max(rep.gaps.values()) < 1e-12
 
     def test_report_round_trips_to_json(self, rng):
         cost, ms = random_instance(rng, n=2, max_size=6)

@@ -138,6 +138,7 @@ class TestCertifyCommand:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["passed"] is True
+        assert set(report["timings"]) == {"validation", "lp_lower", "lp_upper", "duals", "subhedge"}
         assert (out_dir / "trace_proposition.csv").exists()
 
 

@@ -15,7 +15,7 @@ from motbounds import (
     validate_sequence,
 )
 
-from conftest import spread_measure
+from conftest import lognormal_showcase, spread_measure
 
 
 def m(atoms, weights):
@@ -145,6 +145,23 @@ class TestValidateSequence:
         payload = validate_sequence(MarginalSequence([PM1, DELTA0])).as_dict()
         assert payload["ok"] is False
         assert payload["pairs"][0]["reason"] == "potential_violation"
+
+    def test_rescaled_showcase_validates(self):
+        # at 1e6 the rounding in the potentials of pair (2, 3) reaches ~1e-10
+        for scale in (1.0, 1e6):
+            report = validate_sequence(lognormal_showcase(scale)[1])
+            assert report.ok, report.as_dict()
+
+    def test_violations_at_large_scale_rejected(self):
+        # the tolerances scale with the atoms, but a real violation still shows
+        wide = m([1e6 - 1.0, 1e6 + 1.0], [0.5, 0.5])
+        narrow = m([1e6 - 0.99, 1e6 + 0.99], [0.5, 0.5])
+        res = convex_order_check(wide, narrow)
+        assert not res.ordered and res.reason == "potential_violation"
+        assert res.witness_k == pytest.approx(1e6)
+        assert not validate_sequence(MarginalSequence([wide, narrow])).ok
+        shifted = m([1e6 - 0.99, 1e6 + 1.01], [0.5, 0.5])
+        assert convex_order_check(wide, shifted).reason == "mean_mismatch"
 
 
 class TestQuantizeLognormal:
