@@ -228,7 +228,9 @@ class CertifyReport:
 
     Each certificate is the best cascade value of a run started at its LP
     side's marginal multipliers. timings holds the wall seconds of each phase
-    that ran: validation, lp_lower, lp_upper, duals and subhedge.
+    that ran: validation, lp_lower, lp_upper, duals and subhedge. The first
+    certify in a process also charges the one-time import of scipy.sparse and
+    scipy.optimize to lp_lower.
     """
 
     feasible: bool

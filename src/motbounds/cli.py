@@ -24,7 +24,7 @@ from .measures import (
     quantize_lognormal,
     validate_sequence,
 )
-from .primal import SizeCapError, solve_primal, solve_primal_max
+from .primal import SizeCapError, multipliers_to_semistatic, solve_primal, solve_primal_max
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -235,11 +235,13 @@ def cmd_solve(args) -> int:
         if out_dir:
             _write_coupling_csv(os.path.join(out_dir, "coupling.csv"), primal.coupling, ms)
     if args.method in ("dual", "both"):
-        ref = primal.value if primal is not None else None
-        if args.side == "lower":
-            cert, trace = ascend(inst.cost, ms, config, primal_value=ref)
-        else:
-            cert, trace = descend_upper(inst.cost, ms, config, primal_value=ref)
+        # with the LP solved, start at its marginal multipliers, as certify does
+        ref = start = None
+        if primal is not None:
+            ref = primal.value
+            start = multipliers_to_semistatic(primal, ms)[0][1:]
+        run = ascend if args.side == "lower" else descend_upper
+        cert, trace = run(inst.cost, ms, config, primal_value=ref, start=start)
         payload["dual_value"] = cert.dual_value
         payload["dual_status"] = trace.status
         payload["iterations"] = len(trace)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 WEIGHT_SUM_TOL = 1e-12
 # convex-order tolerances, relative to the largest atom magnitude of the pair:
@@ -263,6 +262,8 @@ def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure
     full_mean = math.exp(location + scale**2 / 2.0)
     if scale == 0:
         return DiscreteMeasure.point(math.exp(location))
+    from scipy.special import ndtr, ndtri
+
     z = ndtri(np.arange(m + 1) / m)  # includes -inf and +inf
     tail_mass = ndtr(z - scale)  # partial expectations / full mean
     atoms = m * full_mean * np.diff(tail_mass)

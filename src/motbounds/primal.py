@@ -4,18 +4,17 @@ Variables are path masses q(x_1, ..., x_n) >= 0 on the product grid; equality
 rows fix every marginal atom mass and force zero conditional drift for every
 prefix. The constraint matrix is assembled sparse and solved by the HiGHS
 solver that scipy ships, whose equality multipliers become the semi-static
-position. A vertex-enumeration oracle covers tiny instances.
+position. scipy.sparse and scipy.optimize are imported by the first
+assemble_lp and solve call, not with the module, so reference-free dual
+bounds never load the LP stack.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .cascade import CostSpec
 from .measures import MarginalSequence
@@ -26,7 +25,6 @@ MARTINGALE_TOL = 1e-8
 PREFIX_MASS_FLOOR = 1e-12
 
 DEFAULT_VAR_CAP = 200_000
-BRUTE_FORCE_PATH_CAP = 64
 SEMISTATIC_TOL = 1e-9
 
 
@@ -105,7 +103,7 @@ class LpProblem:
     """Equality-form LP: min c.x, A x = b, x >= 0, plus row bookkeeping."""
 
     c: np.ndarray
-    A: sparse.csr_array
+    A: "scipy.sparse.csr_array"
     b: np.ndarray
     row_labels: tuple  # ("marginal", i, atom_index) | ("martingale", i, prefix_flat)
     grid_shape: tuple
@@ -131,6 +129,8 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     n_paths = ms.path_count
     if n_paths > var_cap:
         raise SizeCapError(f"{n_paths} path variables exceed the cap {var_cap}")
+    from scipy import sparse
+
     sizes = ms.sizes
     n = ms.n
     c = cost.tensor_on(ms).ravel()
@@ -182,6 +182,8 @@ _STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
 def _solve(cost: CostSpec, ms: MarginalSequence, sense: int, var_cap: int) -> PrimalSolution:
     lp = assemble_lp(cost, ms, var_cap)
+    from scipy.optimize import linprog
+
     res = linprog(sense * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
     status = _STATUS.get(res.status, "failed")
     stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": int(res.nit)}
@@ -201,72 +203,6 @@ def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VA
 def solve_primal_max(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:
     """Maximize over martingale couplings (negated objective)."""
     return _solve(cost, ms, -1, var_cap)
-
-
-def _independent_rows(A, b, tol=1e-10):
-    """Gaussian elimination to an independent row system; flags inconsistency."""
-    M = np.hstack([A, b[:, None]]).astype(float)
-    m, n1 = M.shape
-    scale = max(1.0, float(np.abs(M).max()))
-    rows = []
-    r = 0
-    for col in range(n1 - 1):
-        if r >= m:
-            break
-        piv = r + int(np.argmax(np.abs(M[r:, col])))
-        if abs(M[piv, col]) <= tol * scale:
-            continue
-        M[[r, piv]] = M[[piv, r]]
-        M[r] /= M[r, col]
-        others = np.flatnonzero(np.abs(M[:, col]) > 0)
-        for k in others:
-            if k != r:
-                M[k] -= M[k, col] * M[r]
-        rows.append(r)
-        r += 1
-    consistent = True
-    for k in range(r, m):
-        if abs(M[k, -1]) > 1e-8 * scale:
-            consistent = False
-    return M[:r, :-1], M[:r, -1], consistent
-
-
-def brute_force_value(cost: CostSpec, ms: MarginalSequence,
-                      path_cap: int = BRUTE_FORCE_PATH_CAP) -> float:
-    """Minimum objective over the vertices of the coupling polytope.
-
-    Enumerates basic solutions over all column subsets of the row-reduced
-    equality system and keeps the feasible ones. Independent of the LP
-    solver; practical only for tiny instances.
-    """
-    lp = assemble_lp(cost, ms)
-    if lp.n_paths > path_cap:
-        raise SizeCapError(f"{lp.n_paths} paths exceed the brute-force cap {path_cap}")
-    A_red, b_red, consistent = _independent_rows(lp.A.toarray(), lp.b)
-    if not consistent:
-        raise ValueError("equality system inconsistent: instance infeasible")
-    r, ncols = A_red.shape
-    best = None
-    for cols in itertools.combinations(range(ncols), r):
-        B = A_red[:, cols]
-        try:
-            xb = np.linalg.solve(B, b_red)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(xb)) or np.max(np.abs(B @ xb - b_red)) > 1e-8:
-            continue
-        if np.min(xb) < -1e-9:
-            continue
-        x = np.zeros(ncols)
-        x[list(cols)] = np.clip(xb, 0.0, None)
-        if np.max(np.abs(lp.A @ x - lp.b)) > 1e-7:
-            continue
-        val = float(np.dot(lp.c[list(cols)], xb))
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise ValueError("no feasible vertex: instance infeasible")
-    return best
 
 
 def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):

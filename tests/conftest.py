@@ -1,5 +1,8 @@
 """Shared instance generators and the acceptance summary hook."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def checkout_env() -> dict:
+    """Environment for a child interpreter that imports motbounds from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def spread_measure(rng, base: DiscreteMeasure, splits: int, h_scale: float = 0.6) -> DiscreteMeasure:

@@ -1,0 +1,80 @@
+"""Vertex-enumeration oracle for the transport LP, independent of the solver.
+
+Tests compare HiGHS optima against the minimum over every basic feasible
+solution of the row-reduced equality system. Enumeration is exponential in
+the path count, so it is capped at BRUTE_FORCE_PATH_CAP paths.
+"""
+
+import itertools
+
+import numpy as np
+
+from motbounds import CostSpec, MarginalSequence, SizeCapError, assemble_lp
+
+BRUTE_FORCE_PATH_CAP = 64
+
+
+def _independent_rows(A, b, tol=1e-10):
+    """Gaussian elimination to an independent row system; flags inconsistency."""
+    M = np.hstack([A, b[:, None]]).astype(float)
+    m, n1 = M.shape
+    scale = max(1.0, float(np.abs(M).max()))
+    rows = []
+    r = 0
+    for col in range(n1 - 1):
+        if r >= m:
+            break
+        piv = r + int(np.argmax(np.abs(M[r:, col])))
+        if abs(M[piv, col]) <= tol * scale:
+            continue
+        M[[r, piv]] = M[[piv, r]]
+        M[r] /= M[r, col]
+        others = np.flatnonzero(np.abs(M[:, col]) > 0)
+        for k in others:
+            if k != r:
+                M[k] -= M[k, col] * M[r]
+        rows.append(r)
+        r += 1
+    consistent = True
+    for k in range(r, m):
+        if abs(M[k, -1]) > 1e-8 * scale:
+            consistent = False
+    return M[:r, :-1], M[:r, -1], consistent
+
+
+def brute_force_value(cost: CostSpec, ms: MarginalSequence,
+                      path_cap: int = BRUTE_FORCE_PATH_CAP) -> float:
+    """Minimum objective over the vertices of the coupling polytope.
+
+    Enumerates basic solutions over all column subsets of the row-reduced
+    equality system and keeps the feasible ones. Independent of the LP
+    solver; practical only for tiny instances.
+    """
+    lp = assemble_lp(cost, ms)
+    if lp.n_paths > path_cap:
+        raise SizeCapError(f"{lp.n_paths} paths exceed the brute-force cap {path_cap}")
+    A_red, b_red, consistent = _independent_rows(lp.A.toarray(), lp.b)
+    if not consistent:
+        raise ValueError("equality system inconsistent: instance infeasible")
+    r, ncols = A_red.shape
+    best = None
+    for cols in itertools.combinations(range(ncols), r):
+        B = A_red[:, cols]
+        try:
+            xb = np.linalg.solve(B, b_red)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(xb)) or np.max(np.abs(B @ xb - b_red)) > 1e-8:
+            continue
+        if np.min(xb) < -1e-9:
+            continue
+        x = np.zeros(ncols)
+        x[list(cols)] = np.clip(xb, 0.0, None)
+        if np.max(np.abs(lp.A @ x - lp.b)) > 1e-7:
+            continue
+        val = float(np.dot(lp.c[list(cols)], xb))
+        if best is None or val < best:
+            best = val
+    if best is None:
+        raise ValueError("no feasible vertex: instance infeasible")
+    return best

@@ -18,7 +18,6 @@ from motbounds import (
     MarginalSequence,
     ascend,
     biconjugate_eval,
-    brute_force_value,
     certify,
     convex_envelope,
     descend_upper,
@@ -35,6 +34,7 @@ from motbounds import (
 
 import conftest
 from conftest import random_cost, random_duals, random_grid_function, random_marginals
+from oracles import brute_force_value
 
 GAP_TOL = 1e-3
 WEAK_TOL = 1e-8

@@ -1,12 +1,16 @@
 """Exit codes, instance parsing, artifact files, and round trips."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from motbounds import DualCertificate, dual_objective
+from motbounds import AscentConfig, DualCertificate, dual_objective
 from motbounds.cli import main, parse_instance
+
+from conftest import checkout_env
 
 HAND_INSTANCE = {
     "marginals": [
@@ -14,6 +18,14 @@ HAND_INSTANCE = {
         {"atoms": [-2.0, 2.0], "weights": [0.5, 0.5]},
     ],
     "cost": {"form": "squared_increment"},
+}
+
+# the paper's showcase: three quantized lognormals, basket call struck at 1
+SHOWCASE_INSTANCE = {
+    "marginals": [
+        {"lognormal": {"location": -s * s / 2, "scale": s, "m": 15}} for s in (0.1, 0.2, 0.3)
+    ],
+    "cost": {"form": "basket", "strike": 1.0},
 }
 
 REVERSED_INSTANCE = {
@@ -70,6 +82,15 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["primal_value"] == pytest.approx(3.0, abs=1e-8)
         assert out["gap"] < 1e-6
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_both_starts_at_the_lp_multipliers(self, tmp_path, capsys, side):
+        code = main(["--json", "solve", write_instance(tmp_path, SHOWCASE_INSTANCE),
+                     "--side", side, "--method", "both"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["iterations"] == 1
+        assert out["gap"] < AscentConfig().target_gap
 
     def test_zero_cost_table(self, tmp_path, capsys):
         rows = ["-1.0,-2.0,0.0", "-1.0,2.0,0.0", "1.0,-2.0,0.0", "1.0,2.0,0.0"]
@@ -300,3 +321,13 @@ class TestInstanceParsing:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["iterations"] <= 44
+
+
+class TestModuleEntryPoint:
+    def test_python_m_motbounds_check(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "motbounds", "check", write_instance(tmp_path, HAND_INSTANCE)],
+            env=checkout_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "ok: True" in done.stdout

@@ -10,7 +10,6 @@ from motbounds import (
     MarginalSequence,
     SizeCapError,
     assemble_lp,
-    brute_force_value,
     multipliers_to_semistatic,
     semistatic_value_check,
     solve_primal,
@@ -19,6 +18,7 @@ from motbounds import (
 )
 
 from conftest import random_instance
+from oracles import brute_force_value
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
