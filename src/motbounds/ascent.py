@@ -12,15 +12,19 @@ otherwise it is initial_step / sqrt(k). Every iterate is a valid bound, so
 the best-so-far certificate is sound regardless of oscillation. A run starts
 at u = 0 unless it is given a start.
 
-Certification solves the LP on both sides and starts each variant's run at
-the LP's own marginal multipliers. By the multi-period duality, the cascade
-at those tables already finds the best u_1 and trading positions, so its
-value meets the LP value and the run stops on its first iterate; a start
-that falls short of the target gap is ascended from like any other.
+Certification assembles the LP once and solves its two sides at the same
+time: the maximisation on a worker thread, the minimisation on the caller,
+which HiGHS allows because it releases the interpreter lock while it
+solves. Each variant's run then starts at its LP side's own marginal
+multipliers. By the multi-period duality, the cascade at those tables
+already finds the best u_1 and trading positions, so its value meets the
+LP value and the run stops on its first iterate; a start that falls short
+of the target gap is ascended from like any other.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -41,9 +45,9 @@ from .measures import MarginalSequence, SequenceReport, validate_sequence
 from .primal import (
     DEFAULT_VAR_CAP,
     PrimalSolution,
+    _solve,
+    assemble_lp,
     multipliers_to_semistatic,
-    solve_primal,
-    solve_primal_max,
 )
 
 GRAD_TOL = 1e-7
@@ -227,10 +231,15 @@ class CertifyReport:
     """Five-value certification: both LP sides and all three dual certificates.
 
     Each certificate is the best cascade value of a run started at its LP
-    side's marginal multipliers. timings holds the wall seconds of each phase
-    that ran: validation, lp_lower, lp_upper, duals and subhedge. The first
-    certify in a process also charges the one-time import of scipy.sparse and
-    scipy.optimize to lp_lower.
+    side's marginal multipliers. timings holds consecutive wall-clock laps,
+    one per phase that ran: validation, lp_lower, lp_upper, duals and
+    subhedge, so they sum to at most elapsed_s. The two LP sides are solved
+    at the same time, so lp_lower runs from the start of the LP phase
+    (assembly included) to the lower solution, and lp_upper is only the
+    further wait for the upper one. The first certify in a process also
+    charges the one-time import of scipy.sparse and scipy.optimize to
+    lp_lower. Each side's own solver time, overlap included, is
+    stats["solve_s"] of primal_lower and primal_upper.
     """
 
     feasible: bool
@@ -278,9 +287,23 @@ class CertifyReport:
         return out
 
 
+def _solve_into(box: list, lp, sense: int) -> None:
+    """Thread target: append the solution, or the exception raised, to box."""
+    try:
+        box.append(_solve(lp, sense))
+    except BaseException as exc:  # handed to the caller, which re-raises it
+        box.append(exc)
+
+
 def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
             var_cap: Optional[int] = None) -> CertifyReport:
     """Solve both LP sides, run all three dual routines from the LP multipliers.
+
+    The LP is assembled once, on the calling thread, so a var_cap refusal
+    (SizeCapError) comes before any thread starts. The maximisation then
+    runs on one worker thread while the caller solves the minimisation;
+    the worker is joined before anything else runs, and an exception
+    raised on it is re-raised here.
 
     Every dual run starts at the marginal multipliers u_2, ..., u_n of its LP
     side: the lower LP's for proposition and remark_b, the upper LP's for
@@ -309,10 +332,20 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     if not validation.ok:
         report.elapsed_s = time.perf_counter() - start
         return report
-    lower = solve_primal(cost, ms, var_cap=cap)
-    lap("lp_lower")
-    upper = solve_primal_max(cost, ms, var_cap=cap)
+    lp = assemble_lp(cost, ms, cap)
+    upper_box = []
+    worker = threading.Thread(target=_solve_into, args=(upper_box, lp, -1),
+                              name="motbounds-lp-upper")
+    worker.start()
+    try:
+        lower = _solve(lp, +1)
+        lap("lp_lower")
+    finally:
+        worker.join()
     lap("lp_upper")
+    (upper,) = upper_box
+    if isinstance(upper, BaseException):
+        raise upper
     report.primal_lower = lower
     report.primal_upper = upper
     if lower.status != "optimal" or upper.status != "optimal":

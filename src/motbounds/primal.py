@@ -7,10 +7,17 @@ solver that scipy ships, whose equality multipliers become the semi-static
 position. scipy.sparse and scipy.optimize are imported by the first
 assemble_lp and solve call, not with the module, so reference-free dual
 bounds never load the LP stack.
+
+Assembly and solving are separate steps: solve_primal and solve_primal_max
+each assemble their own LP, while certify assembles one and solves both
+senses of it at once. A solve only reads its LpProblem, and HiGHS releases
+the interpreter lock while it runs, so two solves of one LP can share it
+from two threads.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -166,7 +173,11 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    """Transport LP outcome with solver statistics and equality multipliers."""
+    """Transport LP outcome with solver statistics and equality multipliers.
+
+    stats holds rows, columns, the solver's iterations and solve_s, the wall
+    seconds of the solver call alone.
+    """
 
     value: float
     coupling: Optional[Coupling]
@@ -180,13 +191,20 @@ class PrimalSolution:
 _STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
 
-def _solve(cost: CostSpec, ms: MarginalSequence, sense: int, var_cap: int) -> PrimalSolution:
-    lp = assemble_lp(cost, ms, var_cap)
+def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
+    """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
+
+    Reads lp without changing it. stats["solve_s"] is the wall time of the
+    linprog call alone.
+    """
     from scipy.optimize import linprog
 
+    start = time.perf_counter()
     res = linprog(sense * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    solve_s = time.perf_counter() - start
     status = _STATUS.get(res.status, "failed")
-    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": int(res.nit)}
+    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": int(res.nit),
+             "solve_s": solve_s}
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats, None, lp.row_labels)
     q = np.clip(res.x, 0.0, None).reshape(lp.grid_shape)
@@ -197,12 +215,12 @@ def _solve(cost: CostSpec, ms: MarginalSequence, sense: int, var_cap: int) -> Pr
 
 def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:
     """Minimize over martingale couplings with the given marginals."""
-    return _solve(cost, ms, +1, var_cap)
+    return _solve(assemble_lp(cost, ms, var_cap), +1)
 
 
 def solve_primal_max(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:
     """Maximize over martingale couplings (negated objective)."""
-    return _solve(cost, ms, -1, var_cap)
+    return _solve(assemble_lp(cost, ms, var_cap), -1)
 
 
 def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):

@@ -1,10 +1,12 @@
 """Optimizer runs, certificates, traces, and full certification reports."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import motbounds.ascent as ascent_module
 from motbounds import (
     AscentConfig,
     CostSpec,
@@ -12,6 +14,7 @@ from motbounds import (
     DualCertificate,
     DualVariables,
     MarginalSequence,
+    SizeCapError,
     ascend,
     certify,
     descend_upper,
@@ -332,6 +335,57 @@ class TestCertify:
         rep = certify(cost, ms)
         assert set(rep.gaps) == {"proposition", "remark_b", "remark_a"}
         assert rep.passed
+
+
+class TestCertifyOverlap:
+    """certify assembles the LP once and solves its two sides at the same time."""
+
+    def test_sides_equal_the_sequential_solves(self):
+        rng = np.random.default_rng(20261018)
+        instances = [lognormal_showcase()]
+        instances += [random_instance(rng, n=2 + k % 3, max_size=8) for k in range(20)]
+        for cost, ms in instances:
+            rep = certify(cost, ms)
+            for got, want in ((rep.primal_lower, solve_primal(cost, ms)),
+                              (rep.primal_upper, solve_primal_max(cost, ms))):
+                assert got.status == want.status == "optimal"
+                assert got.value == want.value
+                assert got.duals.tobytes() == want.duals.tobytes()
+                assert got.coupling.q.tobytes() == want.coupling.q.tobytes()
+                assert got.row_labels == want.row_labels
+
+    @pytest.mark.parametrize("failing_sense", [-1, +1], ids=["upper", "lower"])
+    def test_failed_side_reaches_the_caller(self, monkeypatch, failing_sense):
+        solve = ascent_module._solve
+
+        def flaky(lp, sense):
+            if sense == failing_sense:
+                raise RuntimeError(f"solver failed for sense {sense}")
+            return solve(lp, sense)
+
+        # certify looks _solve up in its own module, on either thread
+        monkeypatch.setattr(ascent_module, "_solve", flaky)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"sense {failing_sense}"):
+            certify(SQ2, MarginalSequence([PM1, PM2]))
+        assert threading.active_count() == before
+
+    def test_capped_instance_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("certify started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with pytest.raises(SizeCapError):
+            certify(SQ2, MarginalSequence([PM1, PM2]), var_cap=3)
+
+    def test_each_side_times_its_solve(self, rng):
+        cost, ms = random_instance(rng, n=3, max_size=6)
+        rep = certify(cost, ms)
+        for side in (rep.primal_lower, rep.primal_upper):
+            assert side.stats["solve_s"] > 0
+        payload = json.loads(json.dumps(rep.as_dict()))
+        assert payload["primal_lower"]["stats"] == rep.primal_lower.stats
+        assert payload["primal_upper"]["stats"] == rep.primal_upper.stats
 
 
 class TestConfigValidation:

@@ -162,6 +162,21 @@ class TestCertifyCommand:
         assert set(report["timings"]) == {"validation", "lp_lower", "lp_upper", "duals", "subhedge"}
         assert (out_dir / "trace_proposition.csv").exists()
 
+    def test_each_side_reports_its_solve_time(self, tmp_path, capsys):
+        out_dir = tmp_path / "cert"
+        code = main(["--json", "--out", str(out_dir), "certify",
+                     write_instance(tmp_path, HAND_INSTANCE)])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads((out_dir / "report.json").read_text())
+        for report in (printed, written):
+            for side in ("primal_lower", "primal_upper"):
+                assert report[side]["stats"]["solve_s"] > 0
+
+    def test_var_cap_option_exit_3(self, tmp_path):
+        payload = dict(HAND_INSTANCE, options={"var_cap": 3})
+        assert main(["certify", write_instance(tmp_path, payload)]) == 3
+
 
 class TestEnvelopeCommand:
     def test_tent_at_zero(self, tmp_path, capsys):

@@ -47,3 +47,27 @@ def test_scipy_parts_load_on_first_use():
     assert loaded["capped"] == []
     assert loaded["quantize"] == ["scipy.special"]
     assert "scipy.optimize" in loaded["solve"]
+
+
+# The first certify in a fresh interpreter: both of its LP threads import
+# scipy.optimize on first use, at the same time.
+FIRST_CERTIFY = """
+import json, sys
+import motbounds, motbounds.cli
+seen = {"futures": "concurrent.futures" in sys.modules,
+        "optimize_before": "scipy.optimize" in sys.modules}
+ms = motbounds.MarginalSequence([
+    motbounds.quantize_lognormal(-s * s / 2, s, 15) for s in (0.1, 0.2, 0.3)
+])
+rep = motbounds.certify(motbounds.CostSpec(3, "basket", strike=1.0), ms)
+seen["passed"] = rep.passed
+print(json.dumps(seen))
+"""
+
+
+def test_first_certify_passes_while_both_sides_import_the_solver():
+    done = subprocess.run([sys.executable, "-c", FIRST_CERTIFY], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"futures": False, "optimize_before": False, "passed": True}
