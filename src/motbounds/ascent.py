@@ -8,7 +8,7 @@ along successive gradient differences, after Shor's r-algorithm), which
 contracts the across-ridge component and lets the iterate travel the ridge.
 The reference only sets the step length: when the transport LP value is
 available and not yet reached, the step targets the remaining gap directly;
-otherwise it is initial_step / sqrt(k). Every iterate is a valid bound, so
+otherwise it is INITIAL_STEP / sqrt(k). Every iterate is a valid bound, so
 the best-so-far certificate is sound regardless of oscillation. A run starts
 at u = 0 unless it is given a start.
 
@@ -64,7 +64,6 @@ def relative_gap(value: float, reference: float) -> float:
 class AscentConfig:
     variant: str = "proposition"
     max_iters: int = 5000
-    initial_step: float = 1.0
     target_gap: float = 1e-4  # relative
 
     def __post_init__(self):
@@ -72,8 +71,8 @@ class AscentConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
+        if not 0 < self.target_gap < np.inf:
+            raise ValueError("target_gap must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -111,6 +110,7 @@ def _project_zero_mean(tables, ms: MarginalSequence) -> None:
 
 
 MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
+INITIAL_STEP = 1.0  # the step without a gap to target is INITIAL_STEP / sqrt(k)
 
 
 def _start_tables(start, ms: MarginalSequence) -> list:
@@ -186,7 +186,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
         if gap > 0 and denom > EPSILON**2:
             alpha = min(gap / denom, MAX_GAP_STEP)
         else:
-            alpha = config.initial_step / np.sqrt(k)
+            alpha = INITIAL_STEP / np.sqrt(k)
         for i, part in enumerate(np.split(sign * alpha * direction, cuts)):
             tables[i] += part
         _project_zero_mean(tables, ms)
@@ -296,8 +296,11 @@ def _solve_into(box: list, lp, sense: int) -> None:
 
 
 def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
-            var_cap: Optional[int] = None) -> CertifyReport:
+            var_cap: int = DEFAULT_VAR_CAP) -> CertifyReport:
     """Solve both LP sides, run all three dual routines from the LP multipliers.
+
+    All three variants run whatever config.variant says; only
+    config.max_iters and config.target_gap are read.
 
     The LP is assembled once, on the calling thread, so a var_cap refusal
     (SizeCapError) comes before any thread starts. The maximisation then
@@ -316,7 +319,6 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     and for the proposition certificate's u.
     """
     config = config or AscentConfig()
-    cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
     clock = start = time.perf_counter()
     timings = {}
 
@@ -332,7 +334,7 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     if not validation.ok:
         report.elapsed_s = time.perf_counter() - start
         return report
-    lp = assemble_lp(cost, ms, cap)
+    lp = assemble_lp(cost, ms, var_cap)
     upper_box = []
     worker = threading.Thread(target=_solve_into, args=(upper_box, lp, -1),
                               name="motbounds-lp-upper")

@@ -24,7 +24,13 @@ from .measures import (
     quantize_lognormal,
     validate_sequence,
 )
-from .primal import SizeCapError, multipliers_to_semistatic, solve_primal, solve_primal_max
+from .primal import (
+    DEFAULT_VAR_CAP,
+    SizeCapError,
+    multipliers_to_semistatic,
+    solve_primal,
+    solve_primal_max,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -33,7 +39,7 @@ EXIT_CAP = 3
 
 
 class InstanceError(ValueError):
-    """Malformed instance file; message carries the offending field."""
+    """Malformed instance file or flag; message carries the offending field."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -45,7 +51,7 @@ class Instance:
     cost: CostSpec
     marginals: MarginalSequence
     config: AscentConfig
-    var_cap: int | None = None
+    var_cap: int = DEFAULT_VAR_CAP
 
 
 def _parse_measure(spec, where: str) -> DiscreteMeasure:
@@ -144,42 +150,31 @@ def parse_instance(path: str) -> Instance:
     options = payload.get("options", {})
     if not isinstance(options, dict):
         raise InstanceError("options", "expected an object")
-    known = {
-        "variant": str, "max_iters": int, "initial_step": float, "target_gap": float,
-    }
-    unknown = sorted(set(options) - set(known) - {"var_cap"})
+    integer = {"max_iters": True, "target_gap": False, "var_cap": True}
+    unknown = sorted(set(options) - set(integer))
     if unknown:
         raise InstanceError(f"options.{unknown[0]}",
-                            f"unknown option; expected one of {sorted([*known, 'var_cap'])}")
-    kwargs = {}
-    for key, cast in known.items():
-        if key in options:
-            try:
-                kwargs[key] = cast(options[key])
-            except (TypeError, ValueError) as exc:
-                raise InstanceError(f"options.{key}", str(exc)) from exc
-    var_cap = None
-    if "var_cap" in options:
-        try:
-            var_cap = int(options["var_cap"])
-        except (TypeError, ValueError) as exc:
-            raise InstanceError("options.var_cap", str(exc)) from exc
-    try:
-        config = AscentConfig(**kwargs)
-    except ValueError as exc:
-        raise InstanceError("options", str(exc)) from exc
-    return Instance(cost, ms, config, var_cap)
+                            f"unknown option; expected one of {sorted(integer)}")
+    values = {}
+    for key, value in options.items():
+        number = value if isinstance(value, (int, float)) and not isinstance(value, bool) else 0
+        if not 0 < number < np.inf or (integer[key] and number != int(number)):
+            kind = "a positive integer" if integer[key] else "a finite positive number"
+            raise InstanceError(f"options.{key}", f"expected {kind}, got {json.dumps(value)}")
+        values[key] = int(number) if integer[key] else number
+    var_cap = values.pop("var_cap", DEFAULT_VAR_CAP)
+    return Instance(cost, ms, AscentConfig(**values), var_cap)
 
 
 def _apply_flags(config: AscentConfig, args) -> AscentConfig:
-    updates = {}
-    if args.variant is not None:
-        updates["variant"] = args.variant
-    if args.tol is not None:
-        updates["target_gap"] = args.tol
-    if args.max_iters is not None:
-        updates["max_iters"] = args.max_iters
-    return replace(config, **updates) if updates else config
+    for flag, key in (("--tol", "target_gap"), ("--max-iters", "max_iters")):
+        value = getattr(args, key)
+        if value is not None:
+            try:
+                config = replace(config, **{key: value})
+            except ValueError as exc:
+                raise InstanceError(flag, str(exc)) from exc
+    return config
 
 
 def _emit(payload: dict, args) -> None:
@@ -223,10 +218,9 @@ def cmd_solve(args) -> int:
     out_dir = args.out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    cap_kw = {} if inst.var_cap is None else {"var_cap": inst.var_cap}
     if args.method in ("primal", "both"):
-        primal = (solve_primal(inst.cost, ms, **cap_kw) if args.side == "lower"
-                  else solve_primal_max(inst.cost, ms, **cap_kw))
+        solve = solve_primal if args.side == "lower" else solve_primal_max
+        primal = solve(inst.cost, ms, inst.var_cap)
         if primal.status != "optimal":
             _emit({"error": f"primal solve ended with status {primal.status}"}, args)
             return EXIT_INFEASIBLE
@@ -321,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="structured JSON output")
     parser.add_argument("--out", metavar="DIR", help="directory for artifact files")
-    parser.add_argument("--tol", type=float, help="relative gap target")
+    parser.add_argument("--tol", type=float, dest="target_gap", metavar="TOL",
+                        help="relative gap target")
     parser.add_argument("--max-iters", type=int, dest="max_iters", help="ascent iteration cap")
-    parser.add_argument("--variant", choices=("proposition", "remark_b"),
-                        help="lower-bound cascade variant")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate the convex order of an instance")

@@ -46,10 +46,6 @@ class GridFunction:
     def __len__(self):
         return self.grid.size
 
-    @property
-    def span(self) -> float:
-        return float(self.grid[-1] - self.grid[0])
-
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeResult:

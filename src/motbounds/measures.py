@@ -68,10 +68,6 @@ class DiscreteMeasure:
     def mean(self) -> float:
         return float(np.dot(self.atoms, self.weights))
 
-    @property
-    def support_interval(self):
-        return float(self.atoms[0]), float(self.atoms[-1])
-
     @classmethod
     def point(cls, x: float) -> "DiscreteMeasure":
         return cls(np.array([x]), np.array([1.0]))

@@ -392,7 +392,8 @@ class TestConfigValidation:
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
             AscentConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            AscentConfig(initial_step=0.0)
+        for gap in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="target_gap"):
+                AscentConfig(target_gap=gap)
         with pytest.raises(ValueError, match="unknown variant"):
             AscentConfig(variant="bogus")

@@ -242,12 +242,12 @@ class TestInstanceParsing:
         assert "marginals[1]" in str(err.value)
 
     def test_options_flow_into_config(self, tmp_path):
-        payload = dict(HAND_INSTANCE, options={"variant": "remark_b", "max_iters": 77})
+        payload = dict(HAND_INSTANCE, options={"max_iters": 77, "target_gap": 1e-6, "var_cap": 9})
         inst = parse_instance(write_instance(tmp_path, payload))
-        assert inst.config.variant == "remark_b"
-        assert inst.config.max_iters == 77
+        assert inst.config == AscentConfig(max_iters=77, target_gap=1e-6)
+        assert inst.var_cap == 9
 
-    @pytest.mark.parametrize("key", ["max_iter", "step_rule", "seed"])
+    @pytest.mark.parametrize("key", ["max_iter", "step_rule", "seed", "variant", "initial_step"])
     def test_unknown_option_key_exit_1(self, tmp_path, capsys, key):
         payload = dict(HAND_INSTANCE, options={key: 2})
         code = main(["solve", write_instance(tmp_path, payload), "--method", "dual"])
@@ -315,13 +315,22 @@ class TestInstanceParsing:
         assert capsys.readouterr().err == (
             f"error: cost.{key}: unknown key; expected one of ['form', 'path', 'strike']\n")
 
-    def test_unknown_option_variant_exit_1(self, tmp_path, capsys):
-        payload = dict(HAND_INSTANCE, options={"variant": "bogus"})
-        code = main(["solve", write_instance(tmp_path, payload), "--method", "dual"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: options: unknown variant")
+    @pytest.mark.parametrize("key,value", [
+        ("var_cap", 1.5), ("var_cap", True), ("var_cap", 0), ("var_cap", -3),
+        ("max_iters", 2.7), ("max_iters", 0), ("target_gap", -1), ("target_gap", True),
+        ("target_gap", float("nan")), ("target_gap", "1e-4"),
+    ])
+    def test_bad_option_value_exit_1(self, tmp_path, capsys, key, value):
+        payload = dict(HAND_INSTANCE, options={key: value})
+        assert main(["certify", write_instance(tmp_path, payload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: options.{key}: expected a ")
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--tol", "abc"], ["--seed", "3"]])
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "abc"], ["--seed", "3"], ["--max-iters", "0"], ["--variant", "remark_b"],
+        ["--tol", "-1"], ["--tol", "nan"],
+    ])
     def test_usage_errors_exit_1(self, tmp_path, capsys, flags):
         code = main(flags + ["solve", write_instance(tmp_path, HAND_INSTANCE)])
         assert code == 1
@@ -331,7 +340,7 @@ class TestInstanceParsing:
 
     def test_flags_override_options(self, tmp_path, capsys):
         payload = dict(HAND_INSTANCE, options={"max_iters": 7})
-        code = main(["--json", "--max-iters", "44", "--variant", "remark_b", "solve",
+        code = main(["--json", "--max-iters", "44", "solve",
                      write_instance(tmp_path, payload), "--method", "dual"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
