@@ -47,7 +47,8 @@ class CostSpec:
 
     Named forms: squared_increment sum (x_{i+1}-x_i)^2, abs_increment
     sum |x_{i+1}-x_i|, terminal_call (x_n-K)_+, basket (mean(x)-K)_+.
-    custom_table takes a tensor on the product grid.
+    custom_table takes a tensor on the product grid. A strike and the table
+    entries must be finite.
     """
 
     n: int
@@ -62,12 +63,16 @@ class CostSpec:
             raise ValueError(f"unknown cost form {self.form!r}; expected one of {COST_FORMS}")
         if self.form in ("terminal_call", "basket") and self.strike is None:
             raise ValueError(f"cost form {self.form!r} needs a strike")
+        if self.strike is not None and not np.isfinite(self.strike):
+            raise ValueError(f"strike must be finite, got {self.strike!r}")
         if self.form == "custom_table":
             if self.table is None:
                 raise ValueError("custom_table needs a value tensor")
             table = np.asarray(self.table, dtype=float)
             if table.ndim != self.n:
                 raise ValueError(f"table has {table.ndim} axes, expected {self.n}")
+            if not np.all(np.isfinite(table)):
+                raise ValueError("table entries must be finite")
             object.__setattr__(self, "table", table)
 
     def tensor_on(self, ms: MarginalSequence) -> np.ndarray:

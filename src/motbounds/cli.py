@@ -113,6 +113,8 @@ def parse_instance(path: str) -> Instance:
         raise InstanceError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except ValueError as exc:  # undecodable bytes, or an integer too long to convert
+        raise InstanceError(path, str(exc)) from exc
     if not isinstance(payload, dict):
         raise InstanceError(path, "top level must be an object")
 

@@ -34,6 +34,8 @@ def _canonical_support(atoms, weights):
         )
     if not np.all(np.isfinite(atoms)):
         raise ValueError("atoms must be finite")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError(f"negative weight: min = {weights.min():.3e}")
     uniq, inverse = np.unique(atoms, return_inverse=True)
@@ -50,7 +52,8 @@ class DiscreteMeasure:
     """Probability measure with finitely many atoms on the real line.
 
     Atoms are stored sorted and deduplicated (duplicate atoms merge their
-    weights). Weights are nonnegative and sum to one within 1e-12.
+    weights). Atoms and weights are finite; weights are nonnegative and sum to
+    one within 1e-12.
     """
 
     atoms: np.ndarray
@@ -255,7 +258,13 @@ def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure
         raise ValueError("m must be a positive integer")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    full_mean = math.exp(location + scale**2 / 2.0)
+    try:
+        full_mean = math.exp(location + scale**2 / 2.0)
+    except OverflowError:
+        full_mean = math.inf
+    if not math.isfinite(full_mean):
+        raise ValueError(f"mean exp(location + scale^2 / 2) is not finite for "
+                         f"location {location!r}, scale {scale!r}")
     if scale == 0:
         return DiscreteMeasure.point(math.exp(location))
     from scipy.special import ndtr, ndtri

@@ -108,12 +108,11 @@ def validate_coupling(q, ms: MarginalSequence) -> CouplingReport:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """Equality-form LP: min c.x, A x = b, x >= 0, plus row bookkeeping."""
+    """Equality-form LP: min c.x, A x = b, x >= 0, rows laid out as assemble_lp says."""
 
     c: np.ndarray
     A: "scipy.sparse.csr_array"
     b: np.ndarray
-    row_labels: tuple  # ("marginal", i, atom_index) | ("martingale", i, prefix_flat)
     grid_shape: tuple
 
     @property
@@ -128,11 +127,16 @@ class LpProblem:
 def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> LpProblem:
     """Build the coupling polytope LP on the product grid.
 
-    Marginal rows: one per (period, atom), coefficients one on matching paths.
-    Martingale rows: one per (period < n, prefix), coefficients x_{i+1} - x_i
-    on the paths extending the prefix. Every path enters one row of each of
-    the 2n - 1 blocks, so A is stored sparse. Redundant rows (each block
-    re-encodes total mass) are left in; the solver tolerates degenerate rank.
+    The rows come in 2n - 1 consecutive blocks, which multipliers_to_semistatic
+    relies on:
+      - n marginal blocks, block i holding one row per atom of mu_i (m_i rows,
+        in atom order), coefficients one on the paths through that atom;
+      - then n - 1 martingale blocks, block i holding one row per prefix
+        (x_1, ..., x_{i+1}) in row-major order, coefficients x_{i+2} - x_{i+1}
+        on the paths extending the prefix.
+    Every path enters one row of each block, so A is stored sparse. Redundant
+    rows (each block re-encodes total mass) are left in; the solver tolerates
+    degenerate rank.
     """
     n_paths = ms.path_count
     if n_paths > var_cap:
@@ -146,14 +150,12 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     atom = np.indices(sizes).reshape(n, n_paths)  # atom index of each path per period
     row_blocks = []
     coef_blocks = []
-    labels = []
     b = []
     offset = 0
 
     for i in range(n):
         row_blocks.append(offset + atom[i])
         coef_blocks.append(np.ones(n_paths))
-        labels.extend(("marginal", i, a) for a in range(sizes[i]))
         b.extend(ms[i].weights)
         offset += sizes[i]
 
@@ -161,7 +163,6 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
         prefix_count = int(np.prod(sizes[: i + 1]))
         row_blocks.append(offset + paths // (n_paths // prefix_count))
         coef_blocks.append(ms.grids[i + 1][atom[i + 1]] - ms.grids[i][atom[i]])
-        labels.extend(("martingale", i, p) for p in range(prefix_count))
         offset += prefix_count
         b.extend([0.0] * prefix_count)
 
@@ -169,7 +170,7 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
         (np.concatenate(coef_blocks), (np.concatenate(row_blocks), np.tile(paths, 2 * n - 1))),
         shape=(offset, n_paths),
     ).tocsr()
-    return LpProblem(c, A, np.asarray(b), tuple(labels), sizes)
+    return LpProblem(c, A, np.asarray(b), sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +178,9 @@ class PrimalSolution:
     """Transport LP outcome with solver statistics and equality multipliers.
 
     stats holds rows, columns, the solver's iterations and solve_s, the wall
-    seconds of the solver call alone.
+    seconds of the solver call alone. duals holds one multiplier per equality
+    row in assemble_lp's block layout, a sub-hedge of the cost for a
+    minimisation and a super-hedge for a maximisation.
     """
 
     value: float
@@ -185,7 +188,6 @@ class PrimalSolution:
     status: str
     stats: dict = field(default_factory=dict)
     duals: Optional[np.ndarray] = None
-    row_labels: tuple = ()
 
 
 # scipy.optimize.linprog status codes; anything else (numerical trouble) is "failed"
@@ -207,11 +209,11 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": int(res.nit),
              "solve_s": solve_s}
     if status != "optimal":
-        return PrimalSolution(float("nan"), None, status, stats, None, lp.row_labels)
+        return PrimalSolution(float("nan"), None, status, stats)
     q = np.clip(res.x, 0.0, None).reshape(lp.grid_shape)
     value = float(np.dot(lp.c, res.x))
     duals = sense * res.eqlin.marginals
-    return PrimalSolution(value, Coupling(q), "optimal", stats, duals, lp.row_labels)
+    return PrimalSolution(value, Coupling(q), "optimal", stats, duals)
 
 
 def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:
@@ -227,21 +229,22 @@ def solve_primal_max(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAUL
 def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):
     """Split LP equality multipliers into static tables and trading positions.
 
-    Marginal-row multipliers become u_1, ..., u_n; martingale-row multipliers
-    become the prefix-indexed trading positions. Dual feasibility of the LP is
-    exactly the pointwise domination required by semistatic_value_check.
+    The multipliers are cut at the block boundaries of assemble_lp: the n
+    marginal blocks become u_1, ..., u_n, and the n - 1 martingale blocks
+    become the trading positions, block i reshaped onto the prefix grid of
+    the first i + 1 marginals. The tables share one copy of solution.duals.
+    Dual feasibility of the LP is exactly the pointwise domination required
+    by semistatic_value_check.
     """
     if solution.duals is None:
         raise ValueError("solution carries no multipliers")
-    u_tables = [np.zeros(len(ms[i])) for i in range(ms.n)]
-    deltas = [np.zeros(ms.sizes[: i + 1]) for i in range(ms.n - 1)]
-    for y, label in zip(solution.duals, solution.row_labels):
-        kind, i, j = label
-        if kind == "marginal":
-            u_tables[i][j] = y
-        else:
-            deltas[i].ravel()[j] = y
-    return u_tables, deltas
+    prefixes = [ms.sizes[: i + 1] for i in range(ms.n - 1)]
+    counts = list(ms.sizes) + [int(np.prod(p)) for p in prefixes]
+    duals = np.array(solution.duals, dtype=float)
+    if duals.shape != (sum(counts),):
+        raise ValueError(f"{duals.size} multipliers for an LP of {sum(counts)} rows")
+    blocks = np.split(duals, np.cumsum(counts)[:-1])
+    return blocks[: ms.n], [d.reshape(p) for d, p in zip(blocks[ms.n:], prefixes)]
 
 
 def semistatic_value_check(cost: CostSpec, ms: MarginalSequence, u_tables, deltas) -> float:
@@ -258,10 +261,10 @@ def semistatic_value_check(cost: CostSpec, ms: MarginalSequence, u_tables, delta
     if len(deltas) != ms.n - 1:
         raise ValueError(f"expected {ms.n - 1} trading tables, got {len(deltas)}")
     n = ms.n
+    tables = [np.asarray(t, dtype=float) for t in u_tables]
     psi = np.zeros(ms.sizes)
     grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
-    for i in range(n):
-        table = np.asarray(getattr(u_tables[i], "values", u_tables[i]), dtype=float)
+    for i, table in enumerate(tables):
         if table.shape != (ms.sizes[i],):
             raise ValueError(f"static table {i + 1} has shape {table.shape}")
         shape = [1] * n
@@ -275,8 +278,4 @@ def semistatic_value_check(cost: CostSpec, ms: MarginalSequence, u_tables, delta
     worst = float((psi - cost.tensor_on(ms)).max())
     if worst > SEMISTATIC_TOL:
         raise ValueError(f"position exceeds the cost by {worst:.3e} on the grid")
-    value = 0.0
-    for i in range(n):
-        table = np.asarray(getattr(u_tables[i], "values", u_tables[i]), dtype=float)
-        value += float(np.dot(ms[i].weights, table))
-    return value
+    return sum(float(np.dot(mu.weights, table)) for mu, table in zip(ms.marginals, tables))

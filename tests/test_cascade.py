@@ -498,6 +498,19 @@ class TestCostSpec:
         with pytest.raises(ValueError, match="strike"):
             CostSpec(2, "terminal_call")
 
+    @pytest.mark.parametrize("strike", [np.nan, np.inf, -np.inf])
+    def test_strike_must_be_finite(self, strike):
+        for form in ("terminal_call", "basket", "squared_increment"):
+            with pytest.raises(ValueError, match="strike must be finite"):
+                CostSpec(2, form, strike=strike)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_table_entries_must_be_finite(self, entry):
+        table = np.zeros((2, 2))
+        table[1, 0] = entry
+        with pytest.raises(ValueError, match="table entries must be finite"):
+            CostSpec(2, "custom_table", table=table)
+
     def test_table_shape_checked(self):
         cost = CostSpec(2, "custom_table", table=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="shape"):

@@ -73,6 +73,25 @@ class TestCheck:
     def test_missing_file_exit_1(self):
         assert main(["check", "/nonexistent/instance.json"]) == 1
 
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    def test_integer_too_long_exit_1(self, tmp_path, capsys, command):
+        # past Python's 4,300-digit limit json.load raises a plain ValueError
+        path = tmp_path / "long.json"
+        text = json.dumps(dict(HAND_INSTANCE, options={"max_iters": 1}))
+        path.write_text(text.replace('"max_iters": 1', '"max_iters": ' + "1" * 5000))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: Exceeds the limit") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(HAND_INSTANCE).replace("squared_", "squared_\xff\xfe")
+                         .encode("latin-1"))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
 
 class TestSolve:
     def test_hand_instance_both(self, tmp_path, capsys):
@@ -314,6 +333,32 @@ class TestInstanceParsing:
         assert main(["check", write_instance(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == (
             f"error: cost.{key}: unknown key; expected one of ['form', 'path', 'strike']\n")
+
+    @pytest.mark.parametrize("command", [["check"], ["solve"], ["solve", "--method", "dual"],
+                                         ["certify"]], ids=["check", "solve", "dual", "certify"])
+    @pytest.mark.parametrize("case", ["nan_weights", "nan_strike", "minus_inf_strike",
+                                      "inf_table_entry", "lognormal_overflow"])
+    def test_non_finite_input_exit_1(self, tmp_path, capsys, case, command):
+        payload = json.loads(json.dumps(HAND_INSTANCE))
+        if case == "nan_weights":
+            payload["marginals"][1]["weights"] = [float("nan")] * 2
+            field = "marginals[1]: weights must be finite"
+        elif case.endswith("_strike"):
+            strike = float("nan") if case == "nan_strike" else -float("inf")
+            payload["cost"] = {"form": "basket", "strike": strike}
+            field = "cost: strike must be finite"
+        elif case == "inf_table_entry":
+            csv = tmp_path / "table.csv"
+            csv.write_text("-1.0,-2.0,0.0\n-1.0,2.0,inf\n1.0,-2.0,0.0\n1.0,2.0,0.0\n")
+            payload["cost"] = {"form": "custom_table", "path": str(csv)}
+            field = "cost: table entries must be finite"
+        else:
+            payload["marginals"][0] = {"lognormal": {"location": 1e308, "scale": 0.1, "m": 3}}
+            field = "marginals[0].lognormal: mean exp(location + scale^2 / 2) is not finite"
+        path = write_instance(tmp_path, payload)
+        assert main([command[0], path] + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key,value", [
         ("var_cap", 1.5), ("var_cap", True), ("var_cap", 0), ("var_cap", -3),

@@ -41,6 +41,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             m([0.0, 1.0], [-0.1, 1.1])
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
+    def test_rejects_non_finite_weight(self, weights):
+        # NaN slips past both the sign and the sum test, so finiteness is checked first
+        with pytest.raises(ValueError, match="weights must be finite"):
+            m([0.0, 1.0], weights)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             m([], [])
@@ -198,6 +204,12 @@ class TestQuantizeLognormal:
             quantize_lognormal(0.0, -0.1, 3)
         with pytest.raises(ValueError):
             quantize_lognormal(0.0, 0.3, 0)
+
+    @pytest.mark.parametrize("location,scale", [(1e308, 0.1), (800.0, 0.0), (0.0, 1e200),
+                                                (float("nan"), 0.2)])
+    def test_mean_must_be_finite(self, location, scale):
+        with pytest.raises(ValueError, match="not finite"):
+            quantize_lognormal(location, scale, 5)
 
     def test_atoms_increase(self):
         mu = quantize_lognormal(0.1, 0.4, 25)

@@ -58,17 +58,16 @@ class TestAssembleLp:
     def test_two_period_row_counts(self):
         lp = assemble_lp(SQ2, MS_SINGLE)
         assert lp.n_paths == 2
-        marginal_rows = [l for l in lp.row_labels if l[0] == "marginal"]
-        martingale_rows = [l for l in lp.row_labels if l[0] == "martingale"]
-        assert len(marginal_rows) == 3
-        assert len(martingale_rows) == 1
+        assert lp.n_rows == 3 + 1  # marginal blocks of 1 and 2 atoms, then one prefix
+        weights = [mu.weights for mu in MS_SINGLE]
+        np.testing.assert_array_equal(lp.b, np.concatenate(weights + [[0.0]]))
 
     def test_three_period_row_counts(self):
         ms = MarginalSequence([D0, PM1, PM1])
         lp = assemble_lp(CostSpec(3, "basket", strike=0.0), ms)
         assert lp.n_paths == 4
-        assert sum(1 for l in lp.row_labels if l[0] == "marginal") == 5
-        assert sum(1 for l in lp.row_labels if l[0] == "martingale") == 3  # 1 + 2
+        assert lp.n_rows == 5 + 3  # marginal blocks of 1 + 2 + 2 atoms, then prefixes 1 + 2
+        np.testing.assert_array_equal(lp.b[5:], np.zeros(3))
 
     def test_var_cap(self):
         with pytest.raises(SizeCapError):
@@ -274,6 +273,26 @@ class TestSemistatic:
                 u, deltas = multipliers_to_semistatic(sol, ms)
                 value = semistatic_value_check(cost, ms, u, deltas)
                 assert value == pytest.approx(sol.value, abs=1e-8)
+
+    def test_decoded_tables_pay_what_the_rows_pay(self, rng):
+        # A^T y is the semi-static payoff of the multipliers on each path;
+        # the decoded tables must pay the same, path by path
+        for n in (2, 3, 4):
+            cost, ms = random_instance(rng, n=n, max_size=5)
+            sol = solve_primal(cost, ms)
+            u, deltas = multipliers_to_semistatic(sol, ms)
+            grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
+            pay = sum(t.reshape((1,) * i + (-1,) + (1,) * (n - i - 1)) for i, t in enumerate(u))
+            for j, d in enumerate(deltas):
+                pay = pay + d.reshape(d.shape + (1,) * (n - j - 1)) * (grids[j + 1] - grids[j])
+            np.testing.assert_allclose(assemble_lp(cost, ms).A.T @ sol.duals, pay.ravel(),
+                                       rtol=0, atol=1e-12)
+
+    def test_multiplier_count_must_match_the_rows(self, rng):
+        cost, ms = random_instance(rng, n=3, max_size=5)
+        sol = solve_primal(cost, ms)
+        with pytest.raises(ValueError, match="multipliers for an LP"):
+            multipliers_to_semistatic(sol, MarginalSequence(ms.marginals[:2]))
 
 
 class TestCouplingValidation:
