@@ -40,14 +40,8 @@ from .cascade import (
     dual_value_and_subgradient,
     verify_subhedge,
 )
-from .measures import MarginalSequence, SequenceReport, validate_sequence
-from .primal import (
-    DEFAULT_VAR_CAP,
-    PrimalSolution,
-    _solve,
-    assemble_lp,
-    multipliers_to_semistatic,
-)
+from .measures import DEFAULT_VAR_CAP, MarginalSequence, SequenceReport, validate_sequence
+from .primal import PrimalSolution, _solve, assemble_lp, multipliers_to_semistatic
 
 GRAD_TOL = 1e-7
 DILATION = 2.0  # metric contraction along gradient differences
@@ -87,16 +81,6 @@ class AscentTrace:
     def __len__(self):
         return self.values.size
 
-    def rows(self):
-        for k in range(len(self)):
-            yield k, self.values[k], self.grad_norms[k], self.elapsed_ms[k]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,dual_value,grad_norm,elapsed_ms\n")
-            for k, v, g, t in self.rows():
-                fh.write(f"{k},{v!r},{g!r},{t!r}\n")
-
 
 def _project_zero_mean(tables, ms: MarginalSequence) -> None:
     """Gauge fixing: remove the weighted mean of each table in place.
@@ -134,7 +118,7 @@ def _start_tables(start, ms: MarginalSequence) -> list:
 def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
          reference: Optional[float], start=None):
     variant = config.variant
-    maximize = variant != "remark_a"
+    maximize = variant in LOWER_VARIANTS
     sign = 1.0 if maximize else -1.0
     tables = _start_tables(start, ms)
     _project_zero_mean(tables, ms)

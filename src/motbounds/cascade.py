@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envelope import CLAMP_REL, GridFunction, OutOfDomainError
+from .envelope import GridFunction, _clamp
 from .measures import MarginalSequence
 
 VARIANTS = ("proposition", "remark_a", "remark_b")
@@ -38,7 +38,7 @@ LOWER_VARIANTS = ("proposition", "remark_b")
 
 COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
 
-SUBHEDGE_TOL = 1e-9
+SUBHEDGE_TOL = 1e-9  # times max(1, max |T_n|), so a rescaled instance keeps its verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +151,6 @@ class CascadeTensors:
     hedge check).
     """
 
-    variant: str
     levels: tuple
     supports: tuple = field(repr=False, default=())
 
@@ -208,19 +207,12 @@ def _batched_envelope(sections, sec_grid, eval_atoms, lower):
     fastest). The value at t of the lower (upper) hull is lam*f(y_a) +
     (1-lam)*f(y_b) for a supporting pair y_a <= t <= y_b of the hull, with
     lam*y_a + (1-lam)*y_b = t; the pair is returned for the supergradient.
-    The pairs come from _supporting_pairs, one block of rows at a time.
+    The pairs come from _supporting_pairs, one block of rows at a time. An
+    evaluation point outside sec_grid is handled by envelope._clamp.
     """
     rows, m = sections.shape
     y = sec_grid
-    t = np.asarray(eval_atoms, dtype=float)
-    eps = CLAMP_REL * (y[-1] - y[0])
-    outside = (t < y[0] - eps) | (t > y[-1] + eps)
-    if outside.any():
-        raise OutOfDomainError(
-            f"evaluation point {float(t[outside][0])!r} outside the next support "
-            f"[{y[0]!r}, {y[-1]!r}]; support nesting violated"
-        )
-    t = np.clip(t, y[0], y[-1])
+    t = _clamp(y, eval_atoms)
     if m == 1:
         return sections[:, 0].copy(), np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows)
     reps = rows // t.size
@@ -333,12 +325,12 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
         if stepwise:
             sections = sections - u.funcs[i - 1].values[None, :]
         vals, lft, rgt, lam = _batched_envelope(
-            sections, ms.grids[i], ms.grids[i - 1], lower=variant != "remark_a"
+            sections, ms.grids[i], ms.grids[i - 1], lower=variant in LOWER_VARIANTS
         )
         cur = vals.reshape(ms.sizes[:i])
         levels[i - 1] = cur
         supports[i - 1] = (lft, rgt, lam)
-    return CascadeTensors(variant, tuple(levels), tuple(supports))
+    return CascadeTensors(tuple(levels), tuple(supports))
 
 
 def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> float:
@@ -416,9 +408,10 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coup
 
     For every first-period atom with positive mass the conditional expectation
     under the coupling of T_1(S_1) + sum u_i(S_i) must not exceed the
-    conditional expectation of the cost, up to 1e-9; equivalently T_1 must not
-    exceed the conditional expectation of the terminal tensor T_n. The coupling
-    must pass marginal and martingale validation first.
+    conditional expectation of the cost, up to SUBHEDGE_TOL times
+    max(1, max |T_n|); equivalently T_1 must not exceed the conditional
+    expectation of the terminal tensor T_n. The coupling must pass marginal
+    and martingale validation first.
     """
     from .primal import validate_coupling  # deferred to avoid a module cycle
 
@@ -433,4 +426,5 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coup
     mass = np.where(start_mass > 0, start_mass, 1.0)
     keep = ms[0].weights > 0
     slacks = ((q * t_n).sum(axis=tail_axes) / mass - t1)[keep]
-    return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -SUBHEDGE_TOL)))
+    tol = SUBHEDGE_TOL * max(1.0, float(np.abs(t_n).max()))
+    return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))

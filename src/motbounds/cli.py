@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 infeasible
 instance or failed check, 3 resource cap exceeded. Structured output is JSON
-behind --json; tabular artifacts (hulls, couplings, traces) are CSV.
+behind --json; tabular artifacts (hulls, couplings, traces) are CSV of plain
+numbers, all written by _write_csv.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,23 +21,21 @@ from .ascent import AscentConfig, ascend, certify, descend_upper, relative_gap
 from .cascade import COST_FORMS, CostSpec
 from .envelope import GridFunction, convex_envelope, eval_envelope
 from .measures import (
+    DEFAULT_VAR_CAP,
     DiscreteMeasure,
     MarginalSequence,
+    SizeCapError,
     quantize_lognormal,
     validate_sequence,
 )
-from .primal import (
-    DEFAULT_VAR_CAP,
-    SizeCapError,
-    multipliers_to_semistatic,
-    solve_primal,
-    solve_primal_max,
-)
+from .primal import multipliers_to_semistatic, solve_primal, solve_primal_max
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
+
+PATH_MASS_FLOOR = 1e-15  # coupling.csv lists the paths with more mass than this
 
 
 class InstanceError(ValueError):
@@ -63,21 +63,33 @@ def _parse_measure(spec, where: str) -> DiscreteMeasure:
             return quantize_lognormal(
                 float(params["location"]), float(params["scale"]), int(params["m"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InstanceError(f"{where}.lognormal", str(exc)) from exc
     if "atoms" in spec and "weights" in spec:
         try:
             return DiscreteMeasure(np.asarray(spec["atoms"], dtype=float),
                                    np.asarray(spec["weights"], dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceError(where, str(exc)) from exc
     raise InstanceError(where, "expected atoms/weights or a lognormal block")
 
 
-def _load_cost_table(path: str, ms: MarginalSequence) -> np.ndarray:
-    """Tensor CSV: one row per product-grid point, columns x_1..x_n,value."""
-    try:
+def _read_csv(path: str) -> np.ndarray:
+    """Rows of a numeric CSV file without a header; ValueError if it holds none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on an empty file, refused below
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    if raw.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    return raw
+
+
+def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
+    """Tensor CSV: one row per product-grid point, columns x_1..x_n,value."""
+    if not isinstance(path, str):
+        raise InstanceError("cost.path", f"expected a file name, got {json.dumps(path)}")
+    try:
+        raw = _read_csv(path)
     except (OSError, ValueError) as exc:
         raise InstanceError("cost.path", str(exc)) from exc
     if raw.shape[1] != ms.n + 1:
@@ -93,15 +105,16 @@ def _load_cost_table(path: str, ms: MarginalSequence) -> np.ndarray:
             raise InstanceError(
                 "cost.path", f"coordinate {coords[off][0]!r} is not an atom of marginal {i + 1}")
         index.append(pos)
-    table = np.full(ms.sizes, np.nan)
-    table[tuple(index)] = raw[:, -1]
-    if np.any(np.isnan(table)):
+    flat = np.ravel_multi_index(index, ms.sizes)
+    counts = np.bincount(flat, minlength=ms.path_count)
+    if np.any(counts == 0):
         raise InstanceError("cost.path", "tensor does not cover the full product grid")
-    if len(raw) > table.size:  # every point is covered, so some point repeats
-        _, first, counts = np.unique(np.ravel_multi_index(index, ms.sizes),
-                                     return_index=True, return_counts=True)
-        point = tuple(raw[first[counts > 1][0], :-1].tolist())
+    if np.any(counts > 1):
+        row = np.argmax(flat == np.argmax(counts > 1))  # first row of the first repeated point
+        point = tuple(raw[row, :-1].tolist())
         raise InstanceError("cost.path", f"grid point {point!r} is listed more than once")
+    table = np.empty(ms.sizes)
+    table[tuple(index)] = raw[:, -1]
     return table
 
 
@@ -146,7 +159,7 @@ def parse_instance(path: str) -> Instance:
             cost = CostSpec(ms.n, form, strike=None if strike is None else float(strike))
     except InstanceError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError("cost", str(exc)) from exc
 
     options = payload.get("options", {})
@@ -192,11 +205,24 @@ def _emit(payload: dict, args) -> None:
             print(f"{key}: {value}")
 
 
-def _write_coupling_csv(path, coupling, ms) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x_{i + 1}" for i in range(ms.n)) + ",mass\n")
-        for row in coupling.positive_paths(ms):
-            fh.write(",".join(repr(v) for v in row) + "\n")
+def _write_csv(out, header, columns) -> None:
+    """Write equal-length columns as CSV under a header row of names.
+
+    out is a path or a text stream. Every cell is the repr of a Python int or
+    float, so np.loadtxt(out, delimiter=",", skiprows=1) reads the same values.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    text = "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    if hasattr(out, "write"):
+        out.write(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
+
+
+def _write_trace(path, trace) -> None:
+    _write_csv(path, ["iter", "dual_value", "grad_norm", "elapsed_ms"],
+               [np.arange(len(trace)), trace.values, trace.grad_norms, trace.elapsed_ms])
 
 
 def cmd_check(args) -> int:
@@ -229,7 +255,12 @@ def cmd_solve(args) -> int:
         payload["primal_value"] = primal.value
         payload["lp_stats"] = primal.stats
         if out_dir:
-            _write_coupling_csv(os.path.join(out_dir, "coupling.csv"), primal.coupling, ms)
+            q = primal.coupling.q
+            paths = np.argwhere(q > PATH_MASS_FLOOR)
+            _write_csv(os.path.join(out_dir, "coupling.csv"),
+                       [f"x_{i + 1}" for i in range(ms.n)] + ["mass"],
+                       [grid[paths[:, i]] for i, grid in enumerate(ms.grids)]
+                       + [q[tuple(paths.T)]])
     if args.method in ("dual", "both"):
         # with the LP solved, start at its marginal multipliers, as certify does
         ref = start = None
@@ -247,7 +278,7 @@ def cmd_solve(args) -> int:
             cert_path = os.path.join(out_dir, "certificate.json")
             with open(cert_path, "w") as fh:
                 json.dump(cert.as_dict(), fh, indent=2)
-            trace.write_csv(os.path.join(out_dir, "trace.csv"))
+            _write_trace(os.path.join(out_dir, "trace.csv"), trace)
     _emit(payload, args)
     return EXIT_OK
 
@@ -262,7 +293,7 @@ def cmd_certify(args) -> int:
         with open(os.path.join(args.out, "report.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         for variant, trace in report.traces.items():
-            trace.write_csv(os.path.join(args.out, f"trace_{variant}.csv"))
+            _write_trace(os.path.join(args.out, f"trace_{variant}.csv"), trace)
     _emit(payload, args)
     if not report.feasible:
         return EXIT_INFEASIBLE
@@ -271,32 +302,22 @@ def cmd_certify(args) -> int:
 
 def cmd_envelope(args) -> int:
     try:
-        raw = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+        raw = _read_csv(args.csv)
         if raw.shape[1] != 2:
             raise ValueError(f"expected two columns x,f(x), got {raw.shape[1]}")
-        f = GridFunction(raw[:, 0], raw[:, 1])
+        env = convex_envelope(GridFunction(raw[:, 0], raw[:, 1]))
+        value = None if args.at is None else eval_envelope(env, args.at)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    env = convex_envelope(f)
-    if args.at is not None:
-        try:
-            value = eval_envelope(env, args.at)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    if value is not None:
         print(repr(value))
         return EXIT_OK
-    lines = ["x,envelope"] + [
-        f"{x!r},{v!r}" for x, v in zip(env.hull_grid, env.hull_values)
-    ]
-    text = "\n".join(lines)
+    out = sys.stdout
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "hull.csv"), "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        out = os.path.join(args.out, "hull.csv")
+    _write_csv(out, ["x", "envelope"], [env.hull_grid, env.hull_values])
     return EXIT_OK
 
 

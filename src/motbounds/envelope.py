@@ -58,27 +58,27 @@ class EnvelopeResult:
     hull_grid: np.ndarray
     hull_values: np.ndarray
     hull_indices: np.ndarray
-    orientation: str  # "lower" | "upper"
 
 
-def _hull_scan(x, y, lower: bool):
-    """Monotone scan over presorted points; drops collinear knots."""
+def _hull_scan(f: GridFunction, lower: bool) -> EnvelopeResult:
+    """Monotone scan over the grid points of f; drops collinear knots.
+
+    The upper hull is the lower hull of the slopes with their signs flipped.
+    """
+    x, y = f.grid, f.values
+    sign = 1.0 if lower else -1.0
     keep = [0]
     for j in range(1, x.size):
         while len(keep) >= 2:
             a, b = keep[-2], keep[-1]
             s_ab = (y[b] - y[a]) / (x[b] - x[a])
             s_bj = (y[j] - y[b]) / (x[j] - x[b])
-            if lower:
-                drop = s_bj <= s_ab + SLOPE_TOL
-            else:
-                drop = s_bj >= s_ab - SLOPE_TOL
-            if drop:
-                keep.pop()
-            else:
+            if sign * s_bj > sign * s_ab + SLOPE_TOL:
                 break
+            keep.pop()
         keep.append(j)
-    return np.asarray(keep, dtype=int)
+    idx = np.asarray(keep, dtype=int)
+    return EnvelopeResult(x[idx], y[idx], idx)
 
 
 def convex_envelope(f: GridFunction) -> EnvelopeResult:
@@ -88,36 +88,39 @@ def convex_envelope(f: GridFunction) -> EnvelopeResult:
     piecewise-linear interpolant of f on the tabulation interval. Linear time
     in the grid length.
     """
-    idx = _hull_scan(f.grid, f.values, lower=True)
-    return EnvelopeResult(f.grid[idx], f.values[idx], idx, "lower")
+    return _hull_scan(f, lower=True)
 
 
 def concave_envelope(f: GridFunction) -> EnvelopeResult:
     """Upper hull; mirror image of convex_envelope."""
-    idx = _hull_scan(f.grid, f.values, lower=False)
-    return EnvelopeResult(f.grid[idx], f.values[idx], idx, "upper")
+    return _hull_scan(f, lower=False)
 
 
-def _clamp(e: EnvelopeResult, t: float) -> float:
-    g = e.hull_grid
-    eps = CLAMP_REL * (g[-1] - g[0])
-    if t < g[0] - eps or t > g[-1] + eps:
+def _clamp(grid: np.ndarray, t):
+    """Clip a point or an array of points into [grid[0], grid[-1]].
+
+    A point further outside than CLAMP_REL times the grid's span, or NaN,
+    raises OutOfDomainError; within that it is evaluated at the nearer end.
+    """
+    lo, hi = float(grid[0]), float(grid[-1])
+    eps = CLAMP_REL * (hi - lo)
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= lo - eps) & (t <= hi + eps))
+    if outside.any():
         raise OutOfDomainError(
-            f"t = {t!r} outside [{g[0]!r}, {g[-1]!r}] by more than {eps:.3e}; "
-            "support nesting violated"
+            f"t = {float(t[outside][0])!r} outside [{lo!r}, {hi!r}] by more than "
+            f"{eps:.3e}; support nesting violated"
         )
-    return min(max(t, float(g[0])), float(g[-1]))
+    return np.clip(t, lo, hi)
 
 
 def eval_envelope(e: EnvelopeResult, t: float) -> float:
     """Piecewise-linear interpolation on the hull; exact at hull knots."""
-    t = _clamp(e, t)
-    g, v = e.hull_grid, e.hull_values
-    k = int(np.searchsorted(g, t))
-    if k < g.size and g[k] == t:
-        return float(v[k])
-    lam = (g[k] - t) / (g[k] - g[k - 1])
-    return float(lam * v[k - 1] + (1.0 - lam) * v[k])
+    left, right, lam = envelope_weights(e, t)
+    v = e.hull_values
+    if left == right:
+        return float(v[left])
+    return float(lam * v[left] + (1.0 - lam) * v[right])
 
 
 def envelope_weights(e: EnvelopeResult, t: float):
@@ -127,10 +130,10 @@ def envelope_weights(e: EnvelopeResult, t: float):
     t = lam * hull_grid[left] + (1 - lam) * hull_grid[right]; a knot hit
     collapses to left == right with lam == 1.
     """
-    t = _clamp(e, t)
     g = e.hull_grid
+    t = _clamp(g, t)
     k = int(np.searchsorted(g, t))
-    if k < g.size and g[k] == t:
+    if g[k] == t:
         return k, k, 1.0
     lam = float((g[k] - t) / (g[k] - g[k - 1]))
     return k - 1, k, lam
@@ -145,11 +148,8 @@ def biconjugate_eval(f: GridFunction, t: float) -> float:
     agrees with eval_envelope(convex_envelope(f), t) within 1e-9.
     """
     env = convex_envelope(f)
-    t = _clamp(env, t)
     g, v = env.hull_grid, env.hull_values
-    if g.size == 1:
-        slopes = np.array([0.0])
-    else:
-        slopes = np.diff(v) / np.diff(g)
+    t = _clamp(g, t)
+    slopes = np.diff(v) / np.diff(g) if g.size > 1 else np.zeros(1)
     conj = np.max(f.grid[None, :] * slopes[:, None] - f.values[None, :], axis=1)
     return float(np.max(slopes * t - conj))

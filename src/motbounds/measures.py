@@ -20,6 +20,13 @@ WEIGHT_SUM_TOL = 1e-12
 # instance gets the same verdict
 MEAN_REL = 1e-9
 POTENTIAL_REL = 1e-12
+POTENTIAL_BLOCK = 1 << 16  # |k - x| values per block of evaluation points
+
+DEFAULT_VAR_CAP = 200_000  # LP path variables; also the most atoms quantize_lognormal makes
+
+
+class SizeCapError(RuntimeError):
+    """Instance exceeds a configured resource cap."""
 
 
 def _canonical_support(atoms, weights):
@@ -86,10 +93,15 @@ class DiscreteMeasure:
 def potential(mu: DiscreteMeasure, k) -> float:
     """U_mu(k) = E|X - k|, convex and piecewise linear in k.
 
-    Accepts a scalar or an array of evaluation points.
+    Accepts a scalar or an array of evaluation points, taken in blocks of
+    about POTENTIAL_BLOCK values so that memory stays flat in the sizes.
     """
     k_arr = np.asarray(k, dtype=float)
-    vals = np.abs(mu.atoms[None, :] - k_arr.reshape(-1, 1)) @ mu.weights
+    flat = k_arr.reshape(-1, 1)
+    vals = np.empty(flat.shape[0])
+    step = max(1, POTENTIAL_BLOCK // mu.atoms.size)
+    for lo in range(0, vals.size, step):
+        vals[lo:lo + step] = np.abs(mu.atoms[None, :] - flat[lo:lo + step]) @ mu.weights
     if k_arr.ndim == 0:
         return float(vals[0])
     return vals.reshape(k_arr.shape)
@@ -252,10 +264,13 @@ def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure
 
     Each atom sits at the conditional mean of one of the m equal-probability
     quantile slices, so the quantized mean equals exp(location + scale^2 / 2)
-    exactly. A zero scale degenerates to a single atom.
+    exactly. A zero scale degenerates to a single atom. More than
+    DEFAULT_VAR_CAP atoms raise SizeCapError before anything is allocated.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if m > DEFAULT_VAR_CAP:
+        raise SizeCapError(f"{m} atoms exceed the cap {DEFAULT_VAR_CAP}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     try:

@@ -24,20 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .cascade import CostSpec
-from .measures import MarginalSequence
+from .measures import DEFAULT_VAR_CAP, MarginalSequence, SizeCapError
 
 MASS_TOL = 1e-9
 MARGINAL_TOL = 1e-8
 MARTINGALE_TOL = 1e-8
 PREFIX_MASS_FLOOR = 1e-12
-PATH_MASS_FLOOR = 1e-15
-
-DEFAULT_VAR_CAP = 200_000
 SEMISTATIC_TOL = 1e-9
-
-
-class SizeCapError(RuntimeError):
-    """Instance exceeds a configured resource cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,14 +41,6 @@ class Coupling:
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-
-    def positive_paths(self, ms: MarginalSequence):
-        """Rows (x_1, ..., x_n, mass) for paths carrying mass above PATH_MASS_FLOOR."""
-        rows = []
-        for idx in np.argwhere(self.q > PATH_MASS_FLOOR):
-            coords = [ms[i].atoms[idx[i]] for i in range(ms.n)]
-            rows.append(coords + [float(self.q[tuple(idx)])])
-        return rows
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exit codes, instance parsing, artifact files, and round trips."""
 
+import io
 import json
 import subprocess
 import sys
@@ -7,8 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from motbounds import AscentConfig, DualCertificate, dual_objective
-from motbounds.cli import main, parse_instance
+from motbounds import (
+    AscentConfig,
+    DualCertificate,
+    ascend,
+    certify,
+    convex_envelope,
+    GridFunction,
+    dual_objective,
+    solve_primal,
+)
+from motbounds.cli import PATH_MASS_FLOOR, main, parse_instance
 
 from conftest import checkout_env
 
@@ -41,6 +51,15 @@ def write_instance(tmp_path, payload, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_csv(source, header):
+    """Rows of a CSV artifact (a path, or the text itself), checked to hold plain numbers."""
+    text = source if isinstance(source, str) else source.read_text()
+    assert text.splitlines()[0] == header
+    assert "np." not in text
+    stream = io.StringIO(text) if isinstance(source, str) else source
+    return np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2)
 
 
 class TestCheck:
@@ -152,12 +171,78 @@ class TestSolve:
         inst = parse_instance(write_instance(tmp_path, HAND_INSTANCE))
         value = dual_objective(cert.variant, inst.cost, inst.marginals, cert.dual_variables)
         assert value == pytest.approx(cert.dual_value, abs=1e-10)
-        coupling_lines = (out_dir / "coupling.csv").read_text().strip().splitlines()
-        assert coupling_lines[0] == "x_1,x_2,mass"
-        total = sum(float(line.split(",")[-1]) for line in coupling_lines[1:])
-        assert total == pytest.approx(1.0, abs=1e-9)
-        trace_lines = (out_dir / "trace.csv").read_text().strip().splitlines()
-        assert trace_lines[0] == "iter,dual_value,grad_norm,elapsed_ms"
+        coupling = read_csv(out_dir / "coupling.csv", "x_1,x_2,mass")
+        assert coupling[:, -1].sum() == pytest.approx(1.0, abs=1e-9)
+        trace = read_csv(out_dir / "trace.csv", "iter,dual_value,grad_norm,elapsed_ms")
+        assert trace[0, 1] == cert.dual_value
+
+
+TRACE_HEADER = "iter,dual_value,grad_norm,elapsed_ms"
+
+
+class TestCsvArtifacts:
+    """Every CSV artifact reads back by np.loadtxt to the values in memory."""
+
+    def test_coupling_and_trace_of_solve(self, tmp_path, capsys):
+        path = write_instance(tmp_path, SHOWCASE_INSTANCE)
+        out_dir = tmp_path / "artifacts"
+        assert main(["--json", "--out", str(out_dir), "solve", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        inst = parse_instance(path)
+        q = solve_primal(inst.cost, inst.marginals).coupling.q
+        paths = np.argwhere(q > PATH_MASS_FLOOR)
+        grids = inst.marginals.grids
+        expected = np.column_stack([grid[paths[:, i]] for i, grid in enumerate(grids)]
+                                   + [q[tuple(paths.T)]])
+        coupling = read_csv(out_dir / "coupling.csv", "x_1,x_2,x_3,mass")
+        np.testing.assert_array_equal(coupling, expected)
+        trace = read_csv(out_dir / "trace.csv", TRACE_HEADER)
+        assert trace.shape == (out["iterations"], 4)
+        assert trace[-1, 1] == out["dual_value"]
+
+    def test_dual_trace_has_one_row_per_iteration(self, tmp_path, capsys):
+        payload = {
+            "marginals": [
+                {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
+                {"atoms": [-2.0, 0.0, 2.0], "weights": [1 / 3] * 3},
+            ],
+            "cost": {"form": "abs_increment"},
+        }
+        path = write_instance(tmp_path, payload)
+        out_dir = tmp_path / "artifacts"
+        assert main(["--json", "--out", str(out_dir), "--max-iters", "50", "solve", path,
+                     "--method", "dual"]) == 0
+        inst = parse_instance(path)
+        _, trace = ascend(inst.cost, inst.marginals, AscentConfig(max_iters=50))
+        rows = read_csv(out_dir / "trace.csv", TRACE_HEADER)
+        assert json.loads(capsys.readouterr().out)["iterations"] == len(trace) == len(rows) > 1
+        np.testing.assert_array_equal(rows[:, :3], np.column_stack(
+            [np.arange(len(trace)), trace.values, trace.grad_norms]))
+        assert np.all(np.diff(rows[:, 3]) >= 0)
+
+    def test_traces_of_certify(self, tmp_path, capsys):
+        path = write_instance(tmp_path, SHOWCASE_INSTANCE)
+        out_dir = tmp_path / "cert"
+        assert main(["--out", str(out_dir), "certify", path]) == 0
+        inst = parse_instance(path)
+        report = certify(inst.cost, inst.marginals)
+        for variant, trace in report.traces.items():
+            rows = read_csv(out_dir / f"trace_{variant}.csv", TRACE_HEADER)
+            np.testing.assert_array_equal(rows[:, :3], np.column_stack(
+                [np.arange(len(trace)), trace.values, trace.grad_norms]))
+
+    def test_hull_file_and_stdout(self, tmp_path, capsys):
+        xs = np.linspace(-1.0, 2.0, 13)
+        csv = tmp_path / "points.csv"
+        ys = np.sin(3 * xs)
+        csv.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+        env = convex_envelope(GridFunction(xs, ys))
+        expected = np.column_stack([env.hull_grid, env.hull_values])
+        assert main(["envelope", str(csv)]) == 0
+        np.testing.assert_array_equal(read_csv(capsys.readouterr().out, "x,envelope"), expected)
+        assert main(["--out", str(tmp_path / "hull"), "envelope", str(csv)]) == 0
+        np.testing.assert_array_equal(read_csv(tmp_path / "hull" / "hull.csv", "x,envelope"),
+                                      expected)
 
 
 class TestCertifyCommand:
@@ -218,6 +303,14 @@ class TestEnvelopeCommand:
         assert main(["envelope", str(csv), "--at", "2"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "5"])
+    def test_point_off_the_grid_exit_1(self, tmp_path, capsys, point):
+        csv = tmp_path / "zig.csv"
+        csv.write_text("0,0\n1,-1\n2,3\n3,0\n")
+        assert main(["envelope", str(csv), "--at", point]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t = ") and err.endswith("support nesting violated\n")
+
     def test_unsorted_exit_1(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("1,0\n0,1\n")
@@ -239,6 +332,17 @@ class TestQuantizeCommand:
 
     def test_invalid_parameters_exit_1(self, capsys):
         assert main(["quantize", "--location", "0.0", "--scale", "-1.0", "--m", "4"]) == 1
+
+    def test_more_atoms_than_the_cap_exit_3(self, tmp_path, capsys):
+        message = "error: 100000000000 atoms exceed the cap 200000\n"
+        assert main(["quantize", "--location", "0.0", "--scale", "0.3",
+                     "--m", "100000000000"]) == 3
+        assert capsys.readouterr().err == message
+        payload = json.loads(json.dumps(SHOWCASE_INSTANCE))
+        payload["marginals"][1]["lognormal"]["m"] = 100_000_000_000
+        for command in ("check", "certify"):
+            assert main([command, write_instance(tmp_path, payload)]) == 3
+            assert capsys.readouterr().err == message
 
 
 class TestInstanceParsing:
@@ -310,6 +414,15 @@ class TestInstanceParsing:
         assert main(["check", write_instance(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == (
             "error: cost.path: tensor does not cover the full product grid\n")
+
+    def test_cost_table_nan_value_exit_1(self, tmp_path, capsys):
+        # every point is listed, so the NaN is a non-finite entry, not a hole
+        rows = ["-1.0,-2.0,0.0", "-1.0,2.0,nan", "1.0,-2.0,0.0", "1.0,2.0,0.0"]
+        csv = tmp_path / "nan.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": str(csv)})
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == "error: cost: table entries must be finite\n"
 
     def test_cost_table_repeated_point_exit_1(self, tmp_path, capsys):
         # (1.0, 2.0) is listed twice with different values

@@ -1,5 +1,7 @@
 """Marginal construction, potentials, convex order, lognormal quantization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,12 +10,14 @@ from scipy.stats import lognorm
 from motbounds import (
     DiscreteMeasure,
     MarginalSequence,
+    SizeCapError,
     convex_order_check,
     potential,
     quantize_lognormal,
     split_atom,
     validate_sequence,
 )
+from motbounds.measures import DEFAULT_VAR_CAP
 
 from conftest import lognormal_showcase, spread_measure
 
@@ -81,6 +85,20 @@ class TestPotential:
         ks = rng.uniform(-5, 5, size=20)
         vec = potential(mu, ks)
         assert np.allclose(vec, [potential(mu, k) for k in ks])
+
+    def test_blocks_match_one_product_and_keep_memory_flat(self):
+        mu, nu = quantize_lognormal(-0.02, 0.2, 1000), quantize_lognormal(-0.045, 0.3, 1000)
+        ks = np.union1d(mu.atoms, nu.atoms)  # 2,000 points x 1,000 atoms: 31 blocks
+        whole = np.abs(mu.atoms[None, :] - ks[:, None]) @ mu.weights
+        np.testing.assert_allclose(potential(mu, ks), whole, rtol=1e-15, atol=0)
+        mu, nu = quantize_lognormal(-0.02, 0.2, 4000), quantize_lognormal(-0.045, 0.3, 4000)
+        tracemalloc.start()
+        try:
+            assert validate_sequence(MarginalSequence([mu, nu])).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # one |ks| x m product would be 512 MB
 
     def test_convexity_chord_inequality(self, rng):
         for _ in range(50):
@@ -204,6 +222,11 @@ class TestQuantizeLognormal:
             quantize_lognormal(0.0, -0.1, 3)
         with pytest.raises(ValueError):
             quantize_lognormal(0.0, 0.3, 0)
+
+    def test_more_atoms_than_the_cap_refused_before_allocating(self):
+        with pytest.raises(SizeCapError, match="100000000000 atoms exceed the cap 200000"):
+            quantize_lognormal(0.0, 0.3, 100_000_000_000)
+        assert len(quantize_lognormal(0.0, 0.3, DEFAULT_VAR_CAP)) == DEFAULT_VAR_CAP
 
     @pytest.mark.parametrize("location,scale", [(1e308, 0.1), (800.0, 0.0), (0.0, 1e200),
                                                 (float("nan"), 0.2)])
