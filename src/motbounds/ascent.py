@@ -9,17 +9,19 @@ contracts the across-ridge component and lets the iterate travel the ridge.
 The reference only sets the step length: when the transport LP value is
 available and not yet reached, the step targets the remaining gap directly;
 otherwise it is INITIAL_STEP / sqrt(k). Every iterate is a valid bound, so
-the best-so-far certificate is sound regardless of oscillation. A run starts
-at u = 0 unless it is given a start.
+the best-so-far certificate is sound regardless of oscillation. One
+routine, ascend, runs every variant, and the variant alone sets the
+direction: it maximizes the lower variants and minimizes remark_a. A run
+starts at u = 0 unless it is given a start.
 
 Certification assembles the LP once and solves its two sides at the same
 time: the maximisation on the single thread of a stdlib executor, the
 minimisation on the caller, which HiGHS allows because it releases the
-interpreter lock while it solves. Each variant's run then starts at its LP side's own marginal
-multipliers. By the multi-period duality, the cascade at those tables
-already finds the best u_1 and trading positions, so its value meets the
-LP value and the run stops on its first iterate; a start that falls short
-of the target gap is ascended from like any other.
+interpreter lock while it solves. Each variant's run then starts at its LP
+side's own marginal multipliers. By the multi-period duality, the cascade
+at those tables already finds the best u_1 and trading positions, so its
+value meets the LP value and the run stops on its first iterate; a start
+that falls short of the target gap is ascended from like any other.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ import numpy as np
 from .cascade import (
     LOWER_VARIANTS,
     VARIANTS,
-    CostSpec,
     DualCertificate,
     DualVariables,
     SubhedgeReport,
     dual_value_and_subgradient,
     verify_subhedge,
 )
-from .measures import DEFAULT_VAR_CAP, MarginalSequence, SequenceReport, validate_sequence
+from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SequenceReport, validate_sequence
 from .primal import PrimalSolution, _solve, assemble_lp, multipliers_to_semistatic
 
 GRAD_TOL = 1e-7
@@ -96,31 +97,13 @@ MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
 INITIAL_STEP = 1.0  # the step without a gap to target is INITIAL_STEP / sqrt(k)
 
 
-def _start_tables(start, ms: MarginalSequence) -> list:
-    """Copy a starting point u_2, ..., u_n into float tables, checking its shape."""
-    sizes = [len(m) for m in ms.marginals[1:]]
-    if start is None:
-        return [np.zeros(s) for s in sizes]
-    start = list(start)
-    if len(start) != len(sizes):
-        raise ValueError(f"start needs {len(sizes)} tables (u_2..u_n), got {len(start)}")
-    tables = []
-    for i, (t, size) in enumerate(zip(start, sizes), start=2):
-        t = np.array(t, dtype=float)
-        if t.shape != (size,):
-            raise ValueError(f"start table u_{i} has shape {t.shape}, expected ({size},)")
-        if not np.all(np.isfinite(t)):
-            raise ValueError(f"start table u_{i} has a non-finite entry")
-        tables.append(t)
-    return tables
-
-
 def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
          reference: Optional[float], start=None):
     variant = config.variant
     maximize = variant in LOWER_VARIANTS
     sign = 1.0 if maximize else -1.0
-    tables = _start_tables(start, ms)
+    u = DualVariables.zeros(ms) if start is None else DualVariables.from_tables(ms, start)
+    tables = u.tables()
     _project_zero_mean(tables, ms)
     sizes = [t.size for t in tables]
     cuts = np.cumsum(sizes)[:-1]
@@ -185,26 +168,20 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
 
 def ascend(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
            primal_value: Optional[float] = None, start=None):
-    """Maximize the lower-bound dual objective from start (u = 0 by default).
+    """Optimize the dual objective of config.variant from start (u = 0 by default).
 
-    start holds the tables u_2, ..., u_n on the atoms of mu_2, ..., mu_n.
-    Every iterate is a valid lower bound by weak duality; the certificate
-    carries the best value seen. When a primal value is supplied the run stops
-    at the configured relative gap, otherwise at a flat supergradient or the
-    iteration cap.
+    The run maximizes the lower variants and minimizes remark_a. start holds
+    the tables u_2, ..., u_n, checked by DualVariables.from_tables. Every
+    iterate is a valid bound by weak duality; the certificate carries the best
+    value seen and its gap_vs_primal. With a primal value the run stops at the
+    configured relative gap, otherwise at a flat supergradient or the cap.
     """
-    config = config or AscentConfig()
-    if config.variant not in LOWER_VARIANTS:
-        raise ValueError(f"ascend handles the lower variants, not {config.variant!r}")
-    return _run(cost, ms, config, reference=primal_value, start=start)
+    return _run(cost, ms, config or AscentConfig(), reference=primal_value, start=start)
 
 
 def descend_upper(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
                   primal_value: Optional[float] = None, start=None):
-    """Minimize the upper-bound dual objective; mirror image of ascend.
-
-    The run uses the remark_a variant whatever config.variant says.
-    """
+    """ascend with variant remark_a, whatever config.variant says."""
     config = replace(config or AscentConfig(), variant="remark_a")
     return _run(cost, ms, config, reference=primal_value, start=start)
 
@@ -276,15 +253,17 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     the minimisation. Leaving the executor's with block joins the worker on
     every path, and the future's result() re-raises an exception raised on it.
 
-    Every dual run starts at the marginal multipliers u_2, ..., u_n of its LP
-    side: the lower LP's for proposition and remark_b, the upper LP's for
-    remark_a. For fixed u_2..u_n the cascade finds the best u_1 and trading
-    positions, so its value there matches the LP value up to the solver's
-    dual tolerance, and the run usually stops on its first iterate. A start
-    that misses target_gap costs further ascent steps, never soundness: every
-    reported value is a cascade value. Also verifies the conditional sub-hedge
-    property of the cascade strategy under the LP-optimal coupling, for u = 0
-    and for the proposition certificate's u.
+    Each variant is one ascend run, paired with its LP side: the lower LP for
+    proposition and remark_b, the upper LP for remark_a. The run starts at
+    that side's marginal multipliers u_2, ..., u_n, and gaps[variant] is its
+    certificate's gap_vs_primal to that side's value. For fixed u_2..u_n the
+    cascade finds the best u_1 and trading positions, so its value there
+    matches the LP value up to the solver's dual tolerance, and the run
+    usually stops on its first iterate. A start that misses target_gap costs
+    further ascent steps, never soundness: every reported value is a cascade
+    value. Also verifies the conditional sub-hedge property of the cascade
+    strategy under the LP-optimal coupling, for u = 0 and for the proposition
+    certificate's u.
     """
     config = config or AscentConfig()
     clock = start = time.perf_counter()
@@ -318,14 +297,13 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
         report.elapsed_s = time.perf_counter() - start
         return report
 
-    # built per call from the module globals, where perfbench's tracer wraps the two runs
-    for variant, side, run in (("proposition", lower, ascend), ("remark_b", lower, ascend),
-                               ("remark_a", upper, descend_upper)):
-        cert, trace = run(cost, ms, replace(config, variant=variant), primal_value=side.value,
-                          start=multipliers_to_semistatic(side, ms)[0][1:])
+    # ascend is looked up in the module globals, where perfbench's tracer wraps it
+    for variant, side in (("proposition", lower), ("remark_b", lower), ("remark_a", upper)):
+        cert, trace = ascend(cost, ms, replace(config, variant=variant), primal_value=side.value,
+                             start=multipliers_to_semistatic(side, ms)[0][1:])
         report.certificates[variant] = cert
         report.traces[variant] = trace
-        report.gaps[variant] = relative_gap(cert.dual_value, side.value)
+        report.gaps[variant] = cert.gap_vs_primal
     lap("duals")
 
     coupling = lower.coupling

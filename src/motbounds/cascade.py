@@ -21,6 +21,10 @@ marginal expectations of the u_i. It is concave (proposition / remark_b) or
 convex (remark_a) and piecewise affine in the u tables; the supergradient is
 assembled by pushing the mu_1 weights down through the two-point envelope
 representations and depositing the arriving mass on the touched u slots.
+
+DualVariables.from_tables is the one check of u tables. CostSpec comes from
+measures, so primal, whose validate_coupling the sub-hedge check uses, does
+not import this module.
 """
 
 from __future__ import annotations
@@ -31,70 +35,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .envelope import GridFunction, _clamp
-from .measures import MarginalSequence
+from .measures import CostSpec, MarginalSequence
+from .primal import validate_coupling
 
 VARIANTS = ("proposition", "remark_a", "remark_b")
 LOWER_VARIANTS = ("proposition", "remark_b")
 
-COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
-
 SUBHEDGE_TOL = 1e-9  # times max(1, max |T_n|), so a rescaled instance keeps its verdict
-
-
-@dataclass(frozen=True, eq=False)
-class CostSpec:
-    """An n-variate cost: a named closed form or an explicit tensor.
-
-    Named forms: squared_increment sum (x_{i+1}-x_i)^2, abs_increment
-    sum |x_{i+1}-x_i|, terminal_call (x_n-K)_+, basket (mean(x)-K)_+.
-    custom_table takes a tensor on the product grid. A strike and the table
-    entries must be finite.
-    """
-
-    n: int
-    form: str
-    strike: Optional[float] = None
-    table: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("cost arity must be at least 2")
-        if self.form not in COST_FORMS:
-            raise ValueError(f"unknown cost form {self.form!r}; expected one of {COST_FORMS}")
-        if self.form in ("terminal_call", "basket") and self.strike is None:
-            raise ValueError(f"cost form {self.form!r} needs a strike")
-        if self.strike is not None and not np.isfinite(self.strike):
-            raise ValueError(f"strike must be finite, got {self.strike!r}")
-        if self.form == "custom_table":
-            if self.table is None:
-                raise ValueError("custom_table needs a value tensor")
-            table = np.asarray(self.table, dtype=float)
-            if table.ndim != self.n:
-                raise ValueError(f"table has {table.ndim} axes, expected {self.n}")
-            if not np.all(np.isfinite(table)):
-                raise ValueError("table entries must be finite")
-            object.__setattr__(self, "table", table)
-
-    def tensor_on(self, ms: MarginalSequence) -> np.ndarray:
-        """Cost values on the full product grid, shape = marginal sizes."""
-        if ms.n != self.n:
-            raise ValueError(f"cost arity {self.n} vs {ms.n} marginals")
-        grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
-        if self.form == "squared_increment":
-            out = sum((grids[i + 1] - grids[i]) ** 2 for i in range(self.n - 1))
-        elif self.form == "abs_increment":
-            out = sum(np.abs(grids[i + 1] - grids[i]) for i in range(self.n - 1))
-        elif self.form == "terminal_call":
-            out = np.maximum(grids[-1] - self.strike, 0.0)
-        elif self.form == "basket":
-            out = np.maximum(sum(grids) / self.n - self.strike, 0.0)
-        else:  # custom_table
-            if self.table.shape != ms.sizes:
-                raise ValueError(
-                    f"table shape {self.table.shape} does not match grids {ms.sizes}"
-                )
-            return self.table.copy()
-        return np.broadcast_to(out, ms.sizes).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +61,19 @@ class DualVariables:
 
     @classmethod
     def from_tables(cls, ms: MarginalSequence, tables: Sequence[np.ndarray]) -> "DualVariables":
+        """u_2..u_n from float copies of n - 1 finite tables of shapes (m_2,)..(m_n,)."""
+        tables = list(tables)
         if len(tables) != ms.n - 1:
-            raise ValueError(f"expected {ms.n - 1} tables, got {len(tables)}")
-        return cls(
-            [GridFunction(m.atoms, t) for m, t in zip(ms.marginals[1:], tables)]
-        )
+            raise ValueError(f"expected {ms.n - 1} tables (u_2..u_n), got {len(tables)}")
+        funcs = []
+        for i, (m, t) in enumerate(zip(ms.marginals[1:], tables), start=2):
+            t = np.array(t, dtype=float)
+            if t.shape != (len(m),):
+                raise ValueError(f"table u_{i} has shape {t.shape}, expected ({len(m)},)")
+            if not np.all(np.isfinite(t)):
+                raise ValueError(f"table u_{i} has a non-finite entry")
+            funcs.append(GridFunction(m.atoms, t))
+        return cls(funcs)
 
     def tables(self) -> list:
         return [f.values.copy() for f in self.funcs]
@@ -413,8 +368,6 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coup
     expectation of the terminal tensor T_n. The coupling must pass marginal
     and martingale validation first.
     """
-    from .primal import validate_coupling  # deferred to avoid a module cycle
-
     q = np.asarray(getattr(coupling, "q", coupling), dtype=float)
     report = validate_coupling(q, ms)
     if not report.ok:

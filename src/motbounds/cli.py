@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ascent import AscentConfig, ascend, certify, descend_upper, relative_gap
-from .cascade import COST_FORMS, CostSpec
+from .ascent import AscentConfig, ascend, certify, descend_upper
 from .envelope import GridFunction, convex_envelope, eval_envelope
 from .measures import (
+    COST_FORMS,
     DEFAULT_VAR_CAP,
+    CostSpec,
     DiscreteMeasure,
     MarginalSequence,
     SizeCapError,
@@ -130,6 +131,10 @@ def parse_instance(path: str) -> Instance:
         raise InstanceError(path, str(exc)) from exc
     if not isinstance(payload, dict):
         raise InstanceError(path, "top level must be an object")
+    top_keys = ["cost", "marginals", "options"]
+    unknown = sorted(set(payload) - set(top_keys))
+    if unknown:
+        raise InstanceError(unknown[0], f"unknown key; expected one of {top_keys}")
 
     raw_marginals = payload.get("marginals")
     if not isinstance(raw_marginals, list) or len(raw_marginals) < 2:
@@ -273,7 +278,7 @@ def cmd_solve(args) -> int:
         payload["dual_status"] = trace.status
         payload["iterations"] = len(trace)
         if primal is not None:
-            payload["gap"] = relative_gap(cert.dual_value, primal.value)
+            payload["gap"] = cert.gap_vs_primal
         if out_dir:
             cert_path = os.path.join(out_dir, "certificate.json")
             with open(cert_path, "w") as fh:

@@ -1,9 +1,11 @@
-"""Finitely supported marginals: construction, quantization, convex-order checks.
+"""The instance: finitely supported marginals and the payoff.
 
 A marginal is a probability measure with finitely many atoms on the real line.
 A sequence of marginals is feasible for martingale transport iff consecutive
 marginals increase in convex order, which for equal means is equivalent to
-pointwise dominance of the potential functions U(k) = E|X - k|.
+pointwise dominance of the potential functions U(k) = E|X - k|. This module
+builds, quantizes and checks marginals, and defines the payoff CostSpec,
+which both the LP (primal) and the envelope cascade (cascade) price.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ WEIGHT_SUM_TOL = 1e-12
 MEAN_REL = 1e-9
 POTENTIAL_REL = 1e-12
 POTENTIAL_BLOCK = 1 << 16  # |k - x| values per block of evaluation points
+
+COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
 
 DEFAULT_VAR_CAP = 200_000  # LP path variables; also the most atoms quantize_lognormal makes
 
@@ -207,6 +211,62 @@ class MarginalSequence:
         lo = min(m.atoms[0] for m in self.marginals)
         hi = max(m.atoms[-1] for m in self.marginals)
         return float(hi - lo)
+
+
+@dataclass(frozen=True, eq=False)
+class CostSpec:
+    """An n-variate cost: a named closed form or an explicit tensor.
+
+    Named forms: squared_increment sum (x_{i+1}-x_i)^2, abs_increment
+    sum |x_{i+1}-x_i|, terminal_call (x_n-K)_+, basket (mean(x)-K)_+.
+    custom_table takes a tensor on the product grid. A strike and the table
+    entries must be finite.
+    """
+
+    n: int
+    form: str
+    strike: Optional[float] = None
+    table: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("cost arity must be at least 2")
+        if self.form not in COST_FORMS:
+            raise ValueError(f"unknown cost form {self.form!r}; expected one of {COST_FORMS}")
+        if self.form in ("terminal_call", "basket") and self.strike is None:
+            raise ValueError(f"cost form {self.form!r} needs a strike")
+        if self.strike is not None and not np.isfinite(self.strike):
+            raise ValueError(f"strike must be finite, got {self.strike!r}")
+        if self.form == "custom_table":
+            if self.table is None:
+                raise ValueError("custom_table needs a value tensor")
+            table = np.asarray(self.table, dtype=float)
+            if table.ndim != self.n:
+                raise ValueError(f"table has {table.ndim} axes, expected {self.n}")
+            if not np.all(np.isfinite(table)):
+                raise ValueError("table entries must be finite")
+            object.__setattr__(self, "table", table)
+
+    def tensor_on(self, ms: MarginalSequence) -> np.ndarray:
+        """Cost values on the full product grid, shape = marginal sizes."""
+        if ms.n != self.n:
+            raise ValueError(f"cost arity {self.n} vs {ms.n} marginals")
+        grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
+        if self.form == "squared_increment":
+            out = sum((grids[i + 1] - grids[i]) ** 2 for i in range(self.n - 1))
+        elif self.form == "abs_increment":
+            out = sum(np.abs(grids[i + 1] - grids[i]) for i in range(self.n - 1))
+        elif self.form == "terminal_call":
+            out = np.maximum(grids[-1] - self.strike, 0.0)
+        elif self.form == "basket":
+            out = np.maximum(sum(grids) / self.n - self.strike, 0.0)
+        else:  # custom_table
+            if self.table.shape != ms.sizes:
+                raise ValueError(
+                    f"table shape {self.table.shape} does not match grids {ms.sizes}"
+                )
+            return self.table.copy()
+        return np.broadcast_to(out, ms.sizes).copy()
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cascade import CostSpec
-from .measures import DEFAULT_VAR_CAP, MarginalSequence, SizeCapError
+from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SizeCapError
 
 MASS_TOL = 1e-9
 MARGINAL_TOL = 1e-8
 MARTINGALE_TOL = 1e-8
 PREFIX_MASS_FLOOR = 1e-12
-SEMISTATIC_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +216,9 @@ def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):
     marginal blocks become u_1, ..., u_n, and the n - 1 martingale blocks
     become the trading positions, block i reshaped onto the prefix grid of
     the first i + 1 marginals. The tables share one copy of solution.duals.
-    Dual feasibility of the LP is exactly the pointwise domination required
-    by semistatic_value_check.
+    Dual feasibility of the LP is exactly the pointwise domination of the
+    cost by the static tables plus the trading positions, on every path;
+    the tests check it with their semistatic_value_check oracle.
     """
     if solution.duals is None:
         raise ValueError("solution carries no multipliers")
@@ -231,36 +230,3 @@ def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):
     blocks = np.split(duals, np.cumsum(counts)[:-1])
     return blocks[: ms.n], [d.reshape(p) for d, p in zip(blocks[ms.n:], prefixes)]
 
-
-def semistatic_value_check(cost: CostSpec, ms: MarginalSequence, u_tables, deltas) -> float:
-    """Value of a semi-static position dominated by the cost.
-
-    u_tables holds one table per marginal (n of them, including the first);
-    deltas[j] is tabulated on the prefix grid of the first j+1 marginals. The
-    pointwise inequality static + trading <= cost is enforced on the full
-    product grid within 1e-9; the returned value sum_i E_{mu_i}[u_i] never
-    exceeds the primal optimum by LP weak duality.
-    """
-    if len(u_tables) != ms.n:
-        raise ValueError(f"expected {ms.n} static tables, got {len(u_tables)}")
-    if len(deltas) != ms.n - 1:
-        raise ValueError(f"expected {ms.n - 1} trading tables, got {len(deltas)}")
-    n = ms.n
-    tables = [np.asarray(t, dtype=float) for t in u_tables]
-    psi = np.zeros(ms.sizes)
-    grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
-    for i, table in enumerate(tables):
-        if table.shape != (ms.sizes[i],):
-            raise ValueError(f"static table {i + 1} has shape {table.shape}")
-        shape = [1] * n
-        shape[i] = ms.sizes[i]
-        psi = psi + table.reshape(shape)
-    for j in range(n - 1):
-        d = np.asarray(deltas[j], dtype=float)
-        if d.shape != ms.sizes[: j + 1]:
-            raise ValueError(f"trading table {j + 1} has shape {d.shape}")
-        psi = psi + d.reshape(d.shape + (1,) * (n - j - 1)) * (grids[j + 1] - grids[j])
-    worst = float((psi - cost.tensor_on(ms)).max())
-    if worst > SEMISTATIC_TOL:
-        raise ValueError(f"position exceeds the cost by {worst:.3e} on the grid")
-    return sum(float(np.dot(mu.weights, table)) for mu, table in zip(ms.marginals, tables))

@@ -1,8 +1,10 @@
-"""Vertex-enumeration oracle for the transport LP, independent of the solver.
+"""Oracles for the transport LP, independent of the solver.
 
 Tests compare HiGHS optima against the minimum over every basic feasible
 solution of the row-reduced equality system. Enumeration is exponential in
-the path count, so it is capped at BRUTE_FORCE_PATH_CAP paths.
+the path count, so it is capped at BRUTE_FORCE_PATH_CAP paths. The LP's
+multipliers are checked by semistatic_value_check, which prices a
+semi-static position and refuses one that is not dominated by the cost.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import numpy as np
 from motbounds import CostSpec, MarginalSequence, SizeCapError, assemble_lp
 
 BRUTE_FORCE_PATH_CAP = 64
+SEMISTATIC_TOL = 1e-9
 
 
 def _independent_rows(A, b, tol=1e-10):
@@ -78,3 +81,37 @@ def brute_force_value(cost: CostSpec, ms: MarginalSequence,
     if best is None:
         raise ValueError("no feasible vertex: instance infeasible")
     return best
+
+
+def semistatic_value_check(cost: CostSpec, ms: MarginalSequence, u_tables, deltas) -> float:
+    """Value of a semi-static position dominated by the cost.
+
+    u_tables holds one table per marginal (n of them, including the first);
+    deltas[j] is tabulated on the prefix grid of the first j+1 marginals. The
+    pointwise inequality static + trading <= cost is enforced on the full
+    product grid within 1e-9; the returned value sum_i E_{mu_i}[u_i] never
+    exceeds the primal optimum by LP weak duality.
+    """
+    if len(u_tables) != ms.n:
+        raise ValueError(f"expected {ms.n} static tables, got {len(u_tables)}")
+    if len(deltas) != ms.n - 1:
+        raise ValueError(f"expected {ms.n - 1} trading tables, got {len(deltas)}")
+    n = ms.n
+    tables = [np.asarray(t, dtype=float) for t in u_tables]
+    psi = np.zeros(ms.sizes)
+    grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
+    for i, table in enumerate(tables):
+        if table.shape != (ms.sizes[i],):
+            raise ValueError(f"static table {i + 1} has shape {table.shape}")
+        shape = [1] * n
+        shape[i] = ms.sizes[i]
+        psi = psi + table.reshape(shape)
+    for j in range(n - 1):
+        d = np.asarray(deltas[j], dtype=float)
+        if d.shape != ms.sizes[: j + 1]:
+            raise ValueError(f"trading table {j + 1} has shape {d.shape}")
+        psi = psi + d.reshape(d.shape + (1,) * (n - j - 1)) * (grids[j + 1] - grids[j])
+    worst = float((psi - cost.tensor_on(ms)).max())
+    if worst > SEMISTATIC_TOL:
+        raise ValueError(f"position exceeds the cost by {worst:.3e} on the grid")
+    return sum(float(np.dot(mu.weights, table)) for mu, table in zip(ms.marginals, tables))

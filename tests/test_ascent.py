@@ -89,9 +89,26 @@ class TestAscend:
                 cert, _ = ascend(cost, ms, AscentConfig(variant=variant), primal_value=lo.value)
                 assert relative_gap(cert.dual_value, lo.value) < 1e-3
 
-    def test_rejects_upper_variant(self):
-        with pytest.raises(ValueError, match="lower"):
-            ascend(SQ2, MS_SINGLE, AscentConfig(variant="remark_a"))
+    def test_upper_variant_is_descend_upper(self):
+        # the variant alone sets the direction: ascend minimizes remark_a,
+        # bit for bit as descend_upper does, with and without a reference
+        ms = MarginalSequence([PM1, TRI])
+        cost = CostSpec(2, "abs_increment")
+        hi = solve_primal_max(cost, ms)
+        for ref in (None, hi.value):
+            c1, t1 = ascend(cost, ms, AscentConfig(variant="remark_a", max_iters=40),
+                            primal_value=ref)
+            c2, t2 = descend_upper(cost, ms, AscentConfig(max_iters=40), primal_value=ref)
+            assert c1.variant == c2.variant == "remark_a"
+            assert c1.dual_value == c2.dual_value
+            assert c1.gap_vs_primal == c2.gap_vs_primal
+            assert (c1.gap_vs_primal is None) == (ref is None)
+            for a, b in zip(c1.dual_variables.tables(), c2.dual_variables.tables()):
+                assert np.array_equal(a, b)
+            assert t1.status == t2.status and len(t1) == len(t2) > 1
+            for name in ("values", "grad_norms", "best_values"):
+                assert np.array_equal(getattr(t1, name), getattr(t2, name))
+            assert np.all(t1.values >= hi.value - 1e-9)
 
     def test_runs_without_reference(self):
         ms = MarginalSequence([PM1, TRI])
@@ -155,19 +172,19 @@ class TestStart:
     def test_wrong_table_count_rejected(self):
         for run in (ascend, descend_upper):
             for start in ([], [np.zeros(3), np.zeros(3)]):
-                with pytest.raises(ValueError, match="start needs 1 tables"):
+                with pytest.raises(ValueError, match=r"expected 1 tables \(u_2\.\.u_n\), got"):
                     run(self.COST, self.MS, start=start)
 
     def test_wrong_table_length_rejected(self):
         for run in (ascend, descend_upper):
             for table in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
-                with pytest.raises(ValueError, match="shape"):
+                with pytest.raises(ValueError, match="table u_2 has shape"):
                     run(self.COST, self.MS, start=[table])
 
     def test_non_finite_entry_rejected(self):
         for run in (ascend, descend_upper):
             for bad in (np.nan, np.inf, -np.inf):
-                with pytest.raises(ValueError, match="non-finite"):
+                with pytest.raises(ValueError, match="table u_2 has a non-finite entry"):
                     run(self.COST, self.MS, start=[np.array([0.0, bad, 0.0])])
 
     def test_zero_start_is_the_default(self, rng):
@@ -331,6 +348,8 @@ class TestCertify:
         cost, ms = random_instance(rng, n=3, max_size=6)
         rep = certify(cost, ms)
         assert set(rep.gaps) == {"proposition", "remark_b", "remark_a"}
+        for v, gap in rep.gaps.items():
+            assert gap == rep.certificates[v].gap_vs_primal
         assert rep.passed
 
 

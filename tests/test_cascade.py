@@ -118,6 +118,36 @@ def reference_objective(cost, ms, u, variant):
     return value
 
 
+class TestFromTables:
+    """DualVariables.from_tables is the one check of u_2..u_n tables."""
+
+    MS = MarginalSequence([PM1, DiscreteMeasure(np.array([-2.0, 0.0, 2.0]), np.full(3, 1 / 3))])
+
+    def test_wrong_table_count_rejected(self):
+        for tables in ([], [np.zeros(3), np.zeros(3)]):
+            with pytest.raises(ValueError, match=r"expected 1 tables \(u_2\.\.u_n\), got"):
+                DualVariables.from_tables(self.MS, tables)
+
+    def test_wrong_table_shape_rejected(self):
+        # a (3, 1) column is refused, not flattened
+        for table in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match=r"table u_2 has shape .*, expected \(3,\)"):
+                DualVariables.from_tables(self.MS, [table])
+
+    def test_non_finite_entry_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="table u_2 has a non-finite entry"):
+                DualVariables.from_tables(self.MS, [np.array([0.0, bad, 0.0])])
+
+    def test_tables_are_copied(self):
+        # a caller that keeps stepping its tables in place must not move u
+        for table in (np.array([1.0, 2.0, 3.0]), [1, 2, 3]):
+            u = DualVariables.from_tables(self.MS, [table])
+            table[0] = 7
+            assert u.funcs[0].values.dtype == float
+            assert u.funcs[0].values.tolist() == [1.0, 2.0, 3.0]
+
+
 class TestTerminalTensor:
     def test_zero_duals_give_cost(self):
         u = DualVariables.zeros(MS_SINGLE)

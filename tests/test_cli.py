@@ -377,6 +377,14 @@ class TestInstanceParsing:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: options.{key}: unknown option")
 
+    @pytest.mark.parametrize("command", ["check", "solve", "certify"])
+    def test_unknown_top_level_key_exit_1(self, tmp_path, capsys, command):
+        # a misspelled options block must not be dropped without notice
+        payload = dict(HAND_INSTANCE, optionz={"max_iters": 0, "target_gap": -1})
+        assert main([command, write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == (
+            "error: optionz: unknown key; expected one of ['cost', 'marginals', 'options']\n")
+
     def test_cost_table_rows_in_any_order(self, tmp_path):
         ms_payload = {
             "marginals": [

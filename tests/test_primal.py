@@ -11,14 +11,13 @@ from motbounds import (
     SizeCapError,
     assemble_lp,
     multipliers_to_semistatic,
-    semistatic_value_check,
     solve_primal,
     solve_primal_max,
     validate_coupling,
 )
 
 from conftest import random_instance
-from oracles import brute_force_value
+from oracles import brute_force_value, semistatic_value_check
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
