@@ -16,6 +16,15 @@ Each level evaluates every section's envelope at once: an exact alternating
 search finds the pair of atoms whose chord supports the hull at the
 evaluation point, at O(m) per section and round and a few rounds per section.
 
+Only u changes between the evaluations of one instance. What does not
+depend on it is built once per (cost, ms) pair, by _built: the cost tensor,
+read-only, and per level the clamped and tiled evaluation points, their
+splits, and the slope kernel and bar rows of the search, one kernel for both
+hulls. A one-entry cache keeps them for the last pair seen: one top tensor
+of prod m_i values plus, per level i, one m_{i+1} x m_{i+1} kernel and two
+entries per prefix. The arrays of the marginals and of a custom table are
+read-only, so an entry cannot go stale.
+
 The dual objective is the mu_1-expectation of the bottom level plus the
 marginal expectations of the u_i. It is concave (proposition / remark_b) or
 convex (remark_a) and piecewise affine in the u tables; the supergradient is
@@ -29,6 +38,8 @@ not import this module.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -99,7 +110,8 @@ class DualVariables:
 class CascadeTensors:
     """All cascade levels T_1, ..., T_n plus the two-point envelope supports.
 
-    levels[i-1] holds T_i on the prefix product grid of mu_1 x ... x mu_i.
+    levels[i-1] holds T_i on the prefix product grid of mu_1 x ... x mu_i;
+    remark_b's top level is the instance's read-only cost tensor.
     supports[i-1] = (left, right, lam) arrays over level-i prefixes: the
     atom indices of mu_{i+1} supporting the envelope value and its convex
     combination weight (artifact data used by the supergradient and the
@@ -140,17 +152,79 @@ class DualCertificate:
 
 
 def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> np.ndarray:
-    """Top-level tensor: cost minus the static positions, on the product grid."""
+    """Top-level tensor: cost minus the static positions, on the product grid.
+
+    A new array: the cost tensor is the instance's read-only one from _built.
+    """
     u.validate_against(ms)
-    out = cost.tensor_on(ms)
+    out = _built(cost, ms).top
     for i, f in enumerate(u.funcs, start=1):  # u over mu_{i+1}, axis i
         shape = [1] * ms.n
         shape[i] = len(f)
-        out -= f.values.reshape(shape)
+        # the first subtraction writes a new array, later ones write into it
+        out = np.subtract(out, f.values.reshape(shape), out=None if i == 1 else out)
     return out
 
 
 BLOCK_VALUES = 32768  # section values per block of rows: 256 KB keeps the search in cache
+
+
+class _Level:
+    """The part of one envelope level that no u changes.
+
+    Row r of the level's sections, tabulated on grid, is evaluated at t[r],
+    the evaluation atom eval_atoms[r % len(eval_atoms)] clamped into the grid
+    by envelope._clamp; split[r] is the first atom right of t[r], and at most
+    the last one. kernel[c, j] = 1 / (y_j - y_c), and 0 at j == c; the rows
+    of bars add +inf left of a split s (bars[m - s]) or -inf right of it
+    (bars[2m - s]). All of them serve both hulls, because the upper hull of
+    f is searched as the lower hull of -f.
+    """
+
+    def __init__(self, grid, eval_atoms, rows):
+        m = grid.size
+        t = _clamp(grid, eval_atoms)
+        reps = rows // t.size
+        self.grid = grid
+        self.t = np.tile(t, reps)
+        self.split = np.tile(np.minimum(np.searchsorted(grid, t, side="right"), m - 1), reps)
+        kernel = grid[None, :] - grid[:, None]
+        np.fill_diagonal(kernel, np.inf)
+        self.kernel = np.divide(1.0, kernel, out=kernel)
+        self.bars = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([np.full(m, np.inf), np.zeros(m), np.full(m, -np.inf)]), m)
+
+
+class _Instance:
+    """The part of every cascade on one (cost, ms) that no u changes.
+
+    top is the cost tensor, read-only. levels[i-1] is the _Level of the
+    envelopes that build T_i. The levels are built on the first cascade,
+    not with top, and from the top level down, so an evaluation point
+    outside its grid raises where and when the level loop would.
+    """
+
+    def __init__(self, cost: CostSpec, ms: MarginalSequence):
+        self.ms = ms
+        self.top = cost.tensor_on(ms)
+        self.top.setflags(write=False)
+
+    @functools.cached_property
+    def levels(self) -> tuple:
+        ms = self.ms
+        return tuple(reversed([_Level(ms.grids[i], ms.grids[i - 1], math.prod(ms.sizes[:i]))
+                               for i in range(ms.n - 1, 0, -1)]))
+
+
+@functools.lru_cache(maxsize=1)
+def _built(cost: CostSpec, ms: MarginalSequence) -> _Instance:
+    """The _Instance of (cost, ms), built once while the pair is the last one seen.
+
+    CostSpec and MarginalSequence compare and hash by identity, and the
+    cache's references keep the pair alive, so an entry is never served to
+    another instance; their arrays are read-only, so it cannot go stale.
+    """
+    return _Instance(cost, ms)
 
 
 def _batched_envelope(sections, sec_grid, eval_atoms, lower):
@@ -159,28 +233,25 @@ def _batched_envelope(sections, sec_grid, eval_atoms, lower):
     sections has shape (rows, m) with row r tabulating a function on sec_grid;
     row r is evaluated at t = eval_atoms[r % len(eval_atoms)] (rows enumerate
     prefixes in row-major order, so the last prefix coordinate cycles
-    fastest). The value at t of the lower (upper) hull is lam*f(y_a) +
-    (1-lam)*f(y_b) for a supporting pair y_a <= t <= y_b of the hull, with
+    fastest). An evaluation point outside sec_grid is handled by
+    envelope._clamp. See _envelope for the values and pairs returned.
+    """
+    return _envelope(sections, _Level(sec_grid, eval_atoms, sections.shape[0]), lower)
+
+
+def _envelope(sections, level: _Level, lower):
+    """Envelope values of the section rows at the points of level.
+
+    The value at t of the lower (upper) hull is lam*f(y_a) + (1-lam)*f(y_b)
+    for a supporting pair y_a <= t <= y_b of the hull, with
     lam*y_a + (1-lam)*y_b = t; the pair is returned for the supergradient.
-    The pairs come from _supporting_pairs, one block of rows at a time. An
-    evaluation point outside sec_grid is handled by envelope._clamp.
+    The pairs come from _supporting_pairs, one block of rows at a time; the
+    upper hull's from the lower hull of -f, whose slopes and chord values are
+    the exact negations of f's.
     """
     rows, m = sections.shape
-    y = sec_grid
-    t = _clamp(y, eval_atoms)
     if m == 1:
         return sections[:, 0].copy(), np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows)
-    reps = rows // t.size
-    split = np.tile(np.minimum(np.searchsorted(y, t, side="right"), m - 1), reps)
-    t = np.tile(t, reps)
-    sign = 1.0 if lower else -1.0
-    # inv_run[c, j] = sign / (y_j - y_c), and 0 at j == c; the rows of bars
-    # add +inf left of a split s (bars[m - s]) or -inf right of it (bars[2m - s])
-    inv_run = y[None, :] - y[:, None]
-    np.fill_diagonal(inv_run, np.inf)
-    np.divide(sign, inv_run, out=inv_run)
-    bars = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([np.full(m, np.inf), np.zeros(m), np.full(m, -np.inf)]), m)
     left = np.empty(rows, dtype=np.intp)
     right = np.empty(rows, dtype=np.intp)
     lam = np.empty(rows)
@@ -188,28 +259,28 @@ def _batched_envelope(sections, sec_grid, eval_atoms, lower):
     for lo in range(0, rows, block):
         rs = slice(lo, lo + block)
         left[rs], right[rs], lam[rs] = _supporting_pairs(
-            sections[rs], y, t[rs], split[rs], inv_run, bars, sign)
+            sections[rs] if lower else -sections[rs], level.grid, level.t[rs], level.split[rs],
+            level.kernel, level.bars)
     every = np.arange(rows)
     vals = lam * sections[every, left] + (1.0 - lam) * sections[every, right]
     return vals, left, right, lam
 
 
-def _supporting_pairs(f, y, t, split, inv_run, bars, sign):
-    """Exact supporting pair (a, b) and weight lam of each row's hull at its t.
+def _supporting_pairs(f, y, t, split, kernel, bars):
+    """Exact supporting pair (a, b) and weight lam of each row's lower hull at its t.
 
     Atoms before split[r] are the left points of row r (y <= t, except that
     the last atom is always a right point), the rest its right points. From
     a = the left point nearest t, b becomes the right point of least slope
     seen from a, then a the left point of greatest slope seen from b, and so
-    on; sign = -1 flips the slopes for the upper hull. No half-step raises
-    the chord value at t. A row stops when a half-step returns the index it
-    replaces: every point then lies on or above the line through (a, b), so
-    the pair supports the hull at t. It also stops when its chord value did
-    not drop over the last two half-steps; in exact arithmetic that only
-    happens at such a pair, and it ends the search whatever the rounding.
-    Each half-step costs O(m) per row still searching, and a handful of
-    half-steps is typical. All rows are searched at once, with no loop over
-    atoms.
+    on. No half-step raises the chord value at t. A row stops when a
+    half-step returns the index it replaces: every point then lies on or
+    above the line through (a, b), so the pair supports the hull at t. It
+    also stops when its chord value did not drop over the last two
+    half-steps; in exact arithmetic that only happens at such a pair, and it
+    ends the search whatever the rounding. Each half-step costs O(m) per row
+    still searching, and a handful of half-steps is typical. All rows are
+    searched at once, with no loop over atoms.
     """
     rows, m = f.shape
     left = np.empty(rows, dtype=np.intp)
@@ -218,7 +289,7 @@ def _supporting_pairs(f, y, t, split, inv_run, bars, sign):
     live = np.arange(rows)  # the rows still searching
     a = split - 1
     b = np.full(rows, -1)
-    w_back1 = np.full(rows, np.inf)  # signed chord value one half-step back
+    w_back1 = np.full(rows, np.inf)  # chord value one half-step back
     w_back2 = np.full(rows, np.inf)  # and two half-steps back
     move_right = True
     while live.size:
@@ -226,7 +297,7 @@ def _supporting_pairs(f, y, t, split, inv_run, bars, sign):
         f_c = f[live, c]
         slopes = f[live]
         slopes -= f_c[:, None]
-        slopes *= inv_run.take(c, axis=0)
+        slopes *= kernel.take(c, axis=0)
         if move_right:
             slopes += bars[m - split]
             new = slopes.argmin(axis=1)
@@ -238,7 +309,7 @@ def _supporting_pairs(f, y, t, split, inv_run, bars, sign):
             moved = new != a
             a, f_a, f_b = new, f[live, new], f_c
         lam = (y[b] - t) / (y[b] - y[a])
-        w = sign * (lam * f_a + (1.0 - lam) * f_b)
+        w = lam * f_a + (1.0 - lam) * f_b
         done = ~moved | (w >= w_back2)
         w_back2, w_back1 = w_back1, w
         move_right = not move_right
@@ -269,9 +340,10 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     stepwise = variant == "remark_b"
     if stepwise:
         u.validate_against(ms)
-        cur = cost.tensor_on(ms)
+        cur = _built(cost, ms).top
     else:
         cur = terminal_tensor(cost, ms, u)
+    geometry = _built(cost, ms).levels
     levels = [None] * ms.n
     supports = [None] * (ms.n - 1)
     levels[ms.n - 1] = cur
@@ -279,9 +351,7 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
         sections = cur.reshape(-1, ms.sizes[i])
         if stepwise:
             sections = sections - u.funcs[i - 1].values[None, :]
-        vals, lft, rgt, lam = _batched_envelope(
-            sections, ms.grids[i], ms.grids[i - 1], lower=variant in LOWER_VARIANTS
-        )
+        vals, lft, rgt, lam = _envelope(sections, geometry[i - 1], variant in LOWER_VARIANTS)
         cur = vals.reshape(ms.sizes[:i])
         levels[i - 1] = cur
         supports[i - 1] = (lft, rgt, lam)

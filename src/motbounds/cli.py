@@ -239,13 +239,16 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = parse_instance(args.instance)
+    ms = inst.marginals
+    # the cap holds for every method: the dual's cascade builds the product-grid tensor too
+    if ms.path_count > inst.var_cap:
+        raise SizeCapError(f"{ms.path_count} path variables exceed the cap {inst.var_cap}")
     config = _apply_flags(inst.config, args)
-    validation = validate_sequence(inst.marginals)
+    validation = validate_sequence(ms)
     if not validation.ok:
         _emit({"error": "marginals fail the convex-order check",
                "validation": validation.as_dict()}, args)
         return EXIT_INFEASIBLE
-    ms = inst.marginals
     primal = None
     payload = {"side": args.side, "method": args.method}
     out_dir = args.out

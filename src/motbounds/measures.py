@@ -63,8 +63,8 @@ class DiscreteMeasure:
     """Probability measure with finitely many atoms on the real line.
 
     Atoms are stored sorted and deduplicated (duplicate atoms merge their
-    weights). Atoms and weights are finite; weights are nonnegative and sum to
-    one within 1e-12.
+    weights), in read-only arrays. Atoms and weights are finite; weights are
+    nonnegative and sum to one within 1e-12.
     """
 
     atoms: np.ndarray
@@ -72,6 +72,8 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         atoms, weights = _canonical_support(self.atoms, self.weights)
+        atoms.setflags(write=False)
+        weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -219,8 +221,8 @@ class CostSpec:
 
     Named forms: squared_increment sum (x_{i+1}-x_i)^2, abs_increment
     sum |x_{i+1}-x_i|, terminal_call (x_n-K)_+, basket (mean(x)-K)_+.
-    custom_table takes a tensor on the product grid. A strike and the table
-    entries must be finite.
+    custom_table takes a tensor on the product grid, kept as a read-only
+    copy. A strike and the table entries must be finite.
     """
 
     n: int
@@ -240,7 +242,8 @@ class CostSpec:
         if self.form == "custom_table":
             if self.table is None:
                 raise ValueError("custom_table needs a value tensor")
-            table = np.asarray(self.table, dtype=float)
+            table = np.array(self.table, dtype=float)
+            table.setflags(write=False)
             if table.ndim != self.n:
                 raise ValueError(f"table has {table.ndim} axes, expected {self.n}")
             if not np.all(np.isfinite(table)):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import motbounds.ascent as ascent_module
 from motbounds import (
+    AscentConfig,
     CostSpec,
     Coupling,
     DiscreteMeasure,
@@ -11,7 +13,9 @@ from motbounds import (
     GridFunction,
     MarginalSequence,
     OutOfDomainError,
+    ascend,
     cascade_down,
+    certify,
     concave_envelope,
     convex_envelope,
     dual_objective,
@@ -22,7 +26,7 @@ from motbounds import (
     verify_subhedge,
 )
 
-from motbounds.cascade import _batched_envelope
+from motbounds.cascade import _batched_envelope, _built
 from motbounds.envelope import CLAMP_REL
 
 from conftest import random_duals, random_instance
@@ -233,6 +237,75 @@ class TestCascadeDown:
         u = DualVariables.zeros(MS_SINGLE)
         with pytest.raises(ValueError, match="unknown variant"):
             cascade_down("bogus", SQ2, MS_SINGLE, u)
+
+
+class TestInstanceCache:
+    """What no u changes is built once per (cost, ms) and reused bit for bit."""
+
+    @staticmethod
+    def trace_of(cost, ms, variant, fresh, monkeypatch):
+        """A 10-iteration reference-free run; fresh clears the cache before every evaluation."""
+        evaluate = ascent_module.dual_value_and_subgradient
+
+        def evaluate_fresh(*args):
+            _built.cache_clear()
+            return evaluate(*args)
+
+        with monkeypatch.context() as patch:
+            if fresh:
+                patch.setattr(ascent_module, "dual_value_and_subgradient", evaluate_fresh)
+            _built.cache_clear()
+            cert, trace = ascend(cost, ms, AscentConfig(variant=variant, max_iters=10))
+        return cert, trace, _built.cache_info().misses
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("variant", ["proposition", "remark_a", "remark_b"])
+    def test_ascent_matches_fresh_builds(self, rng, monkeypatch, n, variant):
+        cost, ms = random_instance(rng, n, max_size=6 if n == 4 else 15)
+        cert, trace, builds = self.trace_of(cost, ms, variant, False, monkeypatch)
+        fresh_cert, fresh_trace, _ = self.trace_of(cost, ms, variant, True, monkeypatch)
+        assert builds == 1 and len(trace) > 1
+        for field in ("values", "grad_norms", "best_values"):
+            np.testing.assert_array_equal(getattr(trace, field), getattr(fresh_trace, field))
+        assert cert.dual_value == fresh_cert.dual_value
+        for a, b in zip(cert.dual_variables.tables(), fresh_cert.dual_variables.tables()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_interleaved_instances_and_directions(self, rng):
+        a, b = random_instance(rng, 3), random_instance(rng, 3)
+        duals = {id(a): random_duals(rng, a[1]), id(b): random_duals(rng, b[1])}
+
+        def evaluate(inst, variant):
+            value, grads = dual_value_and_subgradient(variant, *inst, duals[id(inst)])
+            return value, np.concatenate(grads)
+
+        order = [(a, "proposition"), (b, "remark_a"), (a, "remark_a"), (a, "proposition"),
+                 (b, "remark_a"), (b, "remark_b"), (a, "proposition")]
+        fresh = {}
+        for inst, variant in order:
+            _built.cache_clear()
+            fresh[id(inst), variant] = evaluate(inst, variant)
+        _built.cache_clear()
+        for inst, variant in order:
+            value, grad = evaluate(inst, variant)
+            assert value == fresh[id(inst), variant][0]
+            np.testing.assert_array_equal(grad, fresh[id(inst), variant][1])
+
+    def test_remark_b_and_terminal_tensor_leave_the_cache_unchanged(self, rng):
+        cost, ms = random_instance(rng, 3)
+        u = random_duals(rng, ms)
+        built = _built(cost, ms)
+        before = built.top.copy()
+        assert not built.top.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            built.top[(0,) * ms.n] = 1.0
+        casc = cascade_down("remark_b", cost, ms, u)
+        dual_value_and_subgradient("remark_b", cost, ms, u)
+        top = terminal_tensor(cost, ms, u)
+        assert _built(cost, ms) is built
+        np.testing.assert_array_equal(built.top, before)
+        np.testing.assert_array_equal(casc.levels[-1], before)
+        assert top.flags.writeable and not np.shares_memory(top, built.top)
 
 
 class TestBatchedEnvelope:
@@ -540,6 +613,18 @@ class TestCostSpec:
         table[1, 0] = entry
         with pytest.raises(ValueError, match="table entries must be finite"):
             CostSpec(2, "custom_table", table=table)
+
+    def test_table_is_a_read_only_copy(self, rng):
+        cost, ms = random_instance(rng, 3, max_size=6)
+        table = cost.tensor_on(ms)
+        saved = table.copy()
+        custom = CostSpec(3, "custom_table", table=table)
+        with pytest.raises(ValueError, match="read-only"):
+            custom.table[0, 0, 0] = 1.0
+        ascend(custom, ms, AscentConfig(max_iters=5))
+        assert certify(custom, ms).feasible
+        assert table.flags.writeable
+        np.testing.assert_array_equal(table, saved)
 
     def test_table_shape_checked(self):
         cost = CostSpec(2, "custom_table", table=np.zeros((3, 3)))

@@ -159,6 +159,22 @@ class TestSolve:
         payload = dict(HAND_INSTANCE, options={"var_cap": 3})
         assert main(["solve", write_instance(tmp_path, payload)]) == 3
 
+    @pytest.mark.parametrize("method", ["primal", "dual", "both"])
+    def test_var_cap_holds_for_every_method(self, tmp_path, capsys, method):
+        # 3 x 5 = 15 paths against a cap of 10
+        payload = {
+            "marginals": [
+                {"atoms": [-1.0, 0.0, 1.0], "weights": [0.25, 0.5, 0.25]},
+                {"atoms": [-2.0, -1.0, 0.0, 1.0, 2.0],
+                 "weights": [0.125, 0.125, 0.5, 0.125, 0.125]},
+            ],
+            "cost": {"form": "squared_increment"},
+            "options": {"var_cap": 10},
+        }
+        assert main(["solve", write_instance(tmp_path, payload), "--method", method]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: 15 path variables exceed the cap 10"]
+
     def test_artifacts_round_trip(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
         code = main(["--json", "--out", str(out_dir), "solve",

@@ -55,6 +55,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m([], [])
 
+    def test_arrays_are_read_only(self):
+        mu = m([1.0, -1.0], [0.25, 0.75])
+        for arr in (mu.atoms, mu.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_mean(self):
         assert m([1, 3], [0.25, 0.75]).mean == pytest.approx(2.5)
 
