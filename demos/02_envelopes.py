@@ -35,7 +35,7 @@ print(f"concave envelope at 1.0:", eval_envelope(upper, 1.0))
 
 # The two-point representation behind the envelope value: t as a convex
 # combination of the supporting knots. The dual cascade finds the same kind
-# of pair for every section at once (cascade._batched_envelope) and pushes
+# of pair for every section at once (cascade._envelope) and pushes
 # expectation weights backwards through it.
 left, right, lam = envelope_weights(lower, t)
 print(f"\nsupporting knots for t={t}: x_L={lower.hull_grid[left]}, "

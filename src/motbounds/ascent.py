@@ -26,6 +26,7 @@ that falls short of the target gap is ascended from like any other.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -63,8 +64,8 @@ class AscentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
         if not 0 < self.target_gap < np.inf:
             raise ValueError("target_gap must be finite and positive")
 

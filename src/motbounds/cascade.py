@@ -30,10 +30,15 @@ marginal expectations of the u_i. It is concave (proposition / remark_b) or
 convex (remark_a) and piecewise affine in the u tables; the supergradient is
 assembled by pushing the mu_1 weights down through the two-point envelope
 representations and depositing the arriving mass on the touched u slots.
+dual_value_and_subgradient computes both; dual_objective is its value.
 
-DualVariables.from_tables is the one check of u tables. CostSpec comes from
-measures, so primal, whose validate_coupling the sub-hedge check uses, does
-not import this module.
+DualVariables.check is the one check of a position: the count of its tables,
+their shapes, grids equal to the atoms, and finite entries. from_tables and
+zeros run it, and so does every cascade before it reads a table
+(terminal_tensor, and cascade_down for remark_b), so a non-finite table is
+refused however the position was built. CostSpec comes from measures, so
+primal, whose validate_coupling the sub-hedge check uses, does not import
+this module.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envelope import GridFunction, _clamp
+from .envelope import _clamp
 from .measures import CostSpec, MarginalSequence
 from .primal import validate_coupling
 
@@ -57,53 +62,51 @@ SUBHEDGE_TOL = 1e-9  # times max(1, max |T_n|), so a rescaled instance keeps its
 
 @dataclass(frozen=True, eq=False)
 class DualVariables:
-    """Static dual positions u_2, ..., u_n, tabulated on the marginal atoms."""
+    """Static dual positions u_2, ..., u_n, tabulated on the marginal atoms.
 
-    funcs: tuple  # GridFunction for mu_2, ..., mu_n
+    values[i-2] is the float table of u_i on grids[i-2], the atoms of mu_i.
+    from_tables and zeros run check; a position built by from_json or the
+    constructor is checked by the first cascade that reads it.
+    """
 
-    def __init__(self, funcs: Sequence[GridFunction]):
-        object.__setattr__(self, "funcs", tuple(funcs))
+    grids: tuple  # the atom arrays of mu_2, ..., mu_n
+    values: tuple  # the tables u_2, ..., u_n
 
     @classmethod
     def zeros(cls, ms: MarginalSequence) -> "DualVariables":
-        return cls(
-            [GridFunction(m.atoms, np.zeros(len(m))) for m in ms.marginals[1:]]
-        )
+        return cls.from_tables(ms, [np.zeros(size) for size in ms.sizes[1:]])
 
     @classmethod
     def from_tables(cls, ms: MarginalSequence, tables: Sequence[np.ndarray]) -> "DualVariables":
         """u_2..u_n from float copies of n - 1 finite tables of shapes (m_2,)..(m_n,)."""
-        tables = list(tables)
-        if len(tables) != ms.n - 1:
-            raise ValueError(f"expected {ms.n - 1} tables (u_2..u_n), got {len(tables)}")
-        funcs = []
-        for i, (m, t) in enumerate(zip(ms.marginals[1:], tables), start=2):
-            t = np.array(t, dtype=float)
-            if t.shape != (len(m),):
-                raise ValueError(f"table u_{i} has shape {t.shape}, expected ({len(m)},)")
+        u = cls(tuple(ms.grids[1:]), tuple(np.array(t, dtype=float) for t in tables))
+        u.check(ms)
+        return u
+
+    def check(self, ms: MarginalSequence) -> None:
+        """Raise ValueError unless there is one finite table u_i on the atoms of mu_i per i >= 2."""
+        if not len(self.grids) == len(self.values) == ms.n - 1:
+            raise ValueError(f"expected {ms.n - 1} tables (u_2..u_n), got {len(self.values)} "
+                             f"on {len(self.grids)} grids")
+        for i, (grid, t) in enumerate(zip(self.grids, self.values), start=2):
+            atoms = ms[i - 1].atoms
+            if not np.array_equal(grid, atoms):
+                raise ValueError(f"grid of u_{i} does not match the atoms of marginal {i}")
+            if np.shape(t) != atoms.shape:
+                raise ValueError(f"table u_{i} has shape {np.shape(t)}, expected ({atoms.size},)")
             if not np.all(np.isfinite(t)):
                 raise ValueError(f"table u_{i} has a non-finite entry")
-            funcs.append(GridFunction(m.atoms, t))
-        return cls(funcs)
 
     def tables(self) -> list:
-        return [f.values.copy() for f in self.funcs]
-
-    def validate_against(self, ms: MarginalSequence) -> None:
-        if len(self.funcs) != ms.n - 1:
-            raise ValueError(
-                f"expected {ms.n - 1} dual functions, got {len(self.funcs)}"
-            )
-        for i, f in enumerate(self.funcs, start=2):
-            if not np.array_equal(f.grid, ms[i - 1].atoms):
-                raise ValueError(f"grid of u_{i} does not match the atoms of marginal {i}")
+        return [t.copy() for t in self.values]
 
     def as_json(self) -> list:
-        return [{"grid": f.grid.tolist(), "values": f.values.tolist()} for f in self.funcs]
+        return [{"grid": g.tolist(), "values": t.tolist()} for g, t in zip(self.grids, self.values)]
 
     @classmethod
     def from_json(cls, payload: list) -> "DualVariables":
-        return cls([GridFunction(np.asarray(d["grid"]), np.asarray(d["values"])) for d in payload])
+        return cls(tuple(np.asarray(d["grid"], dtype=float) for d in payload),
+                   tuple(np.asarray(d["values"], dtype=float) for d in payload))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +159,13 @@ def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> n
 
     A new array: the cost tensor is the instance's read-only one from _built.
     """
-    u.validate_against(ms)
+    u.check(ms)
     out = _built(cost, ms).top
-    for i, f in enumerate(u.funcs, start=1):  # u over mu_{i+1}, axis i
+    for i, t in enumerate(u.values, start=1):  # u over mu_{i+1}, axis i
         shape = [1] * ms.n
-        shape[i] = len(f)
+        shape[i] = ms.sizes[i]
         # the first subtraction writes a new array, later ones write into it
-        out = np.subtract(out, f.values.reshape(shape), out=None if i == 1 else out)
+        out = np.subtract(out, np.reshape(t, shape), out=None if i == 1 else out)
     return out
 
 
@@ -225,18 +228,6 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Instance:
     another instance; their arrays are read-only, so it cannot go stale.
     """
     return _Instance(cost, ms)
-
-
-def _batched_envelope(sections, sec_grid, eval_atoms, lower):
-    """Envelope value of every section row at one point per row.
-
-    sections has shape (rows, m) with row r tabulating a function on sec_grid;
-    row r is evaluated at t = eval_atoms[r % len(eval_atoms)] (rows enumerate
-    prefixes in row-major order, so the last prefix coordinate cycles
-    fastest). An evaluation point outside sec_grid is handled by
-    envelope._clamp. See _envelope for the values and pairs returned.
-    """
-    return _envelope(sections, _Level(sec_grid, eval_atoms, sections.shape[0]), lower)
 
 
 def _envelope(sections, level: _Level, lower):
@@ -339,7 +330,7 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     stepwise = variant == "remark_b"
     if stepwise:
-        u.validate_against(ms)
+        u.check(ms)
         cur = _built(cost, ms).top
     else:
         cur = terminal_tensor(cost, ms, u)
@@ -350,7 +341,7 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     for i in range(ms.n - 1, 0, -1):  # build T_i from T_{i+1}
         sections = cur.reshape(-1, ms.sizes[i])
         if stepwise:
-            sections = sections - u.funcs[i - 1].values[None, :]
+            sections = sections - u.values[i - 1]
         vals, lft, rgt, lam = _envelope(sections, geometry[i - 1], variant in LOWER_VARIANTS)
         cur = vals.reshape(ms.sizes[:i])
         levels[i - 1] = cur
@@ -359,24 +350,16 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
 
 
 def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> float:
-    """E_{mu_1}[T_1] plus the marginal expectations of the u_i.
+    """The value of dual_value_and_subgradient.
 
     Lower bound of the transport value for the lower variants, upper bound of
     the sup problem for remark_a.
     """
-    casc = cascade_down(variant, cost, ms, u)
-    return _objective_from_cascade(casc, ms, u)
-
-
-def _objective_from_cascade(casc: CascadeTensors, ms: MarginalSequence, u: DualVariables) -> float:
-    value = float(np.dot(ms[0].weights, casc.levels[0]))
-    for i, f in enumerate(u.funcs, start=1):
-        value += float(np.dot(ms[i].weights, f.values))
-    return value
+    return dual_value_and_subgradient(variant, cost, ms, u)[0]
 
 
 def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables):
-    """Objective value and one supergradient table per u_i, in one pass.
+    """E_{mu_1}[T_1] + sum_i E_{mu_i}[u_i] and one supergradient table per u_i, in one pass.
 
     The mu_1 weights are pushed down level by level through the supporting
     two-point combinations; each u_{i+1} slot receives its marginal weight
@@ -386,7 +369,9 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     to zero per u_i by conservation.
     """
     casc = cascade_down(variant, cost, ms, u)
-    value = _objective_from_cascade(casc, ms, u)
+    value = float(np.dot(ms[0].weights, casc.levels[0]))
+    for i, t in enumerate(u.values, start=1):
+        value += float(np.dot(ms[i].weights, t))
     grads = []
     mass = ms[0].weights
     for i in range(1, ms.n):  # transition: level i prefixes -> level i+1

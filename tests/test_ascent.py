@@ -407,8 +407,16 @@ class TestConfigValidation:
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
             AscentConfig(max_iters=0)
+        for iters in (2.5, 3.0, "3"):  # range() could not run them
+            with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+                AscentConfig(max_iters=iters)
         for gap in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="target_gap"):
                 AscentConfig(target_gap=gap)
         with pytest.raises(ValueError, match="unknown variant"):
             AscentConfig(variant="bogus")
+
+    def test_numpy_integer_max_iters_runs(self, rng):
+        cost, ms = random_instance(rng, n=2, max_size=6)
+        _, trace = ascend(cost, ms, AscentConfig(max_iters=np.int64(3)))
+        assert len(trace) <= 3

@@ -1,4 +1,6 @@
-"""Cascade recursion, batched envelope, dual objective, supergradient, sub-hedge check."""
+"""Dual positions, cascade recursion, batched envelope, dual value, supergradient, sub-hedge."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from motbounds import (
     CostSpec,
     Coupling,
     DiscreteMeasure,
+    DualCertificate,
     DualVariables,
     GridFunction,
     MarginalSequence,
@@ -26,7 +29,7 @@ from motbounds import (
     verify_subhedge,
 )
 
-from motbounds.cascade import _batched_envelope, _built
+from motbounds.cascade import _Level, _built, _envelope
 from motbounds.envelope import CLAMP_REL
 
 from conftest import random_duals, random_instance
@@ -57,7 +60,7 @@ def reference_cascade(cost, ms, u, variant):
     for i in range(ms.n - 1, 0, -1):
         sections = cur.reshape(-1, ms.sizes[i])
         if variant == "remark_b":
-            sections = sections - u.funcs[i - 1].values[None, :]
+            sections = sections - u.values[i - 1][None, :]
         out = np.empty(sections.shape[0])
         for r in range(sections.shape[0]):
             f = GridFunction(ms.grids[i], sections[r])
@@ -67,6 +70,11 @@ def reference_cascade(cost, ms, u, variant):
         cur = out.reshape(ms.sizes[:i])
         levels.append(cur)
     return levels[::-1]  # T_1 first
+
+
+def batched_envelope(sections, grid, eval_atoms, lower):
+    """The production search over every row, at eval_atoms[r % len(eval_atoms)]."""
+    return _envelope(sections, _Level(grid, eval_atoms, sections.shape[0]), lower)
 
 
 def pair_enumeration(sections, grid, eval_atoms, lower):
@@ -117,13 +125,13 @@ def pushed_down_coupling(casc, ms):
 def reference_objective(cost, ms, u, variant):
     levels = reference_cascade(cost, ms, u, variant)
     value = float(np.dot(ms[0].weights, levels[0]))
-    for i, f in enumerate(u.funcs, start=1):
-        value += float(np.dot(ms[i].weights, f.values))
+    for i, t in enumerate(u.values, start=1):
+        value += float(np.dot(ms[i].weights, t))
     return value
 
 
 class TestFromTables:
-    """DualVariables.from_tables is the one check of u_2..u_n tables."""
+    """from_tables runs DualVariables.check, the one check of u_2..u_n tables, on float copies."""
 
     MS = MarginalSequence([PM1, DiscreteMeasure(np.array([-2.0, 0.0, 2.0]), np.full(3, 1 / 3))])
 
@@ -148,8 +156,59 @@ class TestFromTables:
         for table in (np.array([1.0, 2.0, 3.0]), [1, 2, 3]):
             u = DualVariables.from_tables(self.MS, [table])
             table[0] = 7
-            assert u.funcs[0].values.dtype == float
-            assert u.funcs[0].values.tolist() == [1.0, 2.0, 3.0]
+            assert u.values[0].dtype == float
+            assert u.values[0].tolist() == [1.0, 2.0, 3.0]
+
+
+class TestPositionsBuiltElsewhere:
+    """A position not built by from_tables is checked by every cascade that reads it."""
+
+    COST = CostSpec(3, "squared_increment")
+    # the martingale coupling of MS_THREE: 3/4 of each PM1 atom moves to the nearer PM2 atom
+    COUPLING = Coupling(np.array([[[0.375, 0.125], [0.125, 0.375]]]))
+
+    def entry_points(self, u):
+        """Every public route from a position u on MS_THREE into a cascade."""
+        calls = [lambda: terminal_tensor(self.COST, MS_THREE, u),
+                 lambda: verify_subhedge(self.COST, MS_THREE, u, self.COUPLING)]
+        for variant in ("proposition", "remark_a", "remark_b"):
+            calls += [lambda v=variant: dual_objective(v, self.COST, MS_THREE, u),
+                      lambda v=variant: dual_value_and_subgradient(v, self.COST, MS_THREE, u),
+                      lambda v=variant: cascade_down(v, self.COST, MS_THREE, u)]
+        return calls
+
+    def assert_refused(self, u, message):
+        for call in self.entry_points(u):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_a_finite_certificate_is_read_back(self):
+        cert = DualCertificate("proposition", DualVariables.zeros(MS_THREE), 0.0)
+        u = DualCertificate.from_dict(json.loads(json.dumps(cert.as_dict()))).dual_variables
+        for call in self.entry_points(u):
+            call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", [0, 1])
+    def test_non_finite_certificate_entry_refused(self, bad, table):
+        payload = DualCertificate("proposition", DualVariables.zeros(MS_THREE), 0.0).as_dict()
+        payload["u"][table]["values"][1] = bad
+        u = DualCertificate.from_dict(json.loads(json.dumps(payload))).dual_variables
+        self.assert_refused(u, f"table u_{table + 2} has a non-finite entry")
+
+    def test_grid_other_than_the_atoms_refused(self):
+        u = DualVariables((PM1.atoms, PM2.atoms + 1.0), (np.zeros(2), np.zeros(2)))
+        self.assert_refused(u, "grid of u_3 does not match the atoms of marginal 3")
+
+    def test_wrong_table_count_refused(self):
+        self.assert_refused(DualVariables((PM1.atoms,), (np.zeros(2),)),
+                            r"expected 2 tables \(u_2\.\.u_n\), got 1")
+        self.assert_refused(DualVariables((PM1.atoms,), (np.zeros(2), np.zeros(2))),
+                            r"expected 2 tables \(u_2\.\.u_n\), got 2 on 1 grids")
+
+    def test_wrong_table_shape_refused(self):
+        u = DualVariables((PM1.atoms, PM2.atoms), (np.zeros(2), np.zeros(3)))
+        self.assert_refused(u, r"table u_3 has shape \(3,\), expected \(2,\)")
 
 
 class TestTerminalTensor:
@@ -316,7 +375,7 @@ class TestBatchedEnvelope:
         return np.sort(rng.choice(np.arange(-60, 60), size=m, replace=False)) / 7.0
 
     def assert_matches_enumeration(self, sections, grid, eval_atoms, lower, same_split=True):
-        vals, left, right, lam = _batched_envelope(sections, grid, eval_atoms, lower)
+        vals, left, right, lam = batched_envelope(sections, grid, eval_atoms, lower)
         ref_vals, ref_left, ref_right, ref_lam = pair_enumeration(sections, grid, eval_atoms, lower)
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12)
         t = np.clip(np.tile(eval_atoms, sections.shape[0] // eval_atoms.size), grid[0], grid[-1])
@@ -351,8 +410,8 @@ class TestBatchedEnvelope:
         eps = CLAMP_REL * (grid[-1] - grid[0])
         sections = rng.standard_normal((2, 9))
         inside = np.array([grid[0] - 0.5 * eps, grid[-1] + 0.5 * eps])
-        at_ends = _batched_envelope(sections, grid, np.array([grid[0], grid[-1]]), lower)[0]
-        np.testing.assert_array_equal(_batched_envelope(sections, grid, inside, lower)[0], at_ends)
+        at_ends = batched_envelope(sections, grid, np.array([grid[0], grid[-1]]), lower)[0]
+        np.testing.assert_array_equal(batched_envelope(sections, grid, inside, lower)[0], at_ends)
         np.testing.assert_array_equal(at_ends, [sections[0, 0], sections[1, -1]])
 
     @pytest.mark.parametrize("lower", [True, False])
@@ -362,23 +421,23 @@ class TestBatchedEnvelope:
         sections = rng.standard_normal((1, 9))
         for t in (grid[0] - 2 * eps, grid[-1] + 2 * eps):
             with pytest.raises(OutOfDomainError, match="support nesting violated"):
-                _batched_envelope(sections, grid, np.array([t]), lower)
+                batched_envelope(sections, grid, np.array([t]), lower)
 
     def test_blocks_of_rows_give_the_same_pairs(self, rng, monkeypatch):
         grid = self.random_grid(rng, 9)
         eval_atoms = np.concatenate([rng.uniform(grid[0], grid[-1], 4), grid[[0, 3, 8]]])
         sections = rng.standard_normal((eval_atoms.size * 5, 9))
         for lower in (True, False):
-            whole = _batched_envelope(sections, grid, eval_atoms, lower)
+            whole = batched_envelope(sections, grid, eval_atoms, lower)
             with monkeypatch.context() as patch:
                 patch.setattr("motbounds.cascade.BLOCK_VALUES", 20)  # two rows per block
-                blocked = _batched_envelope(sections, grid, eval_atoms, lower)
+                blocked = batched_envelope(sections, grid, eval_atoms, lower)
             for x, y in zip(whole, blocked):
                 np.testing.assert_array_equal(x, y)
             self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
 
     def test_single_atom_section(self):
-        vals, left, right, lam = _batched_envelope(
+        vals, left, right, lam = batched_envelope(
             np.array([[2.5], [-1.0]]), np.array([0.0]), np.array([0.0]), True)
         np.testing.assert_array_equal(vals, [2.5, -1.0])
         assert left.tolist() == right.tolist() == [0, 0] and lam.tolist() == [1.0, 1.0]
@@ -438,7 +497,7 @@ class TestStepwiseVariant:
             a = cascade_down("proposition", cost, ms, u)
             b = cascade_down("remark_b", cost, ms, u)
             for i in range(1, n + 1):
-                grids = np.meshgrid(*[f.values for f in u.funcs[:i - 1]], indexing="ij")
+                grids = np.meshgrid(*u.values[:i - 1], indexing="ij")
                 shift = sum(grids) if grids else 0.0
                 assert np.allclose(b.levels[i - 1], a.levels[i - 1] + shift, rtol=0, atol=1e-12)
             val_a, grads_a = dual_value_and_subgradient("proposition", cost, ms, u)
