@@ -55,17 +55,44 @@ class Instance:
     var_cap: int = DEFAULT_VAR_CAP
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_lognormal(params, where: str) -> DiscreteMeasure:
+    if not isinstance(params, dict):
+        raise InstanceError(where, "expected an object")
+    keys = ["location", "m", "scale"]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise InstanceError(f"{where}.{unknown[0]}", f"unknown key; expected one of {keys}")
+    for key in keys:
+        if key not in params:
+            raise InstanceError(where, f"missing key {key!r}")
+        if not _is_number(params[key]):
+            raise InstanceError(f"{where}.{key}",
+                                f"expected a number, got {json.dumps(params[key])}")
+    m = params["m"]
+    if not 0 < m < np.inf or m != int(m):
+        raise InstanceError(f"{where}.m", f"expected a positive integer, got {json.dumps(m)}")
+    try:
+        return quantize_lognormal(float(params["location"]), float(params["scale"]), int(m))
+    except (ValueError, OverflowError) as exc:
+        raise InstanceError(where, str(exc)) from exc
+
+
 def _parse_measure(spec, where: str) -> DiscreteMeasure:
     if not isinstance(spec, dict):
         raise InstanceError(where, "expected an object")
+    keys = ["atoms", "lognormal", "weights"]
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise InstanceError(f"{where}.{unknown[0]}", f"unknown key; expected one of {keys}")
     if "lognormal" in spec:
-        params = spec["lognormal"]
-        try:
-            return quantize_lognormal(
-                float(params["location"]), float(params["scale"]), int(params["m"])
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InstanceError(f"{where}.lognormal", str(exc)) from exc
+        if len(spec) > 1:
+            raise InstanceError(where, "expected atoms/weights or a lognormal block, not both")
+        return _parse_lognormal(spec["lognormal"], f"{where}.lognormal")
     if "atoms" in spec and "weights" in spec:
         try:
             return DiscreteMeasure(np.asarray(spec["atoms"], dtype=float),
@@ -177,7 +204,7 @@ def parse_instance(path: str) -> Instance:
                             f"unknown option; expected one of {sorted(integer)}")
     values = {}
     for key, value in options.items():
-        number = value if isinstance(value, (int, float)) and not isinstance(value, bool) else 0
+        number = value if _is_number(value) else 0
         if not 0 < number < np.inf or (integer[key] and number != int(number)):
             kind = "a positive integer" if integer[key] else "a finite positive number"
             raise InstanceError(f"options.{key}", f"expected {kind}, got {json.dumps(value)}")

@@ -11,6 +11,7 @@ which both the LP (primal) and the envelope cascade (cascade) price.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -322,15 +323,35 @@ def validate_sequence(ms: MarginalSequence) -> SequenceReport:
     return SequenceReport(ok, tuple(pairs))
 
 
+def _normal_slices(scale: float, m: int):
+    """Edges and lognormal mean shares of m equal-probability slices of N(0, 1).
+
+    Returns z_0..z_m, with z_0 = -inf, z_m = +inf and z_j = Phi^-1(j / m)
+    between, and Phi(z_j - scale), the share of the mean of
+    Lognormal(0, scale) carried below its j-th quantile.
+    """
+    # statistics loads fractions and decimal (about 6 ms), so only quantizing pays for it
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
+    z = [-math.inf] + [inv_cdf(j / m) for j in range(1, m)] + [math.inf]
+    root2 = math.sqrt(2.0)
+    tail_mass = [0.5 * math.erfc((scale - zj) / root2) for zj in z]
+    return np.array(z), np.array(tail_mass)
+
+
 def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure:
     """Quantize Lognormal(location, scale) to m equal-probability atoms.
 
     Each atom sits at the conditional mean of one of the m equal-probability
     quantile slices, so the quantized mean equals exp(location + scale^2 / 2)
-    exactly. A zero scale degenerates to a single atom. More than
-    DEFAULT_VAR_CAP atoms raise SizeCapError before anything is allocated.
+    exactly. The slice edges come from statistics.NormalDist and the mean
+    shares from math.erfc, so quantizing loads no part of scipy. m must be an
+    integer (a bool is refused). A zero scale degenerates to a single atom.
+    More than DEFAULT_VAR_CAP atoms raise SizeCapError before anything is
+    allocated.
     """
-    if m < 1:
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be a positive integer")
     if m > DEFAULT_VAR_CAP:
         raise SizeCapError(f"{m} atoms exceed the cap {DEFAULT_VAR_CAP}")
@@ -345,9 +366,6 @@ def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure
                          f"location {location!r}, scale {scale!r}")
     if scale == 0:
         return DiscreteMeasure.point(math.exp(location))
-    from scipy.special import ndtr, ndtri
-
-    z = ndtri(np.arange(m + 1) / m)  # includes -inf and +inf
-    tail_mass = ndtr(z - scale)  # partial expectations / full mean
+    _, tail_mass = _normal_slices(scale, int(m))
     atoms = m * full_mean * np.diff(tail_mass)
     return DiscreteMeasure(atoms, np.full(m, 1.0 / m))

@@ -5,11 +5,16 @@ solution of the row-reduced equality system. Enumeration is exponential in
 the path count, so it is capped at BRUTE_FORCE_PATH_CAP paths. The LP's
 multipliers are checked by semistatic_value_check, which prices a
 semi-static position and refuses one that is not dominated by the cost.
+The lognormal quantization is compared with the same formula evaluated by
+scipy's ndtri and ndtr, an implementation independent of the standard
+library's NormalDist and erfc.
 """
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from motbounds import CostSpec, MarginalSequence, SizeCapError, assemble_lp
 
@@ -115,3 +120,19 @@ def semistatic_value_check(cost: CostSpec, ms: MarginalSequence, u_tables, delta
     if worst > SEMISTATIC_TOL:
         raise ValueError(f"position exceeds the cost by {worst:.3e} on the grid")
     return sum(float(np.dot(mu.weights, table)) for mu, table in zip(ms.marginals, tables))
+
+
+def normal_slice_edges(m: int) -> np.ndarray:
+    """z_j = Phi^-1(j / m) for j = 0..m, by scipy; z_0 = -inf and z_m = +inf."""
+    return ndtri(np.arange(m + 1) / m)
+
+
+def lognormal_mean_shares(z, scale: float) -> np.ndarray:
+    """Phi(z - scale), by scipy: the share of a lognormal mean below each edge z."""
+    return ndtr(np.asarray(z) - scale)
+
+
+def lognormal_atoms(location: float, scale: float, m: int) -> np.ndarray:
+    """Conditional means of the m equal-probability slices of Lognormal(location, scale)."""
+    shares = lognormal_mean_shares(normal_slice_edges(m), scale)
+    return m * math.exp(location + scale**2 / 2.0) * np.diff(shares)

@@ -401,6 +401,45 @@ class TestInstanceParsing:
         assert capsys.readouterr().err == (
             "error: optionz: unknown key; expected one of ['cost', 'marginals', 'options']\n")
 
+    @pytest.mark.parametrize("block,field,message", [
+        ({"m": 2.5}, "lognormal.m", "expected a positive integer, got 2.5"),
+        ({"m": True}, "lognormal.m", "expected a number, got true"),
+        ({"m": "3"}, "lognormal.m", 'expected a number, got "3"'),
+        ({"m": 0}, "lognormal.m", "expected a positive integer, got 0"),
+        ({"scale": True}, "lognormal.scale", "expected a number, got true"),
+        ({"location": "-0.02"}, "lognormal.location", 'expected a number, got "-0.02"'),
+        ({"sigma": 9}, "lognormal.sigma",
+         "unknown key; expected one of ['location', 'm', 'scale']"),
+        ({"m": None}, "lognormal", "missing key 'm'"),
+    ], ids=["m_fraction", "m_bool", "m_string", "m_zero", "scale_bool", "location_string",
+            "unknown_key", "missing_key"])
+    def test_bad_lognormal_block_exit_1(self, tmp_path, capsys, block, field, message):
+        params = {"location": -0.02, "scale": 0.2, "m": 15}
+        params.update(block)
+        params = {k: v for k, v in params.items() if v is not None}  # None drops the key
+        payload = json.loads(json.dumps(SHOWCASE_INSTANCE))
+        payload["marginals"][1] = {"lognormal": params}
+        assert main(["solve", write_instance(tmp_path, payload), "--method", "dual"]) == 1
+        assert capsys.readouterr().err == f"error: marginals[1].{field}: {message}\n"
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"atoms": [1.0], "weights": [1.0]},
+         "marginals[0]: expected atoms/weights or a lognormal block, not both"),
+        ({"weights": [1.0]}, "marginals[0]: expected atoms/weights or a lognormal block, not both"),
+        ({"name": "spot"},
+         "marginals[0].name: unknown key; expected one of ['atoms', 'lognormal', 'weights']"),
+    ], ids=["both", "lognormal_and_weights", "unknown_key"])
+    def test_mixed_marginal_object_exit_1(self, tmp_path, capsys, extra, message):
+        payload = json.loads(json.dumps(SHOWCASE_INSTANCE))
+        payload["marginals"][0].update(extra)
+        assert main(["solve", write_instance(tmp_path, payload), "--method", "dual"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_m_is_accepted(self, tmp_path):
+        payload = json.loads(json.dumps(SHOWCASE_INSTANCE))
+        payload["marginals"][0]["lognormal"]["m"] = 15.0
+        assert parse_instance(write_instance(tmp_path, payload)).marginals.sizes == (15, 15, 15)
+
     def test_cost_table_rows_in_any_order(self, tmp_path):
         ms_payload = {
             "marginals": [

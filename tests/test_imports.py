@@ -1,4 +1,4 @@
-"""Import footprint: the LP stack and scipy.special load only when first used."""
+"""Import footprint: scipy loads only with the LP, and the dual path runs without it."""
 
 import json
 import subprocess
@@ -45,8 +45,36 @@ def test_scipy_parts_load_on_first_use():
     assert loaded["import"] == []
     assert loaded["ascend"] == []
     assert loaded["capped"] == []
-    assert loaded["quantize"] == ["scipy.special"]
+    assert loaded["quantize"] == []
     assert "scipy.optimize" in loaded["solve"]
+
+
+# Runs the dual-side commands in an interpreter where any import of scipy fails.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from motbounds.cli import main
+path = sys.argv[1]
+codes = [main(["quantize", "--location", "0", "--scale", "0.2", "--m", "15"]),
+         main(["check", path]),
+         main(["solve", path, "--method", "dual"])]
+print(json.dumps(codes))
+"""
+
+
+def test_dual_path_runs_without_scipy(tmp_path):
+    instance = {
+        "marginals": [{"lognormal": {"location": -s * s / 2, "scale": s, "m": 15}}
+                      for s in (0.1, 0.2)],
+        "cost": {"form": "basket", "strike": 1.0},
+        "options": {"max_iters": 50},
+    }
+    path = tmp_path / "lognormal.json"
+    path.write_text(json.dumps(instance))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(path)], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, 0, 0]
 
 
 # The first certify in a fresh interpreter: both of its LP threads import

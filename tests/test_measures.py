@@ -17,9 +17,10 @@ from motbounds import (
     split_atom,
     validate_sequence,
 )
-from motbounds.measures import DEFAULT_VAR_CAP
+from motbounds.measures import DEFAULT_VAR_CAP, _normal_slices
 
 from conftest import lognormal_showcase, spread_measure
+from oracles import lognormal_atoms, lognormal_mean_shares, normal_slice_edges
 
 
 def m(atoms, weights):
@@ -228,6 +229,42 @@ class TestQuantizeLognormal:
             quantize_lognormal(0.0, -0.1, 3)
         with pytest.raises(ValueError):
             quantize_lognormal(0.0, 0.3, 0)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", True, np.float64(4.0)])
+    def test_non_integral_m_refused(self, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            quantize_lognormal(0.0, 0.3, m)
+
+    def test_numpy_integer_m(self):
+        mu = quantize_lognormal(0.0, 0.3, np.int64(5))
+        assert np.array_equal(mu.atoms, quantize_lognormal(0.0, 0.3, 5).atoms)
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 400, 4000])
+    def test_slices_match_scipy(self, m):
+        eps = np.finfo(float).eps
+        edges = normal_slice_edges(m)
+        assert edges[0] == -np.inf and edges[-1] == np.inf
+        z_ref = edges[1:-1]
+        for scale in (0.05, 0.2, 0.5, 1.0):
+            z, tail_mass = _normal_slices(scale, m)
+            assert np.array_equal(z[[0, -1]], edges[[0, -1]])
+            assert tail_mass[0] == 0.0 and tail_mass[-1] == 1.0
+            z, tail_mass = z[1:-1], tail_mass[1:-1]
+            # both inverse normal CDFs are rational approximations good to a few ulp
+            assert np.all(np.abs(z - z_ref) <= 8 * np.spacing(np.abs(z_ref)))
+            # Phi(x) has condition number about x^2 for x << 0, so the rounding of
+            # the argument (scale - z) / sqrt(2) alone moves either result by about
+            # x^2 / 2 ulp; give each side twice that
+            x = z - scale
+            ref = lognormal_mean_shares(z, scale)
+            assert np.all(np.abs(tail_mass - ref) <= 4 * (1 + x**2) * np.spacing(ref))
+            # atom_j = m * mean * (tail_{j+1} - tail_j): the two tails differ by a few
+            # ulp of 1 between implementations while their difference is about 1 / m,
+            # so np.diff turns that into a relative error of about m * eps; the 26
+            # covers the lower tail's x^2 conditioning (x^2 <= 25 for m <= 4000)
+            atoms = quantize_lognormal(-scale**2 / 2, scale, m).atoms
+            ref_atoms = lognormal_atoms(-scale**2 / 2, scale, m)
+            assert np.all(np.abs(atoms - ref_atoms) <= 4 * (m + 26) * eps * ref_atoms)
 
     def test_more_atoms_than_the_cap_refused_before_allocating(self):
         with pytest.raises(SizeCapError, match="100000000000 atoms exceed the cap 200000"):
