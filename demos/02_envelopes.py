@@ -1,16 +1,13 @@
-"""Convex and concave envelopes of grid functions, and the conjugate route.
+"""Convex and concave envelopes of grid functions.
 
 The convex envelope of a tabulated function is the lower convex hull of its
-graph; the concave envelope is the upper hull. A second evaluation route via
-the double conjugate sup_m { m x - sup_y { y m - f(y) } } must agree with the
-hull interpolation, which makes a handy cross-check.
+graph; the concave envelope is the upper hull.
 """
 
 import numpy as np
 
 from motbounds import (
     GridFunction,
-    biconjugate_eval,
     concave_envelope,
     convex_envelope,
     envelope_weights,
@@ -40,10 +37,6 @@ print(f"concave envelope at 1.0:", eval_envelope(upper, 1.0))
 left, right, lam = envelope_weights(lower, t)
 print(f"\nsupporting knots for t={t}: x_L={lower.hull_grid[left]}, "
       f"x_R={lower.hull_grid[right]}, lambda={lam}")
-
-# Conjugate route agrees with the hull route.
-print("\nhull route:     ", eval_envelope(lower, t))
-print("conjugate route:", biconjugate_eval(f, t))
 
 # On a convex function both envelopes are trivial: the lower hull keeps every
 # point and the upper hull is the single chord over the whole interval.

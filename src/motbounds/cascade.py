@@ -387,11 +387,6 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     return value, grads
 
 
-def dual_subgradient(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> list:
-    """Per-atom supergradient tables of the dual objective, one per u_i."""
-    return dual_value_and_subgradient(variant, cost, ms, u)[1]
-
-
 @dataclass(frozen=True)
 class SubhedgeReport:
     """Per-atom conditional slack of the candidate sub-hedge under a coupling."""

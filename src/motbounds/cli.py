@@ -60,6 +60,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(value, field: str):
+    """value if it is a JSON number, else an InstanceError naming field."""
+    if not _is_number(value):
+        raise InstanceError(field, f"expected a number, got {json.dumps(value)}")
+    return value
+
+
+def _numbers(values, field: str) -> list:
+    """A JSON list of numbers, checked element by element."""
+    if not isinstance(values, list):
+        raise InstanceError(field, f"expected a list of numbers, got {json.dumps(values)}")
+    return [_number(v, f"{field}[{k}]") for k, v in enumerate(values)]
+
+
 def _parse_lognormal(params, where: str) -> DiscreteMeasure:
     if not isinstance(params, dict):
         raise InstanceError(where, "expected an object")
@@ -70,9 +84,7 @@ def _parse_lognormal(params, where: str) -> DiscreteMeasure:
     for key in keys:
         if key not in params:
             raise InstanceError(where, f"missing key {key!r}")
-        if not _is_number(params[key]):
-            raise InstanceError(f"{where}.{key}",
-                                f"expected a number, got {json.dumps(params[key])}")
+        _number(params[key], f"{where}.{key}")
     m = params["m"]
     if not 0 < m < np.inf or m != int(m):
         raise InstanceError(f"{where}.m", f"expected a positive integer, got {json.dumps(m)}")
@@ -94,10 +106,11 @@ def _parse_measure(spec, where: str) -> DiscreteMeasure:
             raise InstanceError(where, "expected atoms/weights or a lognormal block, not both")
         return _parse_lognormal(spec["lognormal"], f"{where}.lognormal")
     if "atoms" in spec and "weights" in spec:
+        atoms = _numbers(spec["atoms"], f"{where}.atoms")
+        weights = _numbers(spec["weights"], f"{where}.weights")
         try:
-            return DiscreteMeasure(np.asarray(spec["atoms"], dtype=float),
-                                   np.asarray(spec["weights"], dtype=float))
-        except (TypeError, ValueError, OverflowError) as exc:
+            return DiscreteMeasure(np.asarray(atoms, float), np.asarray(weights, float))
+        except (ValueError, OverflowError) as exc:
             raise InstanceError(where, str(exc)) from exc
     raise InstanceError(where, "expected atoms/weights or a lognormal block")
 
@@ -123,15 +136,15 @@ def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
     if raw.shape[1] != ms.n + 1:
         raise InstanceError("cost.path", f"expected {ms.n + 1} columns, got {raw.shape[1]}")
     index = []
-    for i, grid in enumerate(ms.grids):  # nearest atom of each coordinate
+    for i, grid in enumerate(ms.grids):  # nearest atom, within 1e-9 of the largest |atom|
         coords = raw[:, i]
         hi = np.minimum(np.searchsorted(grid, coords), grid.size - 1)
         lo = np.maximum(hi - 1, 0)
         pos = np.where(np.abs(grid[lo] - coords) <= np.abs(grid[hi] - coords), lo, hi)
-        off = ~(np.abs(grid[pos] - coords) <= 1e-9)  # NaN is off too
+        off = ~(np.abs(grid[pos] - coords) <= 1e-9 * np.max(np.abs(grid)))  # NaN is off too
         if off.any():
-            raise InstanceError(
-                "cost.path", f"coordinate {coords[off][0]!r} is not an atom of marginal {i + 1}")
+            x = float(coords[off][0])
+            raise InstanceError("cost.path", f"coordinate {x!r} is not an atom of marginal {i + 1}")
         index.append(pos)
     flat = np.ravel_multi_index(index, ms.sizes)
     counts = np.bincount(flat, minlength=ms.path_count)
@@ -188,7 +201,9 @@ def parse_instance(path: str) -> Instance:
             cost = CostSpec(ms.n, form, table=table)
         else:
             strike = raw_cost.get("strike")
-            cost = CostSpec(ms.n, form, strike=None if strike is None else float(strike))
+            if strike is not None:
+                strike = float(_number(strike, "cost.strike"))
+            cost = CostSpec(ms.n, form, strike=strike)
     except InstanceError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,9 +1,7 @@
 """Convex and concave envelopes of functions tabulated on a finite grid.
 
 The convex envelope of a grid-tabulated function is the lower convex hull of
-its graph points; evaluation between hull knots is piecewise linear. A second,
-independent evaluation route goes through the double conjugate
-f**(x) = sup_m { m*x - sup_y { y*m - f(y) } } and is used for cross-checks.
+its graph points; evaluation between hull knots is piecewise linear.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SLOPE_TOL = 1e-12
 CLAMP_REL = 1e-9
 
 
@@ -26,7 +23,7 @@ class OutOfDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real function tabulated on a strictly increasing finite grid."""
+    """Real function tabulated on a strictly increasing grid; grid and values finite."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -38,6 +35,8 @@ class GridFunction:
             raise ValueError("grid must have at least one point")
         if grid.size != values.size:
             raise ValueError("grid and values must have the same length")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise ValueError("grid and values must be finite")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -61,8 +60,12 @@ class EnvelopeResult:
 
 
 def _hull_scan(f: GridFunction, lower: bool) -> EnvelopeResult:
-    """Monotone scan over the grid points of f; drops collinear knots.
+    """Monotone scan over the grid points of f, free of scale.
 
+    A knot b between a and j stays only when the slope from b to j strictly
+    exceeds the slope from a to b, with no tolerance. Exactly collinear knots
+    go; knots collinear only up to rounding may stay (3x+1 on
+    linspace(0, 1, 11) keeps knot 7), which moves no value beyond rounding.
     The upper hull is the lower hull of the slopes with their signs flipped.
     """
     x, y = f.grid, f.values
@@ -73,7 +76,7 @@ def _hull_scan(f: GridFunction, lower: bool) -> EnvelopeResult:
             a, b = keep[-2], keep[-1]
             s_ab = (y[b] - y[a]) / (x[b] - x[a])
             s_bj = (y[j] - y[b]) / (x[j] - x[b])
-            if sign * s_bj > sign * s_ab + SLOPE_TOL:
+            if sign * s_bj > sign * s_ab:
                 break
             keep.pop()
         keep.append(j)
@@ -137,19 +140,3 @@ def envelope_weights(e: EnvelopeResult, t: float):
         return k, k, 1.0
     lam = float((g[k] - t) / (g[k] - g[k - 1]))
     return k - 1, k, lam
-
-
-def biconjugate_eval(f: GridFunction, t: float) -> float:
-    """Convex-envelope value at t via the double conjugate.
-
-    The inner conjugate sup_y { y*m - f(y) } runs over the raw grid points;
-    the outer sup runs over the finite set of hull segment slopes, where it is
-    attained for piecewise-linear conjugates. Independent evaluation route,
-    agrees with eval_envelope(convex_envelope(f), t) within 1e-9.
-    """
-    env = convex_envelope(f)
-    g, v = env.hull_grid, env.hull_values
-    t = _clamp(g, t)
-    slopes = np.diff(v) / np.diff(g) if g.size > 1 else np.zeros(1)
-    conj = np.max(f.grid[None, :] * slopes[:, None] - f.values[None, :], axis=1)
-    return float(np.max(slopes * t - conj))

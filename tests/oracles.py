@@ -7,7 +7,8 @@ multipliers are checked by semistatic_value_check, which prices a
 semi-static position and refuses one that is not dominated by the cost.
 The lognormal quantization is compared with the same formula evaluated by
 scipy's ndtri and ndtr, an implementation independent of the standard
-library's NormalDist and erfc.
+library's NormalDist and erfc. Convex envelopes are cross-checked through the
+double conjugate by biconjugate_eval.
 """
 
 import itertools
@@ -16,7 +17,14 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from motbounds import CostSpec, MarginalSequence, SizeCapError, assemble_lp
+from motbounds import (
+    CostSpec,
+    GridFunction,
+    MarginalSequence,
+    SizeCapError,
+    assemble_lp,
+    convex_envelope,
+)
 
 BRUTE_FORCE_PATH_CAP = 64
 SEMISTATIC_TOL = 1e-9
@@ -136,3 +144,21 @@ def lognormal_atoms(location: float, scale: float, m: int) -> np.ndarray:
     """Conditional means of the m equal-probability slices of Lognormal(location, scale)."""
     shares = lognormal_mean_shares(normal_slice_edges(m), scale)
     return m * math.exp(location + scale**2 / 2.0) * np.diff(shares)
+
+
+def biconjugate_eval(f: GridFunction, t: float) -> float:
+    """Convex-envelope value at t via the double conjugate.
+
+    f**(t) = sup_m { m*t - sup_y { y*m - f(y) } }. The inner conjugate runs
+    over the raw grid points; the outer sup runs over the finite set of hull
+    segment slopes, where it is attained for piecewise-linear conjugates. An
+    evaluation route independent of hull interpolation: it agrees with
+    eval_envelope(convex_envelope(f), t) within 1e-9. t is clipped into the
+    grid's interval.
+    """
+    env = convex_envelope(f)
+    g, v = env.hull_grid, env.hull_values
+    t = float(np.clip(t, g[0], g[-1]))
+    slopes = np.diff(v) / np.diff(g) if g.size > 1 else np.zeros(1)
+    conj = np.max(f.grid[None, :] * slopes[:, None] - f.values[None, :], axis=1)
+    return float(np.max(slopes * t - conj))

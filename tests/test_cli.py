@@ -332,6 +332,24 @@ class TestEnvelopeCommand:
         csv.write_text("1,0\n0,1\n")
         assert main(["envelope", str(csv)]) == 1
 
+    def test_far_from_unit_scale_keeps_the_notch(self, tmp_path, capsys):
+        # slopes of -1e-13 and 1e-13 differ by less than 1e-12; the hull still
+        # keeps the middle knot, so the envelope there is f = -1
+        csv = tmp_path / "wide.csv"
+        csv.write_text("0,0\n1e13,-1\n2e13,0\n")
+        assert main(["envelope", str(csv), "--at", "1e13"]) == 0
+        assert capsys.readouterr().out == "-1.0\n"
+
+    @pytest.mark.parametrize("rows", ["0,0\n1,nan\n2,0\n", "0,0\n1,inf\n2,-inf\n",
+                                      "0,0\nnan,1\n2,0\n"], ids=["nan", "inf", "nan_grid"])
+    @pytest.mark.parametrize("at", [["--at", "1"], []], ids=["at", "hull"])
+    def test_non_finite_rows_exit_1(self, tmp_path, capsys, rows, at):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(rows)
+        assert main(["envelope", str(csv)] + at) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: grid and values must be finite\n"
+
     def test_one_column_exit_1(self, tmp_path, capsys):
         csv = tmp_path / "one.csv"
         csv.write_text("0\n1\n2\n")
@@ -435,6 +453,29 @@ class TestInstanceParsing:
         assert main(["solve", write_instance(tmp_path, payload), "--method", "dual"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("marginal,cost,message", [
+        ({"atoms": ["1.0"], "weights": [1.0]}, None,
+         'marginals[0].atoms[0]: expected a number, got "1.0"'),
+        ({"atoms": [1.0], "weights": [True]}, None,
+         "marginals[0].weights[0]: expected a number, got true"),
+        ({"atoms": [0.0, [1.0]], "weights": [0.5, 0.5]}, None,
+         "marginals[0].atoms[1]: expected a number, got [1.0]"),
+        ({"atoms": 1.0, "weights": [1.0]}, None,
+         "marginals[0].atoms: expected a list of numbers, got 1.0"),
+        (None, {"form": "basket", "strike": "1.0"}, 'cost.strike: expected a number, got "1.0"'),
+        (None, {"form": "terminal_call", "strike": True},
+         "cost.strike: expected a number, got true"),
+    ], ids=["atom_string", "weight_bool", "atom_nested", "atoms_scalar", "strike_string",
+            "strike_bool"])
+    def test_non_number_field_exit_1(self, tmp_path, capsys, marginal, cost, message):
+        payload = json.loads(json.dumps(HAND_INSTANCE))
+        if marginal is not None:
+            payload["marginals"][0] = marginal
+        if cost is not None:
+            payload["cost"] = cost
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_integral_float_m_is_accepted(self, tmp_path):
         payload = json.loads(json.dumps(SHOWCASE_INSTANCE))
         payload["marginals"][0]["lognormal"]["m"] = 15.0
@@ -457,6 +498,21 @@ class TestInstanceParsing:
         expected = np.array([[[10 * x2 + 100 * x3 for x3 in (-2.0, 0.0, 2.0)]
                               for x2 in (-1.0, 1.0)]])
         assert np.allclose(table, expected, rtol=0, atol=1e-9)
+
+    def test_cost_table_match_scales_with_the_atoms(self, tmp_path, capsys):
+        # 5e-10 is 500 atom gaps past 1e-12, though within an absolute 1e-9 of it
+        csv = tmp_path / "tiny.csv"
+        csv.write_text("0.0,-1e-12,1.0\n0.0,0.0,0.0\n0.0,5e-10,1.0\n")
+        payload = {
+            "marginals": [
+                {"atoms": [0.0], "weights": [1.0]},
+                {"atoms": [-1e-12, 0.0, 1e-12], "weights": [0.25, 0.5, 0.25]},
+            ],
+            "cost": {"form": "custom_table", "path": str(csv)},
+        }
+        assert main(["solve", write_instance(tmp_path, payload), "--method", "primal"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cost.path: coordinate 5e-10 is not an atom of marginal 2\n")
 
     @pytest.mark.parametrize("coordinate", ["1.5", "nan"])
     def test_cost_table_off_atom_exit_1(self, tmp_path, capsys, coordinate):

@@ -6,7 +6,6 @@ import pytest
 from motbounds import (
     GridFunction,
     OutOfDomainError,
-    biconjugate_eval,
     concave_envelope,
     convex_envelope,
     envelope_weights,
@@ -14,6 +13,7 @@ from motbounds import (
 )
 
 from conftest import random_grid_function
+from oracles import biconjugate_eval
 
 TENT = GridFunction([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
 PARAB = GridFunction([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 0.0, 1.0, 4.0])
@@ -216,6 +216,35 @@ class TestEnvelopeProperties:
             assert env.hull_indices[-1] == len(f) - 1
 
 
+class TestScaleFree:
+    SCALES = [1e-13, 1e-6, 1.0, 1e6, 1e13]
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["convex", "concave"])
+    @pytest.mark.parametrize("x_scale", SCALES)
+    def test_rescaled_hull_is_the_rescaled_envelope(self, rng, lower, x_scale):
+        envelope = convex_envelope if lower else concave_envelope
+        sign = 1.0 if lower else -1.0
+        for _ in range(40):
+            f = random_grid_function(rng, max_len=80, min_len=2)
+            base = envelope(f)
+            base_at_grid = np.interp(f.grid, base.hull_grid, base.hull_values)
+            for y_scale in self.SCALES:
+                g = GridFunction(f.grid * x_scale, f.values * y_scale)
+                env = envelope(g)
+                at_grid = np.interp(g.grid, env.hull_grid, env.hull_values)
+                tol = 1e-12 * float(np.max(np.abs(g.values)))
+                # a minorant (majorant for the upper hull) at every grid point
+                assert np.all(sign * (at_grid - g.values) <= tol)
+                # and the envelope of f, rescaled
+                assert np.all(np.abs(at_grid - base_at_grid * y_scale) <= tol)
+
+    def test_small_values_keep_the_notch(self):
+        # slopes -1e-13 and 1e-13: an absolute slope tolerance would drop the knot
+        env = convex_envelope(GridFunction([0.0, 1.0, 2.0], [0.0, -1e-13, 0.0]))
+        assert np.array_equal(env.hull_indices, [0, 1, 2])
+        assert eval_envelope(env, 1.0) == -1e-13
+
+
 class TestGridFunctionValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -224,3 +253,13 @@ class TestGridFunctionValidation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             GridFunction([0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("grid,values", [
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0]),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, -np.inf]),
+        ([0.0, np.inf], [0.0, 1.0]),
+        ([np.nan], [0.0]),
+    ], ids=["nan_value", "inf_values", "inf_grid", "nan_grid"])
+    def test_rejects_non_finite(self, grid, values):
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(grid, values)
