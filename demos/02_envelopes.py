@@ -21,8 +21,8 @@ upper = concave_envelope(f)
 
 print("grid:          ", f.grid)
 print("values:        ", f.values)
-print("lower hull:    ", list(zip(lower.hull_grid, lower.hull_values)))
-print("upper hull:    ", list(zip(upper.hull_grid, upper.hull_values)))
+print("lower hull:    ", list(zip(lower.hull_grid.tolist(), lower.hull_values.tolist())))
+print("upper hull:    ", list(zip(upper.hull_grid.tolist(), upper.hull_values.tolist())))
 
 # Evaluation interpolates the hull (exact at knots); the interior point 2
 # sits on the chord from (1, -1) to (3, 0).

@@ -52,7 +52,7 @@ import numpy as np
 
 from .envelope import _clamp
 from .measures import CostSpec, MarginalSequence
-from .primal import validate_coupling
+from .primal import Coupling, validate_coupling
 
 VARIANTS = ("proposition", "remark_a", "remark_b")
 LOWER_VARIANTS = ("proposition", "remark_b")
@@ -408,7 +408,8 @@ class SubhedgeReport:
         }
 
 
-def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling) -> SubhedgeReport:
+def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
+                    coupling: Coupling) -> SubhedgeReport:
     """Check that the cascade strategy sub-hedges c conditionally on the start.
 
     For every first-period atom with positive mass the conditional expectation
@@ -416,18 +417,17 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coup
     conditional expectation of the cost, up to SUBHEDGE_TOL times
     max(1, max |T_n|); equivalently T_1 must not exceed the conditional
     expectation of the terminal tensor T_n. The coupling must pass marginal
-    and martingale validation first.
+    and martingale validation first; the expectations sum over its rows.
     """
-    q = np.asarray(getattr(coupling, "q", coupling), dtype=float)
-    report = validate_coupling(q, ms)
+    report = validate_coupling(coupling, ms)
     if not report.ok:
         raise ValueError(f"coupling failed validation: {report.summary()}")
     casc = cascade_down("proposition", cost, ms, u)
     t1, t_n = casc.levels[0], casc.levels[-1]
-    tail_axes = tuple(range(1, ms.n))
-    start_mass = q.sum(axis=tail_axes)
+    atom, m_1 = coupling.atoms(), ms.sizes[0]
+    start_mass = np.bincount(atom[0], coupling.mass, m_1)
     mass = np.where(start_mass > 0, start_mass, 1.0)
     keep = ms[0].weights > 0
-    slacks = ((q * t_n).sum(axis=tail_axes) / mass - t1)[keep]
+    slacks = (np.bincount(atom[0], coupling.mass * t_n[atom], m_1) / mass - t1)[keep]
     tol = SUBHEDGE_TOL * max(1.0, float(np.abs(t_n).max()))
     return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))

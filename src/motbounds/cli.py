@@ -36,8 +36,6 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
 
-PATH_MASS_FLOOR = 1e-15  # coupling.csv lists the paths with more mass than this
-
 
 class InstanceError(ValueError):
     """Malformed instance file or flag; message carries the offending field."""
@@ -305,12 +303,10 @@ def cmd_solve(args) -> int:
         payload["primal_value"] = primal.value
         payload["lp_stats"] = primal.stats
         if out_dir:
-            q = primal.coupling.q
-            paths = np.argwhere(q > PATH_MASS_FLOOR)
+            coupling = primal.coupling
             _write_csv(os.path.join(out_dir, "coupling.csv"),
                        [f"x_{i + 1}" for i in range(ms.n)] + ["mass"],
-                       [grid[paths[:, i]] for i, grid in enumerate(ms.grids)]
-                       + [q[tuple(paths.T)]])
+                       [grid[a] for grid, a in zip(ms.grids, coupling.atoms())] + [coupling.mass])
     if args.method in ("dual", "both"):
         # with the LP solved, start at its marginal multipliers, as certify does
         ref = start = None

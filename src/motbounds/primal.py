@@ -17,6 +17,7 @@ from two threads.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,12 +34,21 @@ PREFIX_MASS_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """Candidate transport plan: nonnegative mass per path on the product grid."""
+    """Transport plan as (path, mass) rows: paths are flat row-major indices into
+    the product grid of shape, and a path listed twice carries both masses."""
 
-    q: np.ndarray
+    shape: tuple
+    paths: np.ndarray
+    mass: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+    def atoms(self) -> tuple:
+        """The atom index of every row, one array per period."""
+        return np.unravel_index(self.paths, self.shape)
+
+    @property
+    def q(self) -> np.ndarray:
+        """The plan as a dense array on the product grid, built on each read."""
+        return np.bincount(self.paths, self.mass, math.prod(self.shape)).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -47,46 +57,49 @@ class CouplingReport:
     mass_error: float
     marginal_errors: tuple
     martingale_error: float
+    negative_mass: float
 
     def summary(self) -> str:
         return (
             f"mass_error={self.mass_error:.3e}, "
             f"marginal_errors={tuple(f'{e:.3e}' for e in self.marginal_errors)}, "
-            f"martingale_error={self.martingale_error:.3e}"
+            f"martingale_error={self.martingale_error:.3e}, "
+            f"negative_mass={self.negative_mass:.3e}"
         )
 
 
-def validate_coupling(q, ms: MarginalSequence) -> CouplingReport:
-    """Check total mass, per-atom marginals, and zero conditional drift.
+def validate_coupling(coupling: Coupling, ms: MarginalSequence) -> CouplingReport:
+    """Check nonnegative mass, total mass, marginals and zero drift, summing over the rows.
 
     The drift tolerance scales with the prefix mass and the overall grid span;
-    prefixes below the mass floor are vacuous.
+    prefixes below the mass floor are vacuous. A path off the grid raises ValueError.
     """
-    q = np.asarray(getattr(q, "q", q), dtype=float)
-    if q.shape != ms.sizes:
-        raise ValueError(f"coupling shape {q.shape} does not match grids {ms.sizes}")
-    mass_error = abs(float(q.sum()) - 1.0)
-    marginal_errors = []
-    for i in range(ms.n):
-        axes = tuple(a for a in range(ms.n) if a != i)
-        marginal_errors.append(float(np.max(np.abs(q.sum(axis=axes) - ms[i].weights))))
+    if not isinstance(coupling, Coupling):
+        raise TypeError(f"expected a Coupling, got {type(coupling).__name__}")
+    if tuple(coupling.shape) != ms.sizes:
+        raise ValueError(f"coupling shape {coupling.shape} does not match grids {ms.sizes}")
+    atom, mass = coupling.atoms(), np.asarray(coupling.mass, dtype=float)
+    negative_mass = max(0.0, -float(mass.min(initial=0.0)))
+    mass_error = abs(float(mass.sum()) - 1.0)
+    marginal_errors = [float(np.max(np.abs(np.bincount(atom[i], mass, m) - ms[i].weights)))
+                       for i, m in enumerate(ms.sizes)]
     span = ms.span
     worst_drift = 0.0
     for i in range(ms.n - 1):
-        head = q.sum(axis=tuple(range(i + 2, ms.n))) if i + 2 < ms.n else q
-        prefix_mass = head.sum(axis=-1)
-        x_i = ms.grids[i].reshape((1,) * i + (-1,))
-        drift = head @ ms.grids[i + 1] - prefix_mass * x_i
+        prefix = np.ravel_multi_index(atom[: i + 1], ms.sizes[: i + 1])
+        prefix_mass = np.bincount(prefix, mass)
+        drift = np.bincount(prefix, mass * (ms.grids[i + 1][atom[i + 1]] - ms.grids[i][atom[i]]))
         live = prefix_mass > PREFIX_MASS_FLOOR
         if np.any(live):
             scaled = np.abs(drift[live]) / (prefix_mass[live] * max(span, 1e-300))
             worst_drift = max(worst_drift, float(scaled.max()))
     ok = (
-        mass_error <= MASS_TOL
+        negative_mass <= MASS_TOL
+        and mass_error <= MASS_TOL
         and all(e <= MARGINAL_TOL for e in marginal_errors)
         and worst_drift <= MARTINGALE_TOL
     )
-    return CouplingReport(ok, mass_error, tuple(marginal_errors), worst_drift)
+    return CouplingReport(ok, mass_error, tuple(marginal_errors), worst_drift, negative_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +206,10 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
              "solve_s": solve_s}
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats)
-    q = np.clip(res.x, 0.0, None).reshape(lp.grid_shape)
+    paths = np.flatnonzero(res.x > 0)
     value = float(np.dot(lp.c, res.x))
     duals = sense * res.eqlin.marginals
-    return PrimalSolution(value, Coupling(q), "optimal", stats, duals)
+    return PrimalSolution(value, Coupling(lp.grid_shape, paths, res.x[paths]), "optimal", stats, duals)
 
 
 def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:

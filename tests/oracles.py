@@ -8,7 +8,8 @@ semi-static position and refuses one that is not dominated by the cost.
 The lognormal quantization is compared with the same formula evaluated by
 scipy's ndtri and ndtr, an implementation independent of the standard
 library's NormalDist and erfc. Convex envelopes are cross-checked through the
-double conjugate by biconjugate_eval.
+double conjugate by biconjugate_eval. support_rows turns a hand-written dense
+plan into the (path, mass) rows of a Coupling.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from scipy.special import ndtr, ndtri
 
 from motbounds import (
     CostSpec,
+    Coupling,
     GridFunction,
     MarginalSequence,
     SizeCapError,
@@ -162,3 +164,10 @@ def biconjugate_eval(f: GridFunction, t: float) -> float:
     slopes = np.diff(v) / np.diff(g) if g.size > 1 else np.zeros(1)
     conj = np.max(f.grid[None, :] * slopes[:, None] - f.values[None, :], axis=1)
     return float(np.max(slopes * t - conj))
+
+
+def support_rows(q) -> Coupling:
+    """The nonzero entries of a dense plan, negative ones included, as Coupling rows."""
+    q = np.asarray(q, dtype=float)
+    paths = np.flatnonzero(q)
+    return Coupling(q.shape, paths, q.ravel()[paths])

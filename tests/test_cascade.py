@@ -24,6 +24,7 @@ from motbounds import (
     dual_objective,
     dual_value_and_subgradient,
     eval_envelope,
+    solve_primal,
     terminal_tensor,
     verify_subhedge,
 )
@@ -32,6 +33,7 @@ from motbounds.cascade import _Level, _built, _envelope
 from motbounds.envelope import CLAMP_REL
 
 from conftest import random_duals, random_instance
+from oracles import support_rows
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -164,7 +166,7 @@ class TestPositionsBuiltElsewhere:
 
     COST = CostSpec(3, "squared_increment")
     # the martingale coupling of MS_THREE: 3/4 of each PM1 atom moves to the nearer PM2 atom
-    COUPLING = Coupling(np.array([[[0.375, 0.125], [0.125, 0.375]]]))
+    COUPLING = Coupling((1, 2, 2), np.arange(4), np.array([0.375, 0.125, 0.125, 0.375]))
 
     def entry_points(self, u):
         """Every public route from a position u on MS_THREE into a cascade."""
@@ -626,22 +628,44 @@ class TestSubgradient:
 
 class TestVerifySubhedge:
     def test_unique_coupling_zero_slack(self):
-        q = np.array([[0.5, 0.5]])  # product coupling delta_0 x mu_2
-        report = verify_subhedge(SQ2, MS_SINGLE, DualVariables.zeros(MS_SINGLE), Coupling(q))
+        q = support_rows([[0.5, 0.5]])  # product coupling delta_0 x mu_2
+        report = verify_subhedge(SQ2, MS_SINGLE, DualVariables.zeros(MS_SINGLE), q)
         assert report.ok
         assert report.slacks[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_jensen_slack_nonnegative(self):
         # three-eighths / one-eighth martingale coupling of the symmetric pair
-        q = np.array([[0.375, 0.125], [0.125, 0.375]])
-        report = verify_subhedge(SQ2, MS_PAIR, DualVariables.zeros(MS_PAIR), Coupling(q))
+        q = support_rows([[0.375, 0.125], [0.125, 0.375]])
+        report = verify_subhedge(SQ2, MS_PAIR, DualVariables.zeros(MS_PAIR), q)
         assert report.ok
         assert np.all(report.slacks >= -1e-9)
 
     def test_invalid_coupling_rejected(self):
-        q = np.array([[1.0, 0.0]])  # wrong second marginal
+        q = support_rows([[1.0, 0.0]])  # wrong second marginal
         with pytest.raises(ValueError, match="validation"):
-            verify_subhedge(SQ2, MS_SINGLE, DualVariables.zeros(MS_SINGLE), Coupling(q))
+            verify_subhedge(SQ2, MS_SINGLE, DualVariables.zeros(MS_SINGLE), q)
+
+    def test_signed_plan_rejected(self):
+        # right marginals and zero drift, but two paths carry negative mass
+        ms = MarginalSequence([D0, PM1, DiscreteMeasure(np.array([-2.0, 0.0, 2.0]),
+                                                        np.array([0.25, 0.5, 0.25]))])
+        q = support_rows([[[0.5, -0.25, 0.25], [-0.25, 0.75, 0.0]]])
+        with pytest.raises(ValueError, match="negative_mass=2.500e-01"):
+            verify_subhedge(CostSpec(3, "squared_increment"), ms, DualVariables.zeros(ms), q)
+
+    def test_raw_array_refused(self):
+        with pytest.raises(TypeError, match="expected a Coupling"):
+            verify_subhedge(SQ2, MS_SINGLE, DualVariables.zeros(MS_SINGLE), np.array([[0.5, 0.5]]))
+
+    def test_slacks_read_only_the_support(self, rng):
+        cost, ms = random_instance(rng, n=3, max_size=5)
+        coupling = solve_primal(cost, ms).coupling
+        u = random_duals(rng, ms)
+        report = verify_subhedge(cost, ms, u, coupling)
+        casc = cascade_down("proposition", cost, ms, u)
+        q = coupling.q
+        dense = (q * casc.levels[-1]).sum(axis=(1, 2)) / q.sum(axis=(1, 2)) - casc.levels[0]
+        np.testing.assert_allclose(report.slacks, dense, rtol=0, atol=1e-12)
 
 
 class TestCostSpec:

@@ -18,7 +18,7 @@ from motbounds import (
     dual_objective,
     solve_primal,
 )
-from motbounds.cli import PATH_MASS_FLOOR, main, parse_instance
+from motbounds.cli import main, parse_instance
 
 from conftest import checkout_env
 
@@ -206,12 +206,13 @@ class TestCsvArtifacts:
         out = json.loads(capsys.readouterr().out)
         inst = parse_instance(path)
         q = solve_primal(inst.cost, inst.marginals).coupling.q
-        paths = np.argwhere(q > PATH_MASS_FLOOR)
+        paths = np.argwhere(q > 0)  # one row per path with positive LP mass
         grids = inst.marginals.grids
         expected = np.column_stack([grid[paths[:, i]] for i, grid in enumerate(grids)]
                                    + [q[tuple(paths.T)]])
         coupling = read_csv(out_dir / "coupling.csv", "x_1,x_2,x_3,mass")
         np.testing.assert_array_equal(coupling, expected)
+        assert np.all(coupling[:, -1] > 0)
         trace = read_csv(out_dir / "trace.csv", TRACE_HEADER)
         assert trace.shape == (out["iterations"], 4)
         assert trace[-1, 1] == out["dual_value"]

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against this checkout."""
+"""Every demo script runs to completion against this checkout and prints plain numbers."""
 
 import shutil
 import subprocess
@@ -21,3 +21,4 @@ def test_demo_runs(tmp_path, demo):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    assert "np.float64(" not in done.stdout  # numbers print plain, not as numpy reprs

@@ -1,4 +1,4 @@
-"""Import footprint: scipy loads only with the LP, and the dual path runs without it."""
+"""Import footprint: scipy loads only with the LP; the dual path and coupling checks run without it."""
 
 import json
 import subprocess
@@ -31,6 +31,11 @@ except motbounds.SizeCapError:
     mark("capped")
 motbounds.quantize_lognormal(-0.02, 0.2, 15)
 mark("quantize")
+# a martingale coupling of the pair: each atom of mu_1 splits evenly to its two neighbours
+coupling = motbounds.Coupling((2, 3), np.array([0, 1, 4, 5]), np.full(4, 0.25))
+assert motbounds.verify_subhedge(cost, ms, motbounds.DualVariables.zeros(ms), coupling).ok
+mark("verify")
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded before the LP"
 motbounds.solve_primal(cost, ms)
 mark("solve")
 print(json.dumps(loaded))
@@ -46,6 +51,7 @@ def test_scipy_parts_load_on_first_use():
     assert loaded["ascend"] == []
     assert loaded["capped"] == []
     assert loaded["quantize"] == []
+    assert loaded["verify"] == []  # a coupling is re-checked without the LP stack
     assert "scipy.optimize" in loaded["solve"]
 
 

@@ -6,6 +6,7 @@ from scipy import sparse
 
 from motbounds import (
     CostSpec,
+    Coupling,
     DiscreteMeasure,
     MarginalSequence,
     SizeCapError,
@@ -17,7 +18,7 @@ from motbounds import (
 )
 
 from conftest import random_instance
-from oracles import brute_force_value, semistatic_value_check
+from oracles import brute_force_value, semistatic_value_check, support_rows
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -296,23 +297,79 @@ class TestSemistatic:
 
 class TestCouplingValidation:
     def test_accepts_exact_coupling(self):
-        q = np.array([[0.375, 0.125], [0.125, 0.375]])
+        q = Coupling((2, 2), np.arange(4), np.array([0.375, 0.125, 0.125, 0.375]))
         assert validate_coupling(q, MS_PAIR).ok
 
     def test_rejects_wrong_marginal(self):
-        q = np.array([[0.5, 0.25], [0.0, 0.25]])
+        q = support_rows([[0.5, 0.25], [0.0, 0.25]])
         report = validate_coupling(q, MS_PAIR)
         assert not report.ok
         assert max(report.marginal_errors) > 1e-3
 
     def test_rejects_comonotone_plan(self):
-        q = np.array([[0.5, 0.0], [0.0, 0.5]])  # right marginals, drifting paths
+        q = support_rows([[0.5, 0.0], [0.0, 0.5]])  # right marginals, drifting paths
         report = validate_coupling(q, MS_PAIR)
         assert not report.ok
         assert report.martingale_error > 1e-3
 
     def test_rejects_drift(self):
-        q = np.array([[0.25, 0.25], [0.25, 0.25]])  # right marginals, no martingale
+        q = support_rows([[0.25, 0.25], [0.25, 0.25]])  # right marginals, no martingale
         report = validate_coupling(q, MS_PAIR)
         assert not report.ok
         assert report.martingale_error > 1e-3
+
+    def test_rejects_signed_plan(self):
+        # right marginals and zero drift on every prefix, but two paths carry mass -1/4
+        ms = MarginalSequence([D0, PM1, DiscreteMeasure(np.array([-2.0, 0.0, 2.0]),
+                                                        np.array([0.25, 0.5, 0.25]))])
+        report = validate_coupling(support_rows([[[0.5, -0.25, 0.25], [-0.25, 0.75, 0.0]]]), ms)
+        assert not report.ok
+        assert report.negative_mass == 0.25
+        assert report.mass_error == max(report.marginal_errors) == report.martingale_error == 0.0
+        assert "negative_mass=2.500e-01" in report.summary()
+
+    def test_rejects_perturbed_lp_coupling(self, rng):
+        # a null-space step of the LP rows keeps every marginal and drift, not the sign
+        cost, ms = random_instance(rng, n=3, max_size=5)
+        lp = assemble_lp(cost, ms)
+        x = solve_primal(cost, ms).coupling.q.ravel()
+        _, _, vt = np.linalg.svd(lp.A.toarray())
+        assert np.abs(lp.A @ vt[-1]).max() < 1e-12  # more paths than independent rows
+        k = np.argmax(np.abs(vt[-1]))
+        moved = x - 2.0 * vt[-1] / vt[-1][k]  # path k loses 2, so its mass is below -1
+        paths = np.flatnonzero(moved)
+        report = validate_coupling(Coupling(ms.sizes, paths, moved[paths]), ms)
+        assert not report.ok
+        assert report.negative_mass >= 1.0
+        assert report.martingale_error < 1e-8
+
+    def test_path_listed_twice_counts_both_masses(self):
+        q = Coupling((2, 2), np.array([3, 0, 1, 2, 0, 3]),
+                     np.array([0.125, 0.125, 0.125, 0.125, 0.25, 0.25]))
+        np.testing.assert_array_equal(q.q, [[0.375, 0.125], [0.125, 0.375]])
+        assert validate_coupling(q, MS_PAIR) == validate_coupling(support_rows(q.q), MS_PAIR)
+        assert validate_coupling(q, MS_PAIR).ok
+
+    @pytest.mark.parametrize("path", [4, -1])
+    def test_path_off_the_grid_raises(self, path):
+        q = Coupling((2, 2), np.array([0, 1, 2, path]), np.full(4, 0.25))
+        with pytest.raises(ValueError):
+            validate_coupling(q, MS_PAIR)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="does not match grids"):
+            validate_coupling(Coupling((2, 3), np.arange(4), np.full(4, 0.25)), MS_PAIR)
+
+    def test_raw_array_refused(self):
+        with pytest.raises(TypeError, match="expected a Coupling"):
+            validate_coupling(np.array([[0.375, 0.125], [0.125, 0.375]]), MS_PAIR)
+
+    def test_lp_coupling_is_its_positive_rows(self, rng):
+        cost, ms = random_instance(rng, n=3, max_size=5)
+        coupling = solve_primal(cost, ms).coupling
+        assert coupling.shape == ms.sizes
+        assert np.all(coupling.mass > 0)
+        assert np.all(np.diff(coupling.paths) > 0)
+        atoms = coupling.atoms()
+        np.testing.assert_array_equal(coupling.q[atoms], coupling.mass)
+        assert np.count_nonzero(coupling.q) == coupling.paths.size
