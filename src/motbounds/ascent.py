@@ -199,7 +199,8 @@ class CertifyReport:
     (assembly and the worker's start included) to the lower solution, and
     lp_upper is only the further wait for the upper one and the worker's
     join. The first certify in a process also charges the one-time import
-    of scipy.sparse, scipy.optimize and concurrent.futures to lp_lower.
+    of scipy.sparse, scipy.optimize with the HiGHS bindings the solves call
+    (scipy.optimize._highspy._core) and concurrent.futures to lp_lower.
     Each side's own solver time, overlap included, is stats["solve_s"] of
     primal_lower and primal_upper; as_dict gives each side its value,
     status and stats.

@@ -25,6 +25,7 @@ from .measures import (
     CostSpec,
     DiscreteMeasure,
     MarginalSequence,
+    NonFiniteCostError,
     SizeCapError,
     quantize_lognormal,
     validate_sequence,
@@ -424,7 +425,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except InstanceError as exc:
+    except (InstanceError, NonFiniteCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeCapError as exc:

@@ -34,6 +34,10 @@ class SizeCapError(RuntimeError):
     """Instance exceeds a configured resource cap."""
 
 
+class NonFiniteCostError(ValueError):
+    """A named cost form overflows to inf or nan on the marginals' product grid."""
+
+
 def _canonical_support(atoms, weights):
     """Sort atoms, merge duplicates (weights summed), validate."""
     atoms = np.atleast_1d(np.asarray(atoms, dtype=float)).ravel()
@@ -252,24 +256,36 @@ class CostSpec:
             object.__setattr__(self, "table", table)
 
     def tensor_on(self, ms: MarginalSequence) -> np.ndarray:
-        """Cost values on the full product grid, shape = marginal sizes."""
+        """Cost values on the full product grid, shape = marginal sizes.
+
+        Every reader of the cost, the LP and the cascade, gets it from here,
+        so this is where a named form that overflows on the grid (atoms of
+        1e200 squared, say) raises NonFiniteCostError, with no RuntimeWarning
+        on the way.
+        """
         if ms.n != self.n:
             raise ValueError(f"cost arity {self.n} vs {ms.n} marginals")
-        grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
-        if self.form == "squared_increment":
-            out = sum((grids[i + 1] - grids[i]) ** 2 for i in range(self.n - 1))
-        elif self.form == "abs_increment":
-            out = sum(np.abs(grids[i + 1] - grids[i]) for i in range(self.n - 1))
-        elif self.form == "terminal_call":
-            out = np.maximum(grids[-1] - self.strike, 0.0)
-        elif self.form == "basket":
-            out = np.maximum(sum(grids) / self.n - self.strike, 0.0)
-        else:  # custom_table
+        if self.form == "custom_table":
             if self.table.shape != ms.sizes:
                 raise ValueError(
                     f"table shape {self.table.shape} does not match grids {ms.sizes}"
                 )
             return self.table.copy()
+        grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.form == "squared_increment":
+                out = sum((grids[i + 1] - grids[i]) ** 2 for i in range(self.n - 1))
+            elif self.form == "abs_increment":
+                out = sum(np.abs(grids[i + 1] - grids[i]) for i in range(self.n - 1))
+            elif self.form == "terminal_call":
+                out = np.maximum(grids[-1] - self.strike, 0.0)
+            else:  # basket
+                out = np.maximum(sum(grids) / self.n - self.strike, 0.0)
+        # every named form is >= 0 and a NaN propagates to the max, so the max
+        # is finite exactly when every entry is; it needs no temporary array
+        if not np.isfinite(out.max()):
+            raise NonFiniteCostError(f"cost {self.form} is not finite on the product grid "
+                                     f"of the marginals")
         return np.broadcast_to(out, ms.sizes).copy()
 
 

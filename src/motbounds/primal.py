@@ -2,11 +2,15 @@
 
 Variables are path masses q(x_1, ..., x_n) >= 0 on the product grid; equality
 rows fix every marginal atom mass and force zero conditional drift for every
-prefix. The constraint matrix is assembled sparse and solved by the HiGHS
-solver that scipy ships, whose equality multipliers become the semi-static
-position. scipy.sparse and scipy.optimize are imported by the first
-assemble_lp and solve call, not with the module, so reference-free dual
-bounds never load the LP stack.
+prefix. The constraint matrix is assembled sparse, in the compressed-column
+(CSC) layout HiGHS reads. The HiGHS solver that scipy ships solves it,
+called through scipy's bundled bindings (scipy.optimize._highspy._core, a
+private module present from scipy 1.15.0) with the options, the status
+mapping and the check of an optimum that scipy.optimize.linprog(method=
+"highs") uses, so the results are linprog's without its Python layers. The
+equality multipliers become the semi-static position. scipy.sparse and
+scipy.optimize are imported by the first assemble_lp and solve call, not
+with the module, so reference-free dual bounds never load the LP stack.
 
 Assembly and solving are separate steps: solve_primal and solve_primal_max
 each assemble their own LP, while certify assembles one and solves both
@@ -104,10 +108,13 @@ def validate_coupling(coupling: Coupling, ms: MarginalSequence) -> CouplingRepor
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """Equality-form LP: min c.x, A x = b, x >= 0, rows laid out as assemble_lp says."""
+    """Equality-form LP: min c.x, A x = b, x >= 0, rows laid out as assemble_lp says.
+
+    A is a CSC matrix, the layout HiGHS reads, so no solve converts it.
+    """
 
     c: np.ndarray
-    A: "scipy.sparse.csr_array"
+    A: "scipy.sparse.csc_array"
     b: np.ndarray
     grid_shape: tuple
 
@@ -165,7 +172,7 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     A = sparse.coo_array(
         (np.concatenate(coef_blocks), (np.concatenate(row_blocks), np.tile(paths, 2 * n - 1))),
         shape=(offset, n_paths),
-    ).tocsr()
+    ).tocsc()
     return LpProblem(c, A, np.asarray(b), sizes)
 
 
@@ -173,10 +180,11 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
 class PrimalSolution:
     """Transport LP outcome with solver statistics and equality multipliers.
 
-    stats holds rows, columns, the solver's iterations and solve_s, the wall
-    seconds of the solver call alone. duals holds one multiplier per equality
-    row in assemble_lp's block layout, a sub-hedge of the cost for a
-    minimisation and a super-hedge for a maximisation.
+    stats holds rows, columns, the solver's iterations, HiGHS's
+    max_primal_infeasibility and max_dual_infeasibility, and solve_s, the
+    wall seconds of the solver call alone. duals holds one multiplier per
+    equality row in assemble_lp's block layout, a sub-hedge of the cost for
+    a minimisation and a super-hedge for a maximisation.
     """
 
     value: float
@@ -186,30 +194,72 @@ class PrimalSolution:
     duals: Optional[np.ndarray] = None
 
 
-# scipy.optimize.linprog status codes; anything else (numerical trouble) is "failed"
-_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+# HiGHS model statuses by name, mapped as scipy.optimize.linprog maps them;
+# any other status (numerical trouble, an error in the solver) is "failed"
+_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kModelError": "infeasible",
+           "kUnbounded": "unbounded", "kTimeLimit": "iteration_limit",
+           "kIterationLimit": "iteration_limit"}
+# linprog's check of an optimum: 10 * sqrt of its default tol, 1e-9
+_CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
 def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
-    Reads lp without changing it. stats["solve_s"] is the wall time of the
-    linprog call alone.
+    Reads lp without changing it. Each call loads lp into a fresh HiGHS
+    object with the options linprog(method="highs") sets: presolve on, the
+    dual simplex, no debug checks and no output. HiGHS's model status maps
+    as in _STATUS. An "optimal" x with a mass below -_CHECK_TOL, or an
+    equality row missed by more than _CHECK_TOL, is "failed", as linprog's
+    own check has it. stats["solve_s"] is the wall time of the solver call
+    alone, loading the model included; max_primal_infeasibility and
+    max_dual_infeasibility are HiGHS's own figures for the solution it
+    returned.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
     start = time.perf_counter()
-    res = linprog(sense * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_paths
+    model.num_row_ = model.a_matrix_.num_row_ = lp.n_rows
+    model.col_cost_ = sense * lp.c
+    model.col_lower_ = np.zeros(lp.n_paths)
+    model.col_upper_ = np.full(lp.n_paths, highs.kHighsInf)
+    model.row_lower_ = model.row_upper_ = lp.b
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = lp.A.indptr
+    model.a_matrix_.index_ = lp.A.indices
+    model.a_matrix_.value_ = lp.A.data
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual simplex
+    options.highs_debug_level = 0
+    options.output_flag = options.log_to_console = False
+
+    solver = highs._Highs()
+    solver.passOptions(options)
+    # HiGHS refuses to load a model with a matrix entry of 1e15 or more in
+    # magnitude; linprog reports that as kModelError, hence "infeasible"
+    loaded = solver.passModel(model) != highs.HighsStatus.kError
+    if loaded:
+        solver.run()
     solve_s = time.perf_counter() - start
-    status = _STATUS.get(res.status, "failed")
-    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": int(res.nit),
-             "solve_s": solve_s}
+    info = solver.getInfo()
+    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": iterations if loaded else 0,
+             "max_primal_infeasibility": info.max_primal_infeasibility,
+             "max_dual_infeasibility": info.max_dual_infeasibility, "solve_s": solve_s}
+    status = _STATUS.get(solver.getModelStatus().name if loaded else "kModelError", "failed")
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats)
-    paths = np.flatnonzero(res.x > 0)
-    value = float(np.dot(lp.c, res.x))
-    duals = sense * res.eqlin.marginals
-    return PrimalSolution(value, Coupling(lp.grid_shape, paths, res.x[paths]), "optimal", stats, duals)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    if not (np.all(x >= -_CHECK_TOL) and np.all(np.abs(lp.b - solution.row_value) <= _CHECK_TOL)):
+        return PrimalSolution(float("nan"), None, "failed", stats)
+    paths = np.flatnonzero(x > 0)
+    value = float(np.dot(lp.c, x))
+    duals = sense * np.array(solution.row_dual)
+    return PrimalSolution(value, Coupling(lp.grid_shape, paths, x[paths]), "optimal", stats, duals)
 
 
 def solve_primal(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> PrimalSolution:

@@ -15,6 +15,7 @@ from motbounds import (
     DualVariables,
     GridFunction,
     MarginalSequence,
+    NonFiniteCostError,
     OutOfDomainError,
     ascend,
     cascade_down,
@@ -707,6 +708,15 @@ class TestCostSpec:
         assert certify(custom, ms).feasible
         assert table.flags.writeable
         np.testing.assert_array_equal(table, saved)
+
+    @pytest.mark.parametrize("form,strike", [("squared_increment", None), ("abs_increment", None),
+                                             ("terminal_call", -1e308), ("basket", -1e308)])
+    def test_overflow_on_the_grid_raises(self, form, strike):
+        # finite atoms whose increments, or distance to the strike, pass the
+        # largest float; pytest turns a RuntimeWarning on the way into an error
+        wide = DiscreteMeasure(np.array([-1e308, 1e308]), np.array([0.5, 0.5]))
+        with pytest.raises(NonFiniteCostError, match=f"cost {form} is not finite"):
+            CostSpec(2, form, strike=strike).tensor_on(MarginalSequence([wide, wide]))
 
     def test_table_shape_checked(self):
         cost = CostSpec(2, "custom_table", table=np.zeros((3, 3)))

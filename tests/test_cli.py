@@ -294,6 +294,19 @@ class TestCertifyCommand:
             for side in ("primal_lower", "primal_upper"):
                 assert report[side]["stats"]["solve_s"] > 0
 
+    def test_each_side_reports_highs_infeasibilities(self, tmp_path, capsys):
+        out_dir = tmp_path / "cert"
+        code = main(["--json", "--out", str(out_dir), "certify",
+                     write_instance(tmp_path, SHOWCASE_INSTANCE)])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads((out_dir / "report.json").read_text())
+        for report in (printed, written):
+            for side in ("primal_lower", "primal_upper"):
+                stats = report[side]["stats"]
+                assert 0 <= stats["max_primal_infeasibility"] <= 1e-7
+                assert 0 <= stats["max_dual_infeasibility"] <= 1e-7
+
     def test_var_cap_option_exit_3(self, tmp_path):
         payload = dict(HAND_INSTANCE, options={"var_cap": 3})
         assert main(["certify", write_instance(tmp_path, payload)]) == 3
@@ -592,6 +605,21 @@ class TestInstanceParsing:
         assert main([command[0], path] + command[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["solve", "--method", "primal"],
+                                         ["solve", "--method", "dual"], ["certify"]],
+                             ids=["primal", "dual", "certify"])
+    def test_overflowing_cost_exit_1(self, tmp_path, capsys, command):
+        # finite atoms in convex order whose squared increments overflow
+        payload = {"marginals": [{"atoms": [0.0], "weights": [1.0]},
+                                 {"atoms": [-1e200, 1e200], "weights": [0.5, 0.5]}],
+                   "cost": {"form": "squared_increment"}}
+        path = write_instance(tmp_path, payload)
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        assert main([command[0], path] + command[1:]) == 1
+        assert capsys.readouterr().err == (
+            "error: cost squared_increment is not finite on the product grid of the marginals\n")
 
     @pytest.mark.parametrize("key,value", [
         ("var_cap", 1.5), ("var_cap", True), ("var_cap", 0), ("var_cap", -3),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from motbounds import (
     CostSpec,
@@ -16,6 +17,7 @@ from motbounds import (
     solve_primal_max,
     validate_coupling,
 )
+from motbounds.primal import _solve
 
 from conftest import random_instance
 from oracles import brute_force_value, semistatic_value_check, support_rows
@@ -50,7 +52,7 @@ def negated(cost, ms):
 class TestAssembleLp:
     def test_sparse_storage(self):
         lp = assemble_lp(CostSpec(3, "basket", strike=0.0), MarginalSequence([D0, PM1, PM2]))
-        assert sparse.issparse(lp.A)
+        assert sparse.issparse(lp.A) and lp.A.format == "csc"  # the layout HiGHS reads
         assert lp.A.nnz == lp.n_paths * (2 * 3 - 1)  # one entry per path in every block
         q = np.array([[[0.375, 0.125], [0.125, 0.375]]])  # 0 -> +-1 -> +-2, a martingale
         np.testing.assert_allclose(lp.A @ q.ravel(), lp.b, atol=1e-15)
@@ -242,6 +244,47 @@ class TestSimplexAgainstScipy:
     def test_infeasible_system(self):
         # mu_1 wider than mu_2: not in convex order, so no martingale coupling
         assert solve_primal(SQ2, MarginalSequence([PM2, PM1])).status == "infeasible"
+
+
+class TestHighsBindingsAgainstLinprog:
+    """_solve calls scipy's private HiGHS bindings with the options of
+    linprog(method="highs"), so linprog is an exact oracle for every field."""
+
+    LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+
+    def assert_matches_linprog(self, lp):
+        for sense in (+1, -1):
+            sol = _solve(lp, sense)
+            res = linprog(sense * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+            assert sol.status == self.LINPROG_STATUS.get(res.status, "failed")
+            assert sol.stats["iterations"] == res.nit
+            if res.status != 0:
+                assert sol.coupling is None and sol.duals is None and np.isnan(sol.value)
+                continue
+            assert sol.value == float(np.dot(lp.c, res.x))
+            paths = np.flatnonzero(res.x > 0)
+            np.testing.assert_array_equal(sol.coupling.paths, paths)
+            np.testing.assert_array_equal(sol.coupling.mass, res.x[paths])
+            np.testing.assert_array_equal(sol.duals, sense * res.eqlin.marginals)
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(5)
+        for k in range(40):
+            cost, ms = random_instance(rng, n=2 + k % 3)
+            self.assert_matches_linprog(assemble_lp(cost, ms))
+
+    def test_infeasible_pair(self):
+        lp = assemble_lp(SQ2, MarginalSequence([PM2, PM1]))
+        assert _solve(lp, +1).status == _solve(lp, -1).status == "infeasible"
+        self.assert_matches_linprog(lp)
+
+    def test_model_highs_refuses_to_load(self):
+        # a martingale coefficient of 1e16 is past HiGHS's largest matrix
+        # entry, so the model never loads; linprog calls that infeasible
+        wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
+        lp = assemble_lp(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide]))
+        assert _solve(lp, +1).status == "infeasible"
+        self.assert_matches_linprog(lp)
 
 
 class TestSemistatic:
