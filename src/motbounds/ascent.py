@@ -64,9 +64,11 @@ class AscentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        # a bool is refused, as in cli._is_number and quantize_lognormal's m
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if not 0 < self.target_gap < np.inf:
+        if isinstance(self.target_gap, bool) or not 0 < self.target_gap < np.inf:
             raise ValueError("target_gap must be finite and positive")
 
 
@@ -202,23 +204,36 @@ class CertifyReport:
     of scipy.sparse, scipy.optimize with the HiGHS bindings the solves call
     (scipy.optimize._highspy._core) and concurrent.futures to lp_lower.
     Each side's own solver time, overlap included, is stats["solve_s"] of
-    primal_lower and primal_upper; as_dict gives each side its value,
-    status and stats.
+    primal_lower and primal_upper; as_dict gives each side its value (None
+    unless the side is optimal), status and stats.
     """
 
-    feasible: bool
     validation: SequenceReport
     target_gap: float
     primal_lower: Optional[PrimalSolution] = None
     primal_upper: Optional[PrimalSolution] = None
     certificates: dict = field(default_factory=dict)
     traces: dict = field(default_factory=dict)
-    gaps: dict = field(default_factory=dict)
     subhedge_zero: Optional[SubhedgeReport] = None
     subhedge_best: Optional[SubhedgeReport] = None
-    passed: bool = False
     elapsed_s: float = 0.0
     timings: dict = field(default_factory=dict)  # wall seconds per phase that ran
+
+    @property
+    def feasible(self) -> bool:
+        """The marginals pass the convex-order check, so a martingale coupling exists."""
+        return self.validation.ok
+
+    @property
+    def gaps(self) -> dict:
+        """Each certificate's relative gap to its LP side's value."""
+        return {variant: cert.gap_vs_primal for variant, cert in self.certificates.items()}
+
+    @property
+    def passed(self) -> bool:
+        """All three certificates within target_gap and both sub-hedges verified."""
+        return (self.subhedge_best is not None and self.subhedge_zero.ok and self.subhedge_best.ok
+                and all(g < self.target_gap for g in self.gaps.values()))
 
     def as_dict(self) -> dict:
         out = {
@@ -228,11 +243,12 @@ class CertifyReport:
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
             "timings": dict(self.timings),
-            "gaps": dict(self.gaps),
+            "gaps": self.gaps,
         }
         for key, side in (("primal_lower", self.primal_lower), ("primal_upper", self.primal_upper)):
             if side is not None:
-                out[key] = {"value": side.value, "status": side.status, "stats": side.stats}
+                value = side.value if side.status == "optimal" else None
+                out[key] = {"value": value, "status": side.status, "stats": side.stats}
         out["certificates"] = {k: v.as_dict() for k, v in self.certificates.items()}
         out["statuses"] = {k: t.status for k, t in self.traces.items()}
         if self.subhedge_zero is not None:
@@ -257,15 +273,14 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
 
     Each variant is one ascend run, paired with its LP side: the lower LP for
     proposition and remark_b, the upper LP for remark_a. The run starts at
-    that side's marginal multipliers u_2, ..., u_n, and gaps[variant] is its
-    certificate's gap_vs_primal to that side's value. For fixed u_2..u_n the
+    that side's marginal multipliers u_2, ..., u_n; for fixed u_2..u_n the
     cascade finds the best u_1 and trading positions, so its value there
     matches the LP value up to the solver's dual tolerance, and the run
     usually stops on its first iterate. A start that misses target_gap costs
     further ascent steps, never soundness: every reported value is a cascade
     value. Also verifies the conditional sub-hedge property of the cascade
     strategy under the LP-optimal coupling, for u = 0 and for the proposition
-    certificate's u.
+    certificate's u; the report's passed reads both verdicts and the gaps.
     """
     config = config or AscentConfig()
     clock = start = time.perf_counter()
@@ -279,7 +294,7 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
 
     validation = validate_sequence(ms)
     lap("validation")
-    report = CertifyReport(validation.ok, validation, config.target_gap, timings=timings)
+    report = CertifyReport(validation, config.target_gap, timings=timings)
     if not validation.ok:
         report.elapsed_s = time.perf_counter() - start
         return report
@@ -295,7 +310,6 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     report.primal_lower = lower
     report.primal_upper = upper
     if lower.status != "optimal" or upper.status != "optimal":
-        report.feasible = lower.status != "infeasible" and upper.status != "infeasible"
         report.elapsed_s = time.perf_counter() - start
         return report
 
@@ -305,7 +319,6 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
                              start=multipliers_to_semistatic(side, ms)[0][1:])
         report.certificates[variant] = cert
         report.traces[variant] = trace
-        report.gaps[variant] = cert.gap_vs_primal
     lap("duals")
 
     coupling = lower.coupling
@@ -314,6 +327,5 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
         cost, ms, report.certificates["proposition"].dual_variables, coupling
     )
     lap("subhedge")
-    report.passed = all(g < config.target_gap for g in report.gaps.values())
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -3,12 +3,10 @@
 Variables are path masses q(x_1, ..., x_n) >= 0 on the product grid; equality
 rows fix every marginal atom mass and force zero conditional drift for every
 prefix. The constraint matrix is assembled sparse, in the compressed-column
-(CSC) layout HiGHS reads. The HiGHS solver that scipy ships solves it,
-called through scipy's bundled bindings (scipy.optimize._highspy._core, a
-private module present from scipy 1.15.0) with the options, the status
-mapping and the check of an optimum that scipy.optimize.linprog(method=
-"highs") uses, so the results are linprog's without its Python layers. The
-equality multipliers become the semi-static position. scipy.sparse and
+(CSC) layout HiGHS reads. The HiGHS solver that scipy ships solves it with
+its default options, called through scipy's bundled bindings
+(scipy.optimize._highspy._core, a private module present from scipy 1.15.0).
+The equality multipliers become the semi-static position. scipy.sparse and
 scipy.optimize are imported by the first assemble_lp and solve call, not
 with the module, so reference-free dual bounds never load the LP stack.
 
@@ -194,12 +192,11 @@ class PrimalSolution:
     duals: Optional[np.ndarray] = None
 
 
-# HiGHS model statuses by name, mapped as scipy.optimize.linprog maps them;
-# any other status (numerical trouble, an error in the solver) is "failed"
-_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kModelError": "infeasible",
-           "kUnbounded": "unbounded", "kTimeLimit": "iteration_limit",
-           "kIterationLimit": "iteration_limit"}
-# linprog's check of an optimum: 10 * sqrt of its default tol, 1e-9
+# HiGHS model statuses by name; a model HiGHS refuses to load is "model_error",
+# and any other status (numerical trouble, an error in the solver) is "failed"
+_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded",
+           "kTimeLimit": "iteration_limit", "kIterationLimit": "iteration_limit"}
+# this module's check of an optimum: 10 * sqrt(1e-9), about 3.2e-4
 _CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
@@ -207,14 +204,14 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
     Reads lp without changing it. Each call loads lp into a fresh HiGHS
-    object with the options linprog(method="highs") sets: presolve on, the
-    dual simplex, no debug checks and no output. HiGHS's model status maps
-    as in _STATUS. An "optimal" x with a mass below -_CHECK_TOL, or an
-    equality row missed by more than _CHECK_TOL, is "failed", as linprog's
-    own check has it. stats["solve_s"] is the wall time of the solver call
-    alone, loading the model included; max_primal_infeasibility and
-    max_dual_infeasibility are HiGHS's own figures for the solution it
-    returned.
+    object with HiGHS's default options and its output off. HiGHS's model
+    status maps as in _STATUS; HiGHS refuses to load a model with a matrix
+    entry of 1e15 or more in magnitude, which is "model_error". As a safety
+    check, an "optimal" x with a mass below -_CHECK_TOL, or an equality row
+    missed by more than _CHECK_TOL, is "failed". stats["solve_s"] is the
+    wall time of the solver call alone, loading the model included;
+    max_primal_infeasibility and max_dual_infeasibility are HiGHS's own
+    figures for the solution it returned, None where it has none to measure.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -231,25 +228,22 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     model.a_matrix_.index_ = lp.A.indices
     model.a_matrix_.value_ = lp.A.data
     options = highs.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = 1  # dual simplex
-    options.highs_debug_level = 0
     options.output_flag = options.log_to_console = False
 
     solver = highs._Highs()
     solver.passOptions(options)
-    # HiGHS refuses to load a model with a matrix entry of 1e15 or more in
-    # magnitude; linprog reports that as kModelError, hence "infeasible"
     loaded = solver.passModel(model) != highs.HighsStatus.kError
     if loaded:
         solver.run()
     solve_s = time.perf_counter() - start
     info = solver.getInfo()
     iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    figures = [x if math.isfinite(x) else None  # HiGHS says infinity without a solution
+               for x in (info.max_primal_infeasibility, info.max_dual_infeasibility)]
     stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": iterations if loaded else 0,
-             "max_primal_infeasibility": info.max_primal_infeasibility,
-             "max_dual_infeasibility": info.max_dual_infeasibility, "solve_s": solve_s}
-    status = _STATUS.get(solver.getModelStatus().name if loaded else "kModelError", "failed")
+             "max_primal_infeasibility": figures[0], "max_dual_infeasibility": figures[1],
+             "solve_s": solve_s}
+    status = _STATUS.get(solver.getModelStatus().name, "failed") if loaded else "model_error"
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats)
     solution = solver.getSolution()

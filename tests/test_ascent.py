@@ -352,6 +352,15 @@ class TestCertify:
             assert gap == rep.certificates[v].gap_vs_primal
         assert rep.passed
 
+    def test_model_highs_refuses_is_feasible_and_fails(self):
+        # the marginals are in convex order, but the martingale coefficient
+        # 1e16 is past HiGHS's largest matrix entry, so neither side loads
+        wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
+        rep = certify(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide]))
+        assert rep.feasible and not rep.passed
+        assert rep.primal_lower.status == rep.primal_upper.status == "model_error"
+        assert rep.certificates == {} and rep.gaps == {}
+
 
 class TestCertifyOverlap:
     """certify assembles the LP once and solves its two sides at the same time."""
@@ -415,6 +424,14 @@ class TestConfigValidation:
                 AscentConfig(target_gap=gap)
         with pytest.raises(ValueError, match="unknown variant"):
             AscentConfig(variant="bogus")
+
+    def test_bools_rejected(self):
+        # True is an int and compares as 1, but is no iteration count or gap
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+                AscentConfig(max_iters=flag)
+            with pytest.raises(ValueError, match="target_gap"):
+                AscentConfig(target_gap=flag)
 
     def test_numpy_integer_max_iters_runs(self, rng):
         cost, ms = random_instance(rng, n=2, max_size=6)

@@ -1,5 +1,6 @@
 """Exit codes, instance parsing, artifact files, and round trips."""
 
+import dataclasses
 import io
 import json
 import subprocess
@@ -18,6 +19,7 @@ from motbounds import (
     dual_objective,
     solve_primal,
 )
+import motbounds.ascent
 from motbounds.cli import main, parse_instance
 
 from conftest import checkout_env
@@ -38,6 +40,16 @@ SHOWCASE_INSTANCE = {
     "cost": {"form": "basket", "strike": 1.0},
 }
 
+# in convex order, but the martingale coefficient 1e16 is past the largest
+# matrix entry HiGHS loads, so the LP cannot be solved while the dual can
+HUGE_SPREAD_INSTANCE = {
+    "marginals": [
+        {"atoms": [0.0], "weights": [1.0]},
+        {"atoms": [-1e16, 1e16], "weights": [0.5, 0.5]},
+    ],
+    "cost": {"form": "abs_increment"},
+}
+
 REVERSED_INSTANCE = {
     "marginals": [
         {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
@@ -51,6 +63,13 @@ def write_instance(tmp_path, payload, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens RFC 8259 has no room for."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def read_csv(source, header):
@@ -154,6 +173,13 @@ class TestSolve:
 
     def test_infeasible_exit_2(self, tmp_path):
         assert main(["solve", write_instance(tmp_path, REVERSED_INSTANCE)]) == 2
+
+    def test_model_highs_refuses_exit_2(self, tmp_path, capsys):
+        path = write_instance(tmp_path, HUGE_SPREAD_INSTANCE)
+        assert main(["solve", path, "--method", "primal"]) == 2
+        assert capsys.readouterr().out == "error: primal solve ended with status model_error\n"
+        assert main(["--json", "solve", path, "--method", "dual"]) == 0
+        assert json.loads(capsys.readouterr().out)["dual_value"] == 1e16
 
     def test_var_cap_option_exit_3(self, tmp_path):
         payload = dict(HAND_INSTANCE, options={"var_cap": 3})
@@ -272,6 +298,33 @@ class TestCertifyCommand:
 
     def test_infeasible_exit_2(self, tmp_path):
         assert main(["certify", write_instance(tmp_path, REVERSED_INSTANCE)]) == 2
+
+    def test_model_highs_refuses_exit_2_with_strict_json(self, tmp_path, capsys):
+        out_dir = tmp_path / "cert"
+        code = main(["--json", "--out", str(out_dir), "certify",
+                     write_instance(tmp_path, HUGE_SPREAD_INSTANCE)])
+        assert code == 2
+        printed = strict_json(capsys.readouterr().out)
+        written = strict_json((out_dir / "report.json").read_text())
+        for report in (printed, written):
+            assert report["feasible"] is True and report["passed"] is False
+            for side in ("primal_lower", "primal_upper"):
+                assert report[side]["status"] == "model_error"
+                assert report[side]["value"] is None
+                assert report[side]["stats"]["max_primal_infeasibility"] is None
+                assert report[side]["stats"]["max_dual_infeasibility"] is None
+
+    def test_failed_subhedge_exit_2(self, tmp_path, capsys, monkeypatch):
+        # every gap closes, so only the sub-hedge verdict can fail the report
+        real = motbounds.ascent.verify_subhedge
+        monkeypatch.setattr(motbounds.ascent, "verify_subhedge",
+                            lambda *args: dataclasses.replace(real(*args), ok=False))
+        code = main(["--json", "certify", write_instance(tmp_path, HAND_INSTANCE)])
+        report = json.loads(capsys.readouterr().out)
+        assert all(g < 1e-4 for g in report["gaps"].values())
+        assert report["subhedge_zero"]["ok"] is report["subhedge_best"]["ok"] is False
+        assert report["passed"] is False
+        assert code == 2
 
     def test_report_written(self, tmp_path, capsys):
         out_dir = tmp_path / "cert"

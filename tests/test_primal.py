@@ -247,8 +247,9 @@ class TestSimplexAgainstScipy:
 
 
 class TestHighsBindingsAgainstLinprog:
-    """_solve calls scipy's private HiGHS bindings with the options of
-    linprog(method="highs"), so linprog is an exact oracle for every field."""
+    """_solve calls scipy's private HiGHS bindings with HiGHS's default
+    options, which solve as linprog(method="highs") does, so linprog is an
+    exact oracle for every field of a model that HiGHS loads."""
 
     LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
@@ -280,11 +281,17 @@ class TestHighsBindingsAgainstLinprog:
 
     def test_model_highs_refuses_to_load(self):
         # a martingale coefficient of 1e16 is past HiGHS's largest matrix
-        # entry, so the model never loads; linprog calls that infeasible
+        # entry, so the model never loads; linprog calls that infeasible,
+        # though the marginals are in convex order
         wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
         lp = assemble_lp(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide]))
-        assert _solve(lp, +1).status == "infeasible"
-        self.assert_matches_linprog(lp)
+        for sense in (+1, -1):
+            sol = _solve(lp, sense)
+            assert sol.status == "model_error"
+            assert sol.coupling is None and sol.duals is None and np.isnan(sol.value)
+            assert sol.stats["iterations"] == 0
+            assert sol.stats["max_primal_infeasibility"] is None
+            assert sol.stats["max_dual_infeasibility"] is None
 
 
 class TestSemistatic:
