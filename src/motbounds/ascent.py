@@ -106,15 +106,15 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     maximize = variant in LOWER_VARIANTS
     sign = 1.0 if maximize else -1.0
     u = DualVariables.zeros(ms) if start is None else DualVariables.from_tables(ms, start)
-    tables = u.tables()
+    x = np.concatenate(u.values)  # the position: u_2, ..., u_n end to end
+    cuts = np.cumsum(ms.sizes[1:])[:-1]
+    tables = np.split(x, cuts)  # views into x
     _project_zero_mean(tables, ms)
-    sizes = [t.size for t in tables]
-    cuts = np.cumsum(sizes)[:-1]
-    metric = np.eye(sum(sizes))  # dilated-space basis, accumulated over the run
+    metric = np.eye(x.size)  # dilated-space basis, accumulated over the run
     grad_prev = None
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
-    best_tables = [t.copy() for t in tables]
+    best_x = x.copy()
     status = "iteration_limit"
     t0 = time.perf_counter()
     for k in range(1, config.max_iters + 1):
@@ -123,7 +123,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
         if (value > best_value) if maximize else (value < best_value):
             best_value = value
-            best_tables = [t.copy() for t in tables]
+            best_x = x.copy()
         values.append(value)
         norms.append(gnorm)
         bests.append(best_value)
@@ -156,15 +156,14 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
             alpha = min(gap / denom, MAX_GAP_STEP)
         else:
             alpha = INITIAL_STEP / np.sqrt(k)
-        for i, part in enumerate(np.split(sign * alpha * direction, cuts)):
-            tables[i] += part
+        x += sign * alpha * direction
         _project_zero_mean(tables, ms)
     trace = AscentTrace(
         np.asarray(values), np.asarray(norms), np.asarray(bests), np.asarray(stamps), status
     )
     gap = relative_gap(best_value, reference) if reference is not None else None
     cert = DualCertificate(
-        variant, DualVariables.from_tables(ms, best_tables), best_value, gap
+        variant, DualVariables.from_tables(ms, np.split(best_x, cuts)), best_value, gap
     )
     return cert, trace
 

@@ -17,11 +17,12 @@ search finds the pair of atoms whose chord supports the hull at the
 evaluation point, at O(m) per section and round and a few rounds per section.
 
 Only u changes between the evaluations of one instance. What does not
-depend on it is built once per (cost, ms) pair, by _built: the cost tensor,
-read-only, and per level the clamped and tiled evaluation points, their
-splits, and the slope kernel and bar rows of the search, one kernel for both
-hulls. A one-entry cache keeps them for the last pair seen: one top tensor
-of prod m_i values plus, per level i, one m_{i+1} x m_{i+1} kernel and two
+depend on it is built once per (cost, ms) pair, in one eager call to _built:
+the cost tensor, read-only, and every level's clamped and tiled evaluation
+points, their splits, and the slope kernel and bar rows of the search, one
+kernel for both hulls. Every cascade reads the levels, so none is deferred.
+A one-entry cache keeps them for the last pair seen: one top tensor of
+prod m_i values plus, per level i, one m_{i+1} x m_{i+1} kernel and two
 entries per prefix. The arrays of the marginals and of a custom table are
 read-only, so an entry cannot go stale.
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -198,36 +199,32 @@ class _Level:
             np.concatenate([np.full(m, np.inf), np.zeros(m), np.full(m, -np.inf)]), m)
 
 
-class _Instance:
+class _Built(NamedTuple):
     """The part of every cascade on one (cost, ms) that no u changes.
 
-    top is the cost tensor, read-only. levels[i-1] is the _Level of the
-    envelopes that build T_i. The levels are built on the first cascade,
-    not with top, and from the top level down, so an evaluation point
-    outside its grid raises where and when the level loop would.
+    top is the cost tensor, read-only; levels[i-1] is the _Level of the
+    envelopes that build T_i.
     """
 
-    def __init__(self, cost: CostSpec, ms: MarginalSequence):
-        self.ms = ms
-        self.top = cost.tensor_on(ms)
-        self.top.setflags(write=False)
-
-    @functools.cached_property
-    def levels(self) -> tuple:
-        ms = self.ms
-        return tuple(reversed([_Level(ms.grids[i], ms.grids[i - 1], math.prod(ms.sizes[:i]))
-                               for i in range(ms.n - 1, 0, -1)]))
+    top: np.ndarray
+    levels: tuple
 
 
 @functools.lru_cache(maxsize=1)
-def _built(cost: CostSpec, ms: MarginalSequence) -> _Instance:
-    """The _Instance of (cost, ms), built once while the pair is the last one seen.
+def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
+    """The top tensor and every level of (cost, ms), built while the pair is the last one seen.
 
-    CostSpec and MarginalSequence compare and hash by identity, and the
-    cache's references keep the pair alive, so an entry is never served to
-    another instance; their arrays are read-only, so it cannot go stale.
+    The levels are built from the top one down, so an evaluation point
+    outside its grid raises where the level loop would. CostSpec and
+    MarginalSequence compare and hash by identity, and the cache's references
+    keep the pair alive, so an entry is never served to another instance;
+    their arrays are read-only, so it cannot go stale.
     """
-    return _Instance(cost, ms)
+    top = cost.tensor_on(ms)
+    top.setflags(write=False)
+    levels = [_Level(ms.grids[i], ms.grids[i - 1], math.prod(ms.sizes[:i]))
+              for i in range(ms.n - 1, 0, -1)]
+    return _Built(top, tuple(reversed(levels)))
 
 
 def _envelope(sections, level: _Level, lower):

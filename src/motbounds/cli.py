@@ -22,6 +22,7 @@ from .envelope import GridFunction, convex_envelope, eval_envelope
 from .measures import (
     COST_FORMS,
     DEFAULT_VAR_CAP,
+    STRIKE_FORMS,
     CostSpec,
     DiscreteMeasure,
     MarginalSequence,
@@ -168,6 +169,8 @@ def parse_instance(path: str) -> Instance:
         raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     except ValueError as exc:  # undecodable bytes, or an integer too long to convert
         raise InstanceError(path, str(exc)) from exc
+    except RecursionError as exc:
+        raise InstanceError(path, "JSON nested too deeply") from exc
     if not isinstance(payload, dict):
         raise InstanceError(path, "top level must be an object")
     top_keys = ["cost", "marginals", "options"]
@@ -192,6 +195,9 @@ def parse_instance(path: str) -> Instance:
     unknown = sorted(set(raw_cost) - set(cost_keys))
     if unknown:
         raise InstanceError(f"cost.{unknown[0]}", f"unknown key; expected one of {cost_keys}")
+    for key, forms in (("path", ("custom_table",)), ("strike", STRIKE_FORMS)):
+        if key in raw_cost and form not in forms:
+            raise InstanceError(f"cost.{key}", f"the {form} form takes no {key}")
     try:
         if form == "custom_table":
             if "path" not in raw_cost:
@@ -251,6 +257,28 @@ def _emit(payload: dict, args) -> None:
             print(f"{key}: {value}")
 
 
+def _out_dir(args):
+    """args.out, created first if given; an OSError becomes an InstanceError naming --out.
+
+    Commands call it before any work, so an unusable --out costs no solve.
+    """
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise InstanceError("--out", str(exc)) from exc
+    return args.out
+
+
+def _write_artifact(path, text: str) -> None:
+    """Write text to path; an OSError becomes an InstanceError naming --out."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InstanceError("--out", str(exc)) from exc
+
+
 def _write_csv(out, header, columns) -> None:
     """Write equal-length columns as CSV under a header row of names.
 
@@ -261,9 +289,8 @@ def _write_csv(out, header, columns) -> None:
     text = "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
     if hasattr(out, "write"):
         out.write(text)
-        return
-    with open(out, "w") as fh:
-        fh.write(text)
+    else:
+        _write_artifact(out, text)
 
 
 def _write_trace(path, trace) -> None:
@@ -285,6 +312,7 @@ def cmd_solve(args) -> int:
     if ms.path_count > inst.var_cap:
         raise SizeCapError(f"{ms.path_count} path variables exceed the cap {inst.var_cap}")
     config = _apply_flags(inst.config, args)
+    out_dir = _out_dir(args)
     validation = validate_sequence(ms)
     if not validation.ok:
         _emit({"error": "marginals fail the convex-order check",
@@ -292,9 +320,6 @@ def cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     primal = None
     payload = {"side": args.side, "method": args.method}
-    out_dir = args.out
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     if args.method in ("primal", "both"):
         solve = solve_primal if args.side == "lower" else solve_primal_max
         primal = solve(inst.cost, ms, inst.var_cap)
@@ -322,9 +347,8 @@ def cmd_solve(args) -> int:
         if primal is not None:
             payload["gap"] = cert.gap_vs_primal
         if out_dir:
-            cert_path = os.path.join(out_dir, "certificate.json")
-            with open(cert_path, "w") as fh:
-                json.dump(cert.as_dict(), fh, indent=2)
+            _write_artifact(os.path.join(out_dir, "certificate.json"),
+                            json.dumps(cert.as_dict(), indent=2))
             _write_trace(os.path.join(out_dir, "trace.csv"), trace)
     _emit(payload, args)
     return EXIT_OK
@@ -333,19 +357,20 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     inst = parse_instance(args.instance)
     config = _apply_flags(inst.config, args)
+    out_dir = _out_dir(args)
     report = certify(inst.cost, inst.marginals, config, var_cap=inst.var_cap)
     payload = report.as_dict()
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    if out_dir:
+        _write_artifact(os.path.join(out_dir, "report.json"),
+                        json.dumps(payload, indent=2, sort_keys=True))
         for variant, trace in report.traces.items():
-            _write_trace(os.path.join(args.out, f"trace_{variant}.csv"), trace)
+            _write_trace(os.path.join(out_dir, f"trace_{variant}.csv"), trace)
     _emit(payload, args)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
 
 def cmd_envelope(args) -> int:
+    out_dir = _out_dir(args) if args.at is None else None
     try:
         raw = _read_csv(args.csv)
         if raw.shape[1] != 2:
@@ -358,10 +383,7 @@ def cmd_envelope(args) -> int:
     if value is not None:
         print(repr(value))
         return EXIT_OK
-    out = sys.stdout
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "hull.csv")
+    out = os.path.join(out_dir, "hull.csv") if out_dir else sys.stdout
     _write_csv(out, ["x", "envelope"], [env.hull_grid, env.hull_values])
     return EXIT_OK
 

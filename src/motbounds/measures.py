@@ -26,6 +26,7 @@ POTENTIAL_REL = 1e-12
 POTENTIAL_BLOCK = 1 << 16  # |k - x| values per block of evaluation points
 
 COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
+STRIKE_FORMS = ("terminal_call", "basket")  # the forms that read a strike
 
 DEFAULT_VAR_CAP = 200_000  # LP path variables; also the most atoms quantize_lognormal makes
 
@@ -95,10 +96,6 @@ class DiscreteMeasure:
 
     def as_dict(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DiscreteMeasure":
-        return cls(np.asarray(payload["atoms"]), np.asarray(payload["weights"]))
 
 
 def potential(mu: DiscreteMeasure, k) -> float:
@@ -227,7 +224,8 @@ class CostSpec:
     Named forms: squared_increment sum (x_{i+1}-x_i)^2, abs_increment
     sum |x_{i+1}-x_i|, terminal_call (x_n-K)_+, basket (mean(x)-K)_+.
     custom_table takes a tensor on the product grid, kept as a read-only
-    copy. A strike and the table entries must be finite.
+    copy. A strike and the table entries must be finite; a strike on a form
+    outside STRIKE_FORMS, or a table on a named form, is refused.
     """
 
     n: int
@@ -240,10 +238,14 @@ class CostSpec:
             raise ValueError("cost arity must be at least 2")
         if self.form not in COST_FORMS:
             raise ValueError(f"unknown cost form {self.form!r}; expected one of {COST_FORMS}")
-        if self.form in ("terminal_call", "basket") and self.strike is None:
+        if self.form in STRIKE_FORMS and self.strike is None:
             raise ValueError(f"cost form {self.form!r} needs a strike")
         if self.strike is not None and not np.isfinite(self.strike):
             raise ValueError(f"strike must be finite, got {self.strike!r}")
+        if self.strike is not None and self.form not in STRIKE_FORMS:
+            raise ValueError(f"cost form {self.form!r} takes no strike")
+        if self.table is not None and self.form != "custom_table":
+            raise ValueError(f"cost form {self.form!r} takes no table")
         if self.form == "custom_table":
             if self.table is None:
                 raise ValueError("custom_table needs a value tensor")

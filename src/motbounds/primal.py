@@ -135,9 +135,10 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
       - then n - 1 martingale blocks, block i holding one row per prefix
         (x_1, ..., x_{i+1}) in row-major order, coefficients x_{i+2} - x_{i+1}
         on the paths extending the prefix.
-    Every path enters one row of each block, so A is stored sparse. Redundant
-    rows (each block re-encodes total mass) are left in; the solver tolerates
-    degenerate rank.
+    Every path enters one row of each block, and the blocks' rows increase, so
+    column p of the CSC matrix A is entry p of every block, in block order.
+    Redundant rows (each block re-encodes total mass) are left in; the solver
+    tolerates degenerate rank.
     """
     n_paths = ms.path_count
     if n_paths > var_cap:
@@ -167,10 +168,9 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
         offset += prefix_count
         b.extend([0.0] * prefix_count)
 
-    A = sparse.coo_array(
-        (np.concatenate(coef_blocks), (np.concatenate(row_blocks), np.tile(paths, 2 * n - 1))),
-        shape=(offset, n_paths),
-    ).tocsc()
+    per_path = 2 * n - 1
+    A = sparse.csc_array((np.stack(coef_blocks, 1).ravel(), np.stack(row_blocks, 1).ravel(),
+                          np.arange(0, per_path * n_paths + 1, per_path)), shape=(offset, n_paths))
     return LpProblem(c, A, np.asarray(b), sizes)
 
 

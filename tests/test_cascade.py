@@ -32,6 +32,7 @@ from motbounds import (
 
 from motbounds.cascade import _Level, _built, _envelope
 from motbounds.envelope import CLAMP_REL
+from motbounds.measures import COST_FORMS, STRIKE_FORMS
 
 from conftest import random_duals, random_instance
 from oracles import support_rows
@@ -689,6 +690,18 @@ class TestCostSpec:
         for form in ("terminal_call", "basket", "squared_increment"):
             with pytest.raises(ValueError, match="strike must be finite"):
                 CostSpec(2, form, strike=strike)
+
+    @pytest.mark.parametrize("form", [f for f in COST_FORMS if f not in STRIKE_FORMS])
+    def test_strike_refused_where_the_form_reads_none(self, form):
+        table = np.zeros((2, 2)) if form == "custom_table" else None
+        with pytest.raises(ValueError, match=f"cost form '{form}' takes no strike"):
+            CostSpec(2, form, strike=1.0, table=table)
+
+    @pytest.mark.parametrize("form", [f for f in COST_FORMS if f != "custom_table"])
+    def test_table_refused_on_a_named_form(self, form):
+        strike = 1.0 if form in STRIKE_FORMS else None
+        with pytest.raises(ValueError, match=f"cost form '{form}' takes no table"):
+            CostSpec(2, form, strike=strike, table=np.zeros((2, 2)))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_table_entries_must_be_finite(self, entry):

@@ -20,6 +20,7 @@ from motbounds import (
     solve_primal,
 )
 import motbounds.ascent
+import motbounds.cli
 from motbounds.cli import main, parse_instance
 
 from conftest import checkout_env
@@ -120,6 +121,13 @@ class TestCheck:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: Exceeds the limit") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exit_1(self, tmp_path, capsys):
+        # json.load recurses once per bracket and raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize("command", ["check", "certify"])
     def test_non_utf8_file_exit_1(self, tmp_path, capsys, command):
@@ -286,6 +294,43 @@ class TestCsvArtifacts:
         assert main(["--out", str(tmp_path / "hull"), "envelope", str(csv)]) == 0
         np.testing.assert_array_equal(read_csv(tmp_path / "hull" / "hull.csv", "x,envelope"),
                                       expected)
+
+
+class TestOutErrors:
+    """An --out that cannot be used is one error line with exit 1, found before any work."""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        if command == "envelope":
+            csv = tmp_path / "points.csv"
+            csv.write_text("0,0\n1,-1\n2,0\n")
+            return ["envelope", str(csv)]
+        return [command, write_instance(tmp_path, HAND_INSTANCE)]
+
+    @pytest.mark.parametrize("command,work", [("certify", "certify"),
+                                              ("solve", "validate_sequence"),
+                                              ("envelope", "convex_envelope")])
+    def test_out_on_a_file_exit_1(self, tmp_path, capsys, monkeypatch, command, work):
+        taken = tmp_path / "taken.json"
+        taken.write_text("{}")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(motbounds.cli, work, no_work)
+        assert main(["--out", str(taken)] + self.argv(tmp_path, command)) == 1
+        assert capsys.readouterr().err == f"error: --out: [Errno 17] File exists: {str(taken)!r}\n"
+
+    @pytest.mark.parametrize("command,flags,artifact", [
+        ("certify", [], "report.json"), ("solve", [], "coupling.csv"),
+        ("solve", ["--method", "dual"], "certificate.json"), ("envelope", [], "hull.csv")])
+    def test_artifact_that_cannot_be_written_exit_1(self, tmp_path, capsys, command, flags,
+                                                     artifact):
+        out_dir = tmp_path / "art"
+        (out_dir / artifact).mkdir(parents=True)  # a directory where the file goes
+        assert main(["--out", str(out_dir)] + self.argv(tmp_path, command) + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: [Errno 21] Is a directory") and err.count("\n") == 1
 
 
 class TestCertifyCommand:
@@ -632,6 +677,24 @@ class TestInstanceParsing:
         assert main(["check", write_instance(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == (
             f"error: cost.{key}: unknown key; expected one of ['form', 'path', 'strike']\n")
+
+    @pytest.mark.parametrize("form,extra", [
+        ("squared_increment", {"strike": 7.0}), ("squared_increment", {"path": "t.csv"}),
+        ("abs_increment", {"strike": 7.0}), ("abs_increment", {"path": "t.csv"}),
+        ("terminal_call", {"strike": 1.0, "path": "t.csv"}),
+        ("basket", {"strike": 1.0, "path": "t.csv"}),
+        ("custom_table", {"path": "t.csv", "strike": 7.0})])
+    def test_cost_key_the_form_does_not_read_exit_1(self, tmp_path, capsys, form, extra):
+        key = list(extra)[-1]  # the key the form does not read
+        payload = dict(HAND_INSTANCE, cost=dict(extra, form=form))
+        assert main(["solve", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"error: cost.{key}: the {form} form takes no {key}\n"
+
+    def test_strike_and_path_on_squared_increment_exit_1(self, tmp_path, capsys):
+        payload = dict(HAND_INSTANCE, cost={"form": "squared_increment", "strike": 7, "path": 12})
+        assert main(["solve", write_instance(tmp_path, payload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost.path: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["check"], ["solve"], ["solve", "--method", "dual"],
                                          ["certify"]], ids=["check", "solve", "dual", "certify"])

@@ -1,5 +1,6 @@
 """Marginal construction, potentials, convex order, lognormal quantization."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from motbounds import (
     split_atom,
     validate_sequence,
 )
+from motbounds.cli import _parse_measure
 from motbounds.measures import DEFAULT_VAR_CAP, _normal_slices
 
 from conftest import lognormal_showcase, spread_measure
@@ -70,8 +72,12 @@ class TestConstruction:
             MarginalSequence([DELTA0])
 
     def test_json_round_trip(self):
-        mu = m([0.0, 1.5], [0.4, 0.6])
-        again = DiscreteMeasure.from_dict(mu.as_dict())
+        # as_dict writes plain JSON numbers, read back by the instance parser
+        mu = m([1.5, 0.0], [0.6, 0.4])
+        payload = json.loads(json.dumps(mu.as_dict()))
+        assert payload == {"atoms": [0.0, 1.5], "weights": [0.4, 0.6]}
+        assert all(type(x) is float for x in payload["atoms"] + payload["weights"])
+        again = _parse_measure(payload, "marginals[0]")
         assert np.array_equal(mu.atoms, again.atoms)
         assert np.array_equal(mu.weights, again.weights)
 

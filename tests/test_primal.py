@@ -19,7 +19,7 @@ from motbounds import (
 )
 from motbounds.primal import _solve
 
-from conftest import random_instance
+from conftest import lognormal_showcase, random_instance
 from oracles import brute_force_value, semistatic_value_check, support_rows
 
 D0 = DiscreteMeasure.point(0.0)
@@ -56,6 +56,37 @@ class TestAssembleLp:
         assert lp.A.nnz == lp.n_paths * (2 * 3 - 1)  # one entry per path in every block
         q = np.array([[[0.375, 0.125], [0.125, 0.375]]])  # 0 -> +-1 -> +-2, a martingale
         np.testing.assert_allclose(lp.A @ q.ravel(), lp.b, atol=1e-15)
+
+    @staticmethod
+    def coo_matrix(ms):
+        """The constraint matrix from (row, path, coefficient) triplets, block by block."""
+        paths = np.arange(ms.path_count)
+        atom = np.unravel_index(paths, ms.sizes)
+        rows, cols, coefs = [], [], []
+        offset = 0
+        for i in range(ms.n):  # marginal blocks: one row per atom of mu_i
+            rows.append(offset + atom[i])
+            coefs.append(np.ones(paths.size))
+            offset += ms.sizes[i]
+        for i in range(ms.n - 1):  # martingale blocks: one row per prefix x_1..x_{i+1}
+            rows.append(offset + np.ravel_multi_index(atom[: i + 1], ms.sizes[: i + 1]))
+            coefs.append(ms.grids[i + 1][atom[i + 1]] - ms.grids[i][atom[i]])
+            offset += int(np.prod(ms.sizes[: i + 1]))
+        cols = np.tile(paths, len(rows))
+        return sparse.coo_array((np.concatenate(coefs), (np.concatenate(rows), cols)),
+                                shape=(offset, paths.size)).tocsc()
+
+    def test_csc_layout_matches_the_coo_build(self):
+        rng = np.random.default_rng(2020)
+        instances = [lognormal_showcase()] + [random_instance(rng, n=2 + k % 3, max_size=9)
+                                              for k in range(50)]
+        for cost, ms in instances:
+            A, expected = assemble_lp(cost, ms).A, self.coo_matrix(ms)
+            assert A.format == "csc" and A.shape == expected.shape
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(A, name), getattr(expected, name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_two_period_row_counts(self):
         lp = assemble_lp(SQ2, MS_SINGLE)
