@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,14 @@ from .cascade import (
     verify_subhedge,
 )
 from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SequenceReport, validate_sequence
-from .primal import PrimalSolution, _solve, assemble_lp, multipliers_to_semistatic
+from .primal import (
+    CouplingReport,
+    PrimalSolution,
+    _solve,
+    assemble_lp,
+    multipliers_to_semistatic,
+    validate_coupling,
+)
 
 GRAD_TOL = 1e-7
 DILATION = 2.0  # metric contraction along gradient differences
@@ -64,7 +71,7 @@ class AscentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        # a bool is refused, as in cli._is_number and quantize_lognormal's m
+        # a bool is refused, as in measures.is_json_number and quantize_lognormal's m
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
             raise ValueError("max_iters must be a positive integer")
@@ -199,12 +206,15 @@ class CertifyReport:
     at the same time, so lp_lower runs from the start of the LP phase
     (assembly and the worker's start included) to the lower solution, and
     lp_upper is only the further wait for the upper one and the worker's
-    join. The first certify in a process also charges the one-time import
-    of scipy.sparse, scipy.optimize with the HiGHS bindings the solves call
-    (scipy.optimize._highspy._core) and concurrent.futures to lp_lower.
-    Each side's own solver time, overlap included, is stats["solve_s"] of
-    primal_lower and primal_upper; as_dict gives each side its value (None
-    unless the side is optimal), status and stats.
+    join. The first certify in a process also charges the one-time load of
+    scipy's top-level package, the HiGHS extension the solves call
+    (scipy.optimize._highspy._core, loaded without the rest of
+    scipy.optimize) and concurrent.futures to lp_lower: about 0.03 s on a
+    2-vCPU VM, where importing scipy.optimize took 0.6 s. Each side's own
+    solver time, overlap included, is stats["solve_s"] of primal_lower and
+    primal_upper; as_dict gives each side its value (None unless the side is
+    optimal), status and stats. coupling_check is validate_coupling's report
+    on the lower side's coupling; the sub-hedges run only when it is ok.
     """
 
     validation: SequenceReport
@@ -213,6 +223,7 @@ class CertifyReport:
     primal_upper: Optional[PrimalSolution] = None
     certificates: dict = field(default_factory=dict)
     traces: dict = field(default_factory=dict)
+    coupling_check: Optional[CouplingReport] = None
     subhedge_zero: Optional[SubhedgeReport] = None
     subhedge_best: Optional[SubhedgeReport] = None
     elapsed_s: float = 0.0
@@ -230,7 +241,10 @@ class CertifyReport:
 
     @property
     def passed(self) -> bool:
-        """All three certificates within target_gap and both sub-hedges verified."""
+        """All three certificates within target_gap and both sub-hedges verified.
+
+        The sub-hedges run only on a coupling that passed coupling_check.
+        """
         return (self.subhedge_best is not None and self.subhedge_zero.ok and self.subhedge_best.ok
                 and all(g < self.target_gap for g in self.gaps.values()))
 
@@ -250,6 +264,8 @@ class CertifyReport:
                 out[key] = {"value": value, "status": side.status, "stats": side.stats}
         out["certificates"] = {k: v.as_dict() for k, v in self.certificates.items()}
         out["statuses"] = {k: t.status for k, t in self.traces.items()}
+        if self.coupling_check is not None:
+            out["coupling_check"] = asdict(self.coupling_check)
         if self.subhedge_zero is not None:
             out["subhedge_zero"] = self.subhedge_zero.as_dict()
         if self.subhedge_best is not None:
@@ -277,9 +293,12 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     matches the LP value up to the solver's dual tolerance, and the run
     usually stops on its first iterate. A start that misses target_gap costs
     further ascent steps, never soundness: every reported value is a cascade
-    value. Also verifies the conditional sub-hedge property of the cascade
-    strategy under the LP-optimal coupling, for u = 0 and for the proposition
-    certificate's u; the report's passed reads both verdicts and the gaps.
+    value. Then validates the lower LP's coupling once, and if it passes,
+    verifies the conditional sub-hedge property of the cascade strategy under
+    it, for u = 0 and for the proposition certificate's u; the report's
+    passed reads both verdicts and the gaps. A coupling that fails
+    validation (HiGHS's absolute tolerances on a tiny price scale) leaves
+    the sub-hedges unrun, so the report is not passed.
     """
     config = config or AscentConfig()
     clock = start = time.perf_counter()
@@ -321,10 +340,12 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
     lap("duals")
 
     coupling = lower.coupling
-    report.subhedge_zero = verify_subhedge(cost, ms, DualVariables.zeros(ms), coupling)
-    report.subhedge_best = verify_subhedge(
-        cost, ms, report.certificates["proposition"].dual_variables, coupling
-    )
+    check = report.coupling_check = validate_coupling(coupling, ms)
+    if check.ok:
+        report.subhedge_zero = verify_subhedge(cost, ms, DualVariables.zeros(ms), coupling, check)
+        report.subhedge_best = verify_subhedge(
+            cost, ms, report.certificates["proposition"].dual_variables, coupling, check
+        )
     lap("subhedge")
     report.elapsed_s = time.perf_counter() - start
     return report

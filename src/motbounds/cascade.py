@@ -52,8 +52,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .envelope import _clamp
-from .measures import CostSpec, MarginalSequence
-from .primal import Coupling, validate_coupling
+from .measures import CostSpec, MarginalSequence, is_json_number
+from .primal import Coupling, CouplingReport, validate_coupling
 
 VARIANTS = ("proposition", "remark_a", "remark_b")
 LOWER_VARIANTS = ("proposition", "remark_b")
@@ -106,8 +106,19 @@ class DualVariables:
 
     @classmethod
     def from_json(cls, payload: list) -> "DualVariables":
-        return cls(tuple(np.asarray(d["grid"], dtype=float) for d in payload),
-                   tuple(np.asarray(d["values"], dtype=float) for d in payload))
+        """The inverse of as_json; ValueError unless every grid and table is a list of numbers."""
+        if not isinstance(payload, list) or not all(isinstance(d, dict) for d in payload):
+            raise ValueError("u: expected a list of {grid, values} objects")
+        return cls(tuple(_json_floats(d.get("grid"), f"u[{k}].grid") for k, d in enumerate(payload)),
+                   tuple(_json_floats(d.get("values"), f"u[{k}].values")
+                         for k, d in enumerate(payload)))
+
+
+def _json_floats(values, field: str) -> np.ndarray:
+    """A float array from a JSON list of numbers; ValueError naming field for anything else."""
+    if not isinstance(values, list) or not all(is_json_number(v) for v in values):
+        raise ValueError(f"{field}: expected a list of numbers, got {values!r}")
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +158,15 @@ class DualCertificate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DualCertificate":
-        return cls(
-            payload["variant"],
-            DualVariables.from_json(payload["u"]),
-            float(payload["dual_value"]),
-            payload.get("gap_vs_primal"),
-        )
+        """The inverse of as_dict; ValueError for an unknown variant or a non-number value."""
+        variant, value, gap = (payload.get(k) for k in ("variant", "dual_value", "gap_vs_primal"))
+        if variant not in VARIANTS:
+            raise ValueError(f"variant: expected one of {VARIANTS}, got {variant!r}")
+        if not is_json_number(value):
+            raise ValueError(f"dual_value: expected a number, got {value!r}")
+        if gap is not None and not is_json_number(gap):
+            raise ValueError(f"gap_vs_primal: expected a number or null, got {gap!r}")
+        return cls(variant, DualVariables.from_json(payload.get("u")), float(value), gap)
 
 
 def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> np.ndarray:
@@ -406,7 +420,7 @@ class SubhedgeReport:
 
 
 def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
-                    coupling: Coupling) -> SubhedgeReport:
+                    coupling: Coupling, check: Optional[CouplingReport] = None) -> SubhedgeReport:
     """Check that the cascade strategy sub-hedges c conditionally on the start.
 
     For every first-period atom with positive mass the conditional expectation
@@ -414,11 +428,14 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
     conditional expectation of the cost, up to SUBHEDGE_TOL times
     max(1, max |T_n|); equivalently T_1 must not exceed the conditional
     expectation of the terminal tensor T_n. The coupling must pass marginal
-    and martingale validation first; the expectations sum over its rows.
+    and martingale validation first, else ValueError; check is its
+    validate_coupling report when the caller has one, so a coupling checked
+    once serves several positions. The expectations sum over its rows.
     """
-    report = validate_coupling(coupling, ms)
-    if not report.ok:
-        raise ValueError(f"coupling failed validation: {report.summary()}")
+    if check is None:
+        check = validate_coupling(coupling, ms)
+    if not check.ok:
+        raise ValueError(f"coupling failed validation: {check.summary()}")
     casc = cascade_down("proposition", cost, ms, u)
     t1, t_n = casc.levels[0], casc.levels[-1]
     atom, m_1 = coupling.atoms(), ms.sizes[0]

@@ -28,6 +28,7 @@ from .measures import (
     MarginalSequence,
     NonFiniteCostError,
     SizeCapError,
+    is_json_number,
     quantize_lognormal,
     validate_sequence,
 )
@@ -55,14 +56,9 @@ class Instance:
     var_cap: int = DEFAULT_VAR_CAP
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(value, field: str):
     """value if it is a JSON number, else an InstanceError naming field."""
-    if not _is_number(value):
+    if not is_json_number(value):
         raise InstanceError(field, f"expected a number, got {json.dumps(value)}")
     return value
 
@@ -224,7 +220,7 @@ def parse_instance(path: str) -> Instance:
                             f"unknown option; expected one of {sorted(integer)}")
     values = {}
     for key, value in options.items():
-        number = value if _is_number(value) else 0
+        number = value if is_json_number(value) else 0
         if not 0 < number < np.inf or (integer[key] and number != int(number)):
             kind = "a positive integer" if integer[key] else "a finite positive number"
             raise InstanceError(f"options.{key}", f"expected {kind}, got {json.dumps(value)}")
@@ -370,7 +366,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    out_dir = _out_dir(args) if args.at is None else None
+    if args.at is not None and args.out:
+        raise InstanceError("--out", "envelope --at prints one value and writes no file")
+    out_dir = _out_dir(args)
     try:
         raw = _read_csv(args.csv)
         if raw.shape[1] != 2:

@@ -31,6 +31,11 @@ STRIKE_FORMS = ("terminal_call", "basket")  # the forms that read a strike
 DEFAULT_VAR_CAP = 200_000  # LP path variables; also the most atoms quantize_lognormal makes
 
 
+def is_json_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool (nor a string that spells one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class SizeCapError(RuntimeError):
     """Instance exceeds a configured resource cap."""
 

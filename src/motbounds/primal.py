@@ -2,13 +2,17 @@
 
 Variables are path masses q(x_1, ..., x_n) >= 0 on the product grid; equality
 rows fix every marginal atom mass and force zero conditional drift for every
-prefix. The constraint matrix is assembled sparse, in the compressed-column
-(CSC) layout HiGHS reads. The HiGHS solver that scipy ships solves it with
-its default options, called through scipy's bundled bindings
-(scipy.optimize._highspy._core, a private module present from scipy 1.15.0).
-The equality multipliers become the semi-static position. scipy.sparse and
-scipy.optimize are imported by the first assemble_lp and solve call, not
-with the module, so reference-free dual bounds never load the LP stack.
+prefix. The constraint matrix is assembled sparse, as the three numpy arrays
+of the compressed-column (CSC) layout HiGHS reads. The HiGHS solver that
+scipy ships solves it with its default options, called through scipy's
+bundled extension module scipy.optimize._highspy._core (private, present
+from scipy 1.15.0). _highs loads that extension file on its own, on the
+first solve: importing it by name would first run scipy.optimize's package
+init, about 550 more modules and 45 MB of resident memory that the LP never
+uses. No solve imports scipy.sparse; only reading LpProblem.A does. So
+reference-free dual bounds load no part of scipy, and the LP loads scipy's
+top-level package and the HiGHS extension alone. The equality multipliers
+become the semi-static position.
 
 Assembly and solving are separate steps: solve_primal and solve_primal_max
 each assemble their own LP, while certify assembles one and solves both
@@ -19,7 +23,12 @@ from two threads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -108,17 +117,34 @@ def validate_coupling(coupling: Coupling, ms: MarginalSequence) -> CouplingRepor
 class LpProblem:
     """Equality-form LP: min c.x, A x = b, x >= 0, rows laid out as assemble_lp says.
 
-    A is a CSC matrix, the layout HiGHS reads, so no solve converts it.
+    A is held as its compressed-column (CSC) arrays, the layout HiGHS reads:
+    column p's entries are data[indptr[p]:indptr[p + 1]], in the rows
+    indices[indptr[p]:indptr[p + 1]]. The index arrays are int32, HiGHS's
+    integer, so no solve converts them.
     """
 
     c: np.ndarray
-    A: "scipy.sparse.csc_array"
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     b: np.ndarray
     grid_shape: tuple
 
     @property
     def n_paths(self) -> int:
         return self.c.size
+
+    @property
+    def A(self):
+        """A as a scipy.sparse.csc_array over the same arrays, built on each read.
+
+        For inspection and linprog; reading it imports scipy.sparse, which no
+        solve does.
+        """
+        from scipy import sparse
+
+        return sparse.csc_array((self.data, self.indices, self.indptr),
+                                shape=(self.n_rows, self.n_paths))
 
     @property
     def n_rows(self) -> int:
@@ -143,13 +169,11 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     n_paths = ms.path_count
     if n_paths > var_cap:
         raise SizeCapError(f"{n_paths} path variables exceed the cap {var_cap}")
-    from scipy import sparse
-
     sizes = ms.sizes
     n = ms.n
     c = cost.tensor_on(ms).ravel()
-    paths = np.arange(n_paths)
-    atom = np.indices(sizes).reshape(n, n_paths)  # atom index of each path per period
+    paths = np.arange(n_paths, dtype=np.int32)
+    atom = np.indices(sizes, dtype=np.int32).reshape(n, n_paths)  # atom index of each path per period
     row_blocks = []
     coef_blocks = []
     b = []
@@ -169,9 +193,9 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
         b.extend([0.0] * prefix_count)
 
     per_path = 2 * n - 1
-    A = sparse.csc_array((np.stack(coef_blocks, 1).ravel(), np.stack(row_blocks, 1).ravel(),
-                          np.arange(0, per_path * n_paths + 1, per_path)), shape=(offset, n_paths))
-    return LpProblem(c, A, np.asarray(b), sizes)
+    return LpProblem(c, np.stack(coef_blocks, 1).ravel(), np.stack(row_blocks, 1).ravel(),
+                     np.arange(0, per_path * n_paths + 1, per_path, dtype=np.int32),
+                     np.asarray(b), sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,41 +222,59 @@ _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "un
            "kTimeLimit": "iteration_limit", "kIterationLimit": "iteration_limit"}
 # this module's check of an optimum: 10 * sqrt(1e-9), about 3.2e-4
 _CHECK_TOL = 10 * math.sqrt(1e-9)
+_HIGHS = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()  # certify's first call enters _solve from two threads
+
+
+def _highs():
+    """scipy's HiGHS extension module, loaded from its file without scipy.optimize.
+
+    The extension is found in the installed scipy tree, registered in
+    sys.modules under its own name and executed, once per process. A core
+    already in sys.modules, such as one that importing linprog loaded, is
+    reused. A scipy without the file (older than 1.15.0) raises ImportError.
+    """
+    with _HIGHS_LOCK:
+        core = sys.modules.get(_HIGHS)
+        if core is None:
+            import scipy
+
+            spec = importlib.machinery.PathFinder.find_spec(
+                _HIGHS, [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
+            if spec is None:
+                raise ImportError(f"scipy {scipy.__version__} has no {_HIGHS}; "
+                                  "motbounds needs scipy >= 1.15.0")
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS] = core
+            spec.loader.exec_module(core)
+        return core
 
 
 def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
-    Reads lp without changing it. Each call loads lp into a fresh HiGHS
-    object with HiGHS's default options and its output off. HiGHS's model
-    status maps as in _STATUS; HiGHS refuses to load a model with a matrix
-    entry of 1e15 or more in magnitude, which is "model_error". As a safety
-    check, an "optimal" x with a mass below -_CHECK_TOL, or an equality row
-    missed by more than _CHECK_TOL, is "failed". stats["solve_s"] is the
-    wall time of the solver call alone, loading the model included;
-    max_primal_infeasibility and max_dual_infeasibility are HiGHS's own
-    figures for the solution it returned, None where it has none to measure.
+    Reads lp without changing it. Each call passes lp's arrays to a fresh
+    HiGHS object with HiGHS's default options and its output off. HiGHS's
+    model status maps as in _STATUS; HiGHS refuses to load a model with a
+    matrix entry of 1e15 or more in magnitude, which is "model_error". As a
+    safety check, an "optimal" x with a mass below -_CHECK_TOL, or an
+    equality row missed by more than _CHECK_TOL, is "failed".
+    stats["solve_s"] is the wall time of the solver call alone, loading the
+    model included; max_primal_infeasibility and max_dual_infeasibility are
+    HiGHS's own figures for the solution it returned, None where it has none
+    to measure.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     start = time.perf_counter()
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.n_paths
-    model.num_row_ = model.a_matrix_.num_row_ = lp.n_rows
-    model.col_cost_ = sense * lp.c
-    model.col_lower_ = np.zeros(lp.n_paths)
-    model.col_upper_ = np.full(lp.n_paths, highs.kHighsInf)
-    model.row_lower_ = model.row_upper_ = lp.b
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = lp.A.indptr
-    model.a_matrix_.index_ = lp.A.indices
-    model.a_matrix_.value_ = lp.A.data
     options = highs.HighsOptions()
     options.output_flag = options.log_to_console = False
-
     solver = highs._Highs()
     solver.passOptions(options)
-    loaded = solver.passModel(model) != highs.HighsStatus.kError
+    # the array overload; all-continuous integrality, since an empty array is refused
+    loaded = solver.passModel(
+        lp.n_paths, lp.n_rows, lp.data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, sense * lp.c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), lp.b, lp.b,
+        lp.indptr, lp.indices, lp.data, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
     if loaded:
         solver.run()
     solve_s = time.perf_counter() - start

@@ -9,7 +9,8 @@ The lognormal quantization is compared with the same formula evaluated by
 scipy's ndtri and ndtr, an implementation independent of the standard
 library's NormalDist and erfc. Convex envelopes are cross-checked through the
 double conjugate by biconjugate_eval. support_rows turns a hand-written dense
-plan into the (path, mass) rows of a Coupling.
+plan into the (path, mass) rows of a Coupling, and lp_matrix reads an
+LpProblem's CSC arrays into a dense matrix with numpy alone.
 """
 
 import itertools
@@ -30,6 +31,17 @@ from motbounds import (
 
 BRUTE_FORCE_PATH_CAP = 64
 SEMISTATIC_TOL = 1e-9
+
+
+def lp_matrix(lp) -> np.ndarray:
+    """The constraint matrix of lp, dense, read from its CSC arrays without scipy.
+
+    Column p holds data[indptr[p]:indptr[p + 1]] in the rows
+    indices[indptr[p]:indptr[p + 1]]; an entry listed twice counts twice.
+    """
+    A = np.zeros((lp.n_rows, lp.n_paths))
+    np.add.at(A, (lp.indices, np.repeat(np.arange(lp.n_paths), np.diff(lp.indptr))), lp.data)
+    return A
 
 
 def _independent_rows(A, b, tol=1e-10):
@@ -71,7 +83,8 @@ def brute_force_value(cost: CostSpec, ms: MarginalSequence,
     lp = assemble_lp(cost, ms)
     if lp.n_paths > path_cap:
         raise SizeCapError(f"{lp.n_paths} paths exceed the brute-force cap {path_cap}")
-    A_red, b_red, consistent = _independent_rows(lp.A.toarray(), lp.b)
+    A = lp_matrix(lp)
+    A_red, b_red, consistent = _independent_rows(A, lp.b)
     if not consistent:
         raise ValueError("equality system inconsistent: instance infeasible")
     r, ncols = A_red.shape
@@ -88,7 +101,7 @@ def brute_force_value(cost: CostSpec, ms: MarginalSequence,
             continue
         x = np.zeros(ncols)
         x[list(cols)] = np.clip(xb, 0.0, None)
-        if np.max(np.abs(lp.A @ x - lp.b)) > 1e-7:
+        if np.max(np.abs(A @ x - lp.b)) > 1e-7:
             continue
         val = float(np.dot(lp.c[list(cols)], xb))
         if best is None or val < best:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import motbounds.ascent as ascent_module
+import motbounds.cascade as cascade_module
 from motbounds import (
     AscentConfig,
     CostSpec,
@@ -23,6 +24,7 @@ from motbounds import (
     relative_gap,
     solve_primal,
     solve_primal_max,
+    validate_coupling,
 )
 
 from conftest import lognormal_showcase, random_cost, random_instance, random_marginals
@@ -335,6 +337,29 @@ class TestCertify:
         rep = certify(*lognormal_showcase(scale))
         assert rep.passed
         assert rep.subhedge_zero.ok and rep.subhedge_best.ok
+
+    def test_coupling_that_fails_validation_fails_the_report(self):
+        # at 1e-6 the martingale coefficients sit near HiGHS's absolute 1e-7
+        # feasibility tolerance, and the lower coupling drifts by 7.9e-3
+        rep = certify(*lognormal_showcase(1e-6))
+        check = rep.coupling_check
+        assert not check.ok and check.martingale_error == pytest.approx(7.9e-3, rel=0.01)
+        assert rep.subhedge_zero is None and rep.subhedge_best is None
+        assert not rep.passed
+        payload = json.loads(json.dumps(rep.as_dict(), allow_nan=False))
+        assert payload["coupling_check"]["ok"] is False and "subhedge_zero" not in payload
+
+    def test_coupling_validated_once(self, rng, monkeypatch):
+        reports = []
+
+        def counted(coupling, ms):
+            reports.append(validate_coupling(coupling, ms))
+            return reports[-1]
+
+        monkeypatch.setattr(ascent_module, "validate_coupling", counted)
+        monkeypatch.setattr(cascade_module, "validate_coupling", counted)
+        rep = certify(*random_instance(rng, n=3, max_size=6))
+        assert rep.passed and reports == [rep.coupling_check] and rep.coupling_check.ok
 
     def test_report_round_trips_to_json(self, rng):
         cost, ms = random_instance(rng, n=2, max_size=6)

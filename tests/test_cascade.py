@@ -199,6 +199,31 @@ class TestPositionsBuiltElsewhere:
         u = DualCertificate.from_dict(json.loads(json.dumps(payload))).dual_variables
         self.assert_refused(u, f"table u_{table + 2} has a non-finite entry")
 
+    def test_untyped_certificate_refused(self):
+        # strings and bools that float() would read, under an unknown variant
+        payload = {"variant": "bogus", "u": [{"grid": ["-1", True], "values": ["1.0", False]}],
+                   "dual_value": "3"}
+        with pytest.raises(ValueError, match="variant: expected one of"):
+            DualCertificate.from_dict(payload)
+        payload["variant"] = "proposition"
+        with pytest.raises(ValueError, match="dual_value: expected a number, got '3'"):
+            DualCertificate.from_dict(payload)
+        payload["dual_value"] = 3
+        with pytest.raises(ValueError, match=r"u\[0\]\.grid: expected a list of numbers"):
+            DualCertificate.from_dict(payload)
+        payload["u"][0]["grid"] = [-1, 1]
+        with pytest.raises(ValueError, match=r"u\[0\]\.values: expected a list of numbers"):
+            DualCertificate.from_dict(payload)
+
+    @pytest.mark.parametrize("field,bad", [("dual_value", True), ("dual_value", None),
+                                           ("gap_vs_primal", "0"), ("gap_vs_primal", False),
+                                           ("u", {"grid": [-1, 1]}), ("u", [[-1, 1]])])
+    def test_non_number_field_refused(self, field, bad):
+        payload = DualCertificate("proposition", DualVariables.zeros(MS_THREE), 0.0, 0.0).as_dict()
+        payload[field] = bad
+        with pytest.raises(ValueError, match=f"{field}: expected"):
+            DualCertificate.from_dict(payload)
+
     def test_grid_other_than_the_atoms_refused(self):
         u = DualVariables((PM1.atoms, PM2.atoms + 1.0), (np.zeros(2), np.zeros(2)))
         self.assert_refused(u, "grid of u_3 does not match the atoms of marginal 3")

@@ -23,7 +23,7 @@ import motbounds.ascent
 import motbounds.cli
 from motbounds.cli import main, parse_instance
 
-from conftest import checkout_env
+from conftest import checkout_env, lognormal_showcase
 
 HAND_INSTANCE = {
     "marginals": [
@@ -371,6 +371,18 @@ class TestCertifyCommand:
         assert report["passed"] is False
         assert code == 2
 
+    def test_coupling_that_fails_validation_exit_2(self, tmp_path, capsys):
+        # the showcase at 1e-6 times its atoms and strike: the lower LP's
+        # coupling misses its martingale rows, a failed check, not a traceback
+        tiny = {"marginals": [{"atoms": (1e-6 * mu.atoms).tolist(), "weights": mu.weights.tolist()}
+                              for mu in lognormal_showcase()[1]],
+                "cost": {"form": "basket", "strike": 1e-6}}
+        code = main(["--json", "certify", write_instance(tmp_path, tiny)])
+        out, err = capsys.readouterr()
+        report = strict_json(out)
+        assert (code, err) == (2, "")
+        assert report["coupling_check"]["ok"] is False and report["passed"] is False
+
     def test_report_written(self, tmp_path, capsys):
         out_dir = tmp_path / "cert"
         code = main(["--json", "--out", str(out_dir), "certify",
@@ -461,6 +473,16 @@ class TestEnvelopeCommand:
         assert main(["envelope", str(csv)] + at) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: grid and values must be finite\n"
+
+    def test_out_with_at_exit_1(self, tmp_path, capsys):
+        # --at prints one value; an --out beside it would be ignored, so it is refused
+        csv = tmp_path / "tent.csv"
+        csv.write_text("0,0\n1,-1\n2,0\n")
+        out_dir = tmp_path / "hull"
+        assert main(["--out", str(out_dir), "envelope", str(csv), "--at", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --out: envelope --at prints one value and writes no file\n"
+        assert not out_dir.exists()
 
     def test_one_column_exit_1(self, tmp_path, capsys):
         csv = tmp_path / "one.csv"

@@ -1,12 +1,17 @@
-"""Import footprint: scipy loads only with the LP; the dual path and coupling checks run without it."""
+"""Import footprint: the LP loads scipy's HiGHS extension alone, never scipy.optimize or
+scipy.sparse; the dual path and coupling checks load no part of scipy."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import checkout_env
 
-LAZY = ("scipy.optimize", "scipy.sparse", "scipy.special")
+HIGHS = "scipy.optimize._highspy._core"
+LAZY = ("scipy.optimize", "scipy.sparse", "scipy.special", HIGHS)
 
 # Runs in a fresh interpreter and prints, after each step, which of LAZY are loaded.
 SCRIPT = f"""
@@ -52,7 +57,7 @@ def test_scipy_parts_load_on_first_use():
     assert loaded["capped"] == []
     assert loaded["quantize"] == []
     assert loaded["verify"] == []  # a coupling is re-checked without the LP stack
-    assert "scipy.optimize" in loaded["solve"]
+    assert loaded["solve"] == [HIGHS]  # the extension alone: no scipy.optimize, no scipy.sparse
 
 
 # Runs the dual-side commands in an interpreter where any import of scipy fails.
@@ -83,18 +88,19 @@ def test_dual_path_runs_without_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [0, 0, 0]
 
 
-# The first certify in a fresh interpreter: both of its LP threads import
-# scipy.optimize on first use, at the same time.
-FIRST_CERTIFY = """
+# The first certify in a fresh interpreter: both of its LP threads load the
+# HiGHS extension on first use, at the same time.
+FIRST_CERTIFY = f"""
 import json, sys
 import motbounds, motbounds.cli
-seen = {"futures": "concurrent.futures" in sys.modules,
-        "optimize_before": "scipy.optimize" in sys.modules}
+seen = {{"futures": "concurrent.futures" in sys.modules,
+        "optimize_before": "scipy.optimize" in sys.modules}}
 ms = motbounds.MarginalSequence([
     motbounds.quantize_lognormal(-s * s / 2, s, 15) for s in (0.1, 0.2, 0.3)
 ])
 rep = motbounds.certify(motbounds.CostSpec(3, "basket", strike=1.0), ms)
 seen["passed"] = rep.passed
+seen["after"] = sorted(m for m in ("scipy.optimize", "scipy.sparse", {HIGHS!r}) if m in sys.modules)
 print(json.dumps(seen))
 """
 
@@ -104,4 +110,52 @@ def test_first_certify_passes_while_both_sides_import_the_solver():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"futures": False, "optimize_before": False, "passed": True}
+    assert seen == {"futures": False, "optimize_before": False, "passed": True, "after": [HIGHS]}
+
+
+# One HiGHS extension per process, whichever loads first: linprog imported
+# before the LP leaves the LP on scipy.optimize's core, and linprog imported
+# after it finds the core the LP loaded.
+SAME_CORE = f"""
+import sys
+import numpy as np
+if sys.argv[1] == "linprog_first":
+    from scipy.optimize import linprog
+import motbounds
+from motbounds.primal import _highs
+ms = motbounds.MarginalSequence([
+    motbounds.DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+    motbounds.DiscreteMeasure(np.array([-2.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.25])),
+])
+cost = motbounds.CostSpec(2, "squared_increment")
+sol = motbounds.solve_primal(cost, ms)
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+lp = motbounds.assemble_lp(cost, ms)
+res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+assert _highs() is _core is sys.modules[{HIGHS!r}]
+assert res.status == 0 and sol.value == res.fun, (res.status, sol.value, res.fun)
+print("same core")
+"""
+
+
+@pytest.mark.parametrize("order", ["linprog_first", "lp_first"])
+def test_lp_and_linprog_share_one_core(order):
+    done = subprocess.run([sys.executable, "-c", SAME_CORE, order], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "same core"
+
+
+def test_scipy_without_the_extension_names_the_floor(tmp_path):
+    # a scipy tree with no optimize/_highspy, as before 1.15.0
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
+    env = checkout_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    script = ("from motbounds.primal import _highs\n"
+              "try:\n    _highs()\nexcept ImportError as exc:\n    print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"scipy 1.14.1 has no {HIGHS}; motbounds needs scipy >= 1.15.0\n"

@@ -20,7 +20,7 @@ from motbounds import (
 from motbounds.primal import _solve
 
 from conftest import lognormal_showcase, random_instance
-from oracles import brute_force_value, semistatic_value_check, support_rows
+from oracles import brute_force_value, lp_matrix, semistatic_value_check, support_rows
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -52,10 +52,17 @@ def negated(cost, ms):
 class TestAssembleLp:
     def test_sparse_storage(self):
         lp = assemble_lp(CostSpec(3, "basket", strike=0.0), MarginalSequence([D0, PM1, PM2]))
-        assert sparse.issparse(lp.A) and lp.A.format == "csc"  # the layout HiGHS reads
-        assert lp.A.nnz == lp.n_paths * (2 * 3 - 1)  # one entry per path in every block
+        assert lp.indices.dtype == lp.indptr.dtype == np.int32  # HiGHS's integer, no conversion
+        assert lp.data.size == lp.n_paths * (2 * 3 - 1)  # one entry per path in every block
         q = np.array([[[0.375, 0.125], [0.125, 0.375]]])  # 0 -> +-1 -> +-2, a martingale
-        np.testing.assert_allclose(lp.A @ q.ravel(), lp.b, atol=1e-15)
+        np.testing.assert_allclose(lp_matrix(lp) @ q.ravel(), lp.b, atol=1e-15)
+
+    def test_scipy_reads_the_arrays_as_numpy_does(self):
+        rng = np.random.default_rng(7)
+        for cost, ms in [random_instance(rng, n=2 + k % 3, max_size=6) for k in range(12)]:
+            lp = assemble_lp(cost, ms)
+            assert lp.A.format == "csc" and lp.A.shape == (lp.n_rows, lp.n_paths)
+            np.testing.assert_array_equal(lp.A.toarray(), lp_matrix(lp))
 
     @staticmethod
     def coo_matrix(ms):
@@ -81,11 +88,10 @@ class TestAssembleLp:
         instances = [lognormal_showcase()] + [random_instance(rng, n=2 + k % 3, max_size=9)
                                               for k in range(50)]
         for cost, ms in instances:
-            A, expected = assemble_lp(cost, ms).A, self.coo_matrix(ms)
-            assert A.format == "csc" and A.shape == expected.shape
+            lp, expected = assemble_lp(cost, ms), self.coo_matrix(ms)
+            assert (lp.n_rows, lp.n_paths) == expected.shape
             for name in ("indptr", "indices", "data"):
-                got, want = getattr(A, name), getattr(expected, name)
-                assert got.dtype == want.dtype, name
+                got, want = getattr(lp, name), getattr(expected, name)
                 np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_two_period_row_counts(self):
@@ -366,7 +372,7 @@ class TestSemistatic:
             pay = sum(t.reshape((1,) * i + (-1,) + (1,) * (n - i - 1)) for i, t in enumerate(u))
             for j, d in enumerate(deltas):
                 pay = pay + d.reshape(d.shape + (1,) * (n - j - 1)) * (grids[j + 1] - grids[j])
-            np.testing.assert_allclose(assemble_lp(cost, ms).A.T @ sol.duals, pay.ravel(),
+            np.testing.assert_allclose(lp_matrix(assemble_lp(cost, ms)).T @ sol.duals, pay.ravel(),
                                        rtol=0, atol=1e-12)
 
     def test_multiplier_count_must_match_the_rows(self, rng):
@@ -414,8 +420,9 @@ class TestCouplingValidation:
         cost, ms = random_instance(rng, n=3, max_size=5)
         lp = assemble_lp(cost, ms)
         x = solve_primal(cost, ms).coupling.q.ravel()
-        _, _, vt = np.linalg.svd(lp.A.toarray())
-        assert np.abs(lp.A @ vt[-1]).max() < 1e-12  # more paths than independent rows
+        A = lp_matrix(lp)
+        _, _, vt = np.linalg.svd(A)
+        assert np.abs(A @ vt[-1]).max() < 1e-12  # more paths than independent rows
         k = np.argmax(np.abs(vt[-1]))
         moved = x - 2.0 * vt[-1] / vt[-1][k]  # path k loses 2, so its mass is below -1
         paths = np.flatnonzero(moved)
