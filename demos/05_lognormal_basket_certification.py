@@ -2,11 +2,10 @@
 
 Three unit-mean lognormal marginals with volatilities 0.1, 0.2, 0.3 are
 quantized to 15 conditional-mean atoms each; the payoff is a basket call on
-the average. The certification run solves both transport LPs, evaluates the
-three dual cascades at the LPs' marginal multipliers (each closes its gap on
-the first iterate), checks the conditional hedge, and writes the report next to
-this script. Each trace here is one row long; `motbounds certify --out DIR`
-writes the traces as CSV.
+the average. The certification run solves both transport LPs, evaluates each
+of the three dual cascades once at its LP's marginal multipliers, checks the
+conditional hedge, and writes the report next to this script. A variant whose
+gap is not below the target gap is listed as missed; here none is.
 """
 
 import json
@@ -33,9 +32,8 @@ print(f"\nfeasible: {report.feasible}  passed: {report.passed}  "
 print(f"price interval: [{report.primal_lower.value:.8f}, "
       f"{report.primal_upper.value:.8f}]")
 for variant, cert in report.certificates.items():
-    trace = report.traces[variant]
-    print(f"  {variant:12s} dual {cert.dual_value:.8f}  "
-          f"gap {report.gaps[variant]:.2e}  iters {len(trace)}  {trace.status}")
+    print(f"  {variant:12s} dual {cert.dual_value:.8f}  gap {report.gaps[variant]:.2e}")
+print(f"missed (gap not below {report.target_gap:.0e}): {report.missed}")
 print("hedge slack (u = 0):     ", f"{report.subhedge_zero.min_slack:.2e}")
 print("hedge slack (optimized): ", f"{report.subhedge_best.min_slack:.2e}")
 print("phase seconds:", {k: round(v, 3) for k, v in report.timings.items()})

@@ -14,14 +14,10 @@ routine, ascend, runs every variant, and the variant alone sets the
 direction: it maximizes the lower variants and minimizes remark_a. A run
 starts at u = 0 unless it is given a start.
 
-Certification assembles the LP once and solves its two sides at the same
-time: the maximisation on the single thread of a stdlib executor, the
-minimisation on the caller, which HiGHS allows because it releases the
-interpreter lock while it solves. Each variant's run then starts at its LP
-side's own marginal multipliers. By the multi-period duality, the cascade
-at those tables already finds the best u_1 and trading positions, so its
-value meets the LP value and the run stops on its first iterate; a start
-that falls short of the target gap is ascended from like any other.
+Certification runs no optimizer. By the multi-period duality, for fixed
+u_2..u_n the cascade finds the best u_1 and trading positions, so one
+cascade at an LP side's own marginal multipliers is a certificate whose
+value meets that side's LP value.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ from .cascade import (
     DualCertificate,
     DualVariables,
     SubhedgeReport,
+    dual_objective,
     dual_value_and_subgradient,
     verify_subhedge,
 )
@@ -55,6 +52,7 @@ from .primal import (
 GRAD_TOL = 1e-7
 DILATION = 2.0  # metric contraction along gradient differences
 EPSILON = 1e-8
+DEFAULT_TARGET_GAP = 1e-4  # relative; the default of ascend and certify alike
 
 
 def relative_gap(value: float, reference: float) -> float:
@@ -66,7 +64,7 @@ def relative_gap(value: float, reference: float) -> float:
 class AscentConfig:
     variant: str = "proposition"
     max_iters: int = 5000
-    target_gap: float = 1e-4  # relative
+    target_gap: float = DEFAULT_TARGET_GAP
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -75,8 +73,13 @@ class AscentConfig:
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if isinstance(self.target_gap, bool) or not 0 < self.target_gap < np.inf:
-            raise ValueError("target_gap must be finite and positive")
+        _check_target_gap(self.target_gap)
+
+
+def _check_target_gap(target_gap) -> None:
+    """ValueError unless target_gap is a finite positive number (a bool is refused)."""
+    if isinstance(target_gap, bool) or not 0 < target_gap < np.inf:
+        raise ValueError("target_gap must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -97,7 +100,7 @@ def _project_zero_mean(tables, ms: MarginalSequence) -> None:
     """Gauge fixing: remove the weighted mean of each table in place.
 
     The objective is invariant under constant shifts of any u_i, so the
-    projection changes nothing but pins the iterates.
+    projection changes nothing but pins the iterates and certify's tables.
     """
     for i, t in enumerate(tables, start=1):
         t -= np.dot(ms[i].weights, t)
@@ -199,22 +202,14 @@ def descend_upper(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentC
 class CertifyReport:
     """Five-value certification: both LP sides and all three dual certificates.
 
-    Each certificate is the best cascade value of a run started at its LP
-    side's marginal multipliers. timings holds consecutive wall-clock laps,
-    one per phase that ran: validation, lp_lower, lp_upper, duals and
-    subhedge, so they sum to at most elapsed_s. The two LP sides are solved
-    at the same time, so lp_lower runs from the start of the LP phase
-    (assembly and the worker's start included) to the lower solution, and
-    lp_upper is only the further wait for the upper one and the worker's
-    join. The first certify in a process also charges the one-time load of
-    scipy's top-level package, the HiGHS extension the solves call
-    (scipy.optimize._highspy._core, loaded without the rest of
-    scipy.optimize) and concurrent.futures to lp_lower: about 0.03 s on a
-    2-vCPU VM, where importing scipy.optimize took 0.6 s. Each side's own
-    solver time, overlap included, is stats["solve_s"] of primal_lower and
-    primal_upper; as_dict gives each side its value (None unless the side is
-    optimal), status and stats. coupling_check is validate_coupling's report
-    on the lower side's coupling; the sub-hedges run only when it is ok.
+    Each certificate is one cascade at its LP side's multipliers; missed
+    lists the variants whose gap is not below target_gap. timings holds the
+    consecutive wall-clock laps of the phases that ran (validation, lp_lower,
+    lp_upper, duals, subhedge). The LP sides overlap, so lp_upper is only the
+    wait for the upper side after the lower one; each side's own solver time
+    is its stats["solve_s"]. as_dict gives a side's value only when it is
+    optimal. The sub-hedges run only when coupling_check, validate_coupling's
+    report on the lower side's coupling, is ok.
     """
 
     validation: SequenceReport
@@ -222,7 +217,6 @@ class CertifyReport:
     primal_lower: Optional[PrimalSolution] = None
     primal_upper: Optional[PrimalSolution] = None
     certificates: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
     coupling_check: Optional[CouplingReport] = None
     subhedge_zero: Optional[SubhedgeReport] = None
     subhedge_best: Optional[SubhedgeReport] = None
@@ -240,13 +234,15 @@ class CertifyReport:
         return {variant: cert.gap_vs_primal for variant, cert in self.certificates.items()}
 
     @property
-    def passed(self) -> bool:
-        """All three certificates within target_gap and both sub-hedges verified.
+    def missed(self) -> list:
+        """The variants whose gap is not below target_gap; empty before any certificate."""
+        return [variant for variant, gap in self.gaps.items() if not gap < self.target_gap]
 
-        The sub-hedges run only on a coupling that passed coupling_check.
-        """
+    @property
+    def passed(self) -> bool:
+        """No variant missed and both sub-hedges, run after all three certificates, verified."""
         return (self.subhedge_best is not None and self.subhedge_zero.ok and self.subhedge_best.ok
-                and all(g < self.target_gap for g in self.gaps.values()))
+                and not self.missed)
 
     def as_dict(self) -> dict:
         out = {
@@ -257,13 +253,13 @@ class CertifyReport:
             "elapsed_s": self.elapsed_s,
             "timings": dict(self.timings),
             "gaps": self.gaps,
+            "missed": self.missed,
         }
         for key, side in (("primal_lower", self.primal_lower), ("primal_upper", self.primal_upper)):
             if side is not None:
                 value = side.value if side.status == "optimal" else None
                 out[key] = {"value": value, "status": side.status, "stats": side.stats}
         out["certificates"] = {k: v.as_dict() for k, v in self.certificates.items()}
-        out["statuses"] = {k: t.status for k, t in self.traces.items()}
         if self.coupling_check is not None:
             out["coupling_check"] = asdict(self.coupling_check)
         if self.subhedge_zero is not None:
@@ -273,34 +269,25 @@ class CertifyReport:
         return out
 
 
-def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] = None,
+def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT_TARGET_GAP,
             var_cap: int = DEFAULT_VAR_CAP) -> CertifyReport:
-    """Solve both LP sides, run all three dual routines from the LP multipliers.
+    """Solve both LP sides and evaluate all three dual certificates at their multipliers.
 
-    All three variants run whatever config.variant says; only
-    config.max_iters and config.target_gap are read.
-
-    The LP is assembled once, on the calling thread, so a var_cap refusal
-    (SizeCapError) comes before any thread starts. The maximisation then
-    runs in a one-thread concurrent.futures executor while the caller solves
-    the minimisation. Leaving the executor's with block joins the worker on
-    every path, and the future's result() re-raises an exception raised on it.
-
-    Each variant is one ascend run, paired with its LP side: the lower LP for
-    proposition and remark_b, the upper LP for remark_a. The run starts at
-    that side's marginal multipliers u_2, ..., u_n; for fixed u_2..u_n the
-    cascade finds the best u_1 and trading positions, so its value there
-    matches the LP value up to the solver's dual tolerance, and the run
-    usually stops on its first iterate. A start that misses target_gap costs
-    further ascent steps, never soundness: every reported value is a cascade
-    value. Then validates the lower LP's coupling once, and if it passes,
-    verifies the conditional sub-hedge property of the cascade strategy under
-    it, for u = 0 and for the proposition certificate's u; the report's
-    passed reads both verdicts and the gaps. A coupling that fails
-    validation (HiGHS's absolute tolerances on a tiny price scale) leaves
-    the sub-hedges unrun, so the report is not passed.
+    target_gap must be finite and positive (else ValueError). The LP is
+    assembled once on the calling thread, so a var_cap refusal
+    (SizeCapError) starts no thread. The maximisation runs in a one-thread
+    concurrent.futures executor while the caller solves the minimisation;
+    the with block joins the worker on every path, and result() re-raises
+    its exception. proposition and remark_b read the lower side, remark_a
+    the upper one: each certificate is one dual_objective at the side's
+    multipliers u_2, ..., u_n, gauge-fixed by _project_zero_mean as ascend
+    fixes its start. It is a valid bound whatever its gap; a gap not below
+    target_gap puts the variant in missed, and no ascent runs. The
+    sub-hedges, for u = 0 and for the proposition certificate's u, run on
+    the lower coupling only if it passes validation, which HiGHS's absolute
+    tolerances can break on a tiny price scale.
     """
-    config = config or AscentConfig()
+    _check_target_gap(target_gap)
     clock = start = time.perf_counter()
     timings = {}
 
@@ -312,7 +299,7 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
 
     validation = validate_sequence(ms)
     lap("validation")
-    report = CertifyReport(validation, config.target_gap, timings=timings)
+    report = CertifyReport(validation, target_gap, timings=timings)
     if not validation.ok:
         report.elapsed_s = time.perf_counter() - start
         return report
@@ -331,12 +318,14 @@ def certify(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig]
         report.elapsed_s = time.perf_counter() - start
         return report
 
-    # ascend is looked up in the module globals, where perfbench's tracer wraps it
     for variant, side in (("proposition", lower), ("remark_b", lower), ("remark_a", upper)):
-        cert, trace = ascend(cost, ms, replace(config, variant=variant), primal_value=side.value,
-                             start=multipliers_to_semistatic(side, ms)[0][1:])
-        report.certificates[variant] = cert
-        report.traces[variant] = trace
+        # views of a copy, so the in-place gauge leaves side.duals as HiGHS gave them
+        tables = multipliers_to_semistatic(side, ms)[0][1:]
+        _project_zero_mean(tables, ms)
+        u = DualVariables.from_tables(ms, tables)
+        value = dual_objective(variant, cost, ms, u)
+        report.certificates[variant] = DualCertificate(variant, u, value,
+                                                       relative_gap(value, side.value))
     lap("duals")
 
     coupling = lower.coupling

@@ -32,12 +32,16 @@ from .measures import (
     quantize_lognormal,
     validate_sequence,
 )
-from .primal import multipliers_to_semistatic, solve_primal, solve_primal_max
+from .primal import HighsMissingError, multipliers_to_semistatic, solve_primal, solve_primal_max
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
+
+# global tuning flag -> (AscentConfig field, commands that read it); main refuses the rest
+TUNING_FLAGS = {"--tol": ("target_gap", ("solve", "certify")),
+                "--max-iters": ("max_iters", ("solve",))}
 
 
 class InstanceError(ValueError):
@@ -230,7 +234,7 @@ def parse_instance(path: str) -> Instance:
 
 
 def _apply_flags(config: AscentConfig, args) -> AscentConfig:
-    for flag, key in (("--tol", "target_gap"), ("--max-iters", "max_iters")):
+    for flag, (key, _) in TUNING_FLAGS.items():
         value = getattr(args, key)
         if value is not None:
             try:
@@ -289,11 +293,6 @@ def _write_csv(out, header, columns) -> None:
         _write_artifact(out, text)
 
 
-def _write_trace(path, trace) -> None:
-    _write_csv(path, ["iter", "dual_value", "grad_norm", "elapsed_ms"],
-               [np.arange(len(trace)), trace.values, trace.grad_norms, trace.elapsed_ms])
-
-
 def cmd_check(args) -> int:
     inst = parse_instance(args.instance)
     report = validate_sequence(inst.marginals)
@@ -345,7 +344,9 @@ def cmd_solve(args) -> int:
         if out_dir:
             _write_artifact(os.path.join(out_dir, "certificate.json"),
                             json.dumps(cert.as_dict(), indent=2))
-            _write_trace(os.path.join(out_dir, "trace.csv"), trace)
+            _write_csv(os.path.join(out_dir, "trace.csv"),
+                       ["iter", "dual_value", "grad_norm", "elapsed_ms"],
+                       [np.arange(len(trace)), trace.values, trace.grad_norms, trace.elapsed_ms])
     _emit(payload, args)
     return EXIT_OK
 
@@ -354,13 +355,12 @@ def cmd_certify(args) -> int:
     inst = parse_instance(args.instance)
     config = _apply_flags(inst.config, args)
     out_dir = _out_dir(args)
-    report = certify(inst.cost, inst.marginals, config, var_cap=inst.var_cap)
+    report = certify(inst.cost, inst.marginals, target_gap=config.target_gap,
+                     var_cap=inst.var_cap)
     payload = report.as_dict()
     if out_dir:
         _write_artifact(os.path.join(out_dir, "report.json"),
                         json.dumps(payload, indent=2, sort_keys=True))
-        for variant, trace in report.traces.items():
-            _write_trace(os.path.join(out_dir, f"trace_{variant}.csv"), trace)
     _emit(payload, args)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
@@ -442,8 +442,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its usage error to stderr
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        for flag, (key, readers) in TUNING_FLAGS.items():
+            if getattr(args, key) is not None and args.command not in readers:
+                raise InstanceError(flag, f"{args.command} does not read this flag")
         return args.func(args)
-    except (InstanceError, NonFiniteCostError) as exc:
+    except (InstanceError, NonFiniteCostError, HighsMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeCapError as exc:

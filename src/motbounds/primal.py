@@ -226,24 +226,31 @@ _HIGHS = "scipy.optimize._highspy._core"
 _HIGHS_LOCK = threading.Lock()  # certify's first call enters _solve from two threads
 
 
+class HighsMissingError(ImportError):
+    """No scipy is installed, or it has no HiGHS extension file (it is older than 1.15.0)."""
+
+
 def _highs():
     """scipy's HiGHS extension module, loaded from its file without scipy.optimize.
 
     The extension is found in the installed scipy tree, registered in
     sys.modules under its own name and executed, once per process. A core
     already in sys.modules, such as one that importing linprog loaded, is
-    reused. A scipy without the file (older than 1.15.0) raises ImportError.
+    reused. No scipy, or one without the file, raises HighsMissingError.
     """
     with _HIGHS_LOCK:
         core = sys.modules.get(_HIGHS)
         if core is None:
-            import scipy
-
+            try:
+                import scipy
+            except ImportError as exc:
+                raise HighsMissingError("motbounds needs scipy >= 1.15.0 for the LP, "
+                                        "and scipy cannot be imported") from exc
             spec = importlib.machinery.PathFinder.find_spec(
                 _HIGHS, [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
             if spec is None:
-                raise ImportError(f"scipy {scipy.__version__} has no {_HIGHS}; "
-                                  "motbounds needs scipy >= 1.15.0")
+                raise HighsMissingError(f"scipy {scipy.__version__} has no {_HIGHS}; "
+                                        "motbounds needs scipy >= 1.15.0")
             core = importlib.util.module_from_spec(spec)
             sys.modules[_HIGHS] = core
             spec.loader.exec_module(core)

@@ -1,4 +1,4 @@
-"""Optimizer runs, certificates, traces, and full certification reports."""
+"""Optimizer runs and traces, certificates, and full certification reports."""
 
 import json
 import threading
@@ -290,7 +290,7 @@ class TestTraceInvariants:
 class TestCertify:
     def test_hand_instances_tight(self):
         for cost, ms in ((SQ2, MS_SINGLE), (SQ2, MarginalSequence([PM1, PM2]))):
-            rep = certify(cost, ms, AscentConfig(target_gap=1e-6))
+            rep = certify(cost, ms, target_gap=1e-6)
             assert rep.feasible and rep.passed
             assert all(g < 1e-6 for g in rep.gaps.values())
             assert rep.subhedge_zero.ok and rep.subhedge_best.ok
@@ -311,14 +311,42 @@ class TestCertify:
         assert sum(rep.timings.values()) <= rep.elapsed_s + 1e-9
         assert json.loads(json.dumps(rep.as_dict()))["timings"] == rep.timings
 
-    def test_showcase_certifies_on_the_first_iterate(self):
-        cost, ms = lognormal_showcase()
-        rep = certify(cost, ms)
-        assert rep.passed
-        assert abs(rep.primal_lower.value - ANCHOR_LOWER) < 1e-9
-        assert abs(rep.primal_upper.value - ANCHOR_UPPER) < 1e-9
-        for variant, trace in rep.traces.items():
-            assert (len(trace), trace.status) == (1, "converged_gap"), variant
+    def test_each_certificate_is_one_evaluation_at_the_lp_multipliers(self, monkeypatch):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("certify ran the optimizer")
+
+        monkeypatch.setattr(ascent_module, "_run", no_ascent)
+        rng = np.random.default_rng(5)
+        instances = [lognormal_showcase()]
+        instances += [random_instance(rng, n=2 + k % 3, max_size=9) for k in range(200)]
+        for cost, ms in instances:
+            rep = certify(cost, ms)
+            assert rep.passed and rep.missed == []
+            for variant, side in (("proposition", rep.primal_lower),
+                                  ("remark_b", rep.primal_lower),
+                                  ("remark_a", rep.primal_upper)):
+                # the gauge: each table minus its mean under its own marginal
+                tables = [t - np.dot(mu.weights, t)
+                          for t, mu in zip(multipliers_to_semistatic(side, ms)[0][1:], ms[1:])]
+                cert = rep.certificates[variant]
+                for got, want in zip(cert.dual_variables.values, tables):
+                    assert got.tobytes() == want.tobytes(), variant
+                value = dual_objective(variant, cost, ms, DualVariables.from_tables(ms, tables))
+                assert cert.dual_value == value, variant
+                assert cert.gap_vs_primal == relative_gap(value, side.value), variant
+        showcase = certify(*instances[0])
+        assert abs(showcase.primal_lower.value - ANCHOR_LOWER) < 1e-9
+        assert abs(showcase.primal_upper.value - ANCHOR_UPPER) < 1e-9
+
+    def test_unreachable_target_misses_every_variant(self):
+        # the showcase's gaps are rounding, 2e-17 to 3e-17; a gap of exactly 0
+        # would be below any target
+        rep = certify(*lognormal_showcase(), target_gap=1e-30)
+        assert rep.missed == ["proposition", "remark_b", "remark_a"]
+        assert rep.subhedge_zero.ok and rep.subhedge_best.ok and not rep.passed
+        payload = json.loads(json.dumps(rep.as_dict()))
+        assert payload["missed"] == rep.missed and payload["passed"] is False
+        assert "statuses" not in payload
 
     def test_rescaled_showcase_certifies(self):
         # every atom and the strike times 1e6: the LP values scale with them
@@ -449,6 +477,11 @@ class TestConfigValidation:
                 AscentConfig(target_gap=gap)
         with pytest.raises(ValueError, match="unknown variant"):
             AscentConfig(variant="bogus")
+
+    def test_certify_refuses_a_bad_target_gap(self):
+        for gap in (0.0, -1.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="target_gap must be finite and positive"):
+                certify(SQ2, MS_SINGLE, target_gap=gap)
 
     def test_bools_rejected(self):
         # True is an int and compares as 1, but is no iteration count or gap

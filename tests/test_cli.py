@@ -13,7 +13,6 @@ from motbounds import (
     AscentConfig,
     DualCertificate,
     ascend,
-    certify,
     convex_envelope,
     GridFunction,
     dual_objective,
@@ -271,17 +270,6 @@ class TestCsvArtifacts:
             [np.arange(len(trace)), trace.values, trace.grad_norms]))
         assert np.all(np.diff(rows[:, 3]) >= 0)
 
-    def test_traces_of_certify(self, tmp_path, capsys):
-        path = write_instance(tmp_path, SHOWCASE_INSTANCE)
-        out_dir = tmp_path / "cert"
-        assert main(["--out", str(out_dir), "certify", path]) == 0
-        inst = parse_instance(path)
-        report = certify(inst.cost, inst.marginals)
-        for variant, trace in report.traces.items():
-            rows = read_csv(out_dir / f"trace_{variant}.csv", TRACE_HEADER)
-            np.testing.assert_array_equal(rows[:, :3], np.column_stack(
-                [np.arange(len(trace)), trace.values, trace.grad_norms]))
-
     def test_hull_file_and_stdout(self, tmp_path, capsys):
         xs = np.linspace(-1.0, 2.0, 13)
         csv = tmp_path / "points.csv"
@@ -391,7 +379,15 @@ class TestCertifyCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["passed"] is True
         assert set(report["timings"]) == {"validation", "lp_lower", "lp_upper", "duals", "subhedge"}
-        assert (out_dir / "trace_proposition.csv").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]  # no trace_*.csv
+
+    def test_unreachable_tol_exit_2_names_the_missed_variants(self, tmp_path, capsys):
+        # every showcase gap is rounding above 1e-30, none exactly 0
+        code = main(["--json", "--tol", "1e-30", "certify",
+                     write_instance(tmp_path, SHOWCASE_INSTANCE)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["passed"] is False and report["target_gap"] == 1e-30
+        assert report["missed"] == ["proposition", "remark_b", "remark_a"]
 
     def test_each_side_reports_its_solve_time(self, tmp_path, capsys):
         out_dir = tmp_path / "cert"
@@ -781,6 +777,24 @@ class TestInstanceParsing:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--max-iters", "5", "certify", "INSTANCE"], "--max-iters"),
+        (["--tol", "1e-3", "check", "INSTANCE"], "--tol"),
+        (["--max-iters", "5", "check", "INSTANCE"], "--max-iters"),
+        (["--tol", "1e-3", "envelope", "points.csv"], "--tol"),
+        (["--max-iters", "5", "quantize", "--location", "0", "--scale", "0.2", "--m", "3"],
+         "--max-iters"),
+    ])
+    def test_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                   argv, flag):
+        for name in ("cmd_check", "cmd_solve", "cmd_certify", "cmd_envelope", "cmd_quantize"):
+            monkeypatch.setattr(motbounds.cli, name, lambda args, name=name: pytest.fail(
+                f"{name} ran before {flag} was refused"))
+        argv = [write_instance(tmp_path, HAND_INSTANCE) if a == "INSTANCE" else a for a in argv]
+        command = argv[2]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {flag}: {command} does not read this flag\n")
 
     def test_flags_override_options(self, tmp_path, capsys):
         payload = dict(HAND_INSTANCE, options={"max_iters": 7})

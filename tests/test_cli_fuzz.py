@@ -128,7 +128,9 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
             kind, text = mutate_json(rng, base)
             instance.write_bytes(text)
         command = COMMANDS[case % len(COMMANDS)]
-        argv = ["--json", "--max-iters", "3", command[0], str(instance)] + command[1:]
+        # only solve reads --max-iters; every other command refuses it
+        cap = ["--max-iters", "3"] if command[0] == "solve" else []
+        argv = ["--json"] + cap + [command[0], str(instance)] + command[1:]
         code = main(argv)
         out, err = capsys.readouterr()
         context = f"case {case} ({kind}): {text[:200]!r} -> {code}\n{err}"

@@ -147,15 +147,56 @@ def test_lp_and_linprog_share_one_core(order):
     assert done.stdout.splitlines()[-1] == "same core"
 
 
-def test_scipy_without_the_extension_names_the_floor(tmp_path):
-    # a scipy tree with no optimize/_highspy, as before 1.15.0
+def stub_scipy_env(tmp_path) -> dict:
+    """A child environment whose scipy has no optimize/_highspy, as before 1.15.0."""
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
     env = checkout_env()
     env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
-    script = ("from motbounds.primal import _highs\n"
-              "try:\n    _highs()\nexcept ImportError as exc:\n    print(exc)\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    return env
+
+
+FLOOR_MESSAGE = f"scipy 1.14.1 has no {HIGHS}; motbounds needs scipy >= 1.15.0"
+
+
+def write_pair(tmp_path):
+    """A two-period instance file whose certify needs the LP."""
+    instance = tmp_path / "pair.json"
+    instance.write_text(json.dumps({
+        "marginals": [{"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
+                      {"atoms": [-2.0, 2.0], "weights": [0.5, 0.5]}],
+        "cost": {"form": "squared_increment"}}))
+    return instance
+
+
+def test_scipy_without_the_extension_names_the_floor(tmp_path):
+    script = ("from motbounds.primal import HighsMissingError, _highs\n"
+              "try:\n    _highs()\nexcept HighsMissingError as exc:\n"
+              "    print(isinstance(exc, ImportError), exc)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=stub_scipy_env(tmp_path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"scipy 1.14.1 has no {HIGHS}; motbounds needs scipy >= 1.15.0\n"
+    assert done.stdout == f"True {FLOOR_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("command", [["certify"], ["solve", "--method", "primal"]],
+                         ids=["certify", "solve"])
+def test_cli_without_the_extension_is_one_error_line(tmp_path, command):
+    instance = write_pair(tmp_path)
+    done = subprocess.run([sys.executable, "-m", "motbounds", command[0], str(instance)]
+                          + command[1:], env=stub_scipy_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {FLOOR_MESSAGE}\n"
+
+
+def test_cli_without_scipy_is_one_error_line(tmp_path):
+    # None in sys.modules makes "import scipy" fail as an uninstalled scipy does
+    instance = write_pair(tmp_path)
+    script = ("import sys\nsys.modules['scipy'] = None\nfrom motbounds.cli import main\n"
+              f"sys.exit(main(['certify', {str(instance)!r}]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: motbounds needs scipy >= 1.15.0 for the LP, "
+                           "and scipy cannot be imported\n")
