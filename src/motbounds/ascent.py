@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .cascade import (
+    BLOCK_VALUES,
     LOWER_VARIANTS,
     VARIANTS,
     DualCertificate,
@@ -121,6 +122,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     tables = np.split(x, cuts)  # views into x
     _project_zero_mean(tables, ms)
     metric = np.eye(x.size)  # dilated-space basis, accumulated over the run
+    block = max(1, BLOCK_VALUES // x.size)  # rows of metric per rank-1 update block
     grad_prev = None
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
@@ -156,7 +158,14 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
             norm_xi = float(np.linalg.norm(xi))
             if norm_xi > EPSILON:
                 xi /= norm_xi
-                metric += np.outer(metric @ xi, xi) * (1.0 / DILATION - 1.0)
+                # metric += outer(metric @ xi, xi) * (1/DILATION - 1), a block of rows at a
+                # time, so no (sum m_i)^2 temporary is allocated
+                p = metric @ xi
+                for lo in range(0, x.size, block):
+                    rs = slice(lo, lo + block)
+                    blk = np.outer(p[rs], xi)
+                    blk *= 1.0 / DILATION - 1.0
+                    metric[rs] += blk
         grad_prev = flat_g
         dilated = metric.T @ flat_g
         direction = metric @ dilated

@@ -12,19 +12,22 @@ differ only in where u is subtracted and which way the hull faces:
                  from the section right before the envelope at level i;
                  it gives the same values as "proposition" (see cascade_down).
 
-Each level evaluates every section's envelope at once: an exact alternating
-search finds the pair of atoms whose chord supports the hull at the
-evaluation point, at O(m) per section and round and a few rounds per section.
+Each level evaluates its sections one block of rows at a time: an exact
+alternating search finds the pair of atoms whose chord supports the hull at
+the evaluation point, at O(m) per section and round and a few rounds per
+section. The top level's blocks are built from the cost tensor as they are
+searched, so no cascade holds T_n whole.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
 the cost tensor, read-only, and every level's clamped and tiled evaluation
 points, their splits, and the slope kernel and bar rows of the search, one
 kernel for both hulls. Every cascade reads the levels, so none is deferred.
-A one-entry cache keeps them for the last pair seen: one top tensor of
-prod m_i values plus, per level i, one m_{i+1} x m_{i+1} kernel and two
-entries per prefix. The arrays of the marginals and of a custom table are
-read-only, so an entry cannot go stale.
+A one-entry cache keeps them for the last pair seen: the read-only cost
+tensor, the only array of prod m_i values on the dual path, plus, per level
+i, one m_{i+1} x m_{i+1} kernel and two entries per prefix. The arrays of
+the marginals and of a custom table are read-only, so an entry cannot go
+stale.
 
 The dual objective is the mu_1-expectation of the bottom level plus the
 marginal expectations of the u_i. It is concave (proposition / remark_b) or
@@ -36,8 +39,8 @@ dual_value_and_subgradient computes both; dual_objective is its value.
 DualVariables.check is the one check of a position: the count of its tables,
 their shapes, grids equal to the atoms, and finite entries. from_tables and
 zeros run it, and so does every cascade before it reads a table
-(terminal_tensor, and cascade_down for remark_b), so a non-finite table is
-refused however the position was built. CostSpec comes from measures, so
+(terminal_tensor and cascade_down), so a non-finite table is refused
+however the position was built. CostSpec comes from measures, so
 primal, whose validate_coupling the sub-hedge check uses, does not import
 this module.
 """
@@ -123,10 +126,11 @@ def _json_floats(values, field: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CascadeTensors:
-    """All cascade levels T_1, ..., T_n plus the two-point envelope supports.
+    """The cascade levels T_1, ..., T_{n-1} plus the two-point envelope supports.
 
-    levels[i-1] holds T_i on the prefix product grid of mu_1 x ... x mu_i;
-    remark_b's top level is the instance's read-only cost tensor.
+    levels[i-1] holds T_i on the prefix product grid of mu_1 x ... x mu_i.
+    The top level T_n is not held: terminal_tensor builds it on demand, and
+    remark_b's top is the instance's cost tensor, CostSpec.tensor_on.
     supports[i-1] = (left, right, lam) arrays over level-i prefixes: the
     atom indices of mu_{i+1} supporting the envelope value and its convex
     combination weight (artifact data used by the supergradient and the
@@ -170,18 +174,35 @@ class DualCertificate:
 
 
 def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> np.ndarray:
-    """Top-level tensor: cost minus the static positions, on the product grid.
+    """Top-level tensor T_n: cost minus the static positions, on the product grid.
 
-    A new array: the cost tensor is the instance's read-only one from _built.
+    A new array, built on demand: no cascade calls it, since each reads T_n
+    one block of rows at a time from the read-only cost tensor of _built.
     """
     u.check(ms)
-    out = _built(cost, ms).top
-    for i, t in enumerate(u.values, start=1):  # u over mu_{i+1}, axis i
-        shape = [1] * ms.n
-        shape[i] = ms.sizes[i]
-        # the first subtraction writes a new array, later ones write into it
-        out = np.subtract(out, np.reshape(t, shape), out=None if i == 1 else out)
+    rows = math.prod(ms.sizes[:-1])
+    return _terminal_rows(_built(cost, ms).top, ms, u, 0, rows).reshape(ms.sizes)
+
+
+def _minus_u(top_values, u: DualVariables, index) -> np.ndarray:
+    """top_values - u_2(x_2) - ... - u_n(x_n) as a new array, subtracted in that order.
+
+    index[k] picks the atoms of x_{k+2} (an index array or a slice) and
+    broadcasts against top_values; every reader of T_n subtracts through
+    here, so T_n is the same to the bit wherever it is read.
+    """
+    out = top_values - u.values[0][index[0]]
+    for t, idx in zip(u.values[1:], index[1:]):
+        out -= t[idx]
     return out
+
+
+def _terminal_rows(top, ms: MarginalSequence, u: DualVariables, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of T_n's sections in x_n: one row per prefix (x_1..x_{n-1}) in row-major order."""
+    *prefix_sizes, m_n = ms.sizes
+    prefix = np.unravel_index(np.arange(lo, hi), prefix_sizes)[1:]  # the atoms of x_2..x_{n-1}
+    index = [idx[:, None] for idx in prefix] + [slice(None)]
+    return _minus_u(top.reshape(-1, m_n)[lo:hi], u, index)
 
 
 BLOCK_VALUES = 32768  # section values per block of rows: 256 KB keeps the search in cache
@@ -241,30 +262,35 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     return _Built(top, tuple(reversed(levels)))
 
 
-def _envelope(sections, level: _Level, lower):
-    """Envelope values of the section rows at the points of level.
+def _envelope(section_rows, level: _Level, lower):
+    """Envelope values of a level's section rows at the points of level.
 
-    The value at t of the lower (upper) hull is lam*f(y_a) + (1-lam)*f(y_b)
-    for a supporting pair y_a <= t <= y_b of the hull, with
-    lam*y_a + (1-lam)*y_b = t; the pair is returned for the supergradient.
-    The pairs come from _supporting_pairs, one block of rows at a time; the
-    upper hull's from the lower hull of -f, whose slopes and chord values are
-    the exact negations of f's.
+    section_rows(lo, hi) gives rows lo:hi of the sections, tabulated on
+    level.grid, and is read one block of rows at a time, so a level's
+    sections exist one block at a time unless the caller holds them. The
+    value at t of the lower (upper) hull is lam*f(y_a) + (1-lam)*f(y_b) for a
+    supporting pair y_a <= t <= y_b of the hull, with lam*y_a + (1-lam)*y_b =
+    t; the pair is returned for the supergradient. The pairs come from
+    _supporting_pairs; the upper hull's from the lower hull of -f, whose
+    slopes and chord values are the exact negations of f's.
     """
-    rows, m = sections.shape
+    rows, m = level.t.size, level.grid.size
     if m == 1:
-        return sections[:, 0].copy(), np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows)
+        vals = section_rows(0, rows)[:, 0].copy()
+        return vals, np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows)
+    vals = np.empty(rows)
     left = np.empty(rows, dtype=np.intp)
     right = np.empty(rows, dtype=np.intp)
     lam = np.empty(rows)
     block = max(1, BLOCK_VALUES // m)
     for lo in range(0, rows, block):
-        rs = slice(lo, lo + block)
+        hi = min(lo + block, rows)
+        rs = slice(lo, hi)
+        f = section_rows(lo, hi)
         left[rs], right[rs], lam[rs] = _supporting_pairs(
-            sections[rs] if lower else -sections[rs], level.grid, level.t[rs], level.split[rs],
-            level.kernel, level.bars)
-    every = np.arange(rows)
-    vals = lam * sections[every, left] + (1.0 - lam) * sections[every, right]
+            f if lower else -f, level.grid, level.t[rs], level.split[rs], level.kernel, level.bars)
+        every = np.arange(hi - lo)
+        vals[rs] = lam[rs] * f[every, left[rs]] + (1.0 - lam[rs]) * f[every, right[rs]]
     return vals, left, right, lam
 
 
@@ -282,7 +308,12 @@ def _supporting_pairs(f, y, t, split, kernel, bars):
     half-steps; in exact arithmetic that only happens at such a pair, and it
     ends the search whatever the rounding. Each half-step costs O(m) per row
     still searching, and a handful of half-steps is typical. All rows are
-    searched at once, with no loop over atoms.
+    searched at once, with no loop over atoms. A right half-step scans only
+    the columns from the least split of the live rows on, a left one only
+    those before the greatest: every column left out is barred for every
+    live row, so the first minimum or maximum, and the pair, are those of
+    the whole row. The rows of a block of consecutive atoms share most of a
+    window; rows that cycle through every split (a tiled level) scan all m.
     """
     rows, m = f.shape
     left = np.empty(rows, dtype=np.intp)
@@ -296,17 +327,18 @@ def _supporting_pairs(f, y, t, split, kernel, bars):
     move_right = True
     while live.size:
         c = a if move_right else b  # slopes are seen from c
+        cols = slice(split.min(), m) if move_right else slice(0, split.max())
         f_c = f[live, c]
-        slopes = f[live]
+        slopes = f[live, cols]
         slopes -= f_c[:, None]
-        slopes *= kernel.take(c, axis=0)
+        slopes *= kernel[c, cols]
         if move_right:
-            slopes += bars[m - split]
-            new = slopes.argmin(axis=1)
+            slopes += bars[m - split, cols]
+            new = slopes.argmin(axis=1) + cols.start
             moved = new != b
             b, f_a, f_b = new, f_c, f[live, new]
         else:
-            slopes += bars[2 * m - split]
+            slopes += bars[2 * m - split, cols]
             new = slopes.argmax(axis=1)
             moved = new != a
             a, f_a, f_b = new, f[live, new], f_c
@@ -331,29 +363,33 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     the envelope at level i. For i = n-1, ..., 1 every one-dimensional section
     of T_{i+1} in its last coordinate (on the atoms of mu_{i+1}) is replaced
     by the value of its convex envelope (lower variants) or concave envelope
-    (remark_a) at the matching atom of mu_i. remark_b coincides with
-    proposition at every u up to rounding: each remark_b level is
-    T_i + sum_{j=2..i} u_j(x_j), because that sum is constant along every
-    section of level i+1 and adding a constant commutes with the envelope.
-    The two T_1, and so the two dual objectives, are the same.
+    (remark_a) at the matching atom of mu_i. The top level's sections are
+    built one block of rows at a time from the read-only cost tensor, so T_n
+    is never held whole. remark_b coincides with proposition at every u up
+    to rounding: each remark_b level is T_i + sum_{j=2..i} u_j(x_j), because
+    that sum is constant along every section of level i+1 and adding a
+    constant commutes with the envelope. The two T_1, and so the two dual
+    objectives, are the same.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    u.check(ms)
     stepwise = variant == "remark_b"
-    if stepwise:
-        u.check(ms)
-        cur = _built(cost, ms).top
-    else:
-        cur = terminal_tensor(cost, ms, u)
-    geometry = _built(cost, ms).levels
-    levels = [None] * ms.n
+    top, geometry = _built(cost, ms)
+    levels = [None] * (ms.n - 1)
     supports = [None] * (ms.n - 1)
-    levels[ms.n - 1] = cur
+    cur = top
     for i in range(ms.n - 1, 0, -1):  # build T_i from T_{i+1}
         sections = cur.reshape(-1, ms.sizes[i])
         if stepwise:
-            sections = sections - u.values[i - 1]
-        vals, lft, rgt, lam = _envelope(sections, geometry[i - 1], variant in LOWER_VARIANTS)
+            def section_rows(lo, hi, sections=sections, t=u.values[i - 1]):
+                return sections[lo:hi] - t
+        elif cur is top:
+            section_rows = functools.partial(_terminal_rows, top, ms, u)
+        else:
+            def section_rows(lo, hi, sections=sections):
+                return sections[lo:hi]
+        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1], variant in LOWER_VARIANTS)
         cur = vals.reshape(ms.sizes[:i])
         levels[i - 1] = cur
         supports[i - 1] = (lft, rgt, lam)
@@ -430,18 +466,24 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
     expectation of the terminal tensor T_n. The coupling must pass marginal
     and martingale validation first, else ValueError; check is its
     validate_coupling report when the caller has one, so a coupling checked
-    once serves several positions. The expectations sum over its rows.
+    once serves several positions. The expectations sum over its rows, so
+    T_n is read on those rows alone, and for max |T_n| one block of rows at
+    a time, each value the same to the bit as terminal_tensor's.
     """
     if check is None:
         check = validate_coupling(coupling, ms)
     if not check.ok:
         raise ValueError(f"coupling failed validation: {check.summary()}")
-    casc = cascade_down("proposition", cost, ms, u)
-    t1, t_n = casc.levels[0], casc.levels[-1]
+    t1 = cascade_down("proposition", cost, ms, u).levels[0]
+    top = _built(cost, ms).top
     atom, m_1 = coupling.atoms(), ms.sizes[0]
     start_mass = np.bincount(atom[0], coupling.mass, m_1)
     mass = np.where(start_mass > 0, start_mass, 1.0)
     keep = ms[0].weights > 0
-    slacks = (np.bincount(atom[0], coupling.mass * t_n[atom], m_1) / mass - t1)[keep]
-    tol = SUBHEDGE_TOL * max(1.0, float(np.abs(t_n).max()))
+    t_n = _minus_u(top[atom], u, atom[1:])  # T_n on the coupling's rows
+    slacks = (np.bincount(atom[0], coupling.mass * t_n, m_1) / mass - t1)[keep]
+    rows, block = math.prod(ms.sizes[:-1]), max(1, BLOCK_VALUES // ms.sizes[-1])
+    scale = max(float(np.abs(_terminal_rows(top, ms, u, lo, min(lo + block, rows))).max())
+                for lo in range(0, rows, block))
+    tol = SUBHEDGE_TOL * max(1.0, scale)
     return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))

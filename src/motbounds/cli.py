@@ -39,8 +39,11 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
 
-# global tuning flag -> (AscentConfig field, commands that read it); main refuses the rest
-TUNING_FLAGS = {"--tol": ("target_gap", ("solve", "certify")),
+# global flag -> (argparse dest, commands that read it); main refuses it on any other command.
+# The dest of --tol and --max-iters is the AscentConfig field that the flag sets.
+GLOBAL_FLAGS = {"--json": ("json", ("check", "solve", "certify")),
+                "--out": ("out", ("solve", "certify", "envelope")),
+                "--tol": ("target_gap", ("solve", "certify")),
                 "--max-iters": ("max_iters", ("solve",))}
 
 
@@ -234,7 +237,8 @@ def parse_instance(path: str) -> Instance:
 
 
 def _apply_flags(config: AscentConfig, args) -> AscentConfig:
-    for flag, (key, _) in TUNING_FLAGS.items():
+    for flag in ("--tol", "--max-iters"):
+        key = GLOBAL_FLAGS[flag][0]
         value = getattr(args, key)
         if value is not None:
             try:
@@ -442,8 +446,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its usage error to stderr
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        for flag, (key, readers) in TUNING_FLAGS.items():
-            if getattr(args, key) is not None and args.command not in readers:
+        for flag, (key, readers) in GLOBAL_FLAGS.items():
+            if getattr(args, key) != parser.get_default(key) and args.command not in readers:
                 raise InstanceError(flag, f"{args.command} does not read this flag")
         return args.func(args)
     except (InstanceError, NonFiniteCostError, HighsMissingError) as exc:

@@ -1,6 +1,7 @@
 """Dual positions, cascade recursion, batched envelope, dual value, supergradient, sub-hedge."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from motbounds import (
     dual_objective,
     dual_value_and_subgradient,
     eval_envelope,
+    quantize_lognormal,
     solve_primal,
     terminal_tensor,
     verify_subhedge,
@@ -77,7 +79,8 @@ def reference_cascade(cost, ms, u, variant):
 
 def batched_envelope(sections, grid, eval_atoms, lower):
     """The production search over every row, at eval_atoms[r % len(eval_atoms)]."""
-    return _envelope(sections, _Level(grid, eval_atoms, sections.shape[0]), lower)
+    return _envelope(lambda lo, hi: sections[lo:hi], _Level(grid, eval_atoms, sections.shape[0]),
+                     lower)
 
 
 def pair_enumeration(sections, grid, eval_atoms, lower):
@@ -292,9 +295,10 @@ class TestCascadeDown:
             cost, ms = random_instance(rng, n=3, max_size=6)
             u = random_duals(rng, ms)
             casc = cascade_down("proposition", cost, ms, u)
+            levels = casc.levels + (terminal_tensor(cost, ms, u),)
             for i in range(ms.n - 1, 0, -1):
-                upper = casc.levels[i]
-                lower = casc.levels[i - 1]
+                upper = levels[i]
+                lower = levels[i - 1]
                 # wherever an atom of mu_i also belongs to mu_{i+1}'s grid
                 for j, t in enumerate(ms.grids[i - 1]):
                     pos = np.searchsorted(ms.grids[i], t)
@@ -308,9 +312,11 @@ class TestCascadeDown:
             for n in (2, 3):
                 cost, ms = random_instance(rng, n=n, max_size=6)
                 u = random_duals(rng, ms)
-                casc = cascade_down(variant, cost, ms, u)
+                top = cost.tensor_on(ms) if variant == "remark_b" else terminal_tensor(cost, ms, u)
+                levels = cascade_down(variant, cost, ms, u).levels + (top,)
                 ref = reference_cascade(cost, ms, u, variant)
-                for lvl, expected in zip(casc.levels, ref):
+                assert len(levels) == len(ref)
+                for lvl, expected in zip(levels, ref):
                     assert np.allclose(lvl, expected, atol=1e-12)
 
     def test_out_of_domain_propagates(self):
@@ -386,12 +392,12 @@ class TestInstanceCache:
         assert not built.top.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             built.top[(0,) * ms.n] = 1.0
-        casc = cascade_down("remark_b", cost, ms, u)
+        cascade_down("remark_b", cost, ms, u)
         dual_value_and_subgradient("remark_b", cost, ms, u)
         top = terminal_tensor(cost, ms, u)
         assert _built(cost, ms) is built
         np.testing.assert_array_equal(built.top, before)
-        np.testing.assert_array_equal(casc.levels[-1], before)
+        np.testing.assert_array_equal(cost.tensor_on(ms), before)
         assert top.flags.writeable and not np.shares_memory(top, built.top)
 
 
@@ -464,6 +470,21 @@ class TestBatchedEnvelope:
                 np.testing.assert_array_equal(x, y)
             self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
 
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_windows_of_one_or_two_columns(self, rng, lower):
+        """Blocks whose rows sit at the first, second or last atom.
+
+        A right half-step scans the columns from the block's least split on,
+        a left one those before its greatest split: here one or two columns.
+        """
+        for _ in range(30):
+            m = int(rng.integers(3, 25))
+            grid = self.random_grid(rng, m)
+            for picks in ([0], [0, 1], [1], [m - 1], [m - 2, m - 1], [0, 1, m - 1]):
+                eval_atoms = grid[picks]
+                sections = rng.standard_normal((3 * eval_atoms.size, m))
+                self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
+
     def test_single_atom_section(self):
         vals, left, right, lam = batched_envelope(
             np.array([[2.5], [-1.0]]), np.array([0.0]), np.array([0.0]), True)
@@ -499,6 +520,49 @@ class TestBatchedEnvelope:
                                                 same_split=False)
 
 
+class TestBlocksOfRows:
+    """The search reads each level one block of rows at a time; the blocks change no bit."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_two_row_blocks_give_the_default_cascade(self, rng, monkeypatch, n):
+        # equal sizes, so every block of every level holds two rows, then random sizes
+        basket = MarginalSequence([quantize_lognormal(-s * s / 2, s, 7)
+                                   for s in (0.1, 0.2, 0.3, 0.4)[:n]])
+        instances = [(CostSpec(n, "basket", strike=1.0), basket)]
+        instances += [random_instance(rng, n, max_size=9) for _ in range(4)]
+        for cost, ms in instances:
+            u = random_duals(rng, ms)
+            for variant in ("proposition", "remark_a", "remark_b"):
+                whole = cascade_down(variant, cost, ms, u)
+                with monkeypatch.context() as patch:
+                    patch.setattr("motbounds.cascade.BLOCK_VALUES", 2 * max(ms.sizes[1:]))
+                    blocked = cascade_down(variant, cost, ms, u)
+                for x, y in zip(whole.levels, blocked.levels, strict=True):
+                    np.testing.assert_array_equal(x, y)
+                for x, y in zip(whole.supports, blocked.supports, strict=True):
+                    for a, b in zip(x, y, strict=True):
+                        np.testing.assert_array_equal(a, b)
+
+    def test_the_top_level_is_never_held_whole(self, rng):
+        """One evaluation allocates less than half of the cached cost tensor's bytes.
+
+        The cost tensor is the only array of prod m_i values: the top level's
+        sections are built from it one block of rows at a time.
+        """
+        ms = MarginalSequence([quantize_lognormal(-s * s / 2, s, 40) for s in (0.1, 0.2, 0.3, 0.4)])
+        cost = CostSpec(4, "basket", strike=1.0)
+        u = random_duals(rng, ms)
+        top = _built(cost, ms).top
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dual_value_and_subgradient("proposition", cost, ms, u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < top.nbytes / 2
+
+
 class TestStepwiseVariant:
     def test_two_period_recursions_coincide(self, rng):
         for _ in range(10):
@@ -511,9 +575,10 @@ class TestStepwiseVariant:
     def test_zero_duals_match_at_every_level(self, rng):
         cost, ms = random_instance(rng, n=3, max_size=6)
         u = DualVariables.zeros(ms)
-        a = cascade_down("proposition", cost, ms, u)
-        b = cascade_down("remark_b", cost, ms, u)
-        for x, y in zip(a.levels, b.levels):
+        a = cascade_down("proposition", cost, ms, u).levels + (terminal_tensor(cost, ms, u),)
+        b = cascade_down("remark_b", cost, ms, u).levels + (cost.tensor_on(ms),)
+        assert len(a) == len(b) == ms.n
+        for x, y in zip(a, b):
             assert np.allclose(x, y, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -522,12 +587,12 @@ class TestStepwiseVariant:
         for _ in range(10):
             cost, ms = random_instance(rng, n=n, max_size=6)
             u = random_duals(rng, ms)
-            a = cascade_down("proposition", cost, ms, u)
-            b = cascade_down("remark_b", cost, ms, u)
+            a = cascade_down("proposition", cost, ms, u).levels + (terminal_tensor(cost, ms, u),)
+            b = cascade_down("remark_b", cost, ms, u).levels + (cost.tensor_on(ms),)
             for i in range(1, n + 1):
                 grids = np.meshgrid(*u.values[:i - 1], indexing="ij")
                 shift = sum(grids) if grids else 0.0
-                assert np.allclose(b.levels[i - 1], a.levels[i - 1] + shift, rtol=0, atol=1e-12)
+                assert np.allclose(b[i - 1], a[i - 1] + shift, rtol=0, atol=1e-12)
             val_a, grads_a = dual_value_and_subgradient("proposition", cost, ms, u)
             val_b, grads_b = dual_value_and_subgradient("remark_b", cost, ms, u)
             assert val_b == pytest.approx(val_a, abs=1e-12)
@@ -689,9 +754,9 @@ class TestVerifySubhedge:
         coupling = solve_primal(cost, ms).coupling
         u = random_duals(rng, ms)
         report = verify_subhedge(cost, ms, u, coupling)
-        casc = cascade_down("proposition", cost, ms, u)
+        t1 = cascade_down("proposition", cost, ms, u).levels[0]
         q = coupling.q
-        dense = (q * casc.levels[-1]).sum(axis=(1, 2)) / q.sum(axis=(1, 2)) - casc.levels[0]
+        dense = (q * terminal_tensor(cost, ms, u)).sum(axis=(1, 2)) / q.sum(axis=(1, 2)) - t1
         np.testing.assert_allclose(report.slacks, dense, rtol=0, atol=1e-12)
 
 

@@ -785,16 +785,23 @@ class TestInstanceParsing:
         (["--tol", "1e-3", "envelope", "points.csv"], "--tol"),
         (["--max-iters", "5", "quantize", "--location", "0", "--scale", "0.2", "--m", "3"],
          "--max-iters"),
+        (["--out", "NEWDIR", "check", "INSTANCE"], "--out"),
+        (["--out", "NEWDIR", "quantize", "--location", "0", "--scale", "0.2", "--m", "3"], "--out"),
+        (["--json", "envelope", "points.csv", "--at", "1"], "--json"),
+        (["--json", "quantize", "--location", "0", "--scale", "0.2", "--m", "3"], "--json"),
     ])
     def test_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, monkeypatch,
                                                    argv, flag):
         for name in ("cmd_check", "cmd_solve", "cmd_certify", "cmd_envelope", "cmd_quantize"):
             monkeypatch.setattr(motbounds.cli, name, lambda args, name=name: pytest.fail(
                 f"{name} ran before {flag} was refused"))
-        argv = [write_instance(tmp_path, HAND_INSTANCE) if a == "INSTANCE" else a for a in argv]
-        command = argv[2]
+        new_dir = tmp_path / "newdir"
+        swap = {"INSTANCE": write_instance(tmp_path, HAND_INSTANCE), "NEWDIR": str(new_dir)}
+        argv = [swap.get(a, a) for a in argv]
+        command = argv[2 if flag in ("--out", "--tol", "--max-iters") else 1]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {flag}: {command} does not read this flag\n")
+        assert not new_dir.exists()
 
     def test_flags_override_options(self, tmp_path, capsys):
         payload = dict(HAND_INSTANCE, options={"max_iters": 7})
