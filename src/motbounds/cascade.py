@@ -83,7 +83,7 @@ class DualVariables:
     @classmethod
     def from_tables(cls, ms: MarginalSequence, tables: Sequence[np.ndarray]) -> "DualVariables":
         """u_2..u_n from float copies of n - 1 finite tables of shapes (m_2,)..(m_n,)."""
-        u = cls(tuple(ms.grids[1:]), tuple(np.array(t, dtype=float) for t in tables))
+        u = cls(ms.grids[1:], tuple(np.array(t, dtype=float) for t in tables))
         u.check(ms)
         return u
 

@@ -1,5 +1,8 @@
 """Command-line front end: instance ingestion, validation, solving, certification.
 
+An instance file holds the marginals and the cost, nothing else. Each run
+setting has one spelling, a global flag; GLOBAL_FLAGS names the commands, or
+the `solve --method` values, that read it, and main refuses it anywhere else.
 Exit codes are a stable contract: 0 success, 1 input error, 2 infeasible
 instance or failed check, 3 resource cap exceeded. Structured output is JSON
 behind --json; tabular artifacts (hulls, couplings, traces) are CSV of plain
@@ -39,12 +42,13 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
 
-# global flag -> (argparse dest, commands that read it); main refuses it on any other command.
-# The dest of --tol and --max-iters is the AscentConfig field that the flag sets.
+# global flag -> (argparse dest, readers: commands or `solve --method`s); main refuses it on
+# any other. The dest of --tol and --max-iters is the AscentConfig field that the flag sets.
 GLOBAL_FLAGS = {"--json": ("json", ("check", "solve", "certify")),
                 "--out": ("out", ("solve", "certify", "envelope")),
-                "--tol": ("target_gap", ("solve", "certify")),
-                "--max-iters": ("max_iters", ("solve",))}
+                "--tol": ("target_gap", ("solve --method both", "certify")),
+                "--max-iters": ("max_iters", ("solve --method dual", "solve --method both")),
+                "--var-cap": ("var_cap", ("solve", "certify"))}
 
 
 class InstanceError(ValueError):
@@ -59,8 +63,6 @@ class InstanceError(ValueError):
 class Instance:
     cost: CostSpec
     marginals: MarginalSequence
-    config: AscentConfig
-    var_cap: int = DEFAULT_VAR_CAP
 
 
 def _number(value, field: str):
@@ -176,7 +178,7 @@ def parse_instance(path: str) -> Instance:
         raise InstanceError(path, "JSON nested too deeply") from exc
     if not isinstance(payload, dict):
         raise InstanceError(path, "top level must be an object")
-    top_keys = ["cost", "marginals", "options"]
+    top_keys = ["cost", "marginals"]
     unknown = sorted(set(payload) - set(top_keys))
     if unknown:
         raise InstanceError(unknown[0], f"unknown key; expected one of {top_keys}")
@@ -217,26 +219,12 @@ def parse_instance(path: str) -> Instance:
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError("cost", str(exc)) from exc
 
-    options = payload.get("options", {})
-    if not isinstance(options, dict):
-        raise InstanceError("options", "expected an object")
-    integer = {"max_iters": True, "target_gap": False, "var_cap": True}
-    unknown = sorted(set(options) - set(integer))
-    if unknown:
-        raise InstanceError(f"options.{unknown[0]}",
-                            f"unknown option; expected one of {sorted(integer)}")
-    values = {}
-    for key, value in options.items():
-        number = value if is_json_number(value) else 0
-        if not 0 < number < np.inf or (integer[key] and number != int(number)):
-            kind = "a positive integer" if integer[key] else "a finite positive number"
-            raise InstanceError(f"options.{key}", f"expected {kind}, got {json.dumps(value)}")
-        values[key] = int(number) if integer[key] else number
-    var_cap = values.pop("var_cap", DEFAULT_VAR_CAP)
-    return Instance(cost, ms, AscentConfig(**values), var_cap)
+    return Instance(cost, ms)
 
 
-def _apply_flags(config: AscentConfig, args) -> AscentConfig:
+def _apply_flags(args) -> AscentConfig:
+    """AscentConfig() with the --tol and --max-iters that were given."""
+    config = AscentConfig()
     for flag in ("--tol", "--max-iters"):
         key = GLOBAL_FLAGS[flag][0]
         value = getattr(args, key)
@@ -305,12 +293,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    config = _apply_flags(args)
     inst = parse_instance(args.instance)
     ms = inst.marginals
     # the cap holds for every method: the dual's cascade builds the product-grid tensor too
-    if ms.path_count > inst.var_cap:
-        raise SizeCapError(f"{ms.path_count} path variables exceed the cap {inst.var_cap}")
-    config = _apply_flags(inst.config, args)
+    if ms.path_count > args.var_cap:
+        raise SizeCapError(f"{ms.path_count} path variables exceed the cap {args.var_cap}")
     out_dir = _out_dir(args)
     validation = validate_sequence(ms)
     if not validation.ok:
@@ -321,7 +309,7 @@ def cmd_solve(args) -> int:
     payload = {"side": args.side, "method": args.method}
     if args.method in ("primal", "both"):
         solve = solve_primal if args.side == "lower" else solve_primal_max
-        primal = solve(inst.cost, ms, inst.var_cap)
+        primal = solve(inst.cost, ms, args.var_cap)
         if primal.status != "optimal":
             _emit({"error": f"primal solve ended with status {primal.status}"}, args)
             return EXIT_INFEASIBLE
@@ -356,11 +344,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    config = _apply_flags(args)
     inst = parse_instance(args.instance)
-    config = _apply_flags(inst.config, args)
     out_dir = _out_dir(args)
     report = certify(inst.cost, inst.marginals, target_gap=config.target_gap,
-                     var_cap=inst.var_cap)
+                     var_cap=args.var_cap)
     payload = report.as_dict()
     if out_dir:
         _write_artifact(os.path.join(out_dir, "report.json"),
@@ -410,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, dest="target_gap", metavar="TOL",
                         help="relative gap target")
     parser.add_argument("--max-iters", type=int, dest="max_iters", help="ascent iteration cap")
+    parser.add_argument("--var-cap", type=int, dest="var_cap", metavar="N",
+                        help=f"cap on LP path variables (default {DEFAULT_VAR_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate the convex order of an instance")
@@ -446,9 +436,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its usage error to stderr
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        run = f"solve --method {args.method}" if args.command == "solve" else args.command
         for flag, (key, readers) in GLOBAL_FLAGS.items():
-            if getattr(args, key) != parser.get_default(key) and args.command not in readers:
-                raise InstanceError(flag, f"{args.command} does not read this flag")
+            given = getattr(args, key) != parser.get_default(key)
+            if given and args.command not in readers and run not in readers:
+                raise InstanceError(flag, f"{run} does not read this flag")
+        if args.var_cap is None:
+            args.var_cap = DEFAULT_VAR_CAP
+        elif args.var_cap < 1:
+            raise InstanceError("--var-cap", f"expected a positive integer, got {args.var_cap}")
         return args.func(args)
     except (InstanceError, NonFiniteCostError, HighsMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

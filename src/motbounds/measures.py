@@ -181,6 +181,8 @@ class MarginalSequence:
     """
 
     marginals: tuple
+    sizes: tuple  # atoms per marginal
+    grids: tuple  # each marginal's own (read-only) atom array
 
     def __init__(self, marginals: Sequence[DiscreteMeasure]):
         marginals = tuple(marginals)
@@ -189,6 +191,8 @@ class MarginalSequence:
         if not all(isinstance(m, DiscreteMeasure) for m in marginals):
             raise TypeError("marginals must be DiscreteMeasure instances")
         object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "sizes", tuple(len(m) for m in marginals))
+        object.__setattr__(self, "grids", tuple(m.atoms for m in marginals))
 
     @property
     def n(self) -> int:
@@ -202,14 +206,6 @@ class MarginalSequence:
 
     def __getitem__(self, i):
         return self.marginals[i]
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(len(m) for m in self.marginals)
-
-    @property
-    def grids(self) -> list:
-        return [m.atoms for m in self.marginals]
 
     @property
     def path_count(self) -> int:
@@ -279,21 +275,31 @@ class CostSpec:
                 )
             return self.table.copy()
         grids = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
+        # the one full-size array: each form is built in it in place, with the
+        # elementwise operations of its formula in the formula's order
+        out = np.zeros(ms.sizes)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.form == "squared_increment":
-                out = sum((grids[i + 1] - grids[i]) ** 2 for i in range(self.n - 1))
-            elif self.form == "abs_increment":
-                out = sum(np.abs(grids[i + 1] - grids[i]) for i in range(self.n - 1))
+            if self.form in ("squared_increment", "abs_increment"):
+                op = np.square if self.form == "squared_increment" else np.abs
+                np.subtract(grids[1], grids[0], out=out)
+                op(out, out=out)
+                for i in range(1, self.n - 1):  # a two-axis term per later increment
+                    out += op(grids[i + 1] - grids[i])
             elif self.form == "terminal_call":
-                out = np.maximum(grids[-1] - self.strike, 0.0)
-            else:  # basket
-                out = np.maximum(sum(grids) / self.n - self.strike, 0.0)
+                out[...] = grids[-1]
+            else:  # basket: the mean, summed from 0 as Python's sum() does
+                for grid in grids:
+                    out += grid
+                out /= self.n
+            if self.form in STRIKE_FORMS:
+                out -= self.strike
+                np.maximum(out, 0.0, out=out)
         # every named form is >= 0 and a NaN propagates to the max, so the max
         # is finite exactly when every entry is; it needs no temporary array
         if not np.isfinite(out.max()):
             raise NonFiniteCostError(f"cost {self.form} is not finite on the product grid "
                                      f"of the marginals")
-        return np.broadcast_to(out, ms.sizes).copy()
+        return out
 
 
 @dataclass(frozen=True)

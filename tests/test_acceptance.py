@@ -93,7 +93,7 @@ class TestCriterion01StrongDuality:
             if rep.gaps["proposition"] < GAP_TOL:
                 hits += 1
             else:
-                assert rep.traces["proposition"].status == "iteration_limit"
+                assert "proposition" in rep.missed
         record(
             "criterion 1 (strong duality, 50 instances)",
             hits >= 48,

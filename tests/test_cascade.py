@@ -825,3 +825,33 @@ class TestCostSpec:
         cost = CostSpec(2, "custom_table", table=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="shape"):
             cost.tensor_on(MS_PAIR)
+
+    @pytest.mark.parametrize("form", [f for f in COST_FORMS if f != "custom_table"])
+    def test_named_forms_equal_their_formulas_bit_for_bit(self, rng, form):
+        for _ in range(20):
+            _, ms = random_instance(rng, int(rng.integers(2, 5)), max_size=8)
+            strike = ms[0].mean + 0.1 * ms.span if form in STRIKE_FORMS else None
+            x = np.meshgrid(*ms.grids, indexing="ij", sparse=True)
+            formula = {
+                "squared_increment": lambda: sum((x[i + 1] - x[i]) ** 2 for i in range(ms.n - 1)),
+                "abs_increment": lambda: sum(np.abs(x[i + 1] - x[i]) for i in range(ms.n - 1)),
+                "terminal_call": lambda: np.maximum(x[-1] - strike, 0.0),
+                "basket": lambda: np.maximum(sum(x) / ms.n - strike, 0.0),
+            }[form]()
+            tensor = CostSpec(ms.n, form, strike=strike).tensor_on(ms)
+            assert tensor.flags.writeable and tensor.flags.c_contiguous
+            expected = np.broadcast_to(formula, ms.sizes)
+            assert tensor.shape == ms.sizes and tensor.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("form", ["basket", "squared_increment", "abs_increment"])
+    def test_named_form_is_built_in_one_tensor(self, form):
+        # n=4, m=20: a 1.28 MB tensor, built in place with no second full-size array
+        ms = MarginalSequence([quantize_lognormal(-s * s / 2, s, 20) for s in (0.1, 0.2, 0.3, 0.4)])
+        cost = CostSpec(4, form, strike=1.0 if form in STRIKE_FORMS else None)
+        tracemalloc.start()
+        try:
+            tensor = cost.tensor_on(ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * tensor.nbytes, peak / tensor.nbytes

@@ -21,6 +21,7 @@ from motbounds import (
 import motbounds.ascent
 import motbounds.cli
 from motbounds.cli import main, parse_instance
+from motbounds.measures import DEFAULT_VAR_CAP
 
 from conftest import checkout_env, lognormal_showcase
 
@@ -115,8 +116,8 @@ class TestCheck:
     def test_integer_too_long_exit_1(self, tmp_path, capsys, command):
         # past Python's 4,300-digit limit json.load raises a plain ValueError
         path = tmp_path / "long.json"
-        text = json.dumps(dict(HAND_INSTANCE, options={"max_iters": 1}))
-        path.write_text(text.replace('"max_iters": 1', '"max_iters": ' + "1" * 5000))
+        text = json.dumps(dict(HAND_INSTANCE, cost={"form": "basket", "strike": 1}))
+        path.write_text(text.replace('"strike": 1', '"strike": ' + "1" * 5000))
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: Exceeds the limit") and err.count("\n") == 1
@@ -189,8 +190,10 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["dual_value"] == 1e16
 
     def test_var_cap_option_exit_3(self, tmp_path):
-        payload = dict(HAND_INSTANCE, options={"var_cap": 3})
-        assert main(["solve", write_instance(tmp_path, payload)]) == 3
+        # the hand instance has 4 paths: a cap of 4 admits it, a cap of 3 does not
+        path = write_instance(tmp_path, HAND_INSTANCE)
+        assert main(["--var-cap", "4", "solve", path]) == 0
+        assert main(["--var-cap", "3", "solve", path]) == 3
 
     @pytest.mark.parametrize("method", ["primal", "dual", "both"])
     def test_var_cap_holds_for_every_method(self, tmp_path, capsys, method):
@@ -202,9 +205,9 @@ class TestSolve:
                  "weights": [0.125, 0.125, 0.5, 0.125, 0.125]},
             ],
             "cost": {"form": "squared_increment"},
-            "options": {"var_cap": 10},
         }
-        assert main(["solve", write_instance(tmp_path, payload), "--method", method]) == 3
+        path = write_instance(tmp_path, payload)
+        assert main(["--var-cap", "10", "solve", path, "--method", method]) == 3
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: 15 path variables exceed the cap 10"]
 
@@ -413,9 +416,9 @@ class TestCertifyCommand:
                 assert 0 <= stats["max_primal_infeasibility"] <= 1e-7
                 assert 0 <= stats["max_dual_infeasibility"] <= 1e-7
 
-    def test_var_cap_option_exit_3(self, tmp_path):
-        payload = dict(HAND_INSTANCE, options={"var_cap": 3})
-        assert main(["certify", write_instance(tmp_path, payload)]) == 3
+    def test_var_cap_option_exit_3(self, tmp_path, capsys):
+        assert main(["--var-cap", "3", "certify", write_instance(tmp_path, HAND_INSTANCE)]) == 3
+        assert capsys.readouterr().err == "error: 4 path variables exceed the cap 3\n"
 
 
 class TestEnvelopeCommand:
@@ -528,18 +531,38 @@ class TestInstanceParsing:
             parse_instance(write_instance(tmp_path, bad))
         assert "marginals[1]" in str(err.value)
 
-    def test_options_flow_into_config(self, tmp_path):
-        payload = dict(HAND_INSTANCE, options={"max_iters": 77, "target_gap": 1e-6, "var_cap": 9})
-        inst = parse_instance(write_instance(tmp_path, payload))
-        assert inst.config == AscentConfig(max_iters=77, target_gap=1e-6)
-        assert inst.var_cap == 9
+    def test_options_flow_into_config(self, tmp_path, monkeypatch):
+        # command-line options are the one spelling of a run setting
+        args = motbounds.cli.build_parser().parse_args(
+            ["--max-iters", "77", "--tol", "1e-6", "solve", "instance.json"])
+        assert motbounds.cli._apply_flags(args) == AscentConfig(max_iters=77, target_gap=1e-6)
 
-    @pytest.mark.parametrize("key", ["max_iter", "step_rule", "seed", "variant", "initial_step"])
+        class Reached(Exception):
+            pass
+
+        def fake_certify(cost, ms, **kwargs):
+            raise Reached(kwargs)
+
+        monkeypatch.setattr(motbounds.cli, "certify", fake_certify)
+        with pytest.raises(Reached) as run:
+            main(["--tol", "1e-6", "--var-cap", "9", "certify",
+                  write_instance(tmp_path, HAND_INSTANCE)])
+        assert run.value.args[0] == {"target_gap": 1e-6, "var_cap": 9}
+        with pytest.raises(Reached) as run:
+            main(["certify", write_instance(tmp_path, HAND_INSTANCE)])
+        assert run.value.args[0] == {"target_gap": AscentConfig().target_gap,
+                                     "var_cap": DEFAULT_VAR_CAP}
+
+    # an instance file holds no run settings: an options block is an unknown
+    # key, whether it names a setting (max_iters, target_gap, var_cap) or not
+    @pytest.mark.parametrize("key", ["max_iter", "step_rule", "seed", "variant", "initial_step",
+                                     "max_iters", "target_gap", "var_cap"])
     def test_unknown_option_key_exit_1(self, tmp_path, capsys, key):
         payload = dict(HAND_INSTANCE, options={key: 2})
-        code = main(["solve", write_instance(tmp_path, payload), "--method", "dual"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: options.{key}: unknown option")
+        for command in (["check"], ["solve", "--method", "dual"], ["certify"]):
+            assert main([command[0], write_instance(tmp_path, payload)] + command[1:]) == 1
+            assert capsys.readouterr() == (
+                "", "error: options: unknown key; expected one of ['cost', 'marginals']\n")
 
     @pytest.mark.parametrize("command", ["check", "solve", "certify"])
     def test_unknown_top_level_key_exit_1(self, tmp_path, capsys, command):
@@ -547,7 +570,7 @@ class TestInstanceParsing:
         payload = dict(HAND_INSTANCE, optionz={"max_iters": 0, "target_gap": -1})
         assert main([command, write_instance(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == (
-            "error: optionz: unknown key; expected one of ['cost', 'marginals', 'options']\n")
+            "error: optionz: unknown key; expected one of ['cost', 'marginals']\n")
 
     @pytest.mark.parametrize("block,field,message", [
         ({"m": 2.5}, "lognormal.m", "expected a positive integer, got 2.5"),
@@ -758,13 +781,18 @@ class TestInstanceParsing:
     @pytest.mark.parametrize("key,value", [
         ("var_cap", 1.5), ("var_cap", True), ("var_cap", 0), ("var_cap", -3),
         ("max_iters", 2.7), ("max_iters", 0), ("target_gap", -1), ("target_gap", True),
-        ("target_gap", float("nan")), ("target_gap", "1e-4"),
+        ("target_gap", float("nan")),
     ])
     def test_bad_option_value_exit_1(self, tmp_path, capsys, key, value):
-        payload = dict(HAND_INSTANCE, options={key: value})
-        assert main(["certify", write_instance(tmp_path, payload)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: options.{key}: expected a ")
+        # a value of the wrong type is argparse's usage error; a number out of
+        # range is one error: line naming the flag, before the instance is read
+        flag = {"var_cap": "--var-cap", "max_iters": "--max-iters", "target_gap": "--tol"}[key]
+        assert main([flag, str(value), "solve", str(tmp_path / "never_read.json")]) == 1
+        out, err = capsys.readouterr()
+        if isinstance(value, bool) or value in (1.5, 2.7):
+            assert f"error: argument {flag}: invalid" in err
+        else:
+            assert out == "" and err.startswith(f"error: {flag}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
@@ -789,6 +817,11 @@ class TestInstanceParsing:
         (["--out", "NEWDIR", "quantize", "--location", "0", "--scale", "0.2", "--m", "3"], "--out"),
         (["--json", "envelope", "points.csv", "--at", "1"], "--json"),
         (["--json", "quantize", "--location", "0", "--scale", "0.2", "--m", "3"], "--json"),
+        (["--var-cap", "5", "check", "INSTANCE"], "--var-cap"),
+        (["--var-cap", "5", "envelope", "points.csv"], "--var-cap"),
+        (["--tol", "1e-3", "solve", "INSTANCE", "--method", "dual"], "--tol"),
+        (["--tol", "1e-3", "solve", "INSTANCE", "--method", "primal"], "--tol"),
+        (["--max-iters", "5", "solve", "INSTANCE", "--method", "primal"], "--max-iters"),
     ])
     def test_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, monkeypatch,
                                                    argv, flag):
@@ -798,18 +831,12 @@ class TestInstanceParsing:
         new_dir = tmp_path / "newdir"
         swap = {"INSTANCE": write_instance(tmp_path, HAND_INSTANCE), "NEWDIR": str(new_dir)}
         argv = [swap.get(a, a) for a in argv]
-        command = argv[2 if flag in ("--out", "--tol", "--max-iters") else 1]
+        command = argv[2 if flag in ("--out", "--tol", "--max-iters", "--var-cap") else 1]
+        if "--method" in argv:
+            command += " --method " + argv[-1]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {flag}: {command} does not read this flag\n")
         assert not new_dir.exists()
-
-    def test_flags_override_options(self, tmp_path, capsys):
-        payload = dict(HAND_INSTANCE, options={"max_iters": 7})
-        code = main(["--json", "--max-iters", "44", "solve",
-                     write_instance(tmp_path, payload), "--method", "dual"])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["iterations"] <= 44
 
 
 class TestModuleEntryPoint:

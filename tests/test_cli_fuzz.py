@@ -28,8 +28,7 @@ def base_instances(table_path):
     points = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]}
     wide = {"atoms": [-2.0, 2.0], "weights": [0.5, 0.5]}
     return [
-        {"marginals": [points, wide], "cost": {"form": "squared_increment"},
-         "options": {"max_iters": 5, "target_gap": 1e-4, "var_cap": 1000}},
+        {"marginals": [points, wide], "cost": {"form": "squared_increment"}},
         {"marginals": [{"lognormal": {"location": -s * s / 2, "scale": s, "m": 4}}
                        for s in (0.1, 0.2)],
          "cost": {"form": "basket", "strike": 1.0}},
@@ -128,7 +127,7 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
             kind, text = mutate_json(rng, base)
             instance.write_bytes(text)
         command = COMMANDS[case % len(COMMANDS)]
-        # only solve reads --max-iters; every other command refuses it
+        # only solve --method dual|both reads --max-iters; every other run refuses it
         cap = ["--max-iters", "3"] if command[0] == "solve" else []
         argv = ["--json"] + cap + [command[0], str(instance)] + command[1:]
         code = main(argv)

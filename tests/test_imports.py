@@ -68,7 +68,7 @@ from motbounds.cli import main
 path = sys.argv[1]
 codes = [main(["quantize", "--location", "0", "--scale", "0.2", "--m", "15"]),
          main(["check", path]),
-         main(["solve", path, "--method", "dual"])]
+         main(["--max-iters", "50", "solve", path, "--method", "dual"])]
 print(json.dumps(codes))
 """
 
@@ -78,7 +78,6 @@ def test_dual_path_runs_without_scipy(tmp_path):
         "marginals": [{"lognormal": {"location": -s * s / 2, "scale": s, "m": 15}}
                       for s in (0.1, 0.2)],
         "cost": {"form": "basket", "strike": 1.0},
-        "options": {"max_iters": 50},
     }
     path = tmp_path / "lognormal.json"
     path.write_text(json.dumps(instance))

@@ -164,6 +164,14 @@ class TestConvexOrder:
             assert convex_order_check(mu, rho).ordered
 
 
+class TestMarginalSequence:
+    def test_sizes_and_grids_are_built_once(self):
+        ms = MarginalSequence([DELTA0, PM1, PM2])
+        assert ms.sizes is ms.sizes and ms.grids is ms.grids
+        assert ms.sizes == (1, 2, 2) and ms.path_count == 4
+        assert all(g is mu.atoms for g, mu in zip(ms.grids, ms))
+
+
 class TestValidateSequence:
     def test_nested_chain_passes(self):
         report = validate_sequence(MarginalSequence([DELTA0, PM1, PM2]))
