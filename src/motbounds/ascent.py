@@ -36,14 +36,15 @@ from .cascade import (
     DualCertificate,
     DualVariables,
     SubhedgeReport,
-    dual_objective,
+    _evaluate,
+    _subhedge,
     dual_value_and_subgradient,
-    verify_subhedge,
 )
 from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SequenceReport, validate_sequence
 from .primal import (
     CouplingReport,
     PrimalSolution,
+    _lp_worker,
     _solve,
     assemble_lp,
     multipliers_to_semistatic,
@@ -213,12 +214,16 @@ class CertifyReport:
 
     Each certificate is one cascade at its LP side's multipliers; missed
     lists the variants whose gap is not below target_gap. timings holds the
-    consecutive wall-clock laps of the phases that ran (validation, lp_lower,
-    lp_upper, duals, subhedge). The LP sides overlap, so lp_upper is only the
-    wait for the upper side after the lower one; each side's own solver time
-    is its stats["solve_s"]. as_dict gives a side's value only when it is
-    optimal. The sub-hedges run only when coupling_check, validate_coupling's
-    report on the lower side's coupling, is ok.
+    consecutive wall-clock laps of the phases that ran, in this order:
+    validation; lp_lower, to the lower solution; duals_lower, the proposition
+    and remark_b certificates; subhedge, the coupling check and both
+    sub-hedges; lp_upper, the rest of the wait for the upper side; dual_upper,
+    the remark_a certificate. The upper LP solves during the three laps from
+    lp_lower on, so each side's own solver time is its stats["solve_s"].
+    as_dict gives a side's value only when it is optimal. The certificates,
+    coupling_check and sub-hedges are set only when both sides are optimal,
+    and the sub-hedges only when coupling_check, validate_coupling's report
+    on the lower side's coupling, is ok.
     """
 
     validation: SequenceReport
@@ -278,23 +283,42 @@ class CertifyReport:
         return out
 
 
+def _certificate(variant: str, cost: CostSpec, ms: MarginalSequence, side: PrimalSolution,
+                 tables) -> tuple:
+    """variant's certificate at the tables of side's multipliers, and the T_1 of its cascade."""
+    u = DualVariables.from_tables(ms, tables)
+    value, casc = _evaluate(variant, cost, ms, u)
+    return DualCertificate(variant, u, value, relative_gap(value, side.value)), casc.levels[0]
+
+
+def _gauged_tables(side: PrimalSolution, ms: MarginalSequence) -> list:
+    """side's marginal multipliers u_2, ..., u_n, gauge-fixed as ascend fixes its start."""
+    # views of a copy, so the in-place gauge leaves side.duals as HiGHS gave them
+    tables = multipliers_to_semistatic(side, ms)[0][1:]
+    _project_zero_mean(tables, ms)
+    return tables
+
+
 def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT_TARGET_GAP,
             var_cap: int = DEFAULT_VAR_CAP) -> CertifyReport:
     """Solve both LP sides and evaluate all three dual certificates at their multipliers.
 
     target_gap must be finite and positive (else ValueError). The LP is
     assembled once on the calling thread, so a var_cap refusal
-    (SizeCapError) starts no thread. The maximisation runs in a one-thread
-    concurrent.futures executor while the caller solves the minimisation;
-    the with block joins the worker on every path, and result() re-raises
-    its exception. proposition and remark_b read the lower side, remark_a
-    the upper one: each certificate is one dual_objective at the side's
-    multipliers u_2, ..., u_n, gauge-fixed by _project_zero_mean as ascend
-    fixes its start. It is a valid bound whatever its gap; a gap not below
-    target_gap puts the variant in missed, and no ascent runs. The
-    sub-hedges, for u = 0 and for the proposition certificate's u, run on
-    the lower coupling only if it passes validation, which HiGHS's absolute
-    tolerances can break on a tiny price scale.
+    (SizeCapError) starts no thread. The maximisation goes to the one
+    long-lived LP worker (primal._lp_worker), which concurrent certify calls
+    share, while the caller solves the minimisation; result() re-raises the
+    worker's exception. While the upper side solves, the caller checks the
+    lower one: proposition and remark_b read its multipliers, and the
+    sub-hedges, for u = 0 and for the proposition certificate's u (its T_1
+    reused), run on its coupling only if that passes validation, which
+    HiGHS's absolute tolerances can break on a tiny price scale. remark_a
+    then reads the upper side's multipliers. Each certificate is one cascade
+    at its side's multipliers u_2, ..., u_n, gauge-fixed by
+    _project_zero_mean as ascend fixes its start, with the value of
+    dual_objective. It is a valid bound whatever its gap; a gap not below
+    target_gap puts the variant in missed, and no ascent runs. Every cascade
+    runs on the calling thread.
     """
     _check_target_gap(target_gap)
     clock = start = time.perf_counter()
@@ -313,37 +337,31 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
         report.elapsed_s = time.perf_counter() - start
         return report
     lp = assemble_lp(cost, ms, var_cap)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="motbounds-lp-upper") as pool:
-        pending = pool.submit(_solve, lp, -1)
-        lower = _solve(lp, +1)
-        lap("lp_lower")
-        upper = pending.result()
+    pending = _lp_worker().submit(_solve, lp, -1)
+    lower = _solve(lp, +1)
+    lap("lp_lower")
+    found = {}  # the lower side's report fields, set once both sides are optimal
+    if lower.status == "optimal":
+        tables = _gauged_tables(lower, ms)
+        best, t1 = _certificate("proposition", cost, ms, lower, tables)
+        found["certificates"] = {"proposition": best,
+                                 "remark_b": _certificate("remark_b", cost, ms, lower, tables)[0]}
+        lap("duals_lower")
+        coupling = lower.coupling
+        check = found["coupling_check"] = validate_coupling(coupling, ms)
+        if check.ok:
+            found["subhedge_zero"] = _subhedge(cost, ms, DualVariables.zeros(ms), coupling)
+            found["subhedge_best"] = _subhedge(cost, ms, best.dual_variables, coupling, t1)
+        lap("subhedge")
+    upper = pending.result()
     lap("lp_upper")
     report.primal_lower = lower
     report.primal_upper = upper
-    if lower.status != "optimal" or upper.status != "optimal":
-        report.elapsed_s = time.perf_counter() - start
-        return report
-
-    for variant, side in (("proposition", lower), ("remark_b", lower), ("remark_a", upper)):
-        # views of a copy, so the in-place gauge leaves side.duals as HiGHS gave them
-        tables = multipliers_to_semistatic(side, ms)[0][1:]
-        _project_zero_mean(tables, ms)
-        u = DualVariables.from_tables(ms, tables)
-        value = dual_objective(variant, cost, ms, u)
-        report.certificates[variant] = DualCertificate(variant, u, value,
-                                                       relative_gap(value, side.value))
-    lap("duals")
-
-    coupling = lower.coupling
-    check = report.coupling_check = validate_coupling(coupling, ms)
-    if check.ok:
-        report.subhedge_zero = verify_subhedge(cost, ms, DualVariables.zeros(ms), coupling, check)
-        report.subhedge_best = verify_subhedge(
-            cost, ms, report.certificates["proposition"].dual_variables, coupling, check
-        )
-    lap("subhedge")
+    if found and upper.status == "optimal":
+        found["certificates"]["remark_a"] = _certificate(
+            "remark_a", cost, ms, upper, _gauged_tables(upper, ms))[0]
+        lap("dual_upper")
+        for name, value in found.items():
+            setattr(report, name, value)
     report.elapsed_s = time.perf_counter() - start
     return report

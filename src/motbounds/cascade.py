@@ -405,6 +405,15 @@ def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVa
     return dual_value_and_subgradient(variant, cost, ms, u)[0]
 
 
+def _evaluate(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables):
+    """dual_objective's value and the cascade it reads, with no supergradient."""
+    casc = cascade_down(variant, cost, ms, u)
+    value = float(np.dot(ms[0].weights, casc.levels[0]))
+    for i, t in enumerate(u.values, start=1):
+        value += float(np.dot(ms[i].weights, t))
+    return value, casc
+
+
 def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables):
     """E_{mu_1}[T_1] + sum_i E_{mu_i}[u_i] and one supergradient table per u_i, in one pass.
 
@@ -415,10 +424,7 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     marginal unchanged and the same push-down serves all three variants. Sums
     to zero per u_i by conservation.
     """
-    casc = cascade_down(variant, cost, ms, u)
-    value = float(np.dot(ms[0].weights, casc.levels[0]))
-    for i, t in enumerate(u.values, start=1):
-        value += float(np.dot(ms[i].weights, t))
+    value, casc = _evaluate(variant, cost, ms, u)
     grads = []
     mass = ms[0].weights
     for i in range(1, ms.n):  # transition: level i prefixes -> level i+1
@@ -474,7 +480,18 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
         check = validate_coupling(coupling, ms)
     if not check.ok:
         raise ValueError(f"coupling failed validation: {check.summary()}")
-    t1 = cascade_down("proposition", cost, ms, u).levels[0]
+    return _subhedge(cost, ms, u, coupling)
+
+
+def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: Coupling,
+              t1: Optional[np.ndarray] = None) -> SubhedgeReport:
+    """verify_subhedge on a coupling that passed validation.
+
+    t1 is the proposition cascade's T_1 at u when the caller has run it
+    (certify has, for its proposition certificate); None runs it here.
+    """
+    if t1 is None:
+        t1 = cascade_down("proposition", cost, ms, u).levels[0]
     top = _built(cost, ms).top
     atom, m_1 = coupling.atoms(), ms.sizes[0]
     start_mass = np.bincount(atom[0], coupling.mass, m_1)

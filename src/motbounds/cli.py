@@ -79,7 +79,7 @@ def _numbers(values, field: str) -> list:
     return [_number(v, f"{field}[{k}]") for k, v in enumerate(values)]
 
 
-def _parse_lognormal(params, where: str) -> DiscreteMeasure:
+def _parse_lognormal(params, where: str, var_cap) -> DiscreteMeasure:
     if not isinstance(params, dict):
         raise InstanceError(where, "expected an object")
     keys = ["location", "m", "scale"]
@@ -94,12 +94,13 @@ def _parse_lognormal(params, where: str) -> DiscreteMeasure:
     if not 0 < m < np.inf or m != int(m):
         raise InstanceError(f"{where}.m", f"expected a positive integer, got {json.dumps(m)}")
     try:
-        return quantize_lognormal(float(params["location"]), float(params["scale"]), int(m))
+        return quantize_lognormal(float(params["location"]), float(params["scale"]), int(m),
+                                  var_cap)
     except (ValueError, OverflowError) as exc:
         raise InstanceError(where, str(exc)) from exc
 
 
-def _parse_measure(spec, where: str) -> DiscreteMeasure:
+def _parse_measure(spec, where: str, var_cap=None) -> DiscreteMeasure:
     if not isinstance(spec, dict):
         raise InstanceError(where, "expected an object")
     keys = ["atoms", "lognormal", "weights"]
@@ -109,7 +110,7 @@ def _parse_measure(spec, where: str) -> DiscreteMeasure:
     if "lognormal" in spec:
         if len(spec) > 1:
             raise InstanceError(where, "expected atoms/weights or a lognormal block, not both")
-        return _parse_lognormal(spec["lognormal"], f"{where}.lognormal")
+        return _parse_lognormal(spec["lognormal"], f"{where}.lognormal", var_cap)
     if "atoms" in spec and "weights" in spec:
         atoms = _numbers(spec["atoms"], f"{where}.atoms")
         weights = _numbers(spec["weights"], f"{where}.weights")
@@ -164,7 +165,9 @@ def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
     return table
 
 
-def parse_instance(path: str) -> Instance:
+def parse_instance(path: str, var_cap=None) -> Instance:
+    """The instance in the JSON file at path; a lognormal block makes at most
+    var_cap atoms (quantize_lognormal's default cap when None)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -187,7 +190,7 @@ def parse_instance(path: str) -> Instance:
     if not isinstance(raw_marginals, list) or len(raw_marginals) < 2:
         raise InstanceError("marginals", "need a list of at least two measure specs")
     ms = MarginalSequence(
-        [_parse_measure(spec, f"marginals[{i}]") for i, spec in enumerate(raw_marginals)]
+        [_parse_measure(spec, f"marginals[{i}]", var_cap) for i, spec in enumerate(raw_marginals)]
     )
 
     raw_cost = payload.get("cost")
@@ -294,7 +297,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _apply_flags(args)
-    inst = parse_instance(args.instance)
+    inst = parse_instance(args.instance, args.var_cap)
     ms = inst.marginals
     # the cap holds for every method: the dual's cascade builds the product-grid tensor too
     if ms.path_count > args.var_cap:
@@ -345,15 +348,19 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     config = _apply_flags(args)
-    inst = parse_instance(args.instance)
+    inst = parse_instance(args.instance, args.var_cap)
     out_dir = _out_dir(args)
     report = certify(inst.cost, inst.marginals, target_gap=config.target_gap,
                      var_cap=args.var_cap)
     payload = report.as_dict()
+    # the text --json prints, encoded once for both
+    text = json.dumps(payload, indent=2, sort_keys=True) if out_dir or args.json else None
     if out_dir:
-        _write_artifact(os.path.join(out_dir, "report.json"),
-                        json.dumps(payload, indent=2, sort_keys=True))
-    _emit(payload, args)
+        _write_artifact(os.path.join(out_dir, "report.json"), text)
+    if args.json:
+        print(text)
+    else:
+        _emit(payload, args)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
 

@@ -28,7 +28,7 @@ POTENTIAL_BLOCK = 1 << 16  # |k - x| values per block of evaluation points
 COST_FORMS = ("squared_increment", "abs_increment", "terminal_call", "basket", "custom_table")
 STRIKE_FORMS = ("terminal_call", "basket")  # the forms that read a strike
 
-DEFAULT_VAR_CAP = 200_000  # LP path variables; also the most atoms quantize_lognormal makes
+DEFAULT_VAR_CAP = 200_000  # LP path variables; also quantize_lognormal's default atom cap
 
 
 def is_json_number(value) -> bool:
@@ -369,7 +369,8 @@ def _normal_slices(scale: float, m: int):
     return np.array(z), np.array(tail_mass)
 
 
-def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure:
+def quantize_lognormal(location: float, scale: float, m: int,
+                       var_cap: Optional[int] = None) -> DiscreteMeasure:
     """Quantize Lognormal(location, scale) to m equal-probability atoms.
 
     Each atom sits at the conditional mean of one of the m equal-probability
@@ -377,13 +378,14 @@ def quantize_lognormal(location: float, scale: float, m: int) -> DiscreteMeasure
     exactly. The slice edges come from statistics.NormalDist and the mean
     shares from math.erfc, so quantizing loads no part of scipy. m must be an
     integer (a bool is refused). A zero scale degenerates to a single atom.
-    More than DEFAULT_VAR_CAP atoms raise SizeCapError before anything is
-    allocated.
+    More than var_cap atoms (DEFAULT_VAR_CAP when None) raise SizeCapError,
+    naming that cap, before anything is allocated.
     """
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be a positive integer")
-    if m > DEFAULT_VAR_CAP:
-        raise SizeCapError(f"{m} atoms exceed the cap {DEFAULT_VAR_CAP}")
+    cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
+    if m > cap:
+        raise SizeCapError(f"{m} atoms exceed the cap {cap}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     try:

@@ -16,9 +16,14 @@ become the semi-static position.
 
 Assembly and solving are separate steps: solve_primal and solve_primal_max
 each assemble their own LP, while certify assembles one and solves both
-senses of it at once. A solve only reads its LpProblem, and HiGHS releases
-the interpreter lock while it runs, so two solves of one LP can share it
-from two threads.
+senses of it at once, the maximisation on the one long-lived LP worker of
+_lp_worker. A solve only reads its LpProblem, and HiGHS releases the
+interpreter lock while it runs, so two solves of one LP can share it from
+two threads. Each solve builds a fresh HiGHS object, from options that
+each thread builds once: a HiGHS object kept for reuse holds about 0.5 MB
+of workspace after its model is cleared, which a batch of small LPs shows
+in its peak memory. A forked child drops the worker it inherits and builds
+its own on first use.
 """
 
 from __future__ import annotations
@@ -223,7 +228,40 @@ _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "un
 # this module's check of an optimum: 10 * sqrt(1e-9), about 3.2e-4
 _CHECK_TOL = 10 * math.sqrt(1e-9)
 _HIGHS = "scipy.optimize._highspy._core"
-_HIGHS_LOCK = threading.Lock()  # certify's first call enters _solve from two threads
+_LOCK = threading.Lock()  # guards the first load of the extension and the worker's creation
+_WORKER = None  # the LP worker of _lp_worker, created on first use
+_THREAD = threading.local()  # .options: this thread's HiGHS options, built on its first solve
+
+
+def _forget_in_child() -> None:
+    """Drop the state a forked child inherits but cannot use.
+
+    The worker's thread does not exist in the child, and the lock may have
+    been held by a thread that does not either. The child creates both again
+    on first use.
+    """
+    global _LOCK, _WORKER
+    _LOCK, _WORKER = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):  # absent on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_in_child)
+
+
+def _lp_worker():
+    """The one-thread executor that solves certify's upper side, created on first use.
+
+    It lives as long as the process, so a certify after the first starts no
+    thread; concurrent certify calls queue their upper solves on it.
+    concurrent.futures is imported here, so importing motbounds does not load it.
+    """
+    global _WORKER
+    with _LOCK:
+        if _WORKER is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="motbounds-lp-upper")
+        return _WORKER
 
 
 class HighsMissingError(ImportError):
@@ -238,7 +276,7 @@ def _highs():
     already in sys.modules, such as one that importing linprog loaded, is
     reused. No scipy, or one without the file, raises HighsMissingError.
     """
-    with _HIGHS_LOCK:
+    with _LOCK:
         core = sys.modules.get(_HIGHS)
         if core is None:
             try:
@@ -261,20 +299,23 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
     Reads lp without changing it. Each call passes lp's arrays to a fresh
-    HiGHS object with HiGHS's default options and its output off. HiGHS's
-    model status maps as in _STATUS; HiGHS refuses to load a model with a
-    matrix entry of 1e15 or more in magnitude, which is "model_error". As a
-    safety check, an "optimal" x with a mass below -_CHECK_TOL, or an
-    equality row missed by more than _CHECK_TOL, is "failed".
+    HiGHS object with HiGHS's default options and its output off; the
+    options object is built once per thread. HiGHS's model status maps as in
+    _STATUS; HiGHS refuses to load a model with a matrix entry of 1e15 or
+    more in magnitude, which is "model_error". As a safety check, an
+    "optimal" x with a mass below -_CHECK_TOL, or an equality row missed by
+    more than _CHECK_TOL, is "failed".
     stats["solve_s"] is the wall time of the solver call alone, loading the
     model included; max_primal_infeasibility and max_dual_infeasibility are
     HiGHS's own figures for the solution it returned, None where it has none
     to measure.
     """
     highs = _highs()
+    options = getattr(_THREAD, "options", None)
+    if options is None:
+        options = _THREAD.options = highs.HighsOptions()
+        options.output_flag = options.log_to_console = False
     start = time.perf_counter()
-    options = highs.HighsOptions()
-    options.output_flag = options.log_to_console = False
     solver = highs._Highs()
     solver.passOptions(options)
     # the array overload; all-continuous integrality, since an empty array is refused

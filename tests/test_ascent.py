@@ -1,6 +1,10 @@
 """Optimizer runs and traces, certificates, and full certification reports."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -25,9 +29,10 @@ from motbounds import (
     solve_primal,
     solve_primal_max,
     validate_coupling,
+    verify_subhedge,
 )
 
-from conftest import lognormal_showcase, random_cost, random_instance, random_marginals
+from conftest import checkout_env, lognormal_showcase, random_cost, random_instance, random_marginals
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -306,7 +311,8 @@ class TestCertify:
     def test_report_times_each_phase(self, rng):
         cost, ms = random_instance(rng, n=3, max_size=6)
         rep = certify(cost, ms)
-        assert set(rep.timings) == {"validation", "lp_lower", "lp_upper", "duals", "subhedge"}
+        assert list(rep.timings) == ["validation", "lp_lower", "duals_lower", "subhedge", "lp_upper",
+                                     "dual_upper"]
         assert all(t >= 0.0 for t in rep.timings.values())
         assert sum(rep.timings.values()) <= rep.elapsed_s + 1e-9
         assert json.loads(json.dumps(rep.as_dict()))["timings"] == rep.timings
@@ -333,10 +339,40 @@ class TestCertify:
                     assert got.tobytes() == want.tobytes(), variant
                 value = dual_objective(variant, cost, ms, DualVariables.from_tables(ms, tables))
                 assert cert.dual_value == value, variant
+                assert cert.dual_value == dual_objective(variant, cost, ms, cert.dual_variables)
                 assert cert.gap_vs_primal == relative_gap(value, side.value), variant
         showcase = certify(*instances[0])
         assert abs(showcase.primal_lower.value - ANCHOR_LOWER) < 1e-9
         assert abs(showcase.primal_upper.value - ANCHOR_UPPER) < 1e-9
+
+    def test_subhedges_equal_verify_subhedge(self):
+        # subhedge_best reuses the proposition certificate's T_1 instead of a second cascade
+        for cost, ms in criterion1_n3_instances() + [lognormal_showcase()]:
+            rep = certify(cost, ms)
+            coupling = rep.primal_lower.coupling
+            for got, u in ((rep.subhedge_zero, DualVariables.zeros(ms)),
+                           (rep.subhedge_best, rep.certificates["proposition"].dual_variables)):
+                want = verify_subhedge(cost, ms, u, coupling)
+                assert np.array_equal(got.slacks, want.slacks) and got.ok is want.ok
+                assert np.array_equal(got.atoms, want.atoms)
+
+    def test_lower_side_fields_wait_for_an_optimal_upper_side(self, monkeypatch):
+        # the lower side is checked while the upper one solves; a failed upper
+        # side leaves the report as if nothing past the LPs had run
+        solve = ascent_module._solve
+
+        def failed_upper(lp, sense):
+            if sense == -1:
+                return dataclasses.replace(solve(lp, sense), status="failed")
+            return solve(lp, sense)
+
+        monkeypatch.setattr(ascent_module, "_solve", failed_upper)
+        rep = certify(*lognormal_showcase())
+        assert rep.primal_lower.status == "optimal" and rep.primal_upper.status == "failed"
+        assert rep.certificates == {} and rep.coupling_check is None
+        assert rep.subhedge_zero is None and rep.subhedge_best is None and not rep.passed
+        assert list(rep.timings) == ["validation", "lp_lower", "duals_lower", "subhedge",
+                                     "lp_upper"]
 
     def test_unreachable_target_misses_every_variant(self):
         # the showcase's gaps are rounding, 2e-17 to 3e-17; a gap of exactly 0
@@ -415,8 +451,56 @@ class TestCertify:
         assert rep.certificates == {} and rep.gaps == {}
 
 
+def report_values(rep) -> dict:
+    """rep.as_dict() without the wall times, which differ between runs."""
+    out = rep.as_dict()
+    del out["timings"], out["elapsed_s"]
+    for side in ("primal_lower", "primal_upper"):
+        out[side]["stats"].pop("solve_s")
+    return out
+
+
+def lp_upper_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("motbounds-lp-upper")]
+
+
+# certify in a parent, fork, certify in the child: the child builds its own
+# LP worker. The parent kills a child that does not finish.
+FORKED_CERTIFY = """
+import json, os, signal, sys, time
+import motbounds
+ms = motbounds.MarginalSequence([
+    motbounds.quantize_lognormal(-s * s / 2, s, 15) for s in (0.1, 0.2, 0.3)
+])
+cost = motbounds.CostSpec(3, "basket", strike=1.0)
+
+def values():
+    rep = motbounds.certify(cost, ms)
+    return [rep.passed, rep.primal_lower.value, rep.primal_upper.value,
+            [c.dual_value for c in rep.certificates.values()]]
+
+parent = values()
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(write, json.dumps(values()).encode())
+    os._exit(0)
+os.close(write)
+deadline = time.monotonic() + 60
+while not os.waitpid(pid, os.WNOHANG)[0]:
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child's certify did not finish in 60 s")
+    time.sleep(0.01)
+child = json.loads(os.read(read, 1 << 16))
+print(json.dumps({"parent": parent, "child": child}))
+"""
+
+
 class TestCertifyOverlap:
-    """certify assembles the LP once and solves its two sides at the same time."""
+    """certify solves its two LP sides at the same time, the upper one on the
+    long-lived LP worker, and checks the lower side while the upper one solves."""
 
     def test_sides_equal_the_sequential_solves(self):
         rng = np.random.default_rng(20261018)
@@ -433,6 +517,8 @@ class TestCertifyOverlap:
 
     @pytest.mark.parametrize("failing_sense", [-1, +1], ids=["upper", "lower"])
     def test_failed_side_reaches_the_caller(self, monkeypatch, failing_sense):
+        ms = MarginalSequence([PM1, PM2])
+        want = report_values(certify(SQ2, ms))  # the LP worker exists from here on
         solve = ascent_module._solve
 
         def flaky(lp, sense):
@@ -444,8 +530,58 @@ class TestCertifyOverlap:
         monkeypatch.setattr(ascent_module, "_solve", flaky)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"sense {failing_sense}"):
-            certify(SQ2, MarginalSequence([PM1, PM2]))
+            certify(SQ2, ms)
+        monkeypatch.undo()
+        assert report_values(certify(SQ2, ms)) == want  # the worker outlives the error
         assert threading.active_count() == before
+
+    def test_one_worker_serves_every_call(self, monkeypatch):
+        cost, ms = lognormal_showcase()
+        certify(cost, ms)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("certify started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        rng = np.random.default_rng(25)
+        for k in range(50):
+            assert certify(*random_instance(rng, n=2 + k % 2, max_size=6)).feasible
+            assert len(lp_upper_threads()) == 1
+
+    def test_concurrent_calls_equal_sequential_ones(self):
+        # more callers than cores share the one worker, with frequent thread switches
+        rng = np.random.default_rng(2025)
+        batches = [[lognormal_showcase()] + [random_instance(rng, n=2 + k % 2, max_size=8)
+                                             for k in range(4)] for _ in range(4)]
+        want = [[report_values(certify(cost, ms)) for cost, ms in batch] for batch in batches]
+        got = [None] * len(batches)
+        barrier = threading.Barrier(len(batches))
+
+        def run(k):
+            barrier.wait()
+            got[k] = [report_values(certify(cost, ms)) for cost, ms in batches[k]]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert len(lp_upper_threads()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_worker(self):
+        done = subprocess.run([sys.executable, "-c", FORKED_CERTIFY], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen["parent"][0] is True and seen["child"] == seen["parent"]
 
     def test_capped_instance_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):

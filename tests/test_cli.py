@@ -20,6 +20,7 @@ from motbounds import (
 )
 import motbounds.ascent
 import motbounds.cli
+import motbounds.measures
 from motbounds.cli import main, parse_instance
 from motbounds.measures import DEFAULT_VAR_CAP
 
@@ -211,6 +212,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: 15 path variables exceed the cap 10"]
 
+    def test_var_cap_caps_lognormal_blocks(self, tmp_path, capsys, monkeypatch):
+        # solve and certify quantize under the run's --var-cap, check under the default
+        monkeypatch.setattr(motbounds.measures, "DEFAULT_VAR_CAP", 10)
+        payload = {"marginals": [{"atoms": [1.0], "weights": [1.0]},
+                                 {"lognormal": {"location": -0.02, "scale": 0.2, "m": 12}}],
+                   "cost": {"form": "squared_increment"}}
+        path = write_instance(tmp_path, payload)
+        assert main(["--var-cap", "100", "solve", path]) == 0
+        assert main(["--var-cap", "100", "certify", path]) == 0
+        capsys.readouterr()
+        for argv, cap in ((["--var-cap", "11", "solve", path], 11),
+                          (["--var-cap", "11", "certify", path], 11), (["check", path], 10)):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"error: 12 atoms exceed the cap {cap}\n"
+
     def test_artifacts_round_trip(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
         code = main(["--json", "--out", str(out_dir), "solve",
@@ -352,8 +368,9 @@ class TestCertifyCommand:
 
     def test_failed_subhedge_exit_2(self, tmp_path, capsys, monkeypatch):
         # every gap closes, so only the sub-hedge verdict can fail the report
-        real = motbounds.ascent.verify_subhedge
-        monkeypatch.setattr(motbounds.ascent, "verify_subhedge",
+        # certify runs both sub-hedges through the seam verify_subhedge also calls
+        real = motbounds.ascent._subhedge
+        monkeypatch.setattr(motbounds.ascent, "_subhedge",
                             lambda *args: dataclasses.replace(real(*args), ok=False))
         code = main(["--json", "certify", write_instance(tmp_path, HAND_INSTANCE)])
         report = json.loads(capsys.readouterr().out)
@@ -381,8 +398,16 @@ class TestCertifyCommand:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["passed"] is True
-        assert set(report["timings"]) == {"validation", "lp_lower", "lp_upper", "duals", "subhedge"}
+        assert set(report["timings"]) == {"validation", "lp_lower", "duals_lower", "subhedge",
+                                            "lp_upper", "dual_upper"}
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]  # no trace_*.csv
+
+    def test_printed_report_is_the_written_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "cert"
+        code = main(["--json", "--out", str(out_dir), "certify",
+                     write_instance(tmp_path, HAND_INSTANCE)])
+        assert code == 0
+        assert capsys.readouterr().out == (out_dir / "report.json").read_text() + "\n"
 
     def test_unreachable_tol_exit_2_names_the_missed_variants(self, tmp_path, capsys):
         # every showcase gap is rounding above 1e-30, none exactly 0

@@ -284,6 +284,10 @@ class TestQuantizeLognormal:
         with pytest.raises(SizeCapError, match="100000000000 atoms exceed the cap 200000"):
             quantize_lognormal(0.0, 0.3, 100_000_000_000)
         assert len(quantize_lognormal(0.0, 0.3, DEFAULT_VAR_CAP)) == DEFAULT_VAR_CAP
+        with pytest.raises(SizeCapError, match="^6 atoms exceed the cap 5$"):
+            quantize_lognormal(0.0, 0.3, 6, var_cap=5)
+        assert len(quantize_lognormal(0.0, 0.3, DEFAULT_VAR_CAP + 1, var_cap=DEFAULT_VAR_CAP + 1)) \
+            == DEFAULT_VAR_CAP + 1
 
     @pytest.mark.parametrize("location,scale", [(1e308, 0.1), (800.0, 0.0), (0.0, 1e200),
                                                 (float("nan"), 0.2)])

@@ -1,5 +1,7 @@
 """LP assembly, HiGHS solve, vertex-enumeration oracle, semi-static check."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -17,6 +19,7 @@ from motbounds import (
     solve_primal_max,
     validate_coupling,
 )
+import motbounds.primal as primal_module
 from motbounds.primal import _solve
 
 from conftest import lognormal_showcase, random_instance
@@ -329,6 +332,36 @@ class TestHighsBindingsAgainstLinprog:
             assert sol.stats["iterations"] == 0
             assert sol.stats["max_primal_infeasibility"] is None
             assert sol.stats["max_dual_infeasibility"] is None
+
+
+    def test_thread_options_solve_as_fresh_ones(self, monkeypatch):
+        # each thread builds its HiGHS options once; a refused model, an
+        # infeasible one and both senses of the showcase come between, and
+        # every solve is the same to the bit as one from freshly built options
+        rng = np.random.default_rng(11)
+        wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
+        lps = [assemble_lp(*lognormal_showcase()),
+               assemble_lp(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide])),
+               assemble_lp(SQ2, MarginalSequence([PM2, PM1]))]
+        lps += [assemble_lp(*random_instance(rng, n=2 + k % 3)) for k in range(20)]
+        _solve(lps[-1], +1)
+        options = primal_module._THREAD.options
+        for lp in lps:
+            for sense in (+1, -1):
+                kept = _solve(lp, sense)
+                assert primal_module._THREAD.options is options
+                with monkeypatch.context() as m:
+                    m.setattr(primal_module, "_THREAD", threading.local())
+                    fresh = _solve(lp, sense)
+                assert kept.status == fresh.status
+                assert kept.value == fresh.value or np.isnan(kept.value) and np.isnan(fresh.value)
+                stats = [{k: v for k, v in sol.stats.items() if k != "solve_s"}
+                         for sol in (kept, fresh)]
+                assert stats[0] == stats[1]
+                if kept.status == "optimal":
+                    assert kept.duals.tobytes() == fresh.duals.tobytes()
+                    assert kept.coupling.paths.tobytes() == fresh.coupling.paths.tobytes()
+                    assert kept.coupling.mass.tobytes() == fresh.coupling.mass.tobytes()
 
 
 class TestSemistatic:
