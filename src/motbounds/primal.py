@@ -4,7 +4,13 @@ Variables are path masses q(x_1, ..., x_n) >= 0 on the product grid; equality
 rows fix every marginal atom mass and force zero conditional drift for every
 prefix. The constraint matrix is assembled sparse, as the three numpy arrays
 of the compressed-column (CSC) layout HiGHS reads. The HiGHS solver that
-scipy ships solves it with its default options, called through scipy's
+scipy ships solves it. An LP of fewer than PRIMAL_FROM_PATHS paths is
+solved as it is, with HiGHS's default options (dual simplex). A larger one
+is equilibrated, its martingale rows and its cost each divided by their
+largest magnitude, and solved by primal simplex: on the ladder of
+BENCH_lp_method.json that is the faster method from there up, and a
+rescaling of the prices changes neither its verdict nor, beyond rounding,
+its value. HiGHS is called through scipy's
 bundled extension module scipy.optimize._highspy._core (private, present
 from scipy 1.15.0). _highs loads that extension file on its own, on the
 first solve: importing it by name would first run scipy.optimize's package
@@ -20,7 +26,7 @@ senses of it at once, the maximisation on the one long-lived LP worker of
 _lp_worker. A solve only reads its LpProblem, and HiGHS releases the
 interpreter lock while it runs, so two solves of one LP can share it from
 two threads. Each solve builds a fresh HiGHS object, from options that
-each thread builds once: a HiGHS object kept for reuse holds about 0.5 MB
+each thread builds once per method: a HiGHS object kept for reuse holds about 0.5 MB
 of workspace after its model is cleared, which a batch of small LPs shows
 in its peak memory. A forked child drops the worker it inherits and builds
 its own on first use.
@@ -208,10 +214,11 @@ class PrimalSolution:
     """Transport LP outcome with solver statistics and equality multipliers.
 
     stats holds rows, columns, the solver's iterations, HiGHS's
-    max_primal_infeasibility and max_dual_infeasibility, and solve_s, the
-    wall seconds of the solver call alone. duals holds one multiplier per
-    equality row in assemble_lp's block layout, a sub-hedge of the cost for
-    a minimisation and a super-hedge for a maximisation.
+    max_primal_infeasibility and max_dual_infeasibility, solve_s, the
+    wall seconds of the solver call alone, and method, the path _solve took
+    ("dual simplex" or "primal simplex, equilibrated"). duals holds one
+    multiplier per equality row in assemble_lp's block layout, a sub-hedge
+    of the cost for a minimisation and a super-hedge for a maximisation.
     """
 
     value: float
@@ -230,7 +237,12 @@ _CHECK_TOL = 10 * math.sqrt(1e-9)
 _HIGHS = "scipy.optimize._highspy._core"
 _LOCK = threading.Lock()  # guards the first load of the extension and the worker's creation
 _WORKER = None  # the LP worker of _lp_worker, created on first use
-_THREAD = threading.local()  # .options: this thread's HiGHS options, built on its first solve
+# .options (dual simplex) and .primal_options (primal simplex): this thread's
+# HiGHS options, each built on the thread's first solve that reads it
+_THREAD = threading.local()
+# an LP with this many columns or more is equilibrated and solved by primal
+# simplex; fitted on the ladder of BENCH_lp_method.json
+PRIMAL_FROM_PATHS = 1000
 
 
 def _forget_in_child() -> None:
@@ -295,34 +307,59 @@ def _highs():
         return core
 
 
+def _options(highs, primal: bool):
+    """This thread's HiGHS options, output off: the defaults (dual simplex) or primal simplex."""
+    name = "primal_options" if primal else "options"
+    options = getattr(_THREAD, name, None)
+    if options is None:
+        options = highs.HighsOptions()
+        options.output_flag = options.log_to_console = False
+        if primal:
+            options.simplex_strategy = 4  # HiGHS's primal simplex
+        setattr(_THREAD, name, options)
+    return options
+
+
 def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
-    Reads lp without changing it. Each call passes lp's arrays to a fresh
-    HiGHS object with HiGHS's default options and its output off; the
-    options object is built once per thread. HiGHS's model status maps as in
-    _STATUS; HiGHS refuses to load a model with a matrix entry of 1e15 or
-    more in magnitude, which is "model_error". As a safety check, an
-    "optimal" x with a mass below -_CHECK_TOL, or an equality row missed by
-    more than _CHECK_TOL, is "failed".
-    stats["solve_s"] is the wall time of the solver call alone, loading the
-    model included; max_primal_infeasibility and max_dual_infeasibility are
-    HiGHS's own figures for the solution it returned, None where it has none
-    to measure.
+    Reads lp without changing it. Each call passes the LP to a fresh HiGHS
+    object, with options built once per thread and HiGHS's output off. An LP
+    of fewer than PRIMAL_FROM_PATHS columns is passed as it is and solved
+    with HiGHS's default options, dual simplex. A larger one is equilibrated
+    first: the martingale rows' entries are divided by their largest
+    magnitude scale_m, and c by max|c|, each factor 1 where that is 0. HiGHS
+    then solves it by primal simplex, and the multipliers are scaled back,
+    marginal rows times max|c| and martingale rows times max|c| / scale_m,
+    so they are those of lp itself; the value is lp.c.x. stats["method"]
+    names the path, "dual simplex" or "primal simplex, equilibrated".
+    HiGHS's model status maps as in _STATUS; HiGHS refuses to load a model
+    with a matrix entry of 1e15 or more in magnitude, which is
+    "model_error". As a safety check, an "optimal" x with a mass below
+    -_CHECK_TOL, or an equality row missed by more than _CHECK_TOL, is
+    "failed"; for an equilibrated LP the rows are lp's own, computed from x.
+    stats["solve_s"] is the wall time of the solver call alone, the
+    equilibration and loading the model included; max_primal_infeasibility
+    and max_dual_infeasibility are HiGHS's own figures for the solution of
+    the LP it solved, None where it has none to measure.
     """
     highs = _highs()
-    options = getattr(_THREAD, "options", None)
-    if options is None:
-        options = _THREAD.options = highs.HighsOptions()
-        options.output_flag = options.log_to_console = False
+    equilibrate = lp.n_paths >= PRIMAL_FROM_PATHS
+    options = _options(highs, equilibrate)
     start = time.perf_counter()
+    c, data = lp.c, lp.data
+    if equilibrate:
+        martingale = lp.indices >= sum(lp.grid_shape)
+        scale_m = float(np.abs(data[martingale]).max(initial=0.0)) or 1.0
+        scale_c = float(np.abs(c).max(initial=0.0)) or 1.0
+        c, data = c / scale_c, np.where(martingale, data / scale_m, data)
     solver = highs._Highs()
     solver.passOptions(options)
     # the array overload; all-continuous integrality, since an empty array is refused
     loaded = solver.passModel(
-        lp.n_paths, lp.n_rows, lp.data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
-        0.0, sense * lp.c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), lp.b, lp.b,
-        lp.indptr, lp.indices, lp.data, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
+        lp.n_paths, lp.n_rows, data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, sense * c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), lp.b, lp.b,
+        lp.indptr, lp.indices, data, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
     if loaded:
         solver.run()
     solve_s = time.perf_counter() - start
@@ -332,17 +369,24 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
                for x in (info.max_primal_infeasibility, info.max_dual_infeasibility)]
     stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": iterations if loaded else 0,
              "max_primal_infeasibility": figures[0], "max_dual_infeasibility": figures[1],
-             "solve_s": solve_s}
+             "solve_s": solve_s,
+             "method": "primal simplex, equilibrated" if equilibrate else "dual simplex"}
     status = _STATUS.get(solver.getModelStatus().name, "failed") if loaded else "model_error"
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats)
     solution = solver.getSolution()
     x = np.array(solution.col_value)
-    if not (np.all(x >= -_CHECK_TOL) and np.all(np.abs(lp.b - solution.row_value) <= _CHECK_TOL)):
+    rows = solution.row_value
+    duals = sense * np.array(solution.row_dual)
+    if equilibrate:  # lp's own rows at x, not HiGHS's figures for the scaled ones
+        rows = np.bincount(lp.indices, lp.data * np.repeat(x, np.diff(lp.indptr)), lp.n_rows)
+        marginal_rows = sum(lp.grid_shape)
+        duals[:marginal_rows] *= scale_c
+        duals[marginal_rows:] *= scale_c / scale_m
+    if not (np.all(x >= -_CHECK_TOL) and np.all(np.abs(lp.b - rows) <= _CHECK_TOL)):
         return PrimalSolution(float("nan"), None, "failed", stats)
     paths = np.flatnonzero(x > 0)
     value = float(np.dot(lp.c, x))
-    duals = sense * np.array(solution.row_dual)
     return PrimalSolution(value, Coupling(lp.grid_shape, paths, x[paths]), "optimal", stats, duals)
 
 

@@ -395,19 +395,26 @@ class TestCertify:
             assert abs(value - scale * anchor) <= 1e-9 * scale * anchor
         assert max(rep.gaps.values()) < 1e-12
 
-    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e10, 1e12])
     def test_subhedge_verdict_does_not_depend_on_scale(self, scale):
-        # at 1e9 the best slack is about -7e-9, rounding of terms near 1e8
+        # the showcase's LP is equilibrated before it is solved, so every
+        # atom and the strike times scale gives the same verdict and the LP
+        # values times scale; at 1e9 the best slack is about -7e-9, rounding
+        # of terms near 1e8
         rep = certify(*lognormal_showcase(scale))
         assert rep.passed
         assert rep.subhedge_zero.ok and rep.subhedge_best.ok
+        for value, anchor in ((rep.primal_lower.value, ANCHOR_LOWER),
+                              (rep.primal_upper.value, ANCHOR_UPPER)):
+            assert abs(value - scale * anchor) <= 1e-9 * scale * anchor
 
-    def test_coupling_that_fails_validation_fails_the_report(self):
-        # at 1e-6 the martingale coefficients sit near HiGHS's absolute 1e-7
-        # feasibility tolerance, and the lower coupling drifts by 7.9e-3
-        rep = certify(*lognormal_showcase(1e-6))
-        check = rep.coupling_check
-        assert not check.ok and check.martingale_error == pytest.approx(7.9e-3, rel=0.01)
+    def test_coupling_that_fails_validation_fails_the_report(self, monkeypatch):
+        # a lower coupling that fails its check leaves both sub-hedges unrun
+        real = ascent_module.validate_coupling
+        monkeypatch.setattr(ascent_module, "validate_coupling",
+                            lambda *args: dataclasses.replace(real(*args), ok=False))
+        rep = certify(*lognormal_showcase())
+        assert not rep.coupling_check.ok
         assert rep.subhedge_zero is None and rep.subhedge_best is None
         assert not rep.passed
         payload = json.loads(json.dumps(rep.as_dict(), allow_nan=False))

@@ -24,7 +24,7 @@ import motbounds.measures
 from motbounds.cli import main, parse_instance
 from motbounds.measures import DEFAULT_VAR_CAP
 
-from conftest import checkout_env, lognormal_showcase
+from conftest import checkout_env
 
 HAND_INSTANCE = {
     "marginals": [
@@ -379,17 +379,17 @@ class TestCertifyCommand:
         assert report["passed"] is False
         assert code == 2
 
-    def test_coupling_that_fails_validation_exit_2(self, tmp_path, capsys):
-        # the showcase at 1e-6 times its atoms and strike: the lower LP's
-        # coupling misses its martingale rows, a failed check, not a traceback
-        tiny = {"marginals": [{"atoms": (1e-6 * mu.atoms).tolist(), "weights": mu.weights.tolist()}
-                              for mu in lognormal_showcase()[1]],
-                "cost": {"form": "basket", "strike": 1e-6}}
-        code = main(["--json", "certify", write_instance(tmp_path, tiny)])
+    def test_coupling_that_fails_validation_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a lower coupling that fails its check is a failed report, not a traceback
+        real = motbounds.ascent.validate_coupling
+        monkeypatch.setattr(motbounds.ascent, "validate_coupling",
+                            lambda *args: dataclasses.replace(real(*args), ok=False))
+        code = main(["--json", "certify", write_instance(tmp_path, HAND_INSTANCE)])
         out, err = capsys.readouterr()
         report = strict_json(out)
         assert (code, err) == (2, "")
         assert report["coupling_check"]["ok"] is False and report["passed"] is False
+        assert "subhedge_zero" not in report and "subhedge_best" not in report
 
     def test_report_written(self, tmp_path, capsys):
         out_dir = tmp_path / "cert"
@@ -427,6 +427,7 @@ class TestCertifyCommand:
         for report in (printed, written):
             for side in ("primal_lower", "primal_upper"):
                 assert report[side]["stats"]["solve_s"] > 0
+                assert report[side]["stats"]["method"] == "dual simplex"  # 4 paths
 
     def test_each_side_reports_highs_infeasibilities(self, tmp_path, capsys):
         out_dir = tmp_path / "cert"
@@ -440,6 +441,7 @@ class TestCertifyCommand:
                 stats = report[side]["stats"]
                 assert 0 <= stats["max_primal_infeasibility"] <= 1e-7
                 assert 0 <= stats["max_dual_infeasibility"] <= 1e-7
+                assert stats["method"] == "primal simplex, equilibrated"  # 3,375 paths
 
     def test_var_cap_option_exit_3(self, tmp_path, capsys):
         assert main(["--var-cap", "3", "certify", write_instance(tmp_path, HAND_INSTANCE)]) == 3

@@ -20,9 +20,9 @@ from motbounds import (
     validate_coupling,
 )
 import motbounds.primal as primal_module
-from motbounds.primal import _solve
+from motbounds.primal import PRIMAL_FROM_PATHS, _solve
 
-from conftest import lognormal_showcase, random_instance
+from conftest import lognormal_showcase, random_instance, spread_measure
 from oracles import brute_force_value, lp_matrix, semistatic_value_check, support_rows
 
 D0 = DiscreteMeasure.point(0.0)
@@ -50,6 +50,17 @@ def last_step_squared(n):
 def negated(cost, ms):
     """The payoff -c as a table on the grid of ms."""
     return CostSpec(ms.n, "custom_table", table=-cost.tensor_on(ms))
+
+
+def assert_solution_checks_out(sol, sense, cost, ms):
+    """An optimal solve's coupling validates, and its multipliers price the LP value to 1e-9."""
+    assert validate_coupling(sol.coupling, ms).ok
+    u, deltas = multipliers_to_semistatic(sol, ms)
+    if sense == -1:  # a super-hedge of c is a sub-hedge of -c
+        value = -semistatic_value_check(negated(cost, ms), ms, [-t for t in u], [-d for d in deltas])
+    else:
+        value = semistatic_value_check(cost, ms, u, deltas)
+    assert abs(value - sol.value) <= 1e-9
 
 
 class TestAssembleLp:
@@ -287,20 +298,32 @@ class TestSimplexAgainstScipy:
 
 
 class TestHighsBindingsAgainstLinprog:
-    """_solve calls scipy's private HiGHS bindings with HiGHS's default
-    options, which solve as linprog(method="highs") does, so linprog is an
-    exact oracle for every field of a model that HiGHS loads."""
+    """_solve calls scipy's private HiGHS bindings. Below PRIMAL_FROM_PATHS
+    columns it uses HiGHS's default options, which solve as
+    linprog(method="highs") does, so linprog is an exact oracle for every
+    field of a model that HiGHS loads. From PRIMAL_FROM_PATHS columns up it
+    solves the equilibrated LP by primal simplex, which may end at another
+    optimal vertex: linprog then checks the status and the value, and the
+    coupling and the multipliers are checked on their own."""
 
     LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
-    def assert_matches_linprog(self, lp):
+    def assert_matches_linprog(self, lp, cost=None, ms=None):
         for sense in (+1, -1):
             sol = _solve(lp, sense)
             res = linprog(sense * lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
             assert sol.status == self.LINPROG_STATUS.get(res.status, "failed")
-            assert sol.stats["iterations"] == res.nit
             if res.status != 0:
                 assert sol.coupling is None and sol.duals is None and np.isnan(sol.value)
+            if lp.n_paths >= PRIMAL_FROM_PATHS:
+                assert sol.stats["method"] == "primal simplex, equilibrated"
+                if res.status == 0:
+                    assert abs(sol.value - float(np.dot(lp.c, res.x))) <= 1e-9
+                    assert_solution_checks_out(sol, sense, cost, ms)
+                continue
+            assert sol.stats["method"] == "dual simplex"
+            assert sol.stats["iterations"] == res.nit
+            if res.status != 0:
                 continue
             assert sol.value == float(np.dot(lp.c, res.x))
             paths = np.flatnonzero(res.x > 0)
@@ -310,9 +333,12 @@ class TestHighsBindingsAgainstLinprog:
 
     def test_random_lps(self):
         rng = np.random.default_rng(5)
+        sizes = []
         for k in range(40):
             cost, ms = random_instance(rng, n=2 + k % 3)
-            self.assert_matches_linprog(assemble_lp(cost, ms))
+            self.assert_matches_linprog(assemble_lp(cost, ms), cost, ms)
+            sizes.append(ms.path_count)
+        assert min(sizes) < PRIMAL_FROM_PATHS <= max(sizes)  # both paths are checked
 
     def test_infeasible_pair(self):
         lp = assemble_lp(SQ2, MarginalSequence([PM2, PM1]))
@@ -335,21 +361,26 @@ class TestHighsBindingsAgainstLinprog:
 
 
     def test_thread_options_solve_as_fresh_ones(self, monkeypatch):
-        # each thread builds its HiGHS options once; a refused model, an
-        # infeasible one and both senses of the showcase come between, and
-        # every solve is the same to the bit as one from freshly built options
+        # each thread builds each of its two HiGHS options objects once; a
+        # refused model, an infeasible one, both senses of the showcase and
+        # LPs on either side of PRIMAL_FROM_PATHS come between, and every
+        # solve is the same to the bit as one from freshly built options
         rng = np.random.default_rng(11)
         wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
         lps = [assemble_lp(*lognormal_showcase()),
                assemble_lp(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide])),
                assemble_lp(SQ2, MarginalSequence([PM2, PM1]))]
         lps += [assemble_lp(*random_instance(rng, n=2 + k % 3)) for k in range(20)]
-        _solve(lps[-1], +1)
-        options = primal_module._THREAD.options
+        assert {lp.n_paths >= PRIMAL_FROM_PATHS for lp in lps[3:]} == {False, True}
+        _solve(lps[0], +1)
+        _solve(lps[2], +1)
+        options = primal_module._THREAD.options, primal_module._THREAD.primal_options
+        assert options[0] is not options[1]
         for lp in lps:
             for sense in (+1, -1):
                 kept = _solve(lp, sense)
-                assert primal_module._THREAD.options is options
+                assert primal_module._THREAD.options is options[0]
+                assert primal_module._THREAD.primal_options is options[1]
                 with monkeypatch.context() as m:
                     m.setattr(primal_module, "_THREAD", threading.local())
                     fresh = _solve(lp, sense)
@@ -362,6 +393,55 @@ class TestHighsBindingsAgainstLinprog:
                     assert kept.duals.tobytes() == fresh.duals.tobytes()
                     assert kept.coupling.paths.tobytes() == fresh.coupling.paths.tobytes()
                     assert kept.coupling.mass.tobytes() == fresh.coupling.mass.tobytes()
+
+
+class TestLpMethod:
+    """Below PRIMAL_FROM_PATHS paths an LP is solved as it is by dual simplex;
+    from there up it is equilibrated and solved by primal simplex."""
+
+    def test_desk_sized_lps_keep_dual_simplex_and_the_showcase_is_equilibrated(self):
+        # the benchmark's desk_batch spreads a 3-atom point 11 times (n=2),
+        # or 8 and then 4 more times (n=3, 3 x 11 x 15 = 495 paths, its
+        # largest LP); the showcase has 3,375 paths
+        rng = np.random.default_rng(3)
+        for splits in ((11,), (8, 4)):
+            marginals = [spread_measure(rng, DiscreteMeasure.point(0.0), 2)]
+            for k in splits:
+                marginals.append(spread_measure(rng, marginals[-1], k))
+            ms = MarginalSequence(marginals)
+            assert ms.path_count < PRIMAL_FROM_PATHS
+            for solve in (solve_primal, solve_primal_max):
+                sol = solve(CostSpec(ms.n, "basket", strike=0.0), ms)
+                assert sol.status == "optimal" and sol.stats["method"] == "dual simplex"
+        cost, ms = lognormal_showcase()
+        assert ms.path_count >= PRIMAL_FROM_PATHS
+        for solve in (solve_primal, solve_primal_max):
+            sol = solve(cost, ms)
+            assert sol.status == "optimal"
+            assert sol.stats["method"] == "primal simplex, equilibrated"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_multipliers_are_those_of_the_unscaled_lp(self, scale):
+        # scaled back, the multipliers price lp's own rows: b.y is the
+        # value, and A^T y stays below c for a minimisation, above it for a
+        # maximisation
+        lp = assemble_lp(*lognormal_showcase(scale))
+        A, tol = lp_matrix(lp), 1e-9 * np.abs(lp.c).max()
+        for sense in (+1, -1):
+            sol = _solve(lp, sense)
+            assert abs(np.dot(lp.b, sol.duals) - sol.value) <= 1e-9 * abs(sol.value)
+            assert np.all(sense * (A.T @ sol.duals - lp.c) <= tol)
+
+    def test_row_check_reads_unscaled_rows(self, monkeypatch):
+        # at 1e9 times the showcase's atoms the martingale rows are missed by
+        # about 5e-9 in lp's own units, and by about 1e-17 once divided by
+        # their largest entry; a check tolerance between the two fails the
+        # solve only if the check reads lp's own rows
+        monkeypatch.setattr(primal_module, "_CHECK_TOL", 1e-12)
+        assert _solve(assemble_lp(*lognormal_showcase()), +1).status == "optimal"
+        sol = _solve(assemble_lp(*lognormal_showcase(1e9)), +1)
+        assert sol.stats["method"] == "primal simplex, equilibrated"
+        assert sol.status == "failed" and sol.coupling is None and sol.duals is None
 
 
 class TestSemistatic:
