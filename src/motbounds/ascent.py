@@ -33,21 +33,25 @@ from .cascade import (
     BLOCK_VALUES,
     LOWER_VARIANTS,
     VARIANTS,
+    CascadeTensors,
     DualCertificate,
     DualVariables,
     SubhedgeReport,
-    _evaluate,
+    _built,
+    _cascades,
+    _objective,
     _subhedge,
+    cascade_down,
     dual_value_and_subgradient,
 )
 from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SequenceReport, validate_sequence
 from .primal import (
     CouplingReport,
+    LpProblem,
     PrimalSolution,
     _lp_worker,
     _solve,
     assemble_lp,
-    multipliers_to_semistatic,
     validate_coupling,
 )
 
@@ -216,8 +220,8 @@ class CertifyReport:
     lists the variants whose gap is not below target_gap. timings holds the
     consecutive wall-clock laps of the phases that ran, in this order:
     validation; lp_lower, to the lower solution; duals_lower, the proposition
-    and remark_b certificates; subhedge, the coupling check and both
-    sub-hedges; lp_upper, the rest of the wait for the upper side; dual_upper,
+    and remark_b certificates, in the one cascade pass that also runs u = 0;
+    subhedge, the coupling check and both sub-hedges; lp_upper, the rest of the wait for the upper side; dual_upper,
     the remark_a certificate. The upper LP solves during the three laps from
     lp_lower on, so each side's own solver time is its stats["solve_s"].
     as_dict gives a side's value only when it is optimal. The certificates,
@@ -283,20 +287,34 @@ class CertifyReport:
         return out
 
 
-def _certificate(variant: str, cost: CostSpec, ms: MarginalSequence, side: PrimalSolution,
-                 tables) -> tuple:
-    """variant's certificate at the tables of side's multipliers, and the T_1 of its cascade."""
-    u = DualVariables.from_tables(ms, tables)
-    value, casc = _evaluate(variant, cost, ms, u)
-    return DualCertificate(variant, u, value, relative_gap(value, side.value)), casc.levels[0]
+def _certificate(variant: str, ms: MarginalSequence, side: PrimalSolution, u: DualVariables,
+                 casc: CascadeTensors) -> DualCertificate:
+    """variant's certificate at u, the tables of side's multipliers, from casc, its cascade at u."""
+    value = _objective(ms, u, casc)
+    return DualCertificate(variant, u, value, relative_gap(value, side.value))
 
 
-def _gauged_tables(side: PrimalSolution, ms: MarginalSequence) -> list:
-    """side's marginal multipliers u_2, ..., u_n, gauge-fixed as ascend fixes its start."""
+def _gauged_position(side: PrimalSolution, ms: MarginalSequence) -> DualVariables:
+    """side's marginal multipliers u_2, ..., u_n, gauge-fixed as ascend fixes its start.
+
+    Only the u_2..u_n blocks of side.duals are copied; the first cascade
+    that reads the tables checks them.
+    """
+    ends = np.cumsum(ms.sizes)
     # views of a copy, so the in-place gauge leaves side.duals as HiGHS gave them
-    tables = multipliers_to_semistatic(side, ms)[0][1:]
+    tables = np.split(side.duals[ends[0]:ends[-1]].copy(), ends[1:-1] - ends[0])
     _project_zero_mean(tables, ms)
-    return tables
+    return DualVariables(ms.grids[1:], tuple(tables))
+
+
+def _upper_side(cost: CostSpec, ms: MarginalSequence, lp: LpProblem) -> PrimalSolution:
+    """The LP worker's task: build what every cascade of (cost, ms) shares, then maximise.
+
+    The build runs while the caller is inside HiGHS, which releases the
+    interpreter lock, so the caller's first cascade finds it in _built's cache.
+    """
+    _built(cost, ms)
+    return _solve(lp, -1)
 
 
 def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT_TARGET_GAP,
@@ -305,17 +323,19 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
 
     target_gap must be finite and positive (else ValueError). The LP is
     assembled once on the calling thread, so a var_cap refusal
-    (SizeCapError) starts no thread. The maximisation goes to the one
-    long-lived LP worker (primal._lp_worker), which concurrent certify calls
-    share, while the caller solves the minimisation; result() re-raises the
-    worker's exception. While the upper side solves, the caller checks the
-    lower one: proposition and remark_b read its multipliers, and the
-    sub-hedges, for u = 0 and for the proposition certificate's u (its T_1
-    reused), run on its coupling only if that passes validation, which
-    HiGHS's absolute tolerances can break on a tiny price scale. remark_a
-    then reads the upper side's multipliers. Each certificate is one cascade
-    at its side's multipliers u_2, ..., u_n, gauge-fixed by
-    _project_zero_mean as ascend fixes its start, with the value of
+    (SizeCapError) starts no thread. The one long-lived LP worker
+    (primal._lp_worker), which concurrent certify calls share, builds what
+    every cascade of the instance shares (cascade._built) and then solves
+    the maximisation, while the caller solves the minimisation; result()
+    re-raises the worker's exception. While the upper side solves, the
+    caller checks the lower one, in one cascade pass over three positions:
+    proposition and remark_b at its multipliers, and proposition at u = 0.
+    The sub-hedges, for u = 0 and for the proposition certificate's u, read
+    their T_1 and max |T_n| from that pass, and run on its coupling only if
+    that passes validation, which HiGHS's absolute tolerances can break on
+    a tiny price scale. remark_a then reads the upper side's multipliers.
+    Each certificate is one cascade at its side's multipliers u_2, ..., u_n,
+    gauge-fixed as ascend fixes its start, with the value of
     dual_objective. It is a valid bound whatever its gap; a gap not below
     target_gap puts the variant in missed, and no ascent runs. Every cascade
     runs on the calling thread.
@@ -337,29 +357,32 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
         report.elapsed_s = time.perf_counter() - start
         return report
     lp = assemble_lp(cost, ms, var_cap)
-    pending = _lp_worker().submit(_solve, lp, -1)
+    pending = _lp_worker().submit(_upper_side, cost, ms, lp)
     lower = _solve(lp, +1)
     lap("lp_lower")
     found = {}  # the lower side's report fields, set once both sides are optimal
     if lower.status == "optimal":
-        tables = _gauged_tables(lower, ms)
-        best, t1 = _certificate("proposition", cost, ms, lower, tables)
-        found["certificates"] = {"proposition": best,
-                                 "remark_b": _certificate("remark_b", cost, ms, lower, tables)[0]}
+        u, zero = _gauged_position(lower, ms), DualVariables.zeros(ms)
+        (best, stepwise, at_zero), t_n_max = _cascades(
+            cost, ms, [("proposition", u), ("remark_b", u), ("proposition", zero)], top_abs=True)
+        found["certificates"] = {"proposition": _certificate("proposition", ms, lower, u, best),
+                                 "remark_b": _certificate("remark_b", ms, lower, u, stepwise)}
         lap("duals_lower")
         coupling = lower.coupling
         check = found["coupling_check"] = validate_coupling(coupling, ms)
         if check.ok:
-            found["subhedge_zero"] = _subhedge(cost, ms, DualVariables.zeros(ms), coupling)
-            found["subhedge_best"] = _subhedge(cost, ms, best.dual_variables, coupling, t1)
+            found["subhedge_zero"] = _subhedge(cost, ms, zero, coupling, at_zero.levels[0],
+                                               t_n_max[2])
+            found["subhedge_best"] = _subhedge(cost, ms, u, coupling, best.levels[0], t_n_max[0])
         lap("subhedge")
     upper = pending.result()
     lap("lp_upper")
     report.primal_lower = lower
     report.primal_upper = upper
     if found and upper.status == "optimal":
+        u = _gauged_position(upper, ms)
         found["certificates"]["remark_a"] = _certificate(
-            "remark_a", cost, ms, upper, _gauged_tables(upper, ms))[0]
+            "remark_a", ms, upper, u, cascade_down("remark_a", cost, ms, u))
         lap("dual_upper")
         for name, value in found.items():
             setattr(report, name, value)

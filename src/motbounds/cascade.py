@@ -3,7 +3,7 @@
 Starting from the terminal tensor c(x_1..x_n) - sum_i u_i(x_i), each level
 replaces the dependence on the last coordinate by the value of its convex
 (lower-bound problem) or concave (upper-bound problem) envelope at the
-previous coordinate. One loop, cascade_down, serves three variants, which
+previous coordinate. One loop, _cascades, serves three variants, which
 differ only in where u is subtracted and which way the hull faces:
 
 * "proposition": subtract all u_i upfront, then envelope level by level;
@@ -16,7 +16,9 @@ Each level evaluates its sections one block of rows at a time: an exact
 alternating search finds the pair of atoms whose chord supports the hull at
 the evaluation point, at O(m) per section and round and a few rounds per
 section. The top level's blocks are built from the cost tensor as they are
-searched, so no cascade holds T_n whole.
+searched, so no cascade holds T_n whole. The loop evaluates a stack of
+positions (variant, u) together, one search per block for all of them
+(see _cascades); cascade_down is the stack of one.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
@@ -39,7 +41,7 @@ dual_value_and_subgradient computes both; dual_objective is its value.
 DualVariables.check is the one check of a position: the count of its tables,
 their shapes, grids equal to the atoms, and finite entries. from_tables and
 zeros run it, and so does every cascade before it reads a table
-(terminal_tensor and cascade_down), so a non-finite table is refused
+(terminal_tensor and _cascades), so a non-finite table is refused
 however the position was built. CostSpec comes from measures, so
 primal, whose validate_coupling the sub-hedge check uses, does not import
 this module.
@@ -262,36 +264,71 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     return _Built(top, tuple(reversed(levels)))
 
 
-def _envelope(section_rows, level: _Level, lower):
-    """Envelope values of a level's section rows at the points of level.
+def _envelope(section_rows, level: _Level, lower, top_abs=None):
+    """Envelope values of k stacks of section rows at the points of level.
 
-    section_rows(lo, hi) gives rows lo:hi of the sections, tabulated on
-    level.grid, and is read one block of rows at a time, so a level's
-    sections exist one block at a time unless the caller holds them. The
-    value at t of the lower (upper) hull is lam*f(y_a) + (1-lam)*f(y_b) for a
-    supporting pair y_a <= t <= y_b of the hull, with lam*y_a + (1-lam)*y_b =
-    t; the pair is returned for the supergradient. The pairs come from
-    _supporting_pairs; the upper hull's from the lower hull of -f, whose
-    slopes and chord values are the exact negations of f's.
+    section_rows[p](lo, hi) gives rows lo:hi of stack p's sections,
+    tabulated on level.grid, and is read one block of rows at a time, so a
+    level's sections exist one block at a time unless the caller holds them.
+    lower[p] says which hull stack p takes. The value at t of the lower
+    (upper) hull is lam*f(y_a) + (1-lam)*f(y_b) for a supporting pair
+    y_a <= t <= y_b of the hull, with lam*y_a + (1-lam)*y_b = t; the pair is
+    returned for the supergradient. A block's rows of every stack go to one
+    _supporting_pairs call, an upper stack's rows negated: the upper hull of
+    f is the lower hull of -f, whose slopes and chord values are the exact
+    negations of f's. Rows are searched independently, so a row gets what it
+    gets in a stack of one. Returns vals, left, right and lam, of shape
+    (k, rows). top_abs, None or k zeros, is raised to each stack's max |.|.
     """
-    rows, m = level.t.size, level.grid.size
+    k, rows, m = len(section_rows), level.t.size, level.grid.size
+    vals = np.empty((k, rows))
     if m == 1:
-        vals = section_rows(0, rows)[:, 0].copy()
-        return vals, np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows)
-    vals = np.empty(rows)
-    left = np.empty(rows, dtype=np.intp)
-    right = np.empty(rows, dtype=np.intp)
-    lam = np.empty(rows)
+        for p, rows_of in enumerate(section_rows):
+            f = rows_of(0, rows)
+            vals[p] = f[:, 0]
+            if top_abs is not None:
+                top_abs[p] = np.abs(f).max()
+        return vals, np.zeros((k, rows), np.intp), np.zeros((k, rows), np.intp), np.ones((k, rows))
+    left = np.empty((k, rows), dtype=np.intp)
+    right = np.empty((k, rows), dtype=np.intp)
+    lam = np.empty((k, rows))
+    # -1.0 for an upper stack: times it, a value is negated exactly
+    sign = None if all(lower) else np.where(lower, 1.0, -1.0)
     block = max(1, BLOCK_VALUES // m)
     for lo in range(0, rows, block):
         hi = min(lo + block, rows)
         rs = slice(lo, hi)
-        f = section_rows(lo, hi)
-        left[rs], right[rs], lam[rs] = _supporting_pairs(
-            f if lower else -f, level.grid, level.t[rs], level.split[rs], level.kernel, level.bars)
-        every = np.arange(hi - lo)
-        vals[rs] = lam[rs] * f[every, left[rs]] + (1.0 - lam[rs]) * f[every, right[rs]]
+        blocks = [rows_of(lo, hi) if low else -rows_of(lo, hi)
+                  for rows_of, low in zip(section_rows, lower)]
+        if k == 1:
+            f, t, split = blocks[0], level.t[rs], level.split[rs]
+        else:
+            f = np.concatenate(blocks)
+            t, split = np.tile(level.t[rs], k), np.tile(level.split[rs], k)
+        del blocks  # a stack searches its own copy
+        if top_abs is not None:
+            np.maximum(top_abs, np.abs(f).reshape(k, -1).max(axis=1), out=top_abs)
+        row_sign = None if sign is None else np.repeat(sign, hi - lo)
+        for out, x in zip((left, right, lam, vals), _search_block(f, t, split, level, row_sign)):
+            out[:, rs] = x.reshape(k, -1)
     return vals, left, right, lam
+
+
+def _search_block(f, t, split, level: _Level, row_sign):
+    """Supporting pairs a, b, weights lam and hull values of the rows of f, one block.
+
+    row_sign is None, or a factor per row, -1.0 on the rows of an upper
+    stack, which f holds negated, and 1.0 elsewhere: it reads their values
+    back exactly. The temporaries die here, so none is held beside the next
+    block's search.
+    """
+    a, b, lam = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars)
+    every = np.arange(f.shape[0])
+    f_a, f_b = f[every, a], f[every, b]
+    if row_sign is not None:
+        f_a *= row_sign
+        f_b *= row_sign
+    return a, b, lam, lam * f_a + (1.0 - lam) * f_b
 
 
 def _supporting_pairs(f, y, t, split, kernel, bars):
@@ -342,6 +379,7 @@ def _supporting_pairs(f, y, t, split, kernel, bars):
             new = slopes.argmax(axis=1)
             moved = new != a
             a, f_a, f_b = new, f[live, new], f_c
+        del slopes  # so the next half-step's block is not allocated beside it
         lam = (y[b] - t) / (y[b] - y[a])
         w = lam * f_a + (1.0 - lam) * f_b
         done = ~moved | (w >= w_back2)
@@ -369,31 +407,51 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     to rounding: each remark_b level is T_i + sum_{j=2..i} u_j(x_j), because
     that sum is constant along every section of level i+1 and adding a
     constant commutes with the envelope. The two T_1, and so the two dual
-    objectives, are the same.
+    objectives, are the same. This is _cascades on one position.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    u.check(ms)
-    stepwise = variant == "remark_b"
+    return _cascades(cost, ms, [(variant, u)])[0][0]
+
+
+def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = False):
+    """cascade_down at every (variant, u) of positions, in one pass over the levels.
+
+    Each block of each level's rows is searched for every position at once
+    (see _envelope), and every position gets the levels and supports that
+    cascade_down gives it alone, to the bit. Returns the positions'
+    CascadeTensors, in order, and with top_abs a float array of the max |.|
+    of each position's top-level section rows, else None: that is max |T_n|
+    for proposition and remark_a, and max |c - u_n| for remark_b.
+    """
+    for variant, _ in positions:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    for u in dict.fromkeys(u for _, u in positions):  # each u once, by identity
+        u.check(ms)
+    lower = [variant in LOWER_VARIANTS for variant, _ in positions]
     top, geometry = _built(cost, ms)
-    levels = [None] * (ms.n - 1)
-    supports = [None] * (ms.n - 1)
-    cur = top
+    scale = np.zeros(len(positions)) if top_abs else None
+    levels = [[None] * (ms.n - 1) for _ in positions]
+    supports = [[None] * (ms.n - 1) for _ in positions]
+    current = [top] * len(positions)
     for i in range(ms.n - 1, 0, -1):  # build T_i from T_{i+1}
-        sections = cur.reshape(-1, ms.sizes[i])
-        if stepwise:
-            def section_rows(lo, hi, sections=sections, t=u.values[i - 1]):
-                return sections[lo:hi] - t
-        elif cur is top:
-            section_rows = functools.partial(_terminal_rows, top, ms, u)
-        else:
-            def section_rows(lo, hi, sections=sections):
-                return sections[lo:hi]
-        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1], variant in LOWER_VARIANTS)
-        cur = vals.reshape(ms.sizes[:i])
-        levels[i - 1] = cur
-        supports[i - 1] = (lft, rgt, lam)
-    return CascadeTensors(tuple(levels), tuple(supports))
+        section_rows = []
+        for (variant, u), cur in zip(positions, current):
+            sections = cur.reshape(-1, ms.sizes[i])
+            if variant == "remark_b":
+                def rows_of(lo, hi, sections=sections, t=u.values[i - 1]):
+                    return sections[lo:hi] - t
+            elif cur is top:
+                rows_of = functools.partial(_terminal_rows, top, ms, u)
+            else:
+                def rows_of(lo, hi, sections=sections):
+                    return sections[lo:hi]
+            section_rows.append(rows_of)
+        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1], lower,
+                                        scale if i == ms.n - 1 else None)
+        for p in range(len(positions)):
+            current[p] = levels[p][i - 1] = vals[p].reshape(ms.sizes[:i])
+            supports[p][i - 1] = (lft[p], rgt[p], lam[p])
+    return [CascadeTensors(tuple(lv), tuple(sp)) for lv, sp in zip(levels, supports)], scale
 
 
 def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> float:
@@ -408,10 +466,15 @@ def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVa
 def _evaluate(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables):
     """dual_objective's value and the cascade it reads, with no supergradient."""
     casc = cascade_down(variant, cost, ms, u)
+    return _objective(ms, u, casc), casc
+
+
+def _objective(ms: MarginalSequence, u: DualVariables, casc: CascadeTensors) -> float:
+    """E_{mu_1}[T_1] + sum_i E_{mu_i}[u_i], from casc, the cascade at u."""
     value = float(np.dot(ms[0].weights, casc.levels[0]))
     for i, t in enumerate(u.values, start=1):
         value += float(np.dot(ms[i].weights, t))
-    return value, casc
+    return value
 
 
 def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables):
@@ -473,8 +536,9 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
     and martingale validation first, else ValueError; check is its
     validate_coupling report when the caller has one, so a coupling checked
     once serves several positions. The expectations sum over its rows, so
-    T_n is read on those rows alone, and for max |T_n| one block of rows at
-    a time, each value the same to the bit as terminal_tensor's.
+    T_n is read on those rows alone; max |T_n| is read from the blocks of
+    the proposition cascade, each value the same to the bit as
+    terminal_tensor's.
     """
     if check is None:
         check = validate_coupling(coupling, ms)
@@ -484,14 +548,16 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
 
 
 def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: Coupling,
-              t1: Optional[np.ndarray] = None) -> SubhedgeReport:
+              t1: Optional[np.ndarray] = None, t_n_max: Optional[float] = None) -> SubhedgeReport:
     """verify_subhedge on a coupling that passed validation.
 
-    t1 is the proposition cascade's T_1 at u when the caller has run it
-    (certify has, for its proposition certificate); None runs it here.
+    t1 and t_n_max are the proposition cascade's T_1 at u and the max |T_n|
+    of its top level (_cascades with top_abs) when the caller has run it, as
+    certify has; None runs that cascade here.
     """
     if t1 is None:
-        t1 = cascade_down("proposition", cost, ms, u).levels[0]
+        (casc,), top_abs = _cascades(cost, ms, [("proposition", u)], top_abs=True)
+        t1, t_n_max = casc.levels[0], top_abs[0]
     top = _built(cost, ms).top
     atom, m_1 = coupling.atoms(), ms.sizes[0]
     start_mass = np.bincount(atom[0], coupling.mass, m_1)
@@ -499,8 +565,5 @@ def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: 
     keep = ms[0].weights > 0
     t_n = _minus_u(top[atom], u, atom[1:])  # T_n on the coupling's rows
     slacks = (np.bincount(atom[0], coupling.mass * t_n, m_1) / mass - t1)[keep]
-    rows, block = math.prod(ms.sizes[:-1]), max(1, BLOCK_VALUES // ms.sizes[-1])
-    scale = max(float(np.abs(_terminal_rows(top, ms, u, lo, min(lo + block, rows))).max())
-                for lo in range(0, rows, block))
-    tol = SUBHEDGE_TOL * max(1.0, scale)
+    tol = SUBHEDGE_TOL * max(1.0, float(t_n_max))
     return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))

@@ -25,11 +25,11 @@ each assemble their own LP, while certify assembles one and solves both
 senses of it at once, the maximisation on the one long-lived LP worker of
 _lp_worker. A solve only reads its LpProblem, and HiGHS releases the
 interpreter lock while it runs, so two solves of one LP can share it from
-two threads. Each solve builds a fresh HiGHS object, from options that
-each thread builds once per method: a HiGHS object kept for reuse holds about 0.5 MB
-of workspace after its model is cleared, which a batch of small LPs shows
-in its peak memory. A forked child drops the worker it inherits and builds
-its own on first use.
+two threads. Each thread keeps one HiGHS object, which every solve on it
+reloads with its model and with options that the thread builds once per
+method; a solve on the kept object is the same to the bit as one on a fresh
+object. A forked child drops the worker and the forking thread's HiGHS
+object that it inherits, and builds its own on first use.
 """
 
 from __future__ import annotations
@@ -237,8 +237,9 @@ _CHECK_TOL = 10 * math.sqrt(1e-9)
 _HIGHS = "scipy.optimize._highspy._core"
 _LOCK = threading.Lock()  # guards the first load of the extension and the worker's creation
 _WORKER = None  # the LP worker of _lp_worker, created on first use
-# .options (dual simplex) and .primal_options (primal simplex): this thread's
-# HiGHS options, each built on the thread's first solve that reads it
+# .highs, this thread's HiGHS object, built on its first solve, and .options
+# (dual simplex) and .primal_options (primal simplex), its HiGHS options, each
+# built on the thread's first solve that reads it
 _THREAD = threading.local()
 # an LP with this many columns or more is equilibrated and solved by primal
 # simplex; fitted on the ladder of BENCH_lp_method.json
@@ -249,11 +250,12 @@ def _forget_in_child() -> None:
     """Drop the state a forked child inherits but cannot use.
 
     The worker's thread does not exist in the child, and the lock may have
-    been held by a thread that does not either. The child creates both again
-    on first use.
+    been held by a thread that does not either; the forking thread's HiGHS
+    object was built in the parent. The child creates them again on first use.
     """
     global _LOCK, _WORKER
     _LOCK, _WORKER = threading.Lock(), None
+    vars(_THREAD).pop("highs", None)
 
 
 if hasattr(os, "register_at_fork"):  # absent on Windows, which has no fork
@@ -307,6 +309,14 @@ def _highs():
         return core
 
 
+def _thread_highs(highs):
+    """This thread's HiGHS object, built on its first solve and reloaded by every later one."""
+    solver = getattr(_THREAD, "highs", None)
+    if solver is None:
+        solver = _THREAD.highs = highs._Highs()
+    return solver
+
+
 def _options(highs, primal: bool):
     """This thread's HiGHS options, output off: the defaults (dual simplex) or primal simplex."""
     name = "primal_options" if primal else "options"
@@ -323,8 +333,8 @@ def _options(highs, primal: bool):
 def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
-    Reads lp without changing it. Each call passes the LP to a fresh HiGHS
-    object, with options built once per thread and HiGHS's output off. An LP
+    Reads lp without changing it. Each call loads the LP into the thread's
+    HiGHS object, with options built once per thread and HiGHS's output off. An LP
     of fewer than PRIMAL_FROM_PATHS columns is passed as it is and solved
     with HiGHS's default options, dual simplex. A larger one is equilibrated
     first: the martingale rows' entries are divided by their largest
@@ -337,7 +347,9 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     with a matrix entry of 1e15 or more in magnitude, which is
     "model_error". As a safety check, an "optimal" x with a mass below
     -_CHECK_TOL, or an equality row missed by more than _CHECK_TOL, is
-    "failed"; for an equilibrated LP the rows are lp's own, computed from x.
+    "failed"; for an equilibrated LP the rows are those HiGHS solved,
+    computed from x, so the martingale rows are lp's divided by scale_m and
+    their rounding does not grow with the atoms.
     stats["solve_s"] is the wall time of the solver call alone, the
     equilibration and loading the model included; max_primal_infeasibility
     and max_dual_infeasibility are HiGHS's own figures for the solution of
@@ -353,7 +365,7 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
         scale_m = float(np.abs(data[martingale]).max(initial=0.0)) or 1.0
         scale_c = float(np.abs(c).max(initial=0.0)) or 1.0
         c, data = c / scale_c, np.where(martingale, data / scale_m, data)
-    solver = highs._Highs()
+    solver = _thread_highs(highs)
     solver.passOptions(options)
     # the array overload; all-continuous integrality, since an empty array is refused
     loaded = solver.passModel(
@@ -378,8 +390,8 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     x = np.array(solution.col_value)
     rows = solution.row_value
     duals = sense * np.array(solution.row_dual)
-    if equilibrate:  # lp's own rows at x, not HiGHS's figures for the scaled ones
-        rows = np.bincount(lp.indices, lp.data * np.repeat(x, np.diff(lp.indptr)), lp.n_rows)
+    if equilibrate:  # the rows HiGHS solved at x: lp's, the martingale ones divided by scale_m
+        rows = np.bincount(lp.indices, data * np.repeat(x, np.diff(lp.indptr)), lp.n_rows)
         marginal_rows = sum(lp.grid_shape)
         duals[:marginal_rows] *= scale_c
         duals[marginal_rows:] *= scale_c / scale_m

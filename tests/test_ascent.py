@@ -395,12 +395,13 @@ class TestCertify:
             assert abs(value - scale * anchor) <= 1e-9 * scale * anchor
         assert max(rep.gaps.values()) < 1e-12
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e10, 1e12])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e10, 1e12,
+                                       1e14, 1e16])
     def test_subhedge_verdict_does_not_depend_on_scale(self, scale):
-        # the showcase's LP is equilibrated before it is solved, so every
-        # atom and the strike times scale gives the same verdict and the LP
-        # values times scale; at 1e9 the best slack is about -7e-9, rounding
-        # of terms near 1e8
+        # the showcase's LP is equilibrated before it is solved, and its row
+        # check reads the equilibrated rows, so every atom and the strike
+        # times scale gives the same verdict and the LP values times scale;
+        # at 1e9 the best slack is about -7e-9, rounding of terms near 1e8
         rep = certify(*lognormal_showcase(scale))
         assert rep.passed
         assert rep.subhedge_zero.ok and rep.subhedge_best.ok
@@ -471,8 +472,9 @@ def lp_upper_threads() -> list:
     return [t for t in threading.enumerate() if t.name.startswith("motbounds-lp-upper")]
 
 
-# certify in a parent, fork, certify in the child: the child builds its own
-# LP worker. The parent kills a child that does not finish.
+# certify in a parent, fork, certify in the child: the child drops the
+# forking thread's HiGHS object and builds its own LP worker. The parent
+# kills a child that does not finish.
 FORKED_CERTIFY = """
 import json, os, signal, sys, time
 import motbounds
@@ -487,10 +489,12 @@ def values():
             [c.dual_value for c in rep.certificates.values()]]
 
 parent = values()
+kept = hasattr(motbounds.primal._THREAD, "highs")  # this thread's HiGHS object
 read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
-    os.write(write, json.dumps(values()).encode())
+    dropped = not hasattr(motbounds.primal._THREAD, "highs")
+    os.write(write, json.dumps([dropped, values()]).encode())
     os._exit(0)
 os.close(write)
 deadline = time.monotonic() + 60
@@ -500,8 +504,8 @@ while not os.waitpid(pid, os.WNOHANG)[0]:
         os.waitpid(pid, 0)
         sys.exit("the forked child's certify did not finish in 60 s")
     time.sleep(0.01)
-child = json.loads(os.read(read, 1 << 16))
-print(json.dumps({"parent": parent, "child": child}))
+dropped, child = json.loads(os.read(read, 1 << 16))
+print(json.dumps({"parent": parent, "child": child, "kept": kept, "dropped": dropped}))
 """
 
 
@@ -589,6 +593,7 @@ class TestCertifyOverlap:
         assert done.returncode == 0, done.stderr
         seen = json.loads(done.stdout.splitlines()[-1])
         assert seen["parent"][0] is True and seen["child"] == seen["parent"]
+        assert seen["kept"] is True and seen["dropped"] is True
 
     def test_capped_instance_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):

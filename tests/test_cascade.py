@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import motbounds.ascent as ascent_module
+import motbounds.cascade as cascade_module
 from motbounds import (
     AscentConfig,
     CostSpec,
@@ -32,11 +33,11 @@ from motbounds import (
     verify_subhedge,
 )
 
-from motbounds.cascade import _Level, _built, _envelope
+from motbounds.cascade import VARIANTS, _Level, _built, _cascades, _envelope, _objective
 from motbounds.envelope import CLAMP_REL
 from motbounds.measures import COST_FORMS, STRIKE_FORMS
 
-from conftest import random_duals, random_instance
+from conftest import lognormal_showcase, random_cost, random_duals, random_instance
 from oracles import support_rows
 
 D0 = DiscreteMeasure.point(0.0)
@@ -78,9 +79,10 @@ def reference_cascade(cost, ms, u, variant):
 
 
 def batched_envelope(sections, grid, eval_atoms, lower):
-    """The production search over every row, at eval_atoms[r % len(eval_atoms)]."""
-    return _envelope(lambda lo, hi: sections[lo:hi], _Level(grid, eval_atoms, sections.shape[0]),
-                     lower)
+    """The production search, a stack of one, over every row at eval_atoms[r % len(eval_atoms)]."""
+    out = _envelope([lambda lo, hi: sections[lo:hi]],
+                    _Level(grid, eval_atoms, sections.shape[0]), [lower])
+    return tuple(x[0] for x in out)
 
 
 def pair_enumeration(sections, grid, eval_atoms, lower):
@@ -561,6 +563,70 @@ class TestBlocksOfRows:
         finally:
             tracemalloc.stop()
         assert peak < top.nbytes / 2
+
+
+class TestStackedCascades:
+    """_cascades runs a stack of (variant, u) positions in one pass over the levels;
+    each position gets what cascade_down gives it alone, to the bit."""
+
+    @staticmethod
+    def instances(rng):
+        for k in range(200):
+            yield random_instance(rng, n=2 + k % 3, max_size=6 if k % 3 == 2 else 9)
+        # marginals of one atom below the top: levels whose sections have one atom
+        for marginals in ([D0, D0], [D0, D0, PM1], [D0, D0, PM1, PM2], [D0, D0, D0, PM1]):
+            ms = MarginalSequence(marginals)
+            yield random_cost(rng, ms), ms
+
+    def test_a_stack_equals_its_positions_run_alone(self, rng, monkeypatch):
+        for cost, ms in self.instances(rng):
+            shared = random_duals(rng, ms)
+            positions = []
+            for _ in range(int(rng.integers(1, 6))):
+                pick = rng.integers(3)
+                u = (DualVariables.zeros(ms), shared, random_duals(rng, ms))[pick]
+                positions.append((VARIANTS[rng.integers(3)], u))
+            with monkeypatch.context() as patch:  # levels of several blocks
+                patch.setattr(cascade_module, "BLOCK_VALUES",
+                              int(rng.integers(1, 4)) * max(ms.sizes[1:]))
+                stacked, top_abs = _cascades(cost, ms, positions, top_abs=True)
+            assert len(stacked) == len(positions) == top_abs.size
+            for (variant, u), got, scale in zip(positions, stacked, top_abs):
+                want = cascade_down(variant, cost, ms, u)
+                for x, y in zip(got.levels, want.levels, strict=True):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                for x, y in zip(got.supports, want.supports, strict=True):
+                    for a, b in zip(x, y, strict=True):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert _objective(ms, u, got) == dual_objective(variant, cost, ms, u)
+                if variant == "remark_b":
+                    top = cost.tensor_on(ms) - u.values[-1]
+                else:
+                    top = terminal_tensor(cost, ms, u)
+                assert scale == np.abs(top).max()
+
+    def test_unknown_variant_in_a_stack_refused(self):
+        u = DualVariables.zeros(MS_PAIR)
+        with pytest.raises(ValueError, match="unknown variant"):
+            _cascades(SQ2, MS_PAIR, [("proposition", u), ("bogus", u)])
+
+    def test_certify_searches_each_lower_block_once(self, monkeypatch):
+        # with 20-row blocks the showcase's level 2 (225 sections of 15
+        # atoms) takes 12 blocks and level 1 (15 sections) one; the lower
+        # side searches its three positions in one call per block, and
+        # remark_a, after the upper side, its one
+        search = cascade_module._supporting_pairs
+        rows = []
+
+        def counted(f, *args):
+            rows.append(f.shape[0])
+            return search(f, *args)
+
+        monkeypatch.setattr(cascade_module, "_supporting_pairs", counted)
+        monkeypatch.setattr(cascade_module, "BLOCK_VALUES", 20 * 15)
+        assert certify(*lognormal_showcase()).passed
+        one_pass = [20] * 11 + [5, 15]
+        assert rows == [3 * r for r in one_pass] + one_pass
 
 
 class TestStepwiseVariant:

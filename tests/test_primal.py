@@ -361,10 +361,11 @@ class TestHighsBindingsAgainstLinprog:
 
 
     def test_thread_options_solve_as_fresh_ones(self, monkeypatch):
-        # each thread builds each of its two HiGHS options objects once; a
-        # refused model, an infeasible one, both senses of the showcase and
-        # LPs on either side of PRIMAL_FROM_PATHS come between, and every
-        # solve is the same to the bit as one from freshly built options
+        # each thread builds its HiGHS object and each of its two HiGHS
+        # options objects once; a refused model, an infeasible one, both
+        # senses of the showcase and LPs on either side of PRIMAL_FROM_PATHS
+        # come between, and every solve is the same to the bit as one on a
+        # fresh object from freshly built options
         rng = np.random.default_rng(11)
         wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
         lps = [assemble_lp(*lognormal_showcase()),
@@ -376,11 +377,13 @@ class TestHighsBindingsAgainstLinprog:
         _solve(lps[2], +1)
         options = primal_module._THREAD.options, primal_module._THREAD.primal_options
         assert options[0] is not options[1]
+        highs = primal_module._THREAD.highs  # the thread's one HiGHS object, reloaded per solve
         for lp in lps:
             for sense in (+1, -1):
                 kept = _solve(lp, sense)
                 assert primal_module._THREAD.options is options[0]
                 assert primal_module._THREAD.primal_options is options[1]
+                assert primal_module._THREAD.highs is highs
                 with monkeypatch.context() as m:
                     m.setattr(primal_module, "_THREAD", threading.local())
                     fresh = _solve(lp, sense)
@@ -393,6 +396,20 @@ class TestHighsBindingsAgainstLinprog:
                     assert kept.duals.tobytes() == fresh.duals.tobytes()
                     assert kept.coupling.paths.tobytes() == fresh.coupling.paths.tobytes()
                     assert kept.coupling.mass.tobytes() == fresh.coupling.mass.tobytes()
+
+
+    def test_the_lp_worker_keeps_its_own_object(self):
+        lp = assemble_lp(*lognormal_showcase())
+        _solve(lp, +1)
+
+        def on_the_worker():
+            return _solve(lp, -1), primal_module._THREAD.highs
+
+        worker = primal_module._lp_worker()
+        (first, highs), (second, again) = (worker.submit(on_the_worker).result() for _ in range(2))
+        assert highs is again and highs is not primal_module._THREAD.highs
+        assert first.status == second.status == "optimal"
+        assert first.duals.tobytes() == second.duals.tobytes()
 
 
 class TestLpMethod:
@@ -432,15 +449,19 @@ class TestLpMethod:
             assert abs(np.dot(lp.b, sol.duals) - sol.value) <= 1e-9 * abs(sol.value)
             assert np.all(sense * (A.T @ sol.duals - lp.c) <= tol)
 
-    def test_row_check_reads_unscaled_rows(self, monkeypatch):
+    def test_row_check_reads_scaled_rows(self, monkeypatch):
         # at 1e9 times the showcase's atoms the martingale rows are missed by
         # about 5e-9 in lp's own units, and by about 1e-17 once divided by
-        # their largest entry; a check tolerance between the two fails the
-        # solve only if the check reads lp's own rows
+        # their largest entry; the check reads the rows HiGHS solved, so a
+        # tolerance between the two passes and one below the scaled misses
+        # still fails
+        lp = assemble_lp(*lognormal_showcase(1e9))
         monkeypatch.setattr(primal_module, "_CHECK_TOL", 1e-12)
-        assert _solve(assemble_lp(*lognormal_showcase()), +1).status == "optimal"
-        sol = _solve(assemble_lp(*lognormal_showcase(1e9)), +1)
+        sol = _solve(lp, +1)
         assert sol.stats["method"] == "primal simplex, equilibrated"
+        assert sol.status == "optimal"
+        monkeypatch.setattr(primal_module, "_CHECK_TOL", 1e-30)
+        sol = _solve(lp, +1)
         assert sol.status == "failed" and sol.coupling is None and sol.duals is None
 
 
