@@ -6,6 +6,13 @@ zigzag between facets and crawl along ridges. The optimizer therefore
 accumulates an adaptive metric from the gradient history (space dilation
 along successive gradient differences, after Shor's r-algorithm), which
 contracts the across-ridge component and lets the iterate travel the ridge.
+The metric B is held as base + P^T W (see _Metric): each dilation appends
+one row to the thin factors P and W, and base is the identity, never
+allocated, until the factors fill up and are folded into it by one matrix
+product. A metric of at most BLOCK_VALUES entries folds at every dilation,
+so it is the dense metric; on a larger one, a run with fewer dilations than
+the factors hold, such as a short run on a wide instance, holds no
+(sum m_i)^2 array.
 The reference only sets the step length: when the transport LP value is
 available and not yet reached, the step targets the remaining gap directly;
 otherwise it is INITIAL_STEP / sqrt(k). Every iterate is a valid bound, so
@@ -116,6 +123,50 @@ MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
 INITIAL_STEP = 1.0  # the step without a gap to target is INITIAL_STEP / sqrt(k)
 
 
+class _Metric:
+    """Shor's dilated-space basis B = base + P^T W, with base the identity until the first fold.
+
+    dilate(xi) appends p = B xi to P and (1/DILATION - 1) xi to W, the
+    rank-1 update B += (1/DILATION - 1) B xi xi^T. P and W hold cap rows; a
+    dilation that fills them folds them into base (base = I or base, plus
+    P^T W), the one size x size array. With cap 1 every dilation folds at
+    once, which is the dense rank-1 update.
+    """
+
+    def __init__(self, size: int, cap: int):
+        self.base = None  # the identity, until the first fold
+        self.p = np.empty((cap, size))
+        self.w = np.empty((cap, size))
+        self.rank = 0  # rows of P and W in use
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """B v, a new array."""
+        out = v.copy() if self.base is None else self.base @ v
+        if self.rank:
+            out += self.p[:self.rank].T @ (self.w[:self.rank] @ v)
+        return out
+
+    def t_dot(self, v: np.ndarray) -> np.ndarray:
+        """B^T v, a new array."""
+        out = v.copy() if self.base is None else self.base.T @ v
+        if self.rank:
+            out += self.w[:self.rank].T @ (self.p[:self.rank] @ v)
+        return out
+
+    def dilate(self, xi: np.ndarray) -> None:
+        """Contract B along the unit vector xi: B += (1/DILATION - 1) (B xi) xi^T."""
+        self.p[self.rank] = self.dot(xi)
+        np.multiply(xi, 1.0 / DILATION - 1.0, out=self.w[self.rank])
+        self.rank += 1
+        if self.rank == len(self.p):
+            fold = self.p.T @ self.w
+            if self.base is None:
+                fold.flat[::fold.shape[0] + 1] += 1.0
+            else:
+                fold += self.base
+            self.base, self.rank = fold, 0
+
+
 def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
          reference: Optional[float], start=None):
     variant = config.variant
@@ -126,8 +177,13 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     cuts = np.cumsum(ms.sizes[1:])[:-1]
     tables = np.split(x, cuts)  # views into x
     _project_zero_mean(tables, ms)
-    metric = np.eye(x.size)  # dilated-space basis, accumulated over the run
-    block = max(1, BLOCK_VALUES // x.size)  # rows of metric per rank-1 update block
+    # A metric of at most BLOCK_VALUES entries is held dense, each dilation folded at once: a
+    # dense product costs less than the thin ones' calls. A larger one holds factors of at most
+    # size // 2 rows, so B v costs no more than a dense product, and at most BLOCK_VALUES // size,
+    # so each thin product reads at most one block; a run dilates fewer than max_iters times.
+    dense = x.size**2 <= BLOCK_VALUES
+    cap = 1 if dense else min(BLOCK_VALUES // x.size, x.size // 2, config.max_iters)
+    metric = _Metric(x.size, max(1, cap))
     grad_prev = None
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
@@ -159,21 +215,14 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
         # is exact when the attained affine piece is active at the optimum.
         flat_g = np.concatenate(grads)
         if grad_prev is not None:
-            xi = metric.T @ (flat_g - grad_prev)
+            xi = metric.t_dot(flat_g - grad_prev)
             norm_xi = float(np.linalg.norm(xi))
             if norm_xi > EPSILON:
                 xi /= norm_xi
-                # metric += outer(metric @ xi, xi) * (1/DILATION - 1), a block of rows at a
-                # time, so no (sum m_i)^2 temporary is allocated
-                p = metric @ xi
-                for lo in range(0, x.size, block):
-                    rs = slice(lo, lo + block)
-                    blk = np.outer(p[rs], xi)
-                    blk *= 1.0 / DILATION - 1.0
-                    metric[rs] += blk
+                metric.dilate(xi)
         grad_prev = flat_g
-        dilated = metric.T @ flat_g
-        direction = metric @ dilated
+        dilated = metric.t_dot(flat_g)
+        direction = metric.dot(dilated)
         gap = (reference - value) * sign if reference is not None else 0.0
         denom = float(dilated @ dilated)
         if gap > 0 and denom > EPSILON**2:

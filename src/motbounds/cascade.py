@@ -18,7 +18,12 @@ the evaluation point, at O(m) per section and round and a few rounds per
 section. The top level's blocks are built from the cost tensor as they are
 searched, so no cascade holds T_n whole. The loop evaluates a stack of
 positions (variant, u) together, one search per block for all of them
-(see _cascades); cascade_down is the stack of one.
+(see _cascades); cascade_down is the stack of one. A block's rows, and
+the slopes its search computes, are written into one float buffer per
+thread (_section_buffer), grown on demand and reused by every block, level
+and evaluation on that thread, so neither is allocated per block, and a
+search holds at most one block-sized temporary at a time; nothing in the
+buffer outlives its block.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -186,28 +192,49 @@ def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> n
     return _terminal_rows(_built(cost, ms).top, ms, u, 0, rows).reshape(ms.sizes)
 
 
-def _minus_u(top_values, u: DualVariables, index) -> np.ndarray:
-    """top_values - u_2(x_2) - ... - u_n(x_n) as a new array, subtracted in that order.
+def _minus_u(top_values, u: DualVariables, index, out=None) -> np.ndarray:
+    """top_values - u_2(x_2) - ... - u_n(x_n), subtracted in that order, into out or a new array.
 
     index[k] picks the atoms of x_{k+2} (an index array or a slice) and
     broadcasts against top_values; every reader of T_n subtracts through
     here, so T_n is the same to the bit wherever it is read.
     """
-    out = top_values - u.values[0][index[0]]
+    out = np.subtract(top_values, u.values[0][index[0]], out=out)
     for t, idx in zip(u.values[1:], index[1:]):
         out -= t[idx]
     return out
 
 
-def _terminal_rows(top, ms: MarginalSequence, u: DualVariables, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of T_n's sections in x_n: one row per prefix (x_1..x_{n-1}) in row-major order."""
+def _terminal_rows(top, ms: MarginalSequence, u: DualVariables, lo: int, hi: int,
+                   out=None) -> np.ndarray:
+    """Rows lo:hi of T_n's sections in x_n: one row per prefix (x_1..x_{n-1}) in row-major order.
+
+    They are written into out, a (hi - lo) x m_n float array, when it is given.
+    """
     *prefix_sizes, m_n = ms.sizes
     prefix = np.unravel_index(np.arange(lo, hi), prefix_sizes)[1:]  # the atoms of x_2..x_{n-1}
     index = [idx[:, None] for idx in prefix] + [slice(None)]
-    return _minus_u(top.reshape(-1, m_n)[lo:hi], u, index)
+    return _minus_u(top.reshape(-1, m_n)[lo:hi], u, index, out)
 
 
-BLOCK_VALUES = 32768  # section values per block of rows: 256 KB keeps the search in cache
+# section values per block of rows: 256 KB keeps the search in cache. It also sizes the
+# ascent's metric (ascent._run): dense up to BLOCK_VALUES entries, else thin factors of at
+# most BLOCK_VALUES // (sum m_i) rows
+BLOCK_VALUES = 32768
+
+_THREAD = threading.local()  # rows: this thread's section buffer, see _section_buffer
+
+
+def _section_buffer(size: int) -> np.ndarray:
+    """size float values of this thread's section buffer, grown when too small.
+
+    The buffer is kept between calls, so the block loop of _envelope
+    reuses one array instead of mapping fresh memory for every block.
+    """
+    buf = getattr(_THREAD, "rows", None)
+    if buf is None or buf.size < size:
+        buf = _THREAD.rows = np.empty(size)
+    return buf[:size]
 
 
 class _Level:
@@ -267,24 +294,27 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
 def _envelope(section_rows, level: _Level, lower, top_abs=None):
     """Envelope values of k stacks of section rows at the points of level.
 
-    section_rows[p](lo, hi) gives rows lo:hi of stack p's sections,
-    tabulated on level.grid, and is read one block of rows at a time, so a
-    level's sections exist one block at a time unless the caller holds them.
-    lower[p] says which hull stack p takes. The value at t of the lower
-    (upper) hull is lam*f(y_a) + (1-lam)*f(y_b) for a supporting pair
-    y_a <= t <= y_b of the hull, with lam*y_a + (1-lam)*y_b = t; the pair is
-    returned for the supergradient. A block's rows of every stack go to one
-    _supporting_pairs call, an upper stack's rows negated: the upper hull of
-    f is the lower hull of -f, whose slopes and chord values are the exact
-    negations of f's. Rows are searched independently, so a row gets what it
-    gets in a stack of one. Returns vals, left, right and lam, of shape
-    (k, rows). top_abs, None or k zeros, is raised to each stack's max |.|.
+    section_rows[p](lo, hi, out) gives rows lo:hi of stack p's sections,
+    tabulated on level.grid: written into out, a (hi - lo) x m float array,
+    and returned, or returned as a view of rows the caller holds. It is read
+    one block of rows at a time, and out is a part of this thread's section
+    buffer, so a level's sections exist one block at a time unless the
+    caller holds them. lower[p] says which hull stack p takes. The value at
+    t of the lower (upper) hull is lam*f(y_a) + (1-lam)*f(y_b) for a
+    supporting pair y_a <= t <= y_b of the hull, with lam*y_a + (1-lam)*y_b
+    = t; the pair is returned for the supergradient. A block's rows of every
+    stack go to one _supporting_pairs call, an upper stack's rows negated:
+    the upper hull of f is the lower hull of -f, whose slopes and chord
+    values are the exact negations of f's. Rows are searched independently,
+    so a row gets what it gets in a stack of one. Returns vals, left, right
+    and lam, of shape (k, rows). top_abs, None or k zeros, is raised to each
+    stack's max |.|.
     """
     k, rows, m = len(section_rows), level.t.size, level.grid.size
     vals = np.empty((k, rows))
     if m == 1:
         for p, rows_of in enumerate(section_rows):
-            f = rows_of(0, rows)
+            f = rows_of(0, rows, _section_buffer(rows).reshape(rows, 1))
             vals[p] = f[:, 0]
             if top_abs is not None:
                 top_abs[p] = np.abs(f).max()
@@ -295,44 +325,39 @@ def _envelope(section_rows, level: _Level, lower, top_abs=None):
     # -1.0 for an upper stack: times it, a value is negated exactly
     sign = None if all(lower) else np.where(lower, 1.0, -1.0)
     block = max(1, BLOCK_VALUES // m)
+    size = k * min(block, rows) * m
+    buf = _section_buffer(2 * size)
+    sections, spare = buf[:size], buf[size:]  # a block's rows, and its search's slopes
     for lo in range(0, rows, block):
         hi = min(lo + block, rows)
         rs = slice(lo, hi)
-        blocks = [rows_of(lo, hi) if low else -rows_of(lo, hi)
-                  for rows_of, low in zip(section_rows, lower)]
-        if k == 1:
-            f, t, split = blocks[0], level.t[rs], level.split[rs]
+        f = sections[:k * (hi - lo) * m].reshape(k, hi - lo, m)
+        if k == 1 and lower[0]:
+            f = section_rows[0](lo, hi, f[0])  # a view of the caller's rows is searched as it is
         else:
-            f = np.concatenate(blocks)
+            for rows_of, low, out in zip(section_rows, lower, f):
+                got = rows_of(lo, hi, out)
+                if not low:
+                    np.negative(got, out=out)  # in place when got is out
+                elif got is not out:
+                    out[...] = got
+            f = f.reshape(-1, m)
+        if k == 1:
+            t, split = level.t[rs], level.split[rs]
+        else:
             t, split = np.tile(level.t[rs], k), np.tile(level.split[rs], k)
-        del blocks  # a stack searches its own copy
         if top_abs is not None:
             np.maximum(top_abs, np.abs(f).reshape(k, -1).max(axis=1), out=top_abs)
-        row_sign = None if sign is None else np.repeat(sign, hi - lo)
-        for out, x in zip((left, right, lam, vals), _search_block(f, t, split, level, row_sign)):
+        found = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars, spare)
+        if sign is not None:
+            found[3] *= np.repeat(sign, hi - lo)  # an upper stack's values, read back exactly
+        for out, x in zip((left, right, lam, vals), found):
             out[:, rs] = x.reshape(k, -1)
     return vals, left, right, lam
 
 
-def _search_block(f, t, split, level: _Level, row_sign):
-    """Supporting pairs a, b, weights lam and hull values of the rows of f, one block.
-
-    row_sign is None, or a factor per row, -1.0 on the rows of an upper
-    stack, which f holds negated, and 1.0 elsewhere: it reads their values
-    back exactly. The temporaries die here, so none is held beside the next
-    block's search.
-    """
-    a, b, lam = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars)
-    every = np.arange(f.shape[0])
-    f_a, f_b = f[every, a], f[every, b]
-    if row_sign is not None:
-        f_a *= row_sign
-        f_b *= row_sign
-    return a, b, lam, lam * f_a + (1.0 - lam) * f_b
-
-
-def _supporting_pairs(f, y, t, split, kernel, bars):
-    """Exact supporting pair (a, b) and weight lam of each row's lower hull at its t.
+def _supporting_pairs(f, y, t, split, kernel, bars, spare):
+    """Exact supporting pair (a, b), weight lam and value of each row's lower hull at its t.
 
     Atoms before split[r] are the left points of row r (y <= t, except that
     the last atom is always a right point), the rest its right points. From
@@ -351,11 +376,19 @@ def _supporting_pairs(f, y, t, split, kernel, bars):
     live row, so the first minimum or maximum, and the pair, are those of
     the whole row. The rows of a block of consecutive atoms share most of a
     window; rows that cycle through every split (a tiled level) scan all m.
+
+    A half-step writes its slopes into spare, at least f.size floats, so it
+    holds at most one block-sized temporary at a time (the gathered rows of
+    f, of the kernel or of the bars): with two, the heap top they share can
+    be handed back to the system after each half-step and faulted in again
+    by the next. A row's value is its last chord value,
+    lam*f(y_a) + (1-lam)*f(y_b).
     """
     rows, m = f.shape
     left = np.empty(rows, dtype=np.intp)
     right = np.empty(rows, dtype=np.intp)
     lam_out = np.empty(rows)
+    value = np.empty(rows)
     live = np.arange(rows)  # the rows still searching
     a = split - 1
     b = np.full(rows, -1)
@@ -366,7 +399,9 @@ def _supporting_pairs(f, y, t, split, kernel, bars):
         c = a if move_right else b  # slopes are seen from c
         cols = slice(split.min(), m) if move_right else slice(0, split.max())
         f_c = f[live, c]
-        slopes = f[live, cols]
+        slopes = spare[:live.size * (cols.stop - cols.start)].reshape(live.size, -1)
+        # while every row searches, its rows are read without a gather
+        slopes[...] = f[live, cols] if live.size < rows else f[:, cols]
         slopes -= f_c[:, None]
         slopes *= kernel[c, cols]
         if move_right:
@@ -379,18 +414,18 @@ def _supporting_pairs(f, y, t, split, kernel, bars):
             new = slopes.argmax(axis=1)
             moved = new != a
             a, f_a, f_b = new, f[live, new], f_c
-        del slopes  # so the next half-step's block is not allocated beside it
         lam = (y[b] - t) / (y[b] - y[a])
         w = lam * f_a + (1.0 - lam) * f_b
         done = ~moved | (w >= w_back2)
         w_back2, w_back1 = w_back1, w
         move_right = not move_right
         if done.any():
-            left[live[done]], right[live[done]], lam_out[live[done]] = a[done], b[done], lam[done]
+            out = live[done]
+            left[out], right[out], lam_out[out], value[out] = a[done], b[done], lam[done], w[done]
             keep = ~done
             live, a, b, split, t = live[keep], a[keep], b[keep], split[keep], t[keep]
             w_back1, w_back2 = w_back1[keep], w_back2[keep]
-    return left, right, lam_out
+    return [left, right, lam_out, value]
 
 
 def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> CascadeTensors:
@@ -438,12 +473,12 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
         for (variant, u), cur in zip(positions, current):
             sections = cur.reshape(-1, ms.sizes[i])
             if variant == "remark_b":
-                def rows_of(lo, hi, sections=sections, t=u.values[i - 1]):
-                    return sections[lo:hi] - t
+                def rows_of(lo, hi, out, sections=sections, t=u.values[i - 1]):
+                    return np.subtract(sections[lo:hi], t, out=out)
             elif cur is top:
                 rows_of = functools.partial(_terminal_rows, top, ms, u)
             else:
-                def rows_of(lo, hi, sections=sections):
+                def rows_of(lo, hi, out, sections=sections):
                     return sections[lo:hi]
             section_rows.append(rows_of)
         vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1], lower,

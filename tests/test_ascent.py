@@ -25,6 +25,7 @@ from motbounds import (
     descend_upper,
     dual_objective,
     multipliers_to_semistatic,
+    quantize_lognormal,
     relative_gap,
     solve_primal,
     solve_primal_max,
@@ -290,6 +291,115 @@ class TestTraceInvariants:
         c2, t2 = ascend(cost, ms, primal_value=lo.value)
         assert np.array_equal(t1.values, t2.values)
         assert c1.dual_value == c2.dual_value
+
+
+class DenseMetric:
+    """The r-algorithm's metric as one dense matrix from the identity, dilated by rank-1 updates."""
+
+    def __init__(self, size):
+        self.b = np.eye(size)
+
+    def dot(self, v):
+        return self.b @ v
+
+    def t_dot(self, v):
+        return self.b.T @ v
+
+    def dilate(self, xi):
+        self.b += np.outer(self.b @ xi, xi) * (1.0 / ascent_module.DILATION - 1.0)
+
+
+def assert_relative(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class RecordedMetric(ascent_module._Metric):
+    """The low-rank metric; runs lists every one built."""
+
+    runs = []
+
+    def __init__(self, size, cap):
+        super().__init__(size, cap)
+        RecordedMetric.runs.append(self)
+
+
+class CheckedMetric(RecordedMetric):
+    """The low-rank metric, each product checked against DenseMetric's."""
+
+    def __init__(self, size, cap):
+        super().__init__(size, cap)
+        self.dense = DenseMetric(size)
+        self.folds = 0
+
+    def dot(self, v):
+        got = super().dot(v)
+        assert_relative(got, self.dense.dot(v))
+        return got
+
+    def t_dot(self, v):
+        got = super().t_dot(v)
+        assert_relative(got, self.dense.t_dot(v))
+        return got
+
+    def dilate(self, xi):
+        self.folds += self.rank + 1 == len(self.p)
+        super().dilate(xi)
+        self.dense.dilate(xi)
+
+
+class TestLowRankMetric:
+    """ascent._Metric, base + P^T W, against the dense metric it stands for."""
+
+    @pytest.mark.parametrize("cap", [1, 4, 40])
+    def test_random_dilations_match_the_dense_metric(self, rng, cap):
+        size = 30
+        metric = CheckedMetric(size, cap)
+        for _ in range(35):  # the factors fold each time they fill: 35 // cap times
+            xi = metric.t_dot(rng.standard_normal(size))
+            metric.dilate(xi / np.linalg.norm(xi))
+            for v in rng.standard_normal((3, size)):
+                metric.dot(v)
+                metric.t_dot(v)
+        assert metric.folds == 35 // cap and (metric.base is None) == (cap > 35)
+
+    @pytest.mark.parametrize("variant", ["proposition", "remark_a"])
+    def test_runs_that_fold_match_the_dense_metric(self, monkeypatch, variant):
+        ms = MarginalSequence([quantize_lognormal(-s * s / 2, s, 12) for s in (0.1, 0.2, 0.3)])
+        monkeypatch.setattr(ascent_module, "_Metric", CheckedMetric)
+        monkeypatch.setattr(ascent_module, "BLOCK_VALUES", 3 * 24)  # factors of 3 rows
+        RecordedMetric.runs.clear()
+        _, trace = ascend(CostSpec(3, "basket", strike=1.0), ms,
+                          AscentConfig(variant=variant, max_iters=40))
+        (metric,) = RecordedMetric.runs
+        assert len(trace) == 40 and metric.p.shape == (3, 24) and metric.folds >= 5
+
+    @pytest.mark.parametrize("variant", ["proposition", "remark_a"])
+    def test_a_metric_within_one_block_is_the_dense_metric_to_the_bit(self, variant):
+        """Sum m_i = 16: 256 entries, so every dilation folds at once, a dense rank-1 update."""
+        ms = MarginalSequence([quantize_lognormal(-s * s / 2, s, 8) for s in (0.1, 0.2, 0.3)])
+        cost, config = CostSpec(3, "basket", strike=1.0), AscentConfig(variant=variant, max_iters=60)
+        runs = [ascend(cost, ms, config)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ascent_module, "_Metric", lambda size, cap: DenseMetric(size))
+            runs.append(ascend(cost, ms, config))
+        (low, low_trace), (dense, dense_trace) = runs
+        assert len(low_trace) == 60 and low_trace.values.tobytes() == dense_trace.values.tobytes()
+        for a, b in zip(low.dual_variables.values, dense.dual_variables.values, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_run_below_the_cap_allocates_no_square_metric(self, monkeypatch):
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye called")
+
+        ms = MarginalSequence([quantize_lognormal(-s * s / 2, s, 200) for s in (0.1, 0.2)])
+        monkeypatch.setattr(np, "eye", no_eye)
+        monkeypatch.setattr(ascent_module, "_Metric", RecordedMetric)
+        RecordedMetric.runs.clear()
+        _, trace = descend_upper(CostSpec(2, "basket", strike=1.0), ms, AscentConfig(max_iters=30))
+        (metric,) = RecordedMetric.runs
+        # 200^2 entries are over one block: 28 dilations, and a cap of min(163, 100, 30) = 30 rows
+        assert len(trace) == 30 and metric.p.shape == (30, 200)
+        assert metric.base is None and 0 < metric.rank < 30
 
 
 class TestCertify:

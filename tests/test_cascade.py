@@ -1,6 +1,7 @@
 """Dual positions, cascade recursion, batched envelope, dual value, supergradient, sub-hedge."""
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -80,7 +81,7 @@ def reference_cascade(cost, ms, u, variant):
 
 def batched_envelope(sections, grid, eval_atoms, lower):
     """The production search, a stack of one, over every row at eval_atoms[r % len(eval_atoms)]."""
-    out = _envelope([lambda lo, hi: sections[lo:hi]],
+    out = _envelope([lambda lo, hi, out: sections[lo:hi]],
                     _Level(grid, eval_atoms, sections.shape[0]), [lower])
     return tuple(x[0] for x in out)
 
@@ -565,6 +566,25 @@ class TestBlocksOfRows:
         assert peak < top.nbytes / 2
 
 
+    @pytest.mark.parametrize("variant", ["proposition", "remark_a"])
+    def test_a_warm_search_holds_one_block_of_values_at_a_time(self, rng, variant):
+        """Beyond the thread's section buffer, a warm evaluation at n=2, m=400 peaks below
+        1.5 blocks: the rows and slopes live in the buffer, and each half-step's gathered
+        rows die before the next gather. Two block-sized arrays alive at once can make the
+        heap give its top back to the system after every half-step, and fault it in again."""
+        ms = MarginalSequence([quantize_lognormal(-s * s / 2, s, 400) for s in (0.1, 0.2)])
+        cost, u = CostSpec(2, "basket", strike=1.0), random_duals(rng, ms)
+        dual_value_and_subgradient(variant, cost, ms, u)  # the instance's build and the buffer
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dual_value_and_subgradient(variant, cost, ms, u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * cascade_module.BLOCK_VALUES
+
+
 class TestStackedCascades:
     """_cascades runs a stack of (variant, u) positions in one pass over the levels;
     each position gets what cascade_down gives it alone, to the bit."""
@@ -627,6 +647,73 @@ class TestStackedCascades:
         assert certify(*lognormal_showcase()).passed
         one_pass = [20] * 11 + [5, 15]
         assert rows == [3 * r for r in one_pass] + one_pass
+
+
+class TestSectionBuffer:
+    """Each thread writes its blocks of rows, and their slopes, into one buffer of its own,
+    reused across evaluations; what a warm buffer holds changes no bit of a cascade."""
+
+    @staticmethod
+    def on_fresh_thread(fn):
+        """fn() on a new thread, and that thread's section buffer afterwards."""
+        out = {}
+
+        def target():
+            out["result"] = fn()
+            out["rows"] = cascade_module._THREAD.rows
+
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return out["result"], out["rows"]
+
+    @staticmethod
+    def cases(rng):
+        """(cost, ms, positions): one position of each variant, and stacks with upper rows."""
+        instances = [random_instance(rng, n, max_size=9) for n in (2, 3, 4)]
+        instances += [(random_cost(rng, ms), ms)  # levels whose sections have one atom
+                      for ms in (MarginalSequence([D0, D0, PM1]), MarginalSequence([D0, D0, D0, PM1]))]
+        for cost, ms in instances:
+            u, zero = random_duals(rng, ms), DualVariables.zeros(ms)
+            for variant in VARIANTS:
+                yield cost, ms, [(variant, u)]
+            yield cost, ms, [("proposition", u), ("remark_b", u), ("proposition", zero)]
+            yield cost, ms, [("remark_a", u), ("proposition", u), ("remark_a", zero), ("remark_b", u)]
+
+    def test_warm_evaluations_reuse_one_buffer_and_a_thread_gets_its_own(self, rng):
+        cost, ms = random_instance(rng, 3, max_size=9)
+        cascade_down("proposition", cost, ms, random_duals(rng, ms))
+        first = cascade_module._THREAD.rows
+        cascade_down("remark_a", cost, ms, random_duals(rng, ms))
+        assert np.shares_memory(first, cascade_module._THREAD.rows)
+        _, other = self.on_fresh_thread(
+            lambda: cascade_down("remark_b", cost, ms, random_duals(rng, ms)))
+        assert not np.shares_memory(other, cascade_module._THREAD.rows)
+
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    def test_a_warm_buffer_gives_a_fresh_threads_cascade(self, rng, monkeypatch, block_rows):
+        """Every case on a buffer filled with NaN equals, byte for byte, its positions
+        run one at a time on a fresh thread."""
+        for cost, ms, positions in self.cases(rng):
+            if block_rows:  # blocks smaller than a level, on both threads
+                monkeypatch.setattr(cascade_module, "BLOCK_VALUES", block_rows * max(ms.sizes[1:]))
+            alone, _ = self.on_fresh_thread(
+                lambda: [_cascades(cost, ms, [position], top_abs=True) for position in positions])
+            fresh = [casc for (casc,), _ in alone]
+            fresh_abs = np.concatenate([top_abs for _, top_abs in alone])
+            _cascades(cost, ms, positions)
+            cascade_module._THREAD.rows.fill(np.nan)  # a value read before it is written shows
+            warm, warm_abs = _cascades(cost, ms, positions, top_abs=True)
+            assert warm_abs.tobytes() == fresh_abs.tobytes()
+            for got, want in zip(warm, fresh, strict=True):
+                for x, y in zip(got.levels, want.levels, strict=True):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                for x, y in zip(got.supports, want.supports, strict=True):
+                    for a, b in zip(x, y, strict=True):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for (_, u), got, want in zip(positions, warm, fresh):
+                assert _objective(ms, u, got) == _objective(ms, u, want)
 
 
 class TestStepwiseVariant:
