@@ -1,4 +1,4 @@
-"""Supergradient ascent on the dual tables and primal/dual gap certification.
+"""Supergradient ascent on the dual tables, after Shor's r-algorithm.
 
 The dual objective is piecewise affine and concave (lower variants) or convex
 (upper variant) in the finitely many table entries, so plain subgradient steps
@@ -21,56 +21,36 @@ routine, ascend, runs every variant, and the variant alone sets the
 direction: it maximizes the lower variants and minimizes remark_a. A run
 starts at u = 0 unless it is given a start.
 
-Certification runs no optimizer. By the multi-period duality, for fixed
-u_2..u_n the cascade finds the best u_1 and trading positions, so one
-cascade at an LP side's own marginal multipliers is a certificate whose
-value meets that side's LP value.
+This module reads no LP code: a reference is a number from the caller.
+Certification runs no optimizer, and lives in certification.
 """
 
 from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .cascade import (
     BLOCK_VALUES,
+    DEFAULT_TARGET_GAP,
     LOWER_VARIANTS,
     VARIANTS,
-    CascadeTensors,
     DualCertificate,
     DualVariables,
-    SubhedgeReport,
-    _built,
-    _cascades,
-    _objective,
-    _subhedge,
-    cascade_down,
+    _check_target_gap,
+    _project_zero_mean,
     dual_value_and_subgradient,
+    relative_gap,
 )
-from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SequenceReport, validate_sequence
-from .primal import (
-    CouplingReport,
-    LpProblem,
-    PrimalSolution,
-    _lp_worker,
-    _solve,
-    assemble_lp,
-    validate_coupling,
-)
+from .measures import CostSpec, MarginalSequence
 
 GRAD_TOL = 1e-7
 DILATION = 2.0  # metric contraction along gradient differences
 EPSILON = 1e-8
-DEFAULT_TARGET_GAP = 1e-4  # relative; the default of ascend and certify alike
-
-
-def relative_gap(value: float, reference: float) -> float:
-    """|value - reference| / (1 + |reference|)."""
-    return abs(value - reference) / (1.0 + abs(reference))
 
 
 @dataclass(frozen=True)
@@ -89,12 +69,6 @@ class AscentConfig:
         _check_target_gap(self.target_gap)
 
 
-def _check_target_gap(target_gap) -> None:
-    """ValueError unless target_gap is a finite positive number (a bool is refused)."""
-    if isinstance(target_gap, bool) or not 0 < target_gap < np.inf:
-        raise ValueError("target_gap must be finite and positive")
-
-
 @dataclass(eq=False)
 class AscentTrace:
     """Per-iteration record of the optimizer run."""
@@ -107,16 +81,6 @@ class AscentTrace:
 
     def __len__(self):
         return self.values.size
-
-
-def _project_zero_mean(tables, ms: MarginalSequence) -> None:
-    """Gauge fixing: remove the weighted mean of each table in place.
-
-    The objective is invariant under constant shifts of any u_i, so the
-    projection changes nothing but pins the iterates and certify's tables.
-    """
-    for i, t in enumerate(tables, start=1):
-        t -= np.dot(ms[i].weights, t)
 
 
 MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
@@ -259,181 +223,3 @@ def descend_upper(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentC
     """ascend with variant remark_a, whatever config.variant says."""
     config = replace(config or AscentConfig(), variant="remark_a")
     return _run(cost, ms, config, reference=primal_value, start=start)
-
-
-@dataclass(eq=False)
-class CertifyReport:
-    """Five-value certification: both LP sides and all three dual certificates.
-
-    Each certificate is one cascade at its LP side's multipliers; missed
-    lists the variants whose gap is not below target_gap. timings holds the
-    consecutive wall-clock laps of the phases that ran, in this order:
-    validation; lp_lower, to the lower solution; duals_lower, the proposition
-    and remark_b certificates, in the one cascade pass that also runs u = 0;
-    subhedge, the coupling check and both sub-hedges; lp_upper, the rest of the wait for the upper side; dual_upper,
-    the remark_a certificate. The upper LP solves during the three laps from
-    lp_lower on, so each side's own solver time is its stats["solve_s"].
-    as_dict gives a side's value only when it is optimal. The certificates,
-    coupling_check and sub-hedges are set only when both sides are optimal,
-    and the sub-hedges only when coupling_check, validate_coupling's report
-    on the lower side's coupling, is ok.
-    """
-
-    validation: SequenceReport
-    target_gap: float
-    primal_lower: Optional[PrimalSolution] = None
-    primal_upper: Optional[PrimalSolution] = None
-    certificates: dict = field(default_factory=dict)
-    coupling_check: Optional[CouplingReport] = None
-    subhedge_zero: Optional[SubhedgeReport] = None
-    subhedge_best: Optional[SubhedgeReport] = None
-    elapsed_s: float = 0.0
-    timings: dict = field(default_factory=dict)  # wall seconds per phase that ran
-
-    @property
-    def feasible(self) -> bool:
-        """The marginals pass the convex-order check, so a martingale coupling exists."""
-        return self.validation.ok
-
-    @property
-    def gaps(self) -> dict:
-        """Each certificate's relative gap to its LP side's value."""
-        return {variant: cert.gap_vs_primal for variant, cert in self.certificates.items()}
-
-    @property
-    def missed(self) -> list:
-        """The variants whose gap is not below target_gap; empty before any certificate."""
-        return [variant for variant, gap in self.gaps.items() if not gap < self.target_gap]
-
-    @property
-    def passed(self) -> bool:
-        """No variant missed and both sub-hedges, run after all three certificates, verified."""
-        return (self.subhedge_best is not None and self.subhedge_zero.ok and self.subhedge_best.ok
-                and not self.missed)
-
-    def as_dict(self) -> dict:
-        out = {
-            "feasible": self.feasible,
-            "validation": self.validation.as_dict(),
-            "target_gap": self.target_gap,
-            "passed": self.passed,
-            "elapsed_s": self.elapsed_s,
-            "timings": dict(self.timings),
-            "gaps": self.gaps,
-            "missed": self.missed,
-        }
-        for key, side in (("primal_lower", self.primal_lower), ("primal_upper", self.primal_upper)):
-            if side is not None:
-                value = side.value if side.status == "optimal" else None
-                out[key] = {"value": value, "status": side.status, "stats": side.stats}
-        out["certificates"] = {k: v.as_dict() for k, v in self.certificates.items()}
-        if self.coupling_check is not None:
-            out["coupling_check"] = asdict(self.coupling_check)
-        if self.subhedge_zero is not None:
-            out["subhedge_zero"] = self.subhedge_zero.as_dict()
-        if self.subhedge_best is not None:
-            out["subhedge_best"] = self.subhedge_best.as_dict()
-        return out
-
-
-def _certificate(variant: str, ms: MarginalSequence, side: PrimalSolution, u: DualVariables,
-                 casc: CascadeTensors) -> DualCertificate:
-    """variant's certificate at u, the tables of side's multipliers, from casc, its cascade at u."""
-    value = _objective(ms, u, casc)
-    return DualCertificate(variant, u, value, relative_gap(value, side.value))
-
-
-def _gauged_position(side: PrimalSolution, ms: MarginalSequence) -> DualVariables:
-    """side's marginal multipliers u_2, ..., u_n, gauge-fixed as ascend fixes its start.
-
-    Only the u_2..u_n blocks of side.duals are copied; the first cascade
-    that reads the tables checks them.
-    """
-    ends = np.cumsum(ms.sizes)
-    # views of a copy, so the in-place gauge leaves side.duals as HiGHS gave them
-    tables = np.split(side.duals[ends[0]:ends[-1]].copy(), ends[1:-1] - ends[0])
-    _project_zero_mean(tables, ms)
-    return DualVariables(ms.grids[1:], tuple(tables))
-
-
-def _upper_side(cost: CostSpec, ms: MarginalSequence, lp: LpProblem) -> PrimalSolution:
-    """The LP worker's task: build what every cascade of (cost, ms) shares, then maximise.
-
-    The build runs while the caller is inside HiGHS, which releases the
-    interpreter lock, so the caller's first cascade finds it in _built's cache.
-    """
-    _built(cost, ms)
-    return _solve(lp, -1)
-
-
-def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT_TARGET_GAP,
-            var_cap: int = DEFAULT_VAR_CAP) -> CertifyReport:
-    """Solve both LP sides and evaluate all three dual certificates at their multipliers.
-
-    target_gap must be finite and positive (else ValueError). The LP is
-    assembled once on the calling thread, so a var_cap refusal
-    (SizeCapError) starts no thread. The one long-lived LP worker
-    (primal._lp_worker), which concurrent certify calls share, builds what
-    every cascade of the instance shares (cascade._built) and then solves
-    the maximisation, while the caller solves the minimisation; result()
-    re-raises the worker's exception. While the upper side solves, the
-    caller checks the lower one, in one cascade pass over three positions:
-    proposition and remark_b at its multipliers, and proposition at u = 0.
-    The sub-hedges, for u = 0 and for the proposition certificate's u, read
-    their T_1 and max |T_n| from that pass, and run on its coupling only if
-    that passes validation, which HiGHS's absolute tolerances can break on
-    a tiny price scale. remark_a then reads the upper side's multipliers.
-    Each certificate is one cascade at its side's multipliers u_2, ..., u_n,
-    gauge-fixed as ascend fixes its start, with the value of
-    dual_objective. It is a valid bound whatever its gap; a gap not below
-    target_gap puts the variant in missed, and no ascent runs. Every cascade
-    runs on the calling thread.
-    """
-    _check_target_gap(target_gap)
-    clock = start = time.perf_counter()
-    timings = {}
-
-    def lap(phase: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        timings[phase] = now - clock
-        clock = now
-
-    validation = validate_sequence(ms)
-    lap("validation")
-    report = CertifyReport(validation, target_gap, timings=timings)
-    if not validation.ok:
-        report.elapsed_s = time.perf_counter() - start
-        return report
-    lp = assemble_lp(cost, ms, var_cap)
-    pending = _lp_worker().submit(_upper_side, cost, ms, lp)
-    lower = _solve(lp, +1)
-    lap("lp_lower")
-    found = {}  # the lower side's report fields, set once both sides are optimal
-    if lower.status == "optimal":
-        u, zero = _gauged_position(lower, ms), DualVariables.zeros(ms)
-        (best, stepwise, at_zero), t_n_max = _cascades(
-            cost, ms, [("proposition", u), ("remark_b", u), ("proposition", zero)], top_abs=True)
-        found["certificates"] = {"proposition": _certificate("proposition", ms, lower, u, best),
-                                 "remark_b": _certificate("remark_b", ms, lower, u, stepwise)}
-        lap("duals_lower")
-        coupling = lower.coupling
-        check = found["coupling_check"] = validate_coupling(coupling, ms)
-        if check.ok:
-            found["subhedge_zero"] = _subhedge(cost, ms, zero, coupling, at_zero.levels[0],
-                                               t_n_max[2])
-            found["subhedge_best"] = _subhedge(cost, ms, u, coupling, best.levels[0], t_n_max[0])
-        lap("subhedge")
-    upper = pending.result()
-    lap("lp_upper")
-    report.primal_lower = lower
-    report.primal_upper = upper
-    if found and upper.status == "optimal":
-        u = _gauged_position(upper, ms)
-        found["certificates"]["remark_a"] = _certificate(
-            "remark_a", ms, upper, u, cascade_down("remark_a", cost, ms, u))
-        lap("dual_upper")
-        for name, value in found.items():
-            setattr(report, name, value)
-    report.elapsed_s = time.perf_counter() - start
-    return report

@@ -46,10 +46,10 @@ dual_value_and_subgradient computes both; dual_objective is its value.
 DualVariables.check is the one check of a position: the count of its tables,
 their shapes, grids equal to the atoms, and finite entries. from_tables and
 zeros run it, and so does every cascade before it reads a table
-(terminal_tensor and _cascades), so a non-finite table is refused
-however the position was built. CostSpec comes from measures, so
-primal, whose validate_coupling the sub-hedge check uses, does not import
-this module.
+(_cascades), so a non-finite table is refused however the position was
+built. This module reads no LP code: CostSpec comes from measures, and the
+sub-hedge check, which validates an LP coupling, lives in certification,
+the one module that imports both this one and primal.
 """
 
 from __future__ import annotations
@@ -64,12 +64,10 @@ import numpy as np
 
 from .envelope import _clamp
 from .measures import CostSpec, MarginalSequence, is_json_number
-from .primal import Coupling, CouplingReport, validate_coupling
 
 VARIANTS = ("proposition", "remark_a", "remark_b")
 LOWER_VARIANTS = ("proposition", "remark_b")
-
-SUBHEDGE_TOL = 1e-9  # times max(1, max |T_n|), so a rescaled instance keeps its verdict
+DEFAULT_TARGET_GAP = 1e-4  # relative; the default of ascend and certify alike
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +75,8 @@ class DualVariables:
     """Static dual positions u_2, ..., u_n, tabulated on the marginal atoms.
 
     values[i-2] is the float table of u_i on grids[i-2], the atoms of mu_i.
-    from_tables and zeros run check; a position built by from_json or the
-    constructor is checked by the first cascade that reads it.
+    from_tables and zeros run check; a position from DualCertificate.from_dict
+    or the constructor is checked by the first cascade that reads it.
     """
 
     grids: tuple  # the atom arrays of mu_2, ..., mu_n
@@ -112,18 +110,6 @@ class DualVariables:
     def tables(self) -> list:
         return [t.copy() for t in self.values]
 
-    def as_json(self) -> list:
-        return [{"grid": g.tolist(), "values": t.tolist()} for g, t in zip(self.grids, self.values)]
-
-    @classmethod
-    def from_json(cls, payload: list) -> "DualVariables":
-        """The inverse of as_json; ValueError unless every grid and table is a list of numbers."""
-        if not isinstance(payload, list) or not all(isinstance(d, dict) for d in payload):
-            raise ValueError("u: expected a list of {grid, values} objects")
-        return cls(tuple(_json_floats(d.get("grid"), f"u[{k}].grid") for k, d in enumerate(payload)),
-                   tuple(_json_floats(d.get("values"), f"u[{k}].values")
-                         for k, d in enumerate(payload)))
-
 
 def _json_floats(values, field: str) -> np.ndarray:
     """A float array from a JSON list of numbers; ValueError naming field for anything else."""
@@ -137,8 +123,8 @@ class CascadeTensors:
     """The cascade levels T_1, ..., T_{n-1} plus the two-point envelope supports.
 
     levels[i-1] holds T_i on the prefix product grid of mu_1 x ... x mu_i.
-    The top level T_n is not held: terminal_tensor builds it on demand, and
-    remark_b's top is the instance's cost tensor, CostSpec.tensor_on.
+    The top level T_n is not held: cascades read it a block of rows at a
+    time, and remark_b's top is the instance's cost tensor, CostSpec.tensor_on.
     supports[i-1] = (left, right, lam) arrays over level-i prefixes: the
     atom indices of mu_{i+1} supporting the envelope value and its convex
     combination weight (artifact data used by the supergradient and the
@@ -151,7 +137,7 @@ class CascadeTensors:
 
 @dataclass(frozen=True, eq=False)
 class DualCertificate:
-    """Dual variables with their attained objective value."""
+    """Dual variables with their attained objective value, and its relative_gap to an LP side."""
 
     variant: str
     dual_variables: DualVariables
@@ -159,9 +145,10 @@ class DualCertificate:
     gap_vs_primal: Optional[float] = None
 
     def as_dict(self) -> dict:
+        u = self.dual_variables
         out = {
             "variant": self.variant,
-            "u": self.dual_variables.as_json(),
+            "u": [{"grid": g.tolist(), "values": t.tolist()} for g, t in zip(u.grids, u.values)],
             "dual_value": self.dual_value,
         }
         if self.gap_vs_primal is not None:
@@ -178,18 +165,33 @@ class DualCertificate:
             raise ValueError(f"dual_value: expected a number, got {value!r}")
         if gap is not None and not is_json_number(gap):
             raise ValueError(f"gap_vs_primal: expected a number or null, got {gap!r}")
-        return cls(variant, DualVariables.from_json(payload.get("u")), float(value), gap)
+        u = payload.get("u")
+        if not isinstance(u, list) or not all(isinstance(d, dict) for d in u):
+            raise ValueError("u: expected a list of {grid, values} objects")
+        grids = tuple(_json_floats(d.get("grid"), f"u[{k}].grid") for k, d in enumerate(u))
+        tables = tuple(_json_floats(d.get("values"), f"u[{k}].values") for k, d in enumerate(u))
+        return cls(variant, DualVariables(grids, tables), float(value), gap)
 
 
-def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> np.ndarray:
-    """Top-level tensor T_n: cost minus the static positions, on the product grid.
+def relative_gap(value: float, reference: float) -> float:
+    """|value - reference| / (1 + |reference|)."""
+    return abs(value - reference) / (1.0 + abs(reference))
 
-    A new array, built on demand: no cascade calls it, since each reads T_n
-    one block of rows at a time from the read-only cost tensor of _built.
+
+def _check_target_gap(target_gap) -> None:
+    """ValueError unless target_gap is a finite positive number (a bool is refused)."""
+    if isinstance(target_gap, bool) or not 0 < target_gap < np.inf:
+        raise ValueError("target_gap must be finite and positive")
+
+
+def _project_zero_mean(tables, ms: MarginalSequence) -> None:
+    """Gauge fixing: remove the weighted mean of each table in place.
+
+    The objective is invariant under constant shifts of any u_i, so the
+    projection changes nothing but pins the iterates and certify's tables.
     """
-    u.check(ms)
-    rows = math.prod(ms.sizes[:-1])
-    return _terminal_rows(_built(cost, ms).top, ms, u, 0, rows).reshape(ms.sizes)
+    for i, t in enumerate(tables, start=1):
+        t -= np.dot(ms[i].weights, t)
 
 
 def _minus_u(top_values, u: DualVariables, index, out=None) -> np.ndarray:
@@ -498,12 +500,6 @@ def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVa
     return dual_value_and_subgradient(variant, cost, ms, u)[0]
 
 
-def _evaluate(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables):
-    """dual_objective's value and the cascade it reads, with no supergradient."""
-    casc = cascade_down(variant, cost, ms, u)
-    return _objective(ms, u, casc), casc
-
-
 def _objective(ms: MarginalSequence, u: DualVariables, casc: CascadeTensors) -> float:
     """E_{mu_1}[T_1] + sum_i E_{mu_i}[u_i], from casc, the cascade at u."""
     value = float(np.dot(ms[0].weights, casc.levels[0]))
@@ -522,7 +518,8 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     marginal unchanged and the same push-down serves all three variants. Sums
     to zero per u_i by conservation.
     """
-    value, casc = _evaluate(variant, cost, ms, u)
+    casc = cascade_down(variant, cost, ms, u)
+    value = _objective(ms, u, casc)
     grads = []
     mass = ms[0].weights
     for i in range(1, ms.n):  # transition: level i prefixes -> level i+1
@@ -536,69 +533,3 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
             mass = (np.bincount(base + lft, to_left, mass.size * m_next)
                     + np.bincount(base + rgt, to_right, mass.size * m_next))
     return value, grads
-
-
-@dataclass(frozen=True)
-class SubhedgeReport:
-    """Per-atom conditional slack of the candidate sub-hedge under a coupling."""
-
-    atoms: np.ndarray
-    slacks: np.ndarray
-    ok: bool
-
-    @property
-    def min_slack(self) -> float:
-        return float(self.slacks.min()) if self.slacks.size else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "atoms": self.atoms.tolist(),
-            "slacks": self.slacks.tolist(),
-            "min_slack": self.min_slack,
-        }
-
-
-def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
-                    coupling: Coupling, check: Optional[CouplingReport] = None) -> SubhedgeReport:
-    """Check that the cascade strategy sub-hedges c conditionally on the start.
-
-    For every first-period atom with positive mass the conditional expectation
-    under the coupling of T_1(S_1) + sum u_i(S_i) must not exceed the
-    conditional expectation of the cost, up to SUBHEDGE_TOL times
-    max(1, max |T_n|); equivalently T_1 must not exceed the conditional
-    expectation of the terminal tensor T_n. The coupling must pass marginal
-    and martingale validation first, else ValueError; check is its
-    validate_coupling report when the caller has one, so a coupling checked
-    once serves several positions. The expectations sum over its rows, so
-    T_n is read on those rows alone; max |T_n| is read from the blocks of
-    the proposition cascade, each value the same to the bit as
-    terminal_tensor's.
-    """
-    if check is None:
-        check = validate_coupling(coupling, ms)
-    if not check.ok:
-        raise ValueError(f"coupling failed validation: {check.summary()}")
-    return _subhedge(cost, ms, u, coupling)
-
-
-def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: Coupling,
-              t1: Optional[np.ndarray] = None, t_n_max: Optional[float] = None) -> SubhedgeReport:
-    """verify_subhedge on a coupling that passed validation.
-
-    t1 and t_n_max are the proposition cascade's T_1 at u and the max |T_n|
-    of its top level (_cascades with top_abs) when the caller has run it, as
-    certify has; None runs that cascade here.
-    """
-    if t1 is None:
-        (casc,), top_abs = _cascades(cost, ms, [("proposition", u)], top_abs=True)
-        t1, t_n_max = casc.levels[0], top_abs[0]
-    top = _built(cost, ms).top
-    atom, m_1 = coupling.atoms(), ms.sizes[0]
-    start_mass = np.bincount(atom[0], coupling.mass, m_1)
-    mass = np.where(start_mass > 0, start_mass, 1.0)
-    keep = ms[0].weights > 0
-    t_n = _minus_u(top[atom], u, atom[1:])  # T_n on the coupling's rows
-    slacks = (np.bincount(atom[0], coupling.mass * t_n, m_1) / mass - t1)[keep]
-    tol = SUBHEDGE_TOL * max(1.0, float(t_n_max))
-    return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))

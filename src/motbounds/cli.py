@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ascent import AscentConfig, ascend, certify, descend_upper
+from .ascent import AscentConfig, ascend, descend_upper
+from .certification import certify
 from .envelope import GridFunction, convex_envelope, eval_envelope
 from .measures import (
     COST_FORMS,

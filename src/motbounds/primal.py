@@ -21,12 +21,12 @@ top-level package and the HiGHS extension alone. The equality multipliers
 become the semi-static position.
 
 Assembly and solving are separate steps: solve_primal and solve_primal_max
-each assemble their own LP, while certify assembles one and solves both
-senses of it at once, the maximisation on the one long-lived LP worker of
-_lp_worker. A solve only reads its LpProblem, and HiGHS releases the
-interpreter lock while it runs, so two solves of one LP can share it from
-two threads. Each thread keeps one HiGHS object, which every solve on it
-reloads with its model and with options that the thread builds once per
+each assemble their own LP, while certification.certify assembles one and
+solves both senses of it at once, the maximisation on the one long-lived LP
+worker of _lp_worker. A solve only reads its LpProblem, and HiGHS releases
+the interpreter lock while it runs, so two solves of one LP can share it
+from two threads. Each thread keeps one HiGHS object, which every solve on
+it reloads with its model and with options that the thread builds once per
 method; a solve on the kept object is the same to the bit as one on a fresh
 object. A forked child drops the worker and the forking thread's HiGHS
 object that it inherits, and builds its own on first use.

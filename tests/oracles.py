@@ -10,7 +10,9 @@ scipy's ndtri and ndtr, an implementation independent of the standard
 library's NormalDist and erfc. Convex envelopes are cross-checked through the
 double conjugate by biconjugate_eval. support_rows turns a hand-written dense
 plan into the (path, mass) rows of a Coupling, and lp_matrix reads an
-LpProblem's CSC arrays into a dense matrix with numpy alone.
+LpProblem's CSC arrays into a dense matrix with numpy alone. terminal_tensor
+builds the top level T_n whole, which no cascade does, from the rows that
+every cascade reads, so it compares with a cascade's T_n to the bit.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from motbounds import (
     assemble_lp,
     convex_envelope,
 )
+from motbounds.cascade import _built, _terminal_rows
 
 BRUTE_FORCE_PATH_CAP = 64
 SEMISTATIC_TOL = 1e-9
@@ -184,3 +187,14 @@ def support_rows(q) -> Coupling:
     q = np.asarray(q, dtype=float)
     paths = np.flatnonzero(q)
     return Coupling(q.shape, paths, q.ravel()[paths])
+
+
+def terminal_tensor(cost: CostSpec, ms: MarginalSequence, u) -> np.ndarray:
+    """Top-level tensor T_n: cost minus the static positions u, on the product grid.
+
+    A new array, built whole from the read-only cost tensor of cascade._built,
+    through the row builder every cascade reads T_n with.
+    """
+    u.check(ms)
+    rows = math.prod(ms.sizes[:-1])
+    return _terminal_rows(_built(cost, ms).top, ms, u, 0, rows).reshape(ms.sizes)

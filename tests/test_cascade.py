@@ -30,7 +30,6 @@ from motbounds import (
     eval_envelope,
     quantize_lognormal,
     solve_primal,
-    terminal_tensor,
     verify_subhedge,
 )
 
@@ -39,7 +38,7 @@ from motbounds.envelope import CLAMP_REL
 from motbounds.measures import COST_FORMS, STRIKE_FORMS
 
 from conftest import lognormal_showcase, random_cost, random_duals, random_instance
-from oracles import support_rows
+from oracles import support_rows, terminal_tensor
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))

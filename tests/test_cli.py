@@ -18,7 +18,7 @@ from motbounds import (
     dual_objective,
     solve_primal,
 )
-import motbounds.ascent
+import motbounds.certification
 import motbounds.cli
 import motbounds.measures
 from motbounds.cli import main, parse_instance
@@ -369,8 +369,8 @@ class TestCertifyCommand:
     def test_failed_subhedge_exit_2(self, tmp_path, capsys, monkeypatch):
         # every gap closes, so only the sub-hedge verdict can fail the report
         # certify runs both sub-hedges through the seam verify_subhedge also calls
-        real = motbounds.ascent._subhedge
-        monkeypatch.setattr(motbounds.ascent, "_subhedge",
+        real = motbounds.certification._subhedge
+        monkeypatch.setattr(motbounds.certification, "_subhedge",
                             lambda *args: dataclasses.replace(real(*args), ok=False))
         code = main(["--json", "certify", write_instance(tmp_path, HAND_INSTANCE)])
         report = json.loads(capsys.readouterr().out)
@@ -381,8 +381,8 @@ class TestCertifyCommand:
 
     def test_coupling_that_fails_validation_exit_2(self, tmp_path, capsys, monkeypatch):
         # a lower coupling that fails its check is a failed report, not a traceback
-        real = motbounds.ascent.validate_coupling
-        monkeypatch.setattr(motbounds.ascent, "validate_coupling",
+        real = motbounds.certification.validate_coupling
+        monkeypatch.setattr(motbounds.certification, "validate_coupling",
                             lambda *args: dataclasses.replace(real(*args), ok=False))
         code = main(["--json", "certify", write_instance(tmp_path, HAND_INSTANCE)])
         out, err = capsys.readouterr()

@@ -1,14 +1,65 @@
 """Import footprint: the LP loads scipy's HiGHS extension alone, never scipy.optimize or
-scipy.sparse; the dual path and coupling checks load no part of scipy."""
+scipy.sparse; the dual path and coupling checks load no part of scipy. The package's
+modules import each other in layers: only certification joins the LP and the cascade."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
+import motbounds
+import motbounds.certification as certification_module
+
 from conftest import checkout_env
+
+# each module of the package and the package modules it imports
+LAYERS = {
+    "measures": set(),
+    "envelope": set(),
+    "primal": {"measures"},
+    "cascade": {"envelope", "measures"},
+    "ascent": {"cascade", "measures"},
+    "certification": {"cascade", "measures", "primal"},
+    "cli": {"ascent", "certification", "envelope", "measures", "primal"},
+    "__init__": {"ascent", "cascade", "certification", "envelope", "measures", "primal"},
+    "__main__": {"cli"},
+}
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that the module at path imports, anywhere in its body."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("motbounds."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("motbounds."))
+    return found
+
+
+def test_modules_import_in_layers():
+    # neither the cascade nor the optimizer reads LP code, and certification,
+    # which joins the two sides, does not read the optimizer
+    src = Path(motbounds.__file__).parent
+    graph = {path.stem: package_imports(path) for path in sorted(src.glob("*.py"))}
+    assert graph == LAYERS
+
+
+def test_certification_is_a_module():
+    # a submodule named certify would be shadowed by the function motbounds.certify
+    assert isinstance(certification_module, types.ModuleType)
+    assert certification_module.certify is motbounds.certify
 
 HIGHS = "scipy.optimize._highspy._core"
 LAZY = ("scipy.optimize", "scipy.sparse", "scipy.special", HIGHS)
