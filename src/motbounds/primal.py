@@ -10,7 +10,10 @@ is equilibrated, its martingale rows and its cost each divided by their
 largest magnitude, and solved by primal simplex: on the ladder of
 BENCH_lp_method.json that is the faster method from there up, and a
 rescaling of the prices changes neither its verdict nor, beyond rounding,
-its value. HiGHS is called through scipy's
+its value. HiGHS gets that LP without the 2(n - 1) rows that the others
+imply (_implied_rows), so its presolve has no dependent rows to search
+for, and the multipliers come back with 0 on those rows
+(BENCH_full_rank_lp.json). HiGHS is called through scipy's
 bundled extension module scipy.optimize._highspy._core (private, present
 from scipy 1.15.0). _highs loads that extension file on its own, on the
 first solve: importing it by name would first run scipy.optimize's package
@@ -174,8 +177,12 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
         on the paths extending the prefix.
     Every path enters one row of each block, and the blocks' rows increase, so
     column p of the CSC matrix A is entry p of every block, in block order.
-    Redundant rows (each block re-encodes total mass) are left in; the solver
-    tolerates degenerate rank.
+    The rows have 2(n - 1) linear dependencies, two identities per later
+    period j: the mass identity (marginal block j sums to the total mass,
+    as block 1 does) and the mean identity (martingale block j - 1 sums to
+    the mean of mu_j minus that of mu_{j-1}). They are kept here, so the
+    multipliers have one entry per row of this layout; an equilibrated
+    _solve leaves out the rows that _implied_rows names.
     """
     n_paths = ms.path_count
     if n_paths > var_cap:
@@ -207,6 +214,28 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     return LpProblem(c, np.stack(coef_blocks, 1).ravel(), np.stack(row_blocks, 1).ravel(),
                      np.arange(0, per_path * n_paths + 1, per_path, dtype=np.int32),
                      np.asarray(b), sizes)
+
+
+def _implied_rows(sizes: tuple) -> np.ndarray:
+    """Rows of assemble_lp's layout that the other rows imply, named from the sizes alone.
+
+    For each later period j, the mass identity implies the first row of
+    marginal block j, and the mean identity then its last row (the two
+    atoms differ). A one-atom block j after one-atom blocks alone has the
+    mean identity on the one row of martingale block j - 1, which is named
+    instead; after a larger block it is out of convex order, and only its
+    first row is named. Without these 2(n - 1) rows a valid sequence's A
+    has full row rank.
+    """
+    starts = np.cumsum((0,) + tuple(sizes))
+    rows = []
+    for j in range(1, len(sizes)):
+        rows.append(starts[j])
+        if sizes[j] > 1:
+            rows.append(starts[j + 1] - 1)
+        elif math.prod(sizes[:j]) == 1:  # martingale blocks 0..j-2 have one row each
+            rows.append(starts[-1] + j - 1)
+    return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,18 +367,26 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     of fewer than PRIMAL_FROM_PATHS columns is passed as it is and solved
     with HiGHS's default options, dual simplex. A larger one is equilibrated
     first: the martingale rows' entries are divided by their largest
-    magnitude scale_m, and c by max|c|, each factor 1 where that is 0. HiGHS
-    then solves it by primal simplex, and the multipliers are scaled back,
-    marginal rows times max|c| and martingale rows times max|c| / scale_m,
-    so they are those of lp itself; the value is lp.c.x. stats["method"]
-    names the path, "dual simplex" or "primal simplex, equilibrated".
+    magnitude scale_m, and c by max|c|, each factor 1 where that is 0. The
+    rows _implied_rows names are left out, so HiGHS gets a full-row-rank LP
+    of a valid sequence and its presolve has no dependent rows to search
+    for; it solves that LP by primal simplex. The multipliers are scattered
+    back into lp's rows, 0 on the rows left out, and scaled back, marginal
+    rows times max|c| and martingale rows times max|c| / scale_m, so they
+    are those of lp itself; the value is lp.c.x. stats["method"] names the
+    path, "dual simplex" or "primal simplex, equilibrated".
     HiGHS's model status maps as in _STATUS; HiGHS refuses to load a model
     with a matrix entry of 1e15 or more in magnitude, which is
     "model_error". As a safety check, an "optimal" x with a mass below
     -_CHECK_TOL, or an equality row missed by more than _CHECK_TOL, is
-    "failed"; for an equilibrated LP the rows are those HiGHS solved,
-    computed from x, so the martingale rows are lp's divided by scale_m and
-    their rounding does not grow with the atoms.
+    "failed". The check computes every row of lp from x, rows left out
+    included, rather than reading HiGHS's row values, which equal the
+    bound on every nonbasic row. For an equilibrated LP the rows are those
+    of the scaled matrix, lp's martingale rows divided by scale_m, so their
+    rounding does not grow with the atoms, and a mean mismatch that
+    validation accepts lands on the marginal rows left out. The kept rows
+    imply those, so a row left out that is missed by more than MARGINAL_TOL
+    means lp's b is inconsistent: the solve is "infeasible".
     stats["solve_s"] is the wall time of the solver call alone, the
     equilibration and loading the model included; max_primal_infeasibility
     and max_dual_infeasibility are HiGHS's own figures for the solution of
@@ -360,18 +397,27 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     options = _options(highs, equilibrate)
     start = time.perf_counter()
     c, data = lp.c, lp.data
+    kept = np.ones(lp.n_rows, bool)  # the rows of lp that HiGHS gets
+    b, indptr, indices, values = lp.b, lp.indptr, lp.indices, lp.data
     if equilibrate:
         martingale = lp.indices >= sum(lp.grid_shape)
         scale_m = float(np.abs(data[martingale]).max(initial=0.0)) or 1.0
         scale_c = float(np.abs(c).max(initial=0.0)) or 1.0
         c, data = c / scale_c, np.where(martingale, data / scale_m, data)
+        kept[_implied_rows(lp.grid_shape)] = False
+        entries = kept[lp.indices]
+        before = np.zeros(entries.size + 1, np.int32)  # kept entries before each entry
+        np.cumsum(entries, dtype=np.int32, out=before[1:])
+        rank = np.cumsum(kept, dtype=np.int32) - 1  # a kept row's index in HiGHS's model
+        b, indptr = lp.b[kept], before[lp.indptr]
+        indices, values = rank[lp.indices[entries]], data[entries]
     solver = _thread_highs(highs)
     solver.passOptions(options)
     # the array overload; all-continuous integrality, since an empty array is refused
     loaded = solver.passModel(
-        lp.n_paths, lp.n_rows, data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
-        0.0, sense * c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), lp.b, lp.b,
-        lp.indptr, lp.indices, data, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
+        lp.n_paths, b.size, values.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, sense * c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), b, b,
+        indptr, indices, values, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
     if loaded:
         solver.run()
     solve_s = time.perf_counter() - start
@@ -388,14 +434,18 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
         return PrimalSolution(float("nan"), None, status, stats)
     solution = solver.getSolution()
     x = np.array(solution.col_value)
-    rows = solution.row_value
-    duals = sense * np.array(solution.row_dual)
-    if equilibrate:  # the rows HiGHS solved at x: lp's, the martingale ones divided by scale_m
-        rows = np.bincount(lp.indices, data * np.repeat(x, np.diff(lp.indptr)), lp.n_rows)
+    rows = np.bincount(lp.indices, data * np.repeat(x, np.diff(lp.indptr)), lp.n_rows)
+    duals = np.zeros(lp.n_rows)
+    duals[kept] = sense * np.array(solution.row_dual)
+    if equilibrate:
         marginal_rows = sum(lp.grid_shape)
         duals[:marginal_rows] *= scale_c
         duals[marginal_rows:] *= scale_c / scale_m
-    if not (np.all(x >= -_CHECK_TOL) and np.all(np.abs(lp.b - rows) <= _CHECK_TOL)):
+    missed = np.abs(lp.b - rows)
+    if np.any(missed[~kept] > MARGINAL_TOL):
+        # the kept rows imply the rows left out, so b itself is inconsistent
+        return PrimalSolution(float("nan"), None, "infeasible", stats)
+    if not (np.all(x >= -_CHECK_TOL) and np.all(missed <= _CHECK_TOL)):
         return PrimalSolution(float("nan"), None, "failed", stats)
     paths = np.flatnonzero(x > 0)
     value = float(np.dot(lp.c, x))

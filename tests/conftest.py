@@ -81,13 +81,21 @@ def random_instance(rng, n: int, max_size: int = 15, start_atoms: int = 1):
     return random_cost(rng, ms), ms
 
 
+def lognormal_basket(n: int, m: int, scale: float = 1.0):
+    """An at-the-money basket call on n mean-one lognormal marginals of m atoms.
+
+    Period i has volatility 0.1 * i; every atom and the strike are times scale.
+    """
+    marginals = []
+    for s in (0.1, 0.2, 0.3, 0.4)[:n]:
+        mu = quantize_lognormal(-s**2 / 2, s, m)
+        marginals.append(DiscreteMeasure(scale * mu.atoms, mu.weights))
+    return CostSpec(n, "basket", strike=scale), MarginalSequence(marginals)
+
+
 def lognormal_showcase(scale: float = 1.0):
     """Criterion 10's basket instance with every atom and the strike times scale."""
-    marginals = []
-    for s in (0.1, 0.2, 0.3):
-        mu = quantize_lognormal(-s**2 / 2, s, 15)
-        marginals.append(DiscreteMeasure(scale * mu.atoms, mu.weights))
-    return CostSpec(3, "basket", strike=scale), MarginalSequence(marginals)
+    return lognormal_basket(3, 15, scale)
 
 
 def random_duals(rng, ms: MarginalSequence, scale: float = 1.0) -> DualVariables:

@@ -1,6 +1,7 @@
 """LP assembly, HiGHS solve, vertex-enumeration oracle, semi-static check."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,15 +15,17 @@ from motbounds import (
     MarginalSequence,
     SizeCapError,
     assemble_lp,
+    certify,
     multipliers_to_semistatic,
     solve_primal,
     solve_primal_max,
     validate_coupling,
+    validate_sequence,
 )
 import motbounds.primal as primal_module
-from motbounds.primal import PRIMAL_FROM_PATHS, _solve
+from motbounds.primal import PRIMAL_FROM_PATHS, _implied_rows, _solve
 
-from conftest import lognormal_showcase, random_instance, spread_measure
+from conftest import lognormal_basket, lognormal_showcase, random_instance, spread_measure
 from oracles import brute_force_value, lp_matrix, semistatic_value_check, support_rows
 
 D0 = DiscreteMeasure.point(0.0)
@@ -437,17 +440,28 @@ class TestLpMethod:
             assert sol.status == "optimal"
             assert sol.stats["method"] == "primal simplex, equilibrated"
 
-    @pytest.mark.parametrize("scale", [1.0, 1e6])
-    def test_multipliers_are_those_of_the_unscaled_lp(self, scale):
-        # scaled back, the multipliers price lp's own rows: b.y is the
-        # value, and A^T y stays below c for a minimisation, above it for a
-        # maximisation
-        lp = assemble_lp(*lognormal_showcase(scale))
+    @pytest.mark.parametrize("n, m, scale", [(2, 32, 1.0), (3, 15, 1.0), (3, 15, 1e6), (4, 6, 1.0)])
+    def test_multipliers_are_those_of_the_unscaled_lp(self, n, m, scale):
+        # scaled back, the multipliers price lp's own rows, those left out of
+        # HiGHS's model included with multiplier 0: b.y is the value, A^T y
+        # stays below c for a minimisation, above it for a maximisation, and
+        # the semi-static position reproduces the value
+        cost, ms = lognormal_basket(n, m, scale)
+        lp = assemble_lp(cost, ms)
+        assert lp.n_paths >= PRIMAL_FROM_PATHS
         A, tol = lp_matrix(lp), 1e-9 * np.abs(lp.c).max()
         for sense in (+1, -1):
             sol = _solve(lp, sense)
+            assert sol.status == "optimal" and sol.stats["method"] == "primal simplex, equilibrated"
+            assert np.all(sol.duals[_implied_rows(ms.sizes)] == 0.0)
             assert abs(np.dot(lp.b, sol.duals) - sol.value) <= 1e-9 * abs(sol.value)
             assert np.all(sense * (A.T @ sol.duals - lp.c) <= tol)
+            # a sub-hedge of sense * c at unit scale, so the oracle's absolute tolerance fits
+            u, deltas = multipliers_to_semistatic(sol, ms)
+            unit = CostSpec(n, "custom_table", table=sense * cost.tensor_on(ms) / scale)
+            value = semistatic_value_check(unit, ms, [sense * t / scale for t in u],
+                                           [sense * d / scale for d in deltas])
+            assert abs(sense * value - sol.value / scale) <= 1e-9
 
     def test_row_check_reads_scaled_rows(self, monkeypatch):
         # at 1e9 times the showcase's atoms the martingale rows are missed by
@@ -463,6 +477,97 @@ class TestLpMethod:
         monkeypatch.setattr(primal_module, "_CHECK_TOL", 1e-30)
         sol = _solve(lp, +1)
         assert sol.status == "failed" and sol.coupling is None and sol.duals is None
+
+    def test_row_check_computes_nonbasic_rows(self, monkeypatch):
+        # HiGHS reports every nonbasic equality row at its bound. A proxy of
+        # the thread's HiGHS object adds mass to one path whose rows are all
+        # nonbasic, so only nonbasic rows are missed, in x alone, and the
+        # reported row values cannot show it; the check computes the rows
+        # from x and fails the solve
+        rng = np.random.default_rng(3)
+        marginals = [spread_measure(rng, DiscreteMeasure.point(0.0), 2)]
+        for k in (5, 4):
+            marginals.append(spread_measure(rng, marginals[-1], k))
+        lp = assemble_lp(CostSpec(3, "basket", strike=0.0), MarginalSequence(marginals))
+        assert lp.n_paths < PRIMAL_FROM_PATHS
+        assert _solve(lp, +1).status == "optimal"
+        highs = primal_module._THREAD.highs
+        nonbasic = np.array([s.name != "kBasic" for s in highs.getBasis().row_status])
+        path = np.flatnonzero(nonbasic[lp.indices.reshape(lp.n_paths, -1)].all(1))[0]
+
+        class Shifted:
+            def __getattr__(self, name):
+                return getattr(highs, name)
+
+            def getSolution(self):
+                solution = highs.getSolution()
+                x = np.array(solution.col_value)
+                x[path] += 1e-3
+                return SimpleNamespace(col_value=x, row_value=solution.row_value,
+                                       row_dual=solution.row_dual)
+
+        monkeypatch.setattr(primal_module._THREAD, "highs", Shifted())
+        sol = _solve(lp, +1)
+        assert sol.status == "failed" and sol.coupling is None and sol.duals is None
+
+
+def sequence_of_sizes(rng, sizes):
+    """A sequence in convex order with exactly these atom counts, by spreads."""
+    marginals = [spread_measure(rng, DiscreteMeasure.point(0.0), sizes[0] - 1)]
+    for m in sizes[1:]:
+        marginals.append(spread_measure(rng, marginals[-1], m - len(marginals[-1])))
+    ms = MarginalSequence(marginals)
+    assert ms.sizes == tuple(sizes) and validate_sequence(ms).ok
+    return ms
+
+
+def shifted_showcase(shift):
+    """The showcase with the last marginal's atoms moved by shift, so its mean is off by shift."""
+    cost, ms = lognormal_showcase()
+    last = ms[-1]
+    return cost, MarginalSequence(ms.marginals[:-1] + (DiscreteMeasure(last.atoms + shift,
+                                                                       last.weights),))
+
+
+class TestImpliedRows:
+    """An equilibrated solve leaves out the 2(n - 1) rows that _implied_rows
+    names: the kept rows imply them, so the feasible set stays the same."""
+
+    @pytest.mark.parametrize("sizes", [(1, 5), (3, 3), (4, 7), (1, 1, 5), (1, 3, 5), (2, 3, 4),
+                                       (3, 5, 5), (1, 1, 1, 4), (1, 2, 2, 3), (2, 3, 4, 5)])
+    def test_the_other_rows_have_full_row_rank(self, sizes):
+        ms = sequence_of_sizes(np.random.default_rng(sum(sizes)), sizes)
+        A = lp_matrix(assemble_lp(CostSpec(ms.n, "basket", strike=0.0), ms))
+        dropped = _implied_rows(ms.sizes)
+        assert dropped.size == np.unique(dropped).size == 2 * (ms.n - 1)
+        kept = np.delete(A, dropped, axis=0)
+        assert np.linalg.matrix_rank(A) == A.shape[0] - dropped.size
+        assert np.linalg.matrix_rank(kept) == kept.shape[0]
+
+    def test_one_atom_after_more_names_only_the_mass_row(self):
+        # out of convex order, so no mean identity to drop a row for
+        np.testing.assert_array_equal(_implied_rows((3, 1)), [3])
+
+    def test_a_mean_mismatch_lands_on_a_marginal_row(self):
+        # the last marginal's mean 1e-12 off its predecessor's: validation
+        # accepts it, the kept rows hold the martingale exactly, and the
+        # mismatch shows on the marginal rows left out, whose check is absolute
+        cost, shifted = shifted_showcase(1e-12)
+        assert validate_sequence(shifted).ok
+        report = certify(cost, shifted)
+        assert report.primal_lower.stats["method"] == "primal simplex, equilibrated"
+        assert report.coupling_check.ok
+        assert report.coupling_check.martingale_error <= 1e-14
+
+    def test_a_mean_mismatch_past_the_marginal_tolerance_is_infeasible(self):
+        # validation refuses these; the LP without the rows left out has a
+        # solution, but it misses them by more than MARGINAL_TOL, so the LP
+        # as assembled has none
+        for shift in (1e-6, 1e-3):
+            lp = assemble_lp(*shifted_showcase(shift))
+            for sense in (+1, -1):
+                sol = _solve(lp, sense)
+                assert sol.status == "infeasible" and sol.coupling is None and sol.duals is None
 
 
 class TestSemistatic:
