@@ -13,7 +13,12 @@ rescaling of the prices changes neither its verdict nor, beyond rounding,
 its value. HiGHS gets that LP without the 2(n - 1) rows that the others
 imply (_implied_rows), so its presolve has no dependent rows to search
 for, and the multipliers come back with 0 on those rows
-(BENCH_full_rank_lp.json). HiGHS is called through scipy's
+(BENCH_full_rank_lp.json). HiGHS's presolve removes about (n - 2) m^(n-2)
+rows of that LP: none at n = 2 and about one in twenty at n = 3, where it
+costs a quarter to a third of a solve's resident growth and more time than
+it saves, so it is off below PRESOLVE_FROM_PERIODS periods; from four
+periods up the rows it removes save simplex iterations, and it stays on
+(BENCH_presolve.json). HiGHS is called through scipy's
 bundled extension module scipy.optimize._highspy._core (private, present
 from scipy 1.15.0). _highs loads that extension file on its own, on the
 first solve: importing it by name would first run scipy.optimize's package
@@ -30,9 +35,10 @@ worker of _lp_worker. A solve only reads its LpProblem, and HiGHS releases
 the interpreter lock while it runs, so two solves of one LP can share it
 from two threads. Each thread keeps one HiGHS object, which every solve on
 it reloads with its model and with options that the thread builds once per
-method; a solve on the kept object is the same to the bit as one on a fresh
-object. A forked child drops the worker and the forking thread's HiGHS
-object that it inherits, and builds its own on first use.
+method and presolve setting; a solve on the kept object is the same to the
+bit as one on a fresh object. A forked child drops the worker and the
+forking thread's HiGHS object that it inherits, and builds its own on first
+use.
 """
 
 from __future__ import annotations
@@ -245,9 +251,10 @@ class PrimalSolution:
     stats holds rows, columns, the solver's iterations, HiGHS's
     max_primal_infeasibility and max_dual_infeasibility, solve_s, the
     wall seconds of the solver call alone, and method, the path _solve took
-    ("dual simplex" or "primal simplex, equilibrated"). duals holds one
-    multiplier per equality row in assemble_lp's block layout, a sub-hedge
-    of the cost for a minimisation and a super-hedge for a maximisation.
+    ("dual simplex", "primal simplex, equilibrated, no presolve" or "primal
+    simplex, equilibrated"). duals holds one multiplier per equality row in
+    assemble_lp's block layout, a sub-hedge of the cost for a minimisation
+    and a super-hedge for a maximisation.
     """
 
     value: float
@@ -257,6 +264,9 @@ class PrimalSolution:
     duals: Optional[np.ndarray] = None
 
 
+# the path _solve takes, by (equilibrated, presolve)
+_METHODS = {(False, True): "dual simplex", (True, True): "primal simplex, equilibrated",
+            (True, False): "primal simplex, equilibrated, no presolve"}
 # HiGHS model statuses by name; a model HiGHS refuses to load is "model_error",
 # and any other status (numerical trouble, an error in the solver) is "failed"
 _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded",
@@ -266,13 +276,16 @@ _CHECK_TOL = 10 * math.sqrt(1e-9)
 _HIGHS = "scipy.optimize._highspy._core"
 _LOCK = threading.Lock()  # guards the first load of the extension and the worker's creation
 _WORKER = None  # the LP worker of _lp_worker, created on first use
-# .highs, this thread's HiGHS object, built on its first solve, and .options
-# (dual simplex) and .primal_options (primal simplex), its HiGHS options, each
-# built on the thread's first solve that reads it
+# .highs, this thread's HiGHS object, built on its first solve, and .options,
+# its HiGHS options by (primal simplex, presolve), each built on the thread's
+# first solve that reads it
 _THREAD = threading.local()
 # an LP with this many columns or more is equilibrated and solved by primal
 # simplex; fitted on the ladder of BENCH_lp_method.json
 PRIMAL_FROM_PATHS = 1000
+# an equilibrated LP of this many periods or more keeps HiGHS's presolve, which
+# removes rows there; below, it removes none or a few (BENCH_presolve.json)
+PRESOLVE_FROM_PERIODS = 4
 
 
 def _forget_in_child() -> None:
@@ -346,16 +359,18 @@ def _thread_highs(highs):
     return solver
 
 
-def _options(highs, primal: bool):
-    """This thread's HiGHS options, output off: the defaults (dual simplex) or primal simplex."""
-    name = "primal_options" if primal else "options"
-    options = getattr(_THREAD, name, None)
+def _options(highs, primal: bool, presolve: bool):
+    """This thread's HiGHS options, output off: the defaults (dual simplex) or
+    primal simplex, with HiGHS's presolve or without it."""
+    built = vars(_THREAD).setdefault("options", {})
+    options = built.get((primal, presolve))
     if options is None:
-        options = highs.HighsOptions()
+        options = built[primal, presolve] = highs.HighsOptions()
         options.output_flag = options.log_to_console = False
         if primal:
             options.simplex_strategy = 4  # HiGHS's primal simplex
-        setattr(_THREAD, name, options)
+        if not presolve:
+            options.presolve = "off"
     return options
 
 
@@ -370,11 +385,12 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     magnitude scale_m, and c by max|c|, each factor 1 where that is 0. The
     rows _implied_rows names are left out, so HiGHS gets a full-row-rank LP
     of a valid sequence and its presolve has no dependent rows to search
-    for; it solves that LP by primal simplex. The multipliers are scattered
-    back into lp's rows, 0 on the rows left out, and scaled back, marginal
-    rows times max|c| and martingale rows times max|c| / scale_m, so they
-    are those of lp itself; the value is lp.c.x. stats["method"] names the
-    path, "dual simplex" or "primal simplex, equilibrated".
+    for; it solves that LP by primal simplex, with HiGHS's presolve off
+    below PRESOLVE_FROM_PERIODS periods and on from there up. The
+    multipliers are scattered back into lp's rows, 0 on the rows left out,
+    and scaled back, marginal rows times max|c| and martingale rows times
+    max|c| / scale_m, so they are those of lp itself; the value is lp.c.x.
+    stats["method"] names the path, as _METHODS spells it.
     HiGHS's model status maps as in _STATUS; HiGHS refuses to load a model
     with a matrix entry of 1e15 or more in magnitude, which is
     "model_error". As a safety check, an "optimal" x with a mass below
@@ -394,7 +410,8 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """
     highs = _highs()
     equilibrate = lp.n_paths >= PRIMAL_FROM_PATHS
-    options = _options(highs, equilibrate)
+    presolve = not equilibrate or len(lp.grid_shape) >= PRESOLVE_FROM_PERIODS
+    options = _options(highs, equilibrate, presolve)
     start = time.perf_counter()
     c, data = lp.c, lp.data
     kept = np.ones(lp.n_rows, bool)  # the rows of lp that HiGHS gets
@@ -428,7 +445,7 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": iterations if loaded else 0,
              "max_primal_infeasibility": figures[0], "max_dual_infeasibility": figures[1],
              "solve_s": solve_s,
-             "method": "primal simplex, equilibrated" if equilibrate else "dual simplex"}
+             "method": _METHODS[equilibrate, presolve]}
     status = _STATUS.get(solver.getModelStatus().name, "failed") if loaded else "model_error"
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats)

@@ -24,7 +24,7 @@ import motbounds.measures
 from motbounds.cli import main, parse_instance
 from motbounds.measures import DEFAULT_VAR_CAP
 
-from conftest import checkout_env
+from conftest import checkout_env, lognormal_showcase
 
 HAND_INSTANCE = {
     "marginals": [
@@ -182,6 +182,18 @@ class TestSolve:
 
     def test_infeasible_exit_2(self, tmp_path):
         assert main(["solve", write_instance(tmp_path, REVERSED_INSTANCE)]) == 2
+
+    def test_mean_mismatch_validation_refuses_exit_2(self, tmp_path, capsys):
+        # the showcase with the last marginal's atoms shifted by 1e-9:
+        # solve_primal would solve its LP, but solve validates first
+        _, ms = lognormal_showcase()
+        marginals = [{"atoms": (mu.atoms + shift).tolist(), "weights": mu.weights.tolist()}
+                     for mu, shift in zip(ms.marginals, (0.0, 0.0, 1e-9))]
+        payload = {"marginals": marginals, "cost": {"form": "basket", "strike": 1.0}}
+        path = write_instance(tmp_path, payload)
+        assert main(["--json", "solve", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "marginals fail the convex-order check"
 
     def test_model_highs_refuses_exit_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, HUGE_SPREAD_INSTANCE)
@@ -441,7 +453,8 @@ class TestCertifyCommand:
                 stats = report[side]["stats"]
                 assert 0 <= stats["max_primal_infeasibility"] <= 1e-7
                 assert 0 <= stats["max_dual_infeasibility"] <= 1e-7
-                assert stats["method"] == "primal simplex, equilibrated"  # 3,375 paths
+                # 3,375 paths in 3 periods
+                assert stats["method"] == "primal simplex, equilibrated, no presolve"
 
     def test_var_cap_option_exit_3(self, tmp_path, capsys):
         assert main(["--var-cap", "3", "certify", write_instance(tmp_path, HAND_INSTANCE)]) == 3

@@ -23,7 +23,7 @@ from motbounds import (
     validate_sequence,
 )
 import motbounds.primal as primal_module
-from motbounds.primal import PRIMAL_FROM_PATHS, _implied_rows, _solve
+from motbounds.primal import PRESOLVE_FROM_PERIODS, PRIMAL_FROM_PATHS, _implied_rows, _solve
 
 from conftest import lognormal_basket, lognormal_showcase, random_instance, spread_measure
 from oracles import brute_force_value, lp_matrix, semistatic_value_check, support_rows
@@ -53,6 +53,14 @@ def last_step_squared(n):
 def negated(cost, ms):
     """The payoff -c as a table on the grid of ms."""
     return CostSpec(ms.n, "custom_table", table=-cost.tensor_on(ms))
+
+
+def equilibrated(lp):
+    """The method an LP of PRIMAL_FROM_PATHS columns or more is solved by:
+    HiGHS's presolve runs from PRESOLVE_FROM_PERIODS periods up."""
+    if len(lp.grid_shape) >= PRESOLVE_FROM_PERIODS:
+        return "primal simplex, equilibrated"
+    return "primal simplex, equilibrated, no presolve"
 
 
 def assert_solution_checks_out(sol, sense, cost, ms):
@@ -319,7 +327,7 @@ class TestHighsBindingsAgainstLinprog:
             if res.status != 0:
                 assert sol.coupling is None and sol.duals is None and np.isnan(sol.value)
             if lp.n_paths >= PRIMAL_FROM_PATHS:
-                assert sol.stats["method"] == "primal simplex, equilibrated"
+                assert sol.stats["method"] == equilibrated(lp)
                 if res.status == 0:
                     assert abs(sol.value - float(np.dot(lp.c, res.x))) <= 1e-9
                     assert_solution_checks_out(sol, sense, cost, ms)
@@ -364,28 +372,31 @@ class TestHighsBindingsAgainstLinprog:
 
 
     def test_thread_options_solve_as_fresh_ones(self, monkeypatch):
-        # each thread builds its HiGHS object and each of its two HiGHS
+        # each thread builds its HiGHS object and each of its three HiGHS
         # options objects once; a refused model, an infeasible one, both
-        # senses of the showcase and LPs on either side of PRIMAL_FROM_PATHS
-        # come between, and every solve is the same to the bit as one on a
-        # fresh object from freshly built options
+        # senses of the showcase (no presolve), an n = 4 LP (presolve) and
+        # LPs on either side of PRIMAL_FROM_PATHS come between, and every
+        # solve is the same to the bit as one on a fresh object from freshly
+        # built options
         rng = np.random.default_rng(11)
         wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
-        lps = [assemble_lp(*lognormal_showcase()),
+        lps = [assemble_lp(*lognormal_showcase()), assemble_lp(*lognormal_basket(4, 6)),
                assemble_lp(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide])),
                assemble_lp(SQ2, MarginalSequence([PM2, PM1]))]
         lps += [assemble_lp(*random_instance(rng, n=2 + k % 3)) for k in range(20)]
-        assert {lp.n_paths >= PRIMAL_FROM_PATHS for lp in lps[3:]} == {False, True}
-        _solve(lps[0], +1)
-        _solve(lps[2], +1)
-        options = primal_module._THREAD.options, primal_module._THREAD.primal_options
-        assert options[0] is not options[1]
+        assert {lp.n_paths >= PRIMAL_FROM_PATHS for lp in lps[4:]} == {False, True}
+        for lp in lps[:2] + lps[3:4]:
+            _solve(lp, +1)
+        options = dict(primal_module._THREAD.options)
+        assert sorted(options) == [(False, True), (True, False), (True, True)]
+        assert len({id(o) for o in options.values()}) == 3
+        assert [options[key].presolve for key in sorted(options)] == ["choose", "off", "choose"]
         highs = primal_module._THREAD.highs  # the thread's one HiGHS object, reloaded per solve
         for lp in lps:
             for sense in (+1, -1):
                 kept = _solve(lp, sense)
-                assert primal_module._THREAD.options is options[0]
-                assert primal_module._THREAD.primal_options is options[1]
+                assert primal_module._THREAD.options.keys() == options.keys()
+                assert all(primal_module._THREAD.options[key] is o for key, o in options.items())
                 assert primal_module._THREAD.highs is highs
                 with monkeypatch.context() as m:
                     m.setattr(primal_module, "_THREAD", threading.local())
@@ -400,6 +411,13 @@ class TestHighsBindingsAgainstLinprog:
                     assert kept.coupling.paths.tobytes() == fresh.coupling.paths.tobytes()
                     assert kept.coupling.mass.tobytes() == fresh.coupling.mass.tobytes()
 
+
+    def test_the_showcase_solves_without_presolve(self):
+        cost, ms = lognormal_showcase()
+        lp = assemble_lp(cost, ms)
+        assert lp.n_paths >= PRIMAL_FROM_PATHS and len(lp.grid_shape) < PRESOLVE_FROM_PERIODS
+        self.assert_matches_linprog(lp, cost, ms)  # and its method names no presolve
+        assert primal_module._THREAD.options[True, False].presolve == "off"
 
     def test_the_lp_worker_keeps_its_own_object(self):
         lp = assemble_lp(*lognormal_showcase())
@@ -417,7 +435,8 @@ class TestHighsBindingsAgainstLinprog:
 
 class TestLpMethod:
     """Below PRIMAL_FROM_PATHS paths an LP is solved as it is by dual simplex;
-    from there up it is equilibrated and solved by primal simplex."""
+    from there up it is equilibrated and solved by primal simplex, with
+    HiGHS's presolve from PRESOLVE_FROM_PERIODS periods up only."""
 
     def test_desk_sized_lps_keep_dual_simplex_and_the_showcase_is_equilibrated(self):
         # the benchmark's desk_batch spreads a 3-atom point 11 times (n=2),
@@ -438,7 +457,7 @@ class TestLpMethod:
         for solve in (solve_primal, solve_primal_max):
             sol = solve(cost, ms)
             assert sol.status == "optimal"
-            assert sol.stats["method"] == "primal simplex, equilibrated"
+            assert sol.stats["method"] == "primal simplex, equilibrated, no presolve"
 
     @pytest.mark.parametrize("n, m, scale", [(2, 32, 1.0), (3, 15, 1.0), (3, 15, 1e6), (4, 6, 1.0)])
     def test_multipliers_are_those_of_the_unscaled_lp(self, n, m, scale):
@@ -452,7 +471,7 @@ class TestLpMethod:
         A, tol = lp_matrix(lp), 1e-9 * np.abs(lp.c).max()
         for sense in (+1, -1):
             sol = _solve(lp, sense)
-            assert sol.status == "optimal" and sol.stats["method"] == "primal simplex, equilibrated"
+            assert sol.status == "optimal" and sol.stats["method"] == equilibrated(lp)
             assert np.all(sol.duals[_implied_rows(ms.sizes)] == 0.0)
             assert abs(np.dot(lp.b, sol.duals) - sol.value) <= 1e-9 * abs(sol.value)
             assert np.all(sense * (A.T @ sol.duals - lp.c) <= tol)
@@ -463,6 +482,48 @@ class TestLpMethod:
                                            [sense * d / scale for d in deltas])
             assert abs(sense * value - sol.value / scale) <= 1e-9
 
+    @staticmethod
+    def solve_with_presolve(lp, sense, monkeypatch):
+        """_solve on a fresh HiGHS object, with the options of an equilibrated
+        solve that keeps HiGHS's presolve: output off, primal simplex and
+        every other option at HiGHS's default."""
+        highs = primal_module._highs()
+        options = highs.HighsOptions()
+        options.output_flag = options.log_to_console = False
+        options.simplex_strategy = 4
+        assert options.presolve == "choose"
+        with monkeypatch.context() as m:
+            m.setattr(primal_module, "_THREAD", threading.local())
+            m.setattr(primal_module, "_options", lambda *_: options)
+            return _solve(lp, sense)
+
+    @pytest.mark.parametrize("n, m", [(2, 32), (2, 50), (4, 6)])
+    def test_presolve_only_leaves_out_a_no_op(self, n, m, monkeypatch):
+        # at n = 2 HiGHS's presolve reduces nothing, so the solve without it
+        # is the same to the bit as one with it; from PRESOLVE_FROM_PERIODS
+        # periods up presolve stays on, as it was
+        lp = assemble_lp(*lognormal_basket(n, m))
+        assert lp.n_paths >= PRIMAL_FROM_PATHS
+        for sense in (+1, -1):
+            sol, presolved = _solve(lp, sense), self.solve_with_presolve(lp, sense, monkeypatch)
+            assert sol.status == presolved.status == "optimal"
+            assert sol.stats["method"] == equilibrated(lp)
+            assert (sol.stats["method"] == "primal simplex, equilibrated") == (n >= 4)
+            assert sol.value == presolved.value
+            assert sol.stats["iterations"] == presolved.stats["iterations"]
+            assert sol.coupling.paths.tobytes() == presolved.coupling.paths.tobytes()
+            assert sol.coupling.mass.tobytes() == presolved.coupling.mass.tobytes()
+            assert sol.duals.tobytes() == presolved.duals.tobytes()
+
+    def test_the_scaled_showcase_solves_without_presolve(self):
+        # at k = 1e10 the unscaled upper LP ran for minutes; equilibrated and
+        # without presolve both sides keep their k = 1 values, times k
+        for sense in (+1, -1):
+            unit, scaled = (_solve(assemble_lp(*lognormal_showcase(k)), sense) for k in (1.0, 1e10))
+            assert scaled.status == "optimal"
+            assert scaled.stats["method"] == "primal simplex, equilibrated, no presolve"
+            assert abs(scaled.value / 1e10 - unit.value) <= 1e-9 * abs(unit.value)
+
     def test_row_check_reads_scaled_rows(self, monkeypatch):
         # at 1e9 times the showcase's atoms the martingale rows are missed by
         # about 5e-9 in lp's own units, and by about 1e-17 once divided by
@@ -472,7 +533,7 @@ class TestLpMethod:
         lp = assemble_lp(*lognormal_showcase(1e9))
         monkeypatch.setattr(primal_module, "_CHECK_TOL", 1e-12)
         sol = _solve(lp, +1)
-        assert sol.stats["method"] == "primal simplex, equilibrated"
+        assert sol.stats["method"] == "primal simplex, equilibrated, no presolve"
         assert sol.status == "optimal"
         monkeypatch.setattr(primal_module, "_CHECK_TOL", 1e-30)
         sol = _solve(lp, +1)
@@ -555,9 +616,21 @@ class TestImpliedRows:
         cost, shifted = shifted_showcase(1e-12)
         assert validate_sequence(shifted).ok
         report = certify(cost, shifted)
-        assert report.primal_lower.stats["method"] == "primal simplex, equilibrated"
+        assert report.primal_lower.stats["method"] == "primal simplex, equilibrated, no presolve"
         assert report.coupling_check.ok
         assert report.coupling_check.martingale_error <= 1e-14
+
+    def test_solve_primal_solves_what_validation_refuses_and_certify_does_not(self):
+        # a 1e-9 mean mismatch: validate_sequence refuses it, certify reports
+        # it infeasible without solving an LP side, while solve_primal and
+        # solve_primal_max solve the LP as given
+        cost, shifted = shifted_showcase(1e-9)
+        assert not validate_sequence(shifted).ok
+        report = certify(cost, shifted)
+        assert report.feasible is False and not report.passed
+        assert report.primal_lower is None and report.primal_upper is None
+        for solve in (solve_primal, solve_primal_max):
+            assert solve(cost, shifted).status == "optimal"
 
     def test_a_mean_mismatch_past_the_marginal_tolerance_is_infeasible(self):
         # validation refuses these; the LP without the rows left out has a
