@@ -27,7 +27,6 @@ Certification runs no optimizer, and lives in certification.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -46,7 +45,7 @@ from .cascade import (
     dual_value_and_subgradient,
     relative_gap,
 )
-from .measures import CostSpec, MarginalSequence
+from .measures import CostSpec, MarginalSequence, check_positive_int
 
 GRAD_TOL = 1e-7
 DILATION = 2.0  # metric contraction along gradient differences
@@ -62,10 +61,7 @@ class AscentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        # a bool is refused, as in measures.is_json_number and quantize_lognormal's m
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-            raise ValueError("max_iters must be a positive integer")
+        check_positive_int(self.max_iters, "max_iters")
         _check_target_gap(self.target_gap)
 
 

@@ -47,9 +47,11 @@ DualVariables.check is the one check of a position: the count of its tables,
 their shapes, grids equal to the atoms, and finite entries. from_tables and
 zeros run it, and so does every cascade before it reads a table
 (_cascades), so a non-finite table is refused however the position was
-built. This module reads no LP code: CostSpec comes from measures, and the
-sub-hedge check, which validates an LP coupling, lives in certification,
-the one module that imports both this one and primal.
+built. DualCertificate.from_dict reads a certificate by the input rules in
+measures, as cli.parse_instance reads an instance. This module reads no LP
+code: CostSpec comes from measures, and the sub-hedge check, which validates
+an LP coupling, lives in certification, the one module that imports both
+this one and primal.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .envelope import _clamp
-from .measures import CostSpec, MarginalSequence, is_json_number
+from .measures import (CostSpec, InputError, MarginalSequence, json_text, read_number,
+                       read_numbers, read_object)
 
 VARIANTS = ("proposition", "remark_a", "remark_b")
 LOWER_VARIANTS = ("proposition", "remark_b")
@@ -111,13 +114,6 @@ class DualVariables:
         return [t.copy() for t in self.values]
 
 
-def _json_floats(values, field: str) -> np.ndarray:
-    """A float array from a JSON list of numbers; ValueError naming field for anything else."""
-    if not isinstance(values, list) or not all(is_json_number(v) for v in values):
-        raise ValueError(f"{field}: expected a list of numbers, got {values!r}")
-    return np.array(values, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class CascadeTensors:
     """The cascade levels T_1, ..., T_{n-1} plus the two-point envelope supports.
@@ -156,21 +152,24 @@ class DualCertificate:
         return out
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DualCertificate":
-        """The inverse of as_dict; ValueError for an unknown variant or a non-number value."""
-        variant, value, gap = (payload.get(k) for k in ("variant", "dual_value", "gap_vs_primal"))
+    def from_dict(cls, payload) -> "DualCertificate":
+        """The inverse of as_dict, by the input rules in measures: a ValueError
+        (InputError) names the field of a non-object, an unknown or missing key,
+        an unknown variant or a non-number; gap_vs_primal may be null."""
+        read_object(payload, "", ["dual_value", "gap_vs_primal", "u", "variant"],
+                    required=["dual_value", "u", "variant"])
+        variant, u, gap = payload["variant"], payload["u"], payload.get("gap_vs_primal")
         if variant not in VARIANTS:
-            raise ValueError(f"variant: expected one of {VARIANTS}, got {variant!r}")
-        if not is_json_number(value):
-            raise ValueError(f"dual_value: expected a number, got {value!r}")
-        if gap is not None and not is_json_number(gap):
-            raise ValueError(f"gap_vs_primal: expected a number or null, got {gap!r}")
-        u = payload.get("u")
+            raise InputError("variant", f"expected one of {VARIANTS}, got {json_text(variant)}")
+        value = read_number(payload["dual_value"], "dual_value")
+        gap = None if gap is None else read_number(gap, "gap_vs_primal")
         if not isinstance(u, list) or not all(isinstance(d, dict) for d in u):
-            raise ValueError("u: expected a list of {grid, values} objects")
-        grids = tuple(_json_floats(d.get("grid"), f"u[{k}].grid") for k, d in enumerate(u))
-        tables = tuple(_json_floats(d.get("values"), f"u[{k}].values") for k, d in enumerate(u))
-        return cls(variant, DualVariables(grids, tables), float(value), gap)
+            raise InputError("u", "expected a list of {grid, values} objects")
+        for k, d in enumerate(u):
+            read_object(d, f"u[{k}]", ["grid", "values"], required=["grid", "values"])
+        grids = tuple(read_numbers(d["grid"], f"u[{k}].grid") for k, d in enumerate(u))
+        tables = tuple(read_numbers(d["values"], f"u[{k}].values") for k, d in enumerate(u))
+        return cls(variant, DualVariables(grids, tables), value, gap)
 
 
 def relative_gap(value: float, reference: float) -> float:

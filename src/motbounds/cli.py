@@ -4,9 +4,11 @@ An instance file holds the marginals and the cost, nothing else. Each run
 setting has one spelling, a global flag; GLOBAL_FLAGS names the commands, or
 the `solve --method` values, that read it, and main refuses it anywhere else.
 Exit codes are a stable contract: 0 success, 1 input error, 2 infeasible
-instance or failed check, 3 resource cap exceeded. Structured output is JSON
-behind --json; tabular artifacts (hulls, couplings, traces) are CSV of plain
-numbers, all written by _write_csv.
+instance or failed check, 3 resource cap exceeded; an input error prints one
+`error: <field>: <message>` line, and parse_instance reads the file by the
+input rules in measures. Structured output is JSON behind --json; tabular
+artifacts (hulls, couplings, traces) are CSV of plain numbers, all written
+by _write_csv.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ from .measures import (
     STRIKE_FORMS,
     CostSpec,
     DiscreteMeasure,
+    InputError,
     MarginalSequence,
     NonFiniteCostError,
     SizeCapError,
-    is_json_number,
+    json_text,
     quantize_lognormal,
+    read_number,
+    read_numbers,
+    read_object,
     validate_sequence,
 )
 from .primal import HighsMissingError, multipliers_to_semistatic, solve_primal, solve_primal_max
@@ -52,74 +58,39 @@ GLOBAL_FLAGS = {"--json": ("json", ("check", "solve", "certify")),
                 "--var-cap": ("var_cap", ("solve", "certify"))}
 
 
-class InstanceError(ValueError):
-    """Malformed instance file or flag; message carries the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
 @dataclass
 class Instance:
     cost: CostSpec
     marginals: MarginalSequence
 
 
-def _number(value, field: str):
-    """value if it is a JSON number, else an InstanceError naming field."""
-    if not is_json_number(value):
-        raise InstanceError(field, f"expected a number, got {json.dumps(value)}")
-    return value
-
-
-def _numbers(values, field: str) -> list:
-    """A JSON list of numbers, checked element by element."""
-    if not isinstance(values, list):
-        raise InstanceError(field, f"expected a list of numbers, got {json.dumps(values)}")
-    return [_number(v, f"{field}[{k}]") for k, v in enumerate(values)]
-
-
 def _parse_lognormal(params, where: str, var_cap) -> DiscreteMeasure:
-    if not isinstance(params, dict):
-        raise InstanceError(where, "expected an object")
     keys = ["location", "m", "scale"]
-    unknown = sorted(set(params) - set(keys))
-    if unknown:
-        raise InstanceError(f"{where}.{unknown[0]}", f"unknown key; expected one of {keys}")
-    for key in keys:
-        if key not in params:
-            raise InstanceError(where, f"missing key {key!r}")
-        _number(params[key], f"{where}.{key}")
-    m = params["m"]
+    read_object(params, where, keys, required=keys)
+    location, _, scale = (read_number(params[key], f"{where}.{key}") for key in keys)
+    m = params["m"]  # the JSON value: an integer past 2**53 keeps its digits
     if not 0 < m < np.inf or m != int(m):
-        raise InstanceError(f"{where}.m", f"expected a positive integer, got {json.dumps(m)}")
+        raise InputError(f"{where}.m", f"expected a positive integer, got {json_text(m)}")
     try:
-        return quantize_lognormal(float(params["location"]), float(params["scale"]), int(m),
-                                  var_cap)
+        return quantize_lognormal(location, scale, int(m), var_cap)
     except (ValueError, OverflowError) as exc:
-        raise InstanceError(where, str(exc)) from exc
+        raise InputError(where, str(exc)) from exc
 
 
 def _parse_measure(spec, where: str, var_cap=None) -> DiscreteMeasure:
-    if not isinstance(spec, dict):
-        raise InstanceError(where, "expected an object")
-    keys = ["atoms", "lognormal", "weights"]
-    unknown = sorted(set(spec) - set(keys))
-    if unknown:
-        raise InstanceError(f"{where}.{unknown[0]}", f"unknown key; expected one of {keys}")
+    read_object(spec, where, ["atoms", "lognormal", "weights"])
     if "lognormal" in spec:
         if len(spec) > 1:
-            raise InstanceError(where, "expected atoms/weights or a lognormal block, not both")
+            raise InputError(where, "expected atoms/weights or a lognormal block, not both")
         return _parse_lognormal(spec["lognormal"], f"{where}.lognormal", var_cap)
     if "atoms" in spec and "weights" in spec:
-        atoms = _numbers(spec["atoms"], f"{where}.atoms")
-        weights = _numbers(spec["weights"], f"{where}.weights")
+        atoms = read_numbers(spec["atoms"], f"{where}.atoms")
+        weights = read_numbers(spec["weights"], f"{where}.weights")
         try:
-            return DiscreteMeasure(np.asarray(atoms, float), np.asarray(weights, float))
-        except (ValueError, OverflowError) as exc:
-            raise InstanceError(where, str(exc)) from exc
-    raise InstanceError(where, "expected atoms/weights or a lognormal block")
+            return DiscreteMeasure(atoms, weights)
+        except ValueError as exc:
+            raise InputError(where, str(exc)) from exc
+    raise InputError(where, "expected atoms/weights or a lognormal block")
 
 
 def _read_csv(path: str) -> np.ndarray:
@@ -135,13 +106,13 @@ def _read_csv(path: str) -> np.ndarray:
 def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
     """Tensor CSV: one row per product-grid point, columns x_1..x_n,value."""
     if not isinstance(path, str):
-        raise InstanceError("cost.path", f"expected a file name, got {json.dumps(path)}")
+        raise InputError("cost.path", f"expected a file name, got {json_text(path)}")
     try:
         raw = _read_csv(path)
     except (OSError, ValueError) as exc:
-        raise InstanceError("cost.path", str(exc)) from exc
+        raise InputError("cost.path", str(exc)) from exc
     if raw.shape[1] != ms.n + 1:
-        raise InstanceError("cost.path", f"expected {ms.n + 1} columns, got {raw.shape[1]}")
+        raise InputError("cost.path", f"expected {ms.n + 1} columns, got {raw.shape[1]}")
     index = []
     for i, grid in enumerate(ms.grids):  # nearest atom, within 1e-9 of the largest |atom|
         coords = raw[:, i]
@@ -151,16 +122,16 @@ def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
         off = ~(np.abs(grid[pos] - coords) <= 1e-9 * np.max(np.abs(grid)))  # NaN is off too
         if off.any():
             x = float(coords[off][0])
-            raise InstanceError("cost.path", f"coordinate {x!r} is not an atom of marginal {i + 1}")
+            raise InputError("cost.path", f"coordinate {x!r} is not an atom of marginal {i + 1}")
         index.append(pos)
     flat = np.ravel_multi_index(index, ms.sizes)
     counts = np.bincount(flat, minlength=ms.path_count)
     if np.any(counts == 0):
-        raise InstanceError("cost.path", "tensor does not cover the full product grid")
+        raise InputError("cost.path", "tensor does not cover the full product grid")
     if np.any(counts > 1):
         row = np.argmax(flat == np.argmax(counts > 1))  # first row of the first repeated point
         point = tuple(raw[row, :-1].tolist())
-        raise InstanceError("cost.path", f"grid point {point!r} is listed more than once")
+        raise InputError("cost.path", f"grid point {point!r} is listed more than once")
     table = np.empty(ms.sizes)
     table[tuple(index)] = raw[:, -1]
     return table
@@ -172,58 +143,39 @@ def parse_instance(path: str, var_cap=None) -> Instance:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise InstanceError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-    except ValueError as exc:  # undecodable bytes, or an integer too long to convert
-        raise InstanceError(path, str(exc)) from exc
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except (OSError, ValueError) as exc:  # also undecodable bytes, an integer too long to convert
+        raise InputError(path, str(exc)) from exc
     except RecursionError as exc:
-        raise InstanceError(path, "JSON nested too deeply") from exc
-    if not isinstance(payload, dict):
-        raise InstanceError(path, "top level must be an object")
-    top_keys = ["cost", "marginals"]
-    unknown = sorted(set(payload) - set(top_keys))
-    if unknown:
-        raise InstanceError(unknown[0], f"unknown key; expected one of {top_keys}")
+        raise InputError(path, "JSON nested too deeply") from exc
+    read_object(payload, "", ["cost", "marginals"])
 
     raw_marginals = payload.get("marginals")
     if not isinstance(raw_marginals, list) or len(raw_marginals) < 2:
-        raise InstanceError("marginals", "need a list of at least two measure specs")
-    ms = MarginalSequence(
-        [_parse_measure(spec, f"marginals[{i}]", var_cap) for i, spec in enumerate(raw_marginals)]
-    )
+        raise InputError("marginals", "need a list of at least two measure specs")
+    ms = MarginalSequence([_parse_measure(spec, f"marginals[{i}]", var_cap)
+                           for i, spec in enumerate(raw_marginals)])
 
-    raw_cost = payload.get("cost")
-    if not isinstance(raw_cost, dict) or "form" not in raw_cost:
-        raise InstanceError("cost", "need an object with a form")
+    raw_cost = read_object(payload.get("cost"), "cost", ["form", "path", "strike"],
+                           required=["form"])
     form = raw_cost["form"]
     if form not in COST_FORMS:
-        raise InstanceError("cost.form", f"unknown form {form!r}; expected one of {COST_FORMS}")
-    cost_keys = ["form", "path", "strike"]
-    unknown = sorted(set(raw_cost) - set(cost_keys))
-    if unknown:
-        raise InstanceError(f"cost.{unknown[0]}", f"unknown key; expected one of {cost_keys}")
+        raise InputError("cost.form", f"unknown form {form!r}; expected one of {COST_FORMS}")
     for key, forms in (("path", ("custom_table",)), ("strike", STRIKE_FORMS)):
         if key in raw_cost and form not in forms:
-            raise InstanceError(f"cost.{key}", f"the {form} form takes no {key}")
+            raise InputError(f"cost.{key}", f"the {form} form takes no {key}")
+    table, strike = None, raw_cost.get("strike")
+    if form == "custom_table":
+        if "path" not in raw_cost:
+            raise InputError("cost.path", "custom_table needs a tensor CSV path")
+        table = _load_cost_table(raw_cost["path"], ms)
+    elif strike is not None:
+        strike = read_number(strike, "cost.strike")
     try:
-        if form == "custom_table":
-            if "path" not in raw_cost:
-                raise InstanceError("cost.path", "custom_table needs a tensor CSV path")
-            table = _load_cost_table(raw_cost["path"], ms)
-            cost = CostSpec(ms.n, form, table=table)
-        else:
-            strike = raw_cost.get("strike")
-            if strike is not None:
-                strike = float(_number(strike, "cost.strike"))
-            cost = CostSpec(ms.n, form, strike=strike)
-    except InstanceError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceError("cost", str(exc)) from exc
-
-    return Instance(cost, ms)
+        return Instance(CostSpec(ms.n, form, strike=strike, table=table), ms)
+    except (TypeError, ValueError) as exc:
+        raise InputError("cost", str(exc)) from exc
 
 
 def _apply_flags(args) -> AscentConfig:
@@ -236,7 +188,7 @@ def _apply_flags(args) -> AscentConfig:
             try:
                 config = replace(config, **{key: value})
             except ValueError as exc:
-                raise InstanceError(flag, str(exc)) from exc
+                raise InputError(flag, str(exc)) from exc
     return config
 
 
@@ -254,7 +206,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _out_dir(args):
-    """args.out, created first if given; an OSError becomes an InstanceError naming --out.
+    """args.out, created first if given; an OSError becomes an InputError naming --out.
 
     Commands call it before any work, so an unusable --out costs no solve.
     """
@@ -262,17 +214,17 @@ def _out_dir(args):
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
-            raise InstanceError("--out", str(exc)) from exc
+            raise InputError("--out", str(exc)) from exc
     return args.out
 
 
 def _write_artifact(path, text: str) -> None:
-    """Write text to path; an OSError becomes an InstanceError naming --out."""
+    """Write text to path; an OSError becomes an InputError naming --out."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InstanceError("--out", str(exc)) from exc
+        raise InputError("--out", str(exc)) from exc
 
 
 def _write_csv(out, header, columns) -> None:
@@ -301,8 +253,7 @@ def cmd_solve(args) -> int:
     inst = parse_instance(args.instance, args.var_cap)
     ms = inst.marginals
     # the cap holds for every method: the dual's cascade builds the product-grid tensor too
-    if ms.path_count > args.var_cap:
-        raise SizeCapError(f"{ms.path_count} path variables exceed the cap {args.var_cap}")
+    ms.check_path_cap(args.var_cap)
     out_dir = _out_dir(args)
     validation = validate_sequence(ms)
     if not validation.ok:
@@ -367,7 +318,7 @@ def cmd_certify(args) -> int:
 
 def cmd_envelope(args) -> int:
     if args.at is not None and args.out:
-        raise InstanceError("--out", "envelope --at prints one value and writes no file")
+        raise InputError("--out", "envelope --at prints one value and writes no file")
     out_dir = _out_dir(args)
     try:
         raw = _read_csv(args.csv)
@@ -448,18 +399,15 @@ def main(argv=None) -> int:
         for flag, (key, readers) in GLOBAL_FLAGS.items():
             given = getattr(args, key) != parser.get_default(key)
             if given and args.command not in readers and run not in readers:
-                raise InstanceError(flag, f"{run} does not read this flag")
+                raise InputError(flag, f"{run} does not read this flag")
         if args.var_cap is None:
             args.var_cap = DEFAULT_VAR_CAP
         elif args.var_cap < 1:
-            raise InstanceError("--var-cap", f"expected a positive integer, got {args.var_cap}")
+            raise InputError("--var-cap", f"expected a positive integer, got {args.var_cap}")
         return args.func(args)
-    except (InstanceError, NonFiniteCostError, HighsMissingError) as exc:
+    except (InputError, NonFiniteCostError, HighsMissingError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_CAP if isinstance(exc, SizeCapError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ marginals increase in convex order, which for equal means is equivalent to
 pointwise dominance of the potential functions U(k) = E|X - k|. This module
 builds, quantizes and checks marginals, and defines the payoff CostSpec,
 which both the LP (primal) and the envelope cascade (cascade) price.
+
+It also holds the input rules of both readers, cli.parse_instance and
+DualCertificate.from_dict: read_object, read_number and read_numbers raise
+InputError, `<field>: <message>`, spelling a bad value as JSON does; and the
+positive-integer and path-cap rules (check_positive_int, check_path_cap).
 """
 
 from __future__ import annotations
@@ -31,9 +36,57 @@ STRIKE_FORMS = ("terminal_call", "basket")  # the forms that read a strike
 DEFAULT_VAR_CAP = 200_000  # LP path variables; also quantize_lognormal's default atom cap
 
 
-def is_json_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool (nor a string that spells one)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def json_text(value) -> str:
+    """value as JSON spells it ("3", true, null), for an error message."""
+    import json  # only a refusal spells a value, so importing the package loads no json
+    return json.dumps(value, default=repr)
+
+
+class InputError(ValueError):
+    """Malformed input (instance file, flag, certificate), `<field>: <message>`; see .field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+
+
+def read_object(value, field: str, keys: list, required: Sequence[str] = ()) -> dict:
+    """value if it is an object with no key outside keys and every key in required;
+    field names it ("" at the top level), and field.k names an unknown key k."""
+    name = field or "top level"
+    if not isinstance(value, dict):
+        raise InputError(name, "expected an object")
+    unknown = sorted((k for k in value if k not in keys), key=str)
+    if unknown:
+        raise InputError(f"{field}.{unknown[0]}" if field else str(unknown[0]),
+                         f"unknown key; expected one of {keys}")
+    for key in required:
+        if key not in value:
+            raise InputError(name, f"missing key {key!r}")
+    return value
+
+
+def read_number(value, field: str) -> float:
+    """float(value) if value is a JSON number: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(field, f"expected a number, got {json_text(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise InputError(field, str(exc)) from exc
+
+
+def read_numbers(values, field: str) -> np.ndarray:
+    """The float array of values, a list of JSON numbers; a bad entry k is named field[k]."""
+    if not isinstance(values, list):
+        raise InputError(field, f"expected a list of numbers, got {json_text(values)}")
+    return np.array([read_number(v, f"{field}[{k}]") for k, v in enumerate(values)])
+
+
+def check_positive_int(value, name: str) -> None:
+    """ValueError unless value is an integer >= 1, a Python or numpy int but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
 
 
 class SizeCapError(RuntimeError):
@@ -211,6 +264,11 @@ class MarginalSequence:
     def path_count(self) -> int:
         return int(np.prod(self.sizes))
 
+    def check_path_cap(self, var_cap: int) -> None:
+        """SizeCapError if the product grid has more than var_cap paths."""
+        if self.path_count > var_cap:
+            raise SizeCapError(f"{self.path_count} path variables exceed the cap {var_cap}")
+
     @property
     def span(self) -> float:
         lo = min(m.atoms[0] for m in self.marginals)
@@ -381,8 +439,7 @@ def quantize_lognormal(location: float, scale: float, m: int,
     More than var_cap atoms (DEFAULT_VAR_CAP when None) raise SizeCapError,
     naming that cap, before anything is allocated.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise ValueError("m must be a positive integer")
+    check_positive_int(m, "m")
     cap = DEFAULT_VAR_CAP if var_cap is None else var_cap
     if m > cap:
         raise SizeCapError(f"{m} atoms exceed the cap {cap}")

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SizeCapError
+from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence
 
 MASS_TOL = 1e-9
 MARGINAL_TOL = 1e-8
@@ -190,9 +190,8 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     multipliers have one entry per row of this layout; an equilibrated
     _solve leaves out the rows that _implied_rows names.
     """
+    ms.check_path_cap(var_cap)
     n_paths = ms.path_count
-    if n_paths > var_cap:
-        raise SizeCapError(f"{n_paths} path variables exceed the cap {var_cap}")
     sizes = ms.sizes
     n = ms.n
     c = cost.tensor_on(ms).ravel()

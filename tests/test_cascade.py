@@ -1,6 +1,7 @@
 """Dual positions, cascade recursion, batched envelope, dual value, supergradient, sub-hedge."""
 
 import json
+import re
 import threading
 import tracemalloc
 
@@ -39,6 +40,7 @@ from motbounds.measures import COST_FORMS, STRIKE_FORMS
 
 from conftest import lognormal_showcase, random_cost, random_duals, random_instance
 from oracles import support_rows, terminal_tensor
+from test_cli_fuzz import VALUES, nodes, replace_at
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -211,13 +213,13 @@ class TestPositionsBuiltElsewhere:
         with pytest.raises(ValueError, match="variant: expected one of"):
             DualCertificate.from_dict(payload)
         payload["variant"] = "proposition"
-        with pytest.raises(ValueError, match="dual_value: expected a number, got '3'"):
+        with pytest.raises(ValueError, match='dual_value: expected a number, got "3"'):
             DualCertificate.from_dict(payload)
         payload["dual_value"] = 3
-        with pytest.raises(ValueError, match=r"u\[0\]\.grid: expected a list of numbers"):
+        with pytest.raises(ValueError, match=r'u\[0\]\.grid\[0\]: expected a number, got "-1"'):
             DualCertificate.from_dict(payload)
         payload["u"][0]["grid"] = [-1, 1]
-        with pytest.raises(ValueError, match=r"u\[0\]\.values: expected a list of numbers"):
+        with pytest.raises(ValueError, match=r'u\[0\]\.values\[0\]: expected a number, got "1.0"'):
             DualCertificate.from_dict(payload)
 
     @pytest.mark.parametrize("field,bad", [("dual_value", True), ("dual_value", None),
@@ -228,6 +230,31 @@ class TestPositionsBuiltElsewhere:
         payload[field] = bad
         with pytest.raises(ValueError, match=f"{field}: expected"):
             DualCertificate.from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[1], "x", None])
+    def test_non_object_certificate_refused(self, payload):
+        with pytest.raises(ValueError, match="^top level: expected an object$"):
+            DualCertificate.from_dict(payload)
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda p: p.update(junk=1),
+         "junk: unknown key; expected one of ['dual_value', 'gap_vs_primal', 'u', 'variant']"),
+        (lambda p: p["u"][0].update(junk=1),
+         "u[0].junk: unknown key; expected one of ['grid', 'values']"),
+        (lambda p: p.pop("dual_value"), "top level: missing key 'dual_value'"),
+        (lambda p: p["u"][1].pop("values"), "u[1]: missing key 'values'"),
+    ], ids=["unknown_top_level", "unknown_u_entry", "missing_top_level", "missing_u_entry"])
+    def test_unknown_or_missing_certificate_key_refused(self, mutate, message):
+        payload = DualCertificate("proposition", DualVariables.zeros(MS_THREE), 0.0).as_dict()
+        mutate(payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DualCertificate.from_dict(payload)
+
+    def test_integer_gap_reads_as_float(self):
+        payload = DualCertificate("proposition", DualVariables.zeros(MS_THREE), 0.0, 0.0).as_dict()
+        payload["gap_vs_primal"] = 0
+        gap = DualCertificate.from_dict(payload).gap_vs_primal
+        assert type(gap) is float and gap == 0.0
 
     def test_grid_other_than_the_atoms_refused(self):
         u = DualVariables((PM1.atoms, PM2.atoms + 1.0), (np.zeros(2), np.zeros(2)))
@@ -242,6 +269,45 @@ class TestPositionsBuiltElsewhere:
     def test_wrong_table_shape_refused(self):
         u = DualVariables((PM1.atoms, PM2.atoms), (np.zeros(2), np.zeros(3)))
         self.assert_refused(u, r"table u_3 has shape \(3,\), expected \(2,\)")
+
+
+class TestCertificateReader:
+    """DualCertificate.from_dict reads back what as_dict writes, and refuses the rest."""
+
+    def test_certify_certificates_round_trip(self):
+        rng = np.random.default_rng(9)
+        instances = [lognormal_showcase()] + [random_instance(rng, n, max_size=6)
+                                              for n in (2, 2, 3, 3)]
+        for cost, ms in instances:
+            report = certify(cost, ms)
+            assert sorted(report.certificates) == sorted(VARIANTS)
+            for cert in report.certificates.values():
+                payload = cert.as_dict()
+                back = DualCertificate.from_dict(json.loads(json.dumps(payload)))
+                assert back.as_dict() == payload
+
+    def test_mutated_certificate_reads_or_raises_value_error(self):
+        # every node of a certify certificate given every wrong value, every key
+        # dropped, and an extra key on every object
+        rng = np.random.default_rng(4)
+        cost, ms = random_instance(rng, 3, max_size=3)
+        payload = certify(cost, ms).certificates["proposition"].as_dict()
+        assert "gap_vs_primal" in payload
+        mutants = [replace_at(payload, path, value)
+                   for path, _ in nodes(payload) for value in VALUES]
+        for path, value in nodes(payload):
+            if isinstance(value, dict):
+                mutants.append(replace_at(payload, path, dict(value, extra=1.0)))
+                mutants += [replace_at(payload, path, {k: v for k, v in value.items() if k != key})
+                            for key in value]
+        for mutant in mutants:
+            text = json.dumps(mutant)
+            try:
+                DualCertificate.from_dict(json.loads(text))
+            except ValueError:
+                pass
+            except Exception as exc:
+                raise AssertionError(f"{text[:200]}: {exc!r}") from exc
 
 
 class TestTerminalTensor:
