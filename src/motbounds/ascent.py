@@ -151,7 +151,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     status = "iteration_limit"
     t0 = time.perf_counter()
     for k in range(1, config.max_iters + 1):
-        u = DualVariables.from_tables(ms, tables)
+        u = DualVariables(ms.grids[1:], tuple(tables))  # views of x, checked by the cascade
         value, grads = dual_value_and_subgradient(variant, cost, ms, u)
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
         if (value > best_value) if maximize else (value < best_value):

@@ -13,17 +13,19 @@ differ only in where u is subtracted and which way the hull faces:
                  it gives the same values as "proposition" (see cascade_down).
 
 Each level evaluates its sections one block of rows at a time: an exact
-alternating search finds the pair of atoms whose chord supports the hull at
-the evaluation point, at O(m) per section and round and a few rounds per
-section. The top level's blocks are built from the cost tensor as they are
-searched, so no cascade holds T_n whole. The loop evaluates a stack of
-positions (variant, u) together, one search per block for all of them
-(see _cascades); cascade_down is the stack of one. A block's rows, and
-the slopes its search computes, are written into one float buffer per
-thread (_section_buffer), grown on demand and reused by every block, level
-and evaluation on that thread, so neither is allocated per block, and a
-search holds at most one block-sized temporary at a time; nothing in the
-buffer outlives its block.
+alternating search finds the pair of atoms whose chord supports the lower
+hull at the evaluation point, at O(m) per section and round and a few rounds
+per section. The search sees lower hulls only: remark_a's top rows are
+negated where they are built, since the concave envelope of f is minus the
+convex envelope of -f, and its levels stay negated until its CascadeTensors.
+The top level's blocks are built from the cost tensor as they are searched,
+so no cascade holds T_n whole. A stack of positions (variant, u) is
+evaluated together, one search per block for all (see _cascades);
+cascade_down is the stack of one. Each stack writes a block's rows, and the
+search its slopes, into one float buffer per thread (_section_buffer), grown
+on demand and reused by every block, level and evaluation on that thread;
+nothing in it outlives its block, and a search holds at most one
+block-sized temporary at a time.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
@@ -41,7 +43,7 @@ marginal expectations of the u_i. It is concave (proposition / remark_b) or
 convex (remark_a) and piecewise affine in the u tables; the supergradient is
 assembled by pushing the mu_1 weights down through the two-point envelope
 representations and depositing the arriving mass on the touched u slots.
-dual_value_and_subgradient computes both; dual_objective is its value.
+dual_value_and_subgradient computes both, dual_objective the value alone.
 
 DualVariables.check is the one check of a position: the count of its tables,
 their shapes, grids equal to the atoms, and finite entries. from_tables and
@@ -155,14 +157,15 @@ class DualCertificate:
     def from_dict(cls, payload) -> "DualCertificate":
         """The inverse of as_dict, by the input rules in measures: a ValueError
         (InputError) names the field of a non-object, an unknown or missing key,
-        an unknown variant or a non-number; gap_vs_primal may be null."""
+        an unknown variant, a non-number, or a non-finite dual_value or
+        gap_vs_primal; gap_vs_primal may be null."""
         read_object(payload, "", ["dual_value", "gap_vs_primal", "u", "variant"],
                     required=["dual_value", "u", "variant"])
         variant, u, gap = payload["variant"], payload["u"], payload.get("gap_vs_primal")
         if variant not in VARIANTS:
             raise InputError("variant", f"expected one of {VARIANTS}, got {json_text(variant)}")
-        value = read_number(payload["dual_value"], "dual_value")
-        gap = None if gap is None else read_number(gap, "gap_vs_primal")
+        value = read_number(payload["dual_value"], "dual_value", finite=True)
+        gap = None if gap is None else read_number(gap, "gap_vs_primal", finite=True)
         if not isinstance(u, list) or not all(isinstance(d, dict) for d in u):
             raise InputError("u", "expected a list of {grid, values} objects")
         for k, d in enumerate(u):
@@ -246,8 +249,7 @@ class _Level:
     by envelope._clamp; split[r] is the first atom right of t[r], and at most
     the last one. kernel[c, j] = 1 / (y_j - y_c), and 0 at j == c; the rows
     of bars add +inf left of a split s (bars[m - s]) or -inf right of it
-    (bars[2m - s]). All of them serve both hulls, because the upper hull of
-    f is searched as the lower hull of -f.
+    (bars[2m - s]).
     """
 
     def __init__(self, grid, eval_atoms, rows):
@@ -292,30 +294,26 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     return _Built(top, tuple(reversed(levels)))
 
 
-def _envelope(section_rows, level: _Level, lower, top_abs=None):
-    """Envelope values of k stacks of section rows at the points of level.
+def _envelope(section_rows, level: _Level, top_abs=None):
+    """Lower-hull values of k stacks of section rows at the points of level.
 
-    section_rows[p](lo, hi, out) gives rows lo:hi of stack p's sections,
-    tabulated on level.grid: written into out, a (hi - lo) x m float array,
-    and returned, or returned as a view of rows the caller holds. It is read
-    one block of rows at a time, and out is a part of this thread's section
-    buffer, so a level's sections exist one block at a time unless the
-    caller holds them. lower[p] says which hull stack p takes. The value at
-    t of the lower (upper) hull is lam*f(y_a) + (1-lam)*f(y_b) for a
-    supporting pair y_a <= t <= y_b of the hull, with lam*y_a + (1-lam)*y_b
-    = t; the pair is returned for the supergradient. A block's rows of every
-    stack go to one _supporting_pairs call, an upper stack's rows negated:
-    the upper hull of f is the lower hull of -f, whose slopes and chord
-    values are the exact negations of f's. Rows are searched independently,
-    so a row gets what it gets in a stack of one. Returns vals, left, right
-    and lam, of shape (k, rows). top_abs, None or k zeros, is raised to each
+    section_rows[p](lo, hi, out) writes rows lo:hi of stack p's sections,
+    tabulated on level.grid, into out, a (hi - lo) x m part of this thread's
+    section buffer, so a level's sections exist one block at a time unless
+    the caller holds them. The value at t is lam*f(y_a) + (1-lam)*f(y_b) for
+    a supporting pair y_a <= t <= y_b of the hull, with lam*y_a +
+    (1-lam)*y_b = t; the pair is returned for the supergradient. A block's
+    rows of every stack go to one _supporting_pairs call, which searches
+    each row on its own, as in a stack of one. Returns vals, left, right and
+    lam, of shape (k, rows). top_abs, None or k zeros, is raised to each
     stack's max |.|.
     """
     k, rows, m = len(section_rows), level.t.size, level.grid.size
     vals = np.empty((k, rows))
     if m == 1:
+        f = _section_buffer(rows).reshape(rows, 1)
         for p, rows_of in enumerate(section_rows):
-            f = rows_of(0, rows, _section_buffer(rows).reshape(rows, 1))
+            rows_of(0, rows, f)
             vals[p] = f[:, 0]
             if top_abs is not None:
                 top_abs[p] = np.abs(f).max()
@@ -323,8 +321,6 @@ def _envelope(section_rows, level: _Level, lower, top_abs=None):
     left = np.empty((k, rows), dtype=np.intp)
     right = np.empty((k, rows), dtype=np.intp)
     lam = np.empty((k, rows))
-    # -1.0 for an upper stack: times it, a value is negated exactly
-    sign = None if all(lower) else np.where(lower, 1.0, -1.0)
     block = max(1, BLOCK_VALUES // m)
     size = k * min(block, rows) * m
     buf = _section_buffer(2 * size)
@@ -333,25 +329,13 @@ def _envelope(section_rows, level: _Level, lower, top_abs=None):
         hi = min(lo + block, rows)
         rs = slice(lo, hi)
         f = sections[:k * (hi - lo) * m].reshape(k, hi - lo, m)
-        if k == 1 and lower[0]:
-            f = section_rows[0](lo, hi, f[0])  # a view of the caller's rows is searched as it is
-        else:
-            for rows_of, low, out in zip(section_rows, lower, f):
-                got = rows_of(lo, hi, out)
-                if not low:
-                    np.negative(got, out=out)  # in place when got is out
-                elif got is not out:
-                    out[...] = got
-            f = f.reshape(-1, m)
-        if k == 1:
-            t, split = level.t[rs], level.split[rs]
-        else:
-            t, split = np.tile(level.t[rs], k), np.tile(level.split[rs], k)
+        for rows_of, out in zip(section_rows, f):
+            rows_of(lo, hi, out)
+        f = f.reshape(-1, m)
         if top_abs is not None:
             np.maximum(top_abs, np.abs(f).reshape(k, -1).max(axis=1), out=top_abs)
+        t, split = (np.concatenate([x[rs]] * k) for x in (level.t, level.split))  # np.tile is slower
         found = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars, spare)
-        if sign is not None:
-            found[3] *= np.repeat(sign, hi - lo)  # an upper stack's values, read back exactly
         for out, x in zip((left, right, lam, vals), found):
             out[:, rs] = x.reshape(k, -1)
     return vals, left, right, lam
@@ -453,7 +437,9 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
 
     Each block of each level's rows is searched for every position at once
     (see _envelope), and every position gets the levels and supports that
-    cascade_down gives it alone, to the bit. Returns the positions'
+    cascade_down gives it alone, to the bit. Each position writes its rows
+    into the section buffer, a held level by a copy; remark_a's are negated,
+    and its CascadeTensors negates its levels back. Returns the positions'
     CascadeTensors, in order, and with top_abs a float array of the max |.|
     of each position's top-level section rows, else None: that is max |T_n|
     for proposition and remark_a, and max |c - u_n| for remark_b.
@@ -463,7 +449,6 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     for u in dict.fromkeys(u for _, u in positions):  # each u once, by identity
         u.check(ms)
-    lower = [variant in LOWER_VARIANTS for variant, _ in positions]
     top, geometry = _built(cost, ms)
     scale = np.zeros(len(positions)) if top_abs else None
     levels = [[None] * (ms.n - 1) for _ in positions]
@@ -475,19 +460,23 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
             sections = cur.reshape(-1, ms.sizes[i])
             if variant == "remark_b":
                 def rows_of(lo, hi, out, sections=sections, t=u.values[i - 1]):
-                    return np.subtract(sections[lo:hi], t, out=out)
-            elif cur is top:
-                rows_of = functools.partial(_terminal_rows, top, ms, u)
-            else:
+                    np.subtract(sections[lo:hi], t, out=out)
+            elif cur is not top:
                 def rows_of(lo, hi, out, sections=sections):
-                    return sections[lo:hi]
+                    np.copyto(out, sections[lo:hi])
+            elif variant == "remark_a":
+                def rows_of(lo, hi, out, u=u):
+                    np.negative(_terminal_rows(top, ms, u, lo, hi, out), out=out)
+            else:
+                rows_of = functools.partial(_terminal_rows, top, ms, u)
             section_rows.append(rows_of)
-        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1], lower,
+        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1],
                                         scale if i == ms.n - 1 else None)
         for p in range(len(positions)):
             current[p] = levels[p][i - 1] = vals[p].reshape(ms.sizes[:i])
             supports[p][i - 1] = (lft[p], rgt[p], lam[p])
-    return [CascadeTensors(tuple(lv), tuple(sp)) for lv, sp in zip(levels, supports)], scale
+    return [CascadeTensors(tuple(-x for x in lv) if v == "remark_a" else tuple(lv), tuple(sp))
+            for (v, _), lv, sp in zip(positions, levels, supports)], scale
 
 
 def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> float:
@@ -496,7 +485,7 @@ def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVa
     Lower bound of the transport value for the lower variants, upper bound of
     the sup problem for remark_a.
     """
-    return dual_value_and_subgradient(variant, cost, ms, u)[0]
+    return _objective(ms, u, cascade_down(variant, cost, ms, u))
 
 
 def _objective(ms: MarginalSequence, u: DualVariables, casc: CascadeTensors) -> float:

@@ -99,7 +99,7 @@ def _read_csv(path: str) -> np.ndarray:
         warnings.simplefilter("ignore")  # numpy warns on an empty file, refused below
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.size == 0:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError("no data rows")
     return raw
 
 
@@ -325,11 +325,13 @@ def cmd_envelope(args) -> int:
         if raw.shape[1] != 2:
             raise ValueError(f"expected two columns x,f(x), got {raw.shape[1]}")
         env = convex_envelope(GridFunction(raw[:, 0], raw[:, 1]))
-        value = None if args.at is None else eval_envelope(env, args.at)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if value is not None:
+        raise InputError(args.csv, str(exc)) from exc
+    if args.at is not None:
+        try:
+            value = eval_envelope(env, args.at)
+        except ValueError as exc:  # a point off the grid
+            raise InputError("--at", str(exc)) from exc
         print(repr(value))
         return EXIT_OK
     out = os.path.join(out_dir, "hull.csv") if out_dir else sys.stdout
@@ -338,11 +340,15 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    # each error names its flag; the command names its flags' block, as marginals[k].lognormal
+    if args.m < 1:
+        raise InputError("--m", f"expected a positive integer, got {args.m}")
+    if not args.scale >= 0:
+        raise InputError("--scale", f"expected a nonnegative number, got {args.scale!r}")
     try:
         mu = quantize_lognormal(args.location, args.scale, args.m)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("quantize", str(exc)) from exc
     print(json.dumps(mu.as_dict()))
     return EXIT_OK
 

@@ -66,14 +66,18 @@ def read_object(value, field: str, keys: list, required: Sequence[str] = ()) -> 
     return value
 
 
-def read_number(value, field: str) -> float:
-    """float(value) if value is a JSON number: an int or a float, not a bool or a string."""
+def read_number(value, field: str, finite: bool = False) -> float:
+    """float(value) if value is a JSON number: an int or a float, not a bool or a string;
+    with finite, not NaN or an infinity either."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(field, f"expected a number, got {json_text(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:  # an integer past the float range
         raise InputError(field, str(exc)) from exc
+    if finite and not math.isfinite(number):
+        raise InputError(field, f"expected a finite number, got {json_text(value)}")
+    return number
 
 
 def read_numbers(values, field: str) -> np.ndarray:

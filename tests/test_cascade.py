@@ -81,10 +81,15 @@ def reference_cascade(cost, ms, u, variant):
 
 
 def batched_envelope(sections, grid, eval_atoms, lower):
-    """The production search, a stack of one, over every row at eval_atoms[r % len(eval_atoms)]."""
-    out = _envelope([lambda lo, hi, out: sections[lo:hi]],
-                    _Level(grid, eval_atoms, sections.shape[0]), [lower])
-    return tuple(x[0] for x in out)
+    """The production search, a stack of one, over every row at eval_atoms[r % len(eval_atoms)];
+    an upper hull is searched as the lower hull of the negated rows, and its values negated."""
+    sign = 1.0 if lower else -1.0
+
+    def rows_of(lo, hi, out):
+        np.multiply(sections[lo:hi], sign, out=out)
+
+    vals, left, right, lam = _envelope([rows_of], _Level(grid, eval_atoms, sections.shape[0]))
+    return sign * vals[0], left[0], right[0], lam[0]
 
 
 def pair_enumeration(sections, grid, eval_atoms, lower):
@@ -231,6 +236,16 @@ class TestPositionsBuiltElsewhere:
         with pytest.raises(ValueError, match=f"{field}: expected"):
             DualCertificate.from_dict(payload)
 
+    @pytest.mark.parametrize("bad,spelled", [(np.nan, "NaN"), (np.inf, "Infinity"),
+                                             (-np.inf, "-Infinity")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["dual_value", "gap_vs_primal"])
+    def test_non_finite_bound_refused(self, field, bad, spelled):
+        payload = DualCertificate("proposition", DualVariables.zeros(MS_THREE), 0.0, 0.0).as_dict()
+        payload[field] = bad
+        message = f"{field}: expected a finite number, got {spelled}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DualCertificate.from_dict(json.loads(json.dumps(payload)))
+
     @pytest.mark.parametrize("payload", [[1], "x", None])
     def test_non_object_certificate_refused(self, payload):
         with pytest.raises(ValueError, match="^top level: expected an object$"):
@@ -288,26 +303,30 @@ class TestCertificateReader:
 
     def test_mutated_certificate_reads_or_raises_value_error(self):
         # every node of a certify certificate given every wrong value, every key
-        # dropped, and an extra key on every object
+        # dropped, and an extra key on every object; a non-finite bound must raise
         rng = np.random.default_rng(4)
         cost, ms = random_instance(rng, 3, max_size=3)
         payload = certify(cost, ms).certificates["proposition"].as_dict()
         assert "gap_vs_primal" in payload
-        mutants = [replace_at(payload, path, value)
+        bounds = [("dual_value",), ("gap_vs_primal",)]
+        mutants = [(replace_at(payload, path, value),
+                    path in bounds and isinstance(value, float) and not np.isfinite(value))
                    for path, _ in nodes(payload) for value in VALUES]
         for path, value in nodes(payload):
             if isinstance(value, dict):
-                mutants.append(replace_at(payload, path, dict(value, extra=1.0)))
-                mutants += [replace_at(payload, path, {k: v for k, v in value.items() if k != key})
-                            for key in value]
-        for mutant in mutants:
+                mutants.append((replace_at(payload, path, dict(value, extra=1.0)), False))
+                mutants += [(replace_at(payload, path, {k: v for k, v in value.items() if k != key}),
+                             False) for key in value]
+        assert sum(must_raise for _, must_raise in mutants) == 6
+        for mutant, must_raise in mutants:
             text = json.dumps(mutant)
             try:
                 DualCertificate.from_dict(json.loads(text))
             except ValueError:
-                pass
+                continue
             except Exception as exc:
                 raise AssertionError(f"{text[:200]}: {exc!r}") from exc
+            assert not must_raise, f"{text[:200]}: a non-finite bound was read"
 
 
 class TestTerminalTensor:
@@ -654,12 +673,14 @@ class TestStackedCascades:
     """_cascades runs a stack of (variant, u) positions in one pass over the levels;
     each position gets what cascade_down gives it alone, to the bit."""
 
-    @staticmethod
-    def instances(rng):
-        for k in range(200):
+    # marginals of one atom below the top: levels whose sections have one atom
+    ONE_ATOM_LEVELS = ([D0, D0], [D0, D0, PM1], [D0, D0, PM1, PM2], [D0, D0, D0, PM1])
+
+    @classmethod
+    def instances(cls, rng, count=200):
+        for k in range(count):
             yield random_instance(rng, n=2 + k % 3, max_size=6 if k % 3 == 2 else 9)
-        # marginals of one atom below the top: levels whose sections have one atom
-        for marginals in ([D0, D0], [D0, D0, PM1], [D0, D0, PM1, PM2], [D0, D0, D0, PM1]):
+        for marginals in cls.ONE_ATOM_LEVELS:
             ms = MarginalSequence(marginals)
             yield random_cost(rng, ms), ms
 
@@ -689,6 +710,24 @@ class TestStackedCascades:
                 else:
                     top = terminal_tensor(cost, ms, u)
                 assert scale == np.abs(top).max()
+
+    def test_remark_a_is_the_negated_proposition_of_the_negated_instance(self, rng, monkeypatch):
+        # the concave envelope of f is minus the convex envelope of -f, and negation is
+        # exact: remark_a at (c, u) is proposition at (-c, -u), negated, to the bit
+        for cost, ms in self.instances(rng, count=60):
+            u = random_duals(rng, ms)
+            minus_c = CostSpec(ms.n, "custom_table", table=-cost.tensor_on(ms))
+            minus_u = DualVariables.from_tables(ms, [-t for t in u.values])
+            with monkeypatch.context() as patch:  # levels of several blocks
+                patch.setattr(cascade_module, "BLOCK_VALUES",
+                              int(rng.integers(1, 4)) * max(ms.sizes[1:]))
+                upper = cascade_down("remark_a", cost, ms, u)
+                lower = cascade_down("proposition", minus_c, ms, minus_u)
+            for x, y in zip(upper.levels, lower.levels, strict=True):
+                assert x.shape == y.shape and x.tobytes() == (-y).tobytes()
+            for x, y in zip(upper.supports, lower.supports, strict=True):
+                for a, b in zip(x, y, strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_unknown_variant_in_a_stack_refused(self):
         u = DualVariables.zeros(MS_PAIR)

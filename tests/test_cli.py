@@ -488,7 +488,7 @@ class TestEnvelopeCommand:
         csv.write_text("0,0\n1,-1\n2,3\n3,0\n")
         assert main(["envelope", str(csv), "--at", point]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: t = ") and err.endswith("support nesting violated\n")
+        assert err.startswith("error: --at: t = ") and err.endswith("support nesting violated\n")
 
     def test_unsorted_exit_1(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
@@ -511,7 +511,7 @@ class TestEnvelopeCommand:
         csv.write_text(rows)
         assert main(["envelope", str(csv)] + at) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: grid and values must be finite\n"
+        assert out == "" and err == f"error: {csv}: grid and values must be finite\n"
 
     def test_out_with_at_exit_1(self, tmp_path, capsys):
         # --at prints one value; an --out beside it would be ignored, so it is refused
@@ -527,7 +527,18 @@ class TestEnvelopeCommand:
         csv = tmp_path / "one.csv"
         csv.write_text("0\n1\n2\n")
         assert main(["envelope", str(csv)]) == 1
-        assert capsys.readouterr().err.startswith("error: expected two columns")
+        assert capsys.readouterr().err == f"error: {csv}: expected two columns x,f(x), got 1\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("0,0,1\n1,-1,1\n", "expected two columns x,f(x), got 3"),
+        ("", "no data rows"), ("0,a\n", None)], ids=["three_columns", "empty", "text"])
+    def test_unreadable_csv_names_its_path(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "f.csv"
+        csv.write_text(text)
+        assert main(["envelope", str(csv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {csv}: ") and err.count("\n") == 1
+        assert message is None or err == f"error: {csv}: {message}\n"
 
 
 class TestQuantizeCommand:
@@ -539,6 +550,18 @@ class TestQuantizeCommand:
 
     def test_invalid_parameters_exit_1(self, capsys):
         assert main(["quantize", "--location", "0.0", "--scale", "-1.0", "--m", "4"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --scale: expected a nonnegative number, got -1.0\n")
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_atom_count_below_one_names_the_flag_exit_1(self, capsys, m):
+        assert main(["quantize", "--location", "0.0", "--scale", "0.2", "--m", m]) == 1
+        assert capsys.readouterr() == ("", f"error: --m: expected a positive integer, got {m}\n")
+
+    def test_overflowing_mean_names_the_command_exit_1(self, capsys):
+        assert main(["quantize", "--location", "1000", "--scale", "0.2", "--m", "3"]) == 1
+        assert capsys.readouterr() == ("", "error: quantize: mean exp(location + scale^2 / 2) "
+                                           "is not finite for location 1000.0, scale 0.2\n")
 
     def test_more_atoms_than_the_cap_exit_3(self, tmp_path, capsys):
         message = "error: 100000000000 atoms exceed the cap 200000\n"
