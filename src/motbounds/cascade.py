@@ -19,13 +19,14 @@ per section. The search sees lower hulls only: remark_a's top rows are
 negated where they are built, since the concave envelope of f is minus the
 convex envelope of -f, and its levels stay negated until its CascadeTensors.
 The top level's blocks are built from the cost tensor as they are searched,
-so no cascade holds T_n whole. A stack of positions (variant, u) is
-evaluated together, one search per block for all (see _cascades);
-cascade_down is the stack of one. Each stack writes a block's rows, and the
-search its slopes, into one float buffer per thread (_section_buffer), grown
-on demand and reused by every block, level and evaluation on that thread;
-nothing in it outlives its block, and a search holds at most one
-block-sized temporary at a time.
+so no cascade holds T_n whole. The block loop returns envelopes only: each
+level's values and supporting pairs, and nothing else read off its rows. A
+stack of positions (variant, u) is evaluated together, one search per block
+for all (see _cascades); cascade_down is the stack of one. Each stack writes
+a block's rows, and the search its slopes, into one float buffer per thread
+(_section_buffer), grown on demand and reused by every block, level and
+evaluation on that thread; nothing in it outlives its block, and a search
+holds at most one block-sized temporary at a time.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
@@ -294,7 +295,7 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     return _Built(top, tuple(reversed(levels)))
 
 
-def _envelope(section_rows, level: _Level, top_abs=None):
+def _envelope(section_rows, level: _Level):
     """Lower-hull values of k stacks of section rows at the points of level.
 
     section_rows[p](lo, hi, out) writes rows lo:hi of stack p's sections,
@@ -305,8 +306,7 @@ def _envelope(section_rows, level: _Level, top_abs=None):
     (1-lam)*y_b = t; the pair is returned for the supergradient. A block's
     rows of every stack go to one _supporting_pairs call, which searches
     each row on its own, as in a stack of one. Returns vals, left, right and
-    lam, of shape (k, rows). top_abs, None or k zeros, is raised to each
-    stack's max |.|.
+    lam, of shape (k, rows).
     """
     k, rows, m = len(section_rows), level.t.size, level.grid.size
     vals = np.empty((k, rows))
@@ -315,8 +315,6 @@ def _envelope(section_rows, level: _Level, top_abs=None):
         for p, rows_of in enumerate(section_rows):
             rows_of(0, rows, f)
             vals[p] = f[:, 0]
-            if top_abs is not None:
-                top_abs[p] = np.abs(f).max()
         return vals, np.zeros((k, rows), np.intp), np.zeros((k, rows), np.intp), np.ones((k, rows))
     left = np.empty((k, rows), dtype=np.intp)
     right = np.empty((k, rows), dtype=np.intp)
@@ -332,8 +330,6 @@ def _envelope(section_rows, level: _Level, top_abs=None):
         for rows_of, out in zip(section_rows, f):
             rows_of(lo, hi, out)
         f = f.reshape(-1, m)
-        if top_abs is not None:
-            np.maximum(top_abs, np.abs(f).reshape(k, -1).max(axis=1), out=top_abs)
         t, split = (np.concatenate([x[rs]] * k) for x in (level.t, level.split))  # np.tile is slower
         found = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars, spare)
         for out, x in zip((left, right, lam, vals), found):
@@ -429,10 +425,10 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     constant commutes with the envelope. The two T_1, and so the two dual
     objectives, are the same. This is _cascades on one position.
     """
-    return _cascades(cost, ms, [(variant, u)])[0][0]
+    return _cascades(cost, ms, [(variant, u)])[0]
 
 
-def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = False):
+def _cascades(cost: CostSpec, ms: MarginalSequence, positions) -> list:
     """cascade_down at every (variant, u) of positions, in one pass over the levels.
 
     Each block of each level's rows is searched for every position at once
@@ -440,9 +436,7 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
     cascade_down gives it alone, to the bit. Each position writes its rows
     into the section buffer, a held level by a copy; remark_a's are negated,
     and its CascadeTensors negates its levels back. Returns the positions'
-    CascadeTensors, in order, and with top_abs a float array of the max |.|
-    of each position's top-level section rows, else None: that is max |T_n|
-    for proposition and remark_a, and max |c - u_n| for remark_b.
+    CascadeTensors, in order.
     """
     for variant, _ in positions:
         if variant not in VARIANTS:
@@ -450,7 +444,6 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
     for u in dict.fromkeys(u for _, u in positions):  # each u once, by identity
         u.check(ms)
     top, geometry = _built(cost, ms)
-    scale = np.zeros(len(positions)) if top_abs else None
     levels = [[None] * (ms.n - 1) for _ in positions]
     supports = [[None] * (ms.n - 1) for _ in positions]
     current = [top] * len(positions)
@@ -470,13 +463,12 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions, top_abs: bool = F
             else:
                 rows_of = functools.partial(_terminal_rows, top, ms, u)
             section_rows.append(rows_of)
-        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1],
-                                        scale if i == ms.n - 1 else None)
+        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1])
         for p in range(len(positions)):
             current[p] = levels[p][i - 1] = vals[p].reshape(ms.sizes[:i])
             supports[p][i - 1] = (lft[p], rgt[p], lam[p])
     return [CascadeTensors(tuple(-x for x in lv) if v == "remark_a" else tuple(lv), tuple(sp))
-            for (v, _), lv, sp in zip(positions, levels, supports)], scale
+            for (v, _), lv, sp in zip(positions, levels, supports)]
 
 
 def dual_objective(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables) -> float:

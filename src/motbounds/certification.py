@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .cascade import (
+    BLOCK_VALUES,
     DEFAULT_TARGET_GAP,
     CascadeTensors,
     DualCertificate,
@@ -26,6 +27,7 @@ from .cascade import (
     _minus_u,
     _objective,
     _project_zero_mean,
+    _terminal_rows,
     cascade_down,
     relative_gap,
 )
@@ -76,22 +78,22 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
     max(1, max |T_n|); equivalently T_1 must not exceed the conditional
     expectation of the terminal tensor T_n. The coupling must pass marginal
     and martingale validation first, else ValueError. The expectations sum
-    over its rows, so T_n is read on those rows alone; T_1 and max |T_n|
-    are read from the proposition cascade at u.
+    over its rows, so T_n is read on those rows alone; T_1 is read from the
+    proposition cascade at u, and max |T_n| by _subhedge.
     """
     check = validate_coupling(coupling, ms)
     if not check.ok:
         raise ValueError(f"coupling failed validation: {check.summary()}")
-    (casc,), top_abs = _cascades(cost, ms, [("proposition", u)], top_abs=True)
-    return _subhedge(cost, ms, u, coupling, casc.levels[0], top_abs[0])
+    return _subhedge(cost, ms, u, coupling, cascade_down("proposition", cost, ms, u).levels[0])
 
 
 def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: Coupling,
-              t1: np.ndarray, t_n_max: float) -> SubhedgeReport:
-    """verify_subhedge on a coupling that passed validation.
+              t1: np.ndarray) -> SubhedgeReport:
+    """verify_subhedge on a coupling that passed validation, at t1, the proposition T_1 at u.
 
-    t1 and t_n_max are the proposition cascade's T_1 at u and the max |T_n|
-    of its top level (_cascades with top_abs).
+    The tolerance scale max |T_n| is taken over the whole product grid, in
+    blocks of rows sized as the cascade's by BLOCK_VALUES (_terminal_rows),
+    so T_n is never held whole.
     """
     top = _built(cost, ms).top
     atom, m_1 = coupling.atoms(), ms.sizes[0]
@@ -100,6 +102,9 @@ def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: 
     keep = ms[0].weights > 0
     t_n = _minus_u(top[atom], u, atom[1:])  # T_n on the coupling's rows
     slacks = (np.bincount(atom[0], coupling.mass * t_n, m_1) / mass - t1)[keep]
+    rows, block = top.size // ms.sizes[-1], max(1, BLOCK_VALUES // ms.sizes[-1])
+    t_n_max = max(np.abs(_terminal_rows(top, ms, u, lo, min(lo + block, rows))).max()
+                  for lo in range(0, rows, block))
     tol = SUBHEDGE_TOL * max(1.0, float(t_n_max))
     return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))
 
@@ -222,9 +227,10 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
     caller checks the lower one, in one cascade pass over three positions:
     proposition and remark_b at its multipliers, and proposition at u = 0.
     The sub-hedges, for u = 0 and for the proposition certificate's u, read
-    their T_1 and max |T_n| from that pass, and run on its coupling only if
-    that passes validation, which HiGHS's absolute tolerances can break on
-    a tiny price scale. remark_a then reads the upper side's multipliers.
+    their T_1 from that pass and take their own max |T_n|; they run on its
+    coupling only if that passes validation, which HiGHS's absolute
+    tolerances can break on a tiny price scale. remark_a then reads the
+    upper side's multipliers.
     Each certificate is one cascade at its side's multipliers u_2, ..., u_n,
     gauge-fixed as ascend fixes its start, with the value of
     dual_objective. It is a valid bound whatever its gap; a gap not below
@@ -254,17 +260,16 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
     found = {}  # the lower side's report fields, set once both sides are optimal
     if lower.status == "optimal":
         u, zero = _gauged_position(lower, ms), DualVariables.zeros(ms)
-        (best, stepwise, at_zero), t_n_max = _cascades(
-            cost, ms, [("proposition", u), ("remark_b", u), ("proposition", zero)], top_abs=True)
+        best, stepwise, at_zero = _cascades(
+            cost, ms, [("proposition", u), ("remark_b", u), ("proposition", zero)])
         found["certificates"] = {"proposition": _certificate("proposition", ms, lower, u, best),
                                  "remark_b": _certificate("remark_b", ms, lower, u, stepwise)}
         lap("duals_lower")
         coupling = lower.coupling
         check = found["coupling_check"] = validate_coupling(coupling, ms)
         if check.ok:
-            found["subhedge_zero"] = _subhedge(cost, ms, zero, coupling, at_zero.levels[0],
-                                               t_n_max[2])
-            found["subhedge_best"] = _subhedge(cost, ms, u, coupling, best.levels[0], t_n_max[0])
+            found["subhedge_zero"] = _subhedge(cost, ms, zero, coupling, at_zero.levels[0])
+            found["subhedge_best"] = _subhedge(cost, ms, u, coupling, best.levels[0])
         lap("subhedge")
     upper = pending.result()
     lap("lp_upper")

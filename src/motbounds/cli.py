@@ -93,11 +93,16 @@ def _parse_measure(spec, where: str, var_cap=None) -> DiscreteMeasure:
     raise InputError(where, "expected atoms/weights or a lognormal block")
 
 
+def _reason(exc: Exception) -> str:
+    """exc's message; an OSError's without the file name, which its field already gives."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _read_csv(path: str) -> np.ndarray:
     """Rows of a numeric CSV file without a header; ValueError if it holds none."""
-    with warnings.catch_warnings():
+    with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # numpy warns on an empty file, refused below
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     if raw.size == 0:
         raise ValueError("no data rows")
     return raw
@@ -109,7 +114,9 @@ def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
         raise InputError("cost.path", f"expected a file name, got {json_text(path)}")
     try:
         raw = _read_csv(path)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise InputError("cost.path", f"{path}: {_reason(exc)}") from exc
+    except ValueError as exc:
         raise InputError("cost.path", str(exc)) from exc
     if raw.shape[1] != ms.n + 1:
         raise InputError("cost.path", f"expected {ms.n + 1} columns, got {raw.shape[1]}")
@@ -146,7 +153,7 @@ def parse_instance(path: str, var_cap=None) -> Instance:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     except (OSError, ValueError) as exc:  # also undecodable bytes, an integer too long to convert
-        raise InputError(path, str(exc)) from exc
+        raise InputError(path, _reason(exc)) from exc
     except RecursionError as exc:
         raise InputError(path, "JSON nested too deeply") from exc
     read_object(payload, "", ["cost", "marginals"])
@@ -326,7 +333,7 @@ def cmd_envelope(args) -> int:
             raise ValueError(f"expected two columns x,f(x), got {raw.shape[1]}")
         env = convex_envelope(GridFunction(raw[:, 0], raw[:, 1]))
     except (OSError, ValueError) as exc:
-        raise InputError(args.csv, str(exc)) from exc
+        raise InputError(args.csv, _reason(exc)) from exc
     if args.at is not None:
         try:
             value = eval_envelope(env, args.at)

@@ -1,7 +1,9 @@
 """Convex and concave envelopes of functions tabulated on a finite grid.
 
 The convex envelope of a grid-tabulated function is the lower convex hull of
-its graph points; evaluation between hull knots is piecewise linear.
+its graph points, found by one monotone scan; evaluation between hull knots
+is piecewise linear. The concave envelope of f is minus the convex envelope
+of -f, so it runs the same scan on the negated values.
 """
 
 from __future__ import annotations
@@ -59,24 +61,23 @@ class EnvelopeResult:
     hull_indices: np.ndarray
 
 
-def _hull_scan(f: GridFunction, lower: bool) -> EnvelopeResult:
-    """Monotone scan over the grid points of f, free of scale.
+def convex_envelope(f: GridFunction) -> EnvelopeResult:
+    """Lower convex hull of the graph points of f, by one monotone scan free of scale.
 
-    A knot b between a and j stays only when the slope from b to j strictly
-    exceeds the slope from a to b, with no tolerance. Exactly collinear knots
-    go; knots collinear only up to rounding may stay (3x+1 on
-    linspace(0, 1, 11) keeps knot 7), which moves no value beyond rounding.
-    The upper hull is the lower hull of the slopes with their signs flipped.
+    The piecewise-linear interpolant of the hull is the convex envelope of the
+    piecewise-linear interpolant of f on the tabulation interval. Linear time
+    in the grid length. A knot b between a and j stays only when the slope
+    from b to j strictly exceeds the slope from a to b, with no tolerance.
+    Exactly collinear knots go; knots collinear only up to rounding may stay
+    (3x+1 on linspace(0, 1, 11) keeps knot 7), which moves no value beyond
+    rounding.
     """
     x, y = f.grid, f.values
-    sign = 1.0 if lower else -1.0
     keep = [0]
     for j in range(1, x.size):
         while len(keep) >= 2:
             a, b = keep[-2], keep[-1]
-            s_ab = (y[b] - y[a]) / (x[b] - x[a])
-            s_bj = (y[j] - y[b]) / (x[j] - x[b])
-            if sign * s_bj > sign * s_ab:
+            if (y[j] - y[b]) / (x[j] - x[b]) > (y[b] - y[a]) / (x[b] - x[a]):
                 break
             keep.pop()
         keep.append(j)
@@ -84,19 +85,10 @@ def _hull_scan(f: GridFunction, lower: bool) -> EnvelopeResult:
     return EnvelopeResult(x[idx], y[idx], idx)
 
 
-def convex_envelope(f: GridFunction) -> EnvelopeResult:
-    """Lower convex hull of the graph points of f.
-
-    The piecewise-linear interpolant of the hull is the convex envelope of the
-    piecewise-linear interpolant of f on the tabulation interval. Linear time
-    in the grid length.
-    """
-    return _hull_scan(f, lower=True)
-
-
 def concave_envelope(f: GridFunction) -> EnvelopeResult:
-    """Upper hull; mirror image of convex_envelope."""
-    return _hull_scan(f, lower=False)
+    """Upper hull: minus the convex envelope of -f, which negation keeps exact."""
+    e = convex_envelope(GridFunction(f.grid, -f.values))
+    return EnvelopeResult(e.hull_grid, -e.hull_values, e.hull_indices)
 
 
 def _clamp(grid: np.ndarray, t):

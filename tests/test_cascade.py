@@ -12,6 +12,7 @@ import motbounds.ascent as ascent_module
 import motbounds.cascade as cascade_module
 from motbounds import (
     AscentConfig,
+    CascadeTensors,
     CostSpec,
     Coupling,
     DiscreteMeasure,
@@ -35,6 +36,7 @@ from motbounds import (
 )
 
 from motbounds.cascade import VARIANTS, _Level, _built, _cascades, _envelope, _objective
+from motbounds.certification import _subhedge
 from motbounds.envelope import CLAMP_REL
 from motbounds.measures import COST_FORMS, STRIKE_FORMS
 
@@ -695,9 +697,10 @@ class TestStackedCascades:
             with monkeypatch.context() as patch:  # levels of several blocks
                 patch.setattr(cascade_module, "BLOCK_VALUES",
                               int(rng.integers(1, 4)) * max(ms.sizes[1:]))
-                stacked, top_abs = _cascades(cost, ms, positions, top_abs=True)
-            assert len(stacked) == len(positions) == top_abs.size
-            for (variant, u), got, scale in zip(positions, stacked, top_abs):
+                stacked = _cascades(cost, ms, positions)
+            assert len(stacked) == len(positions)
+            for (variant, u), got in zip(positions, stacked):
+                assert isinstance(got, CascadeTensors)
                 want = cascade_down(variant, cost, ms, u)
                 for x, y in zip(got.levels, want.levels, strict=True):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -705,11 +708,6 @@ class TestStackedCascades:
                     for a, b in zip(x, y, strict=True):
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert _objective(ms, u, got) == dual_objective(variant, cost, ms, u)
-                if variant == "remark_b":
-                    top = cost.tensor_on(ms) - u.values[-1]
-                else:
-                    top = terminal_tensor(cost, ms, u)
-                assert scale == np.abs(top).max()
 
     def test_remark_a_is_the_negated_proposition_of_the_negated_instance(self, rng, monkeypatch):
         # the concave envelope of f is minus the convex envelope of -f, and negation is
@@ -802,14 +800,11 @@ class TestSectionBuffer:
         for cost, ms, positions in self.cases(rng):
             if block_rows:  # blocks smaller than a level, on both threads
                 monkeypatch.setattr(cascade_module, "BLOCK_VALUES", block_rows * max(ms.sizes[1:]))
-            alone, _ = self.on_fresh_thread(
-                lambda: [_cascades(cost, ms, [position], top_abs=True) for position in positions])
-            fresh = [casc for (casc,), _ in alone]
-            fresh_abs = np.concatenate([top_abs for _, top_abs in alone])
+            fresh, _ = self.on_fresh_thread(
+                lambda: [_cascades(cost, ms, [position])[0] for position in positions])
             _cascades(cost, ms, positions)
             cascade_module._THREAD.rows.fill(np.nan)  # a value read before it is written shows
-            warm, warm_abs = _cascades(cost, ms, positions, top_abs=True)
-            assert warm_abs.tobytes() == fresh_abs.tobytes()
+            warm = _cascades(cost, ms, positions)
             for got, want in zip(warm, fresh, strict=True):
                 for x, y in zip(got.levels, want.levels, strict=True):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -1015,6 +1010,32 @@ class TestVerifySubhedge:
         q = coupling.q
         dense = (q * terminal_tensor(cost, ms, u)).sum(axis=(1, 2)) / q.sum(axis=(1, 2)) - t1
         np.testing.assert_allclose(report.slacks, dense, rtol=0, atol=1e-12)
+
+    def test_tolerance_scale_is_max_abs_terminal_tensor(self, rng, monkeypatch):
+        # with t1 raised by a known amount the worst slack is negative, and the
+        # verdict flips where SUBHEDGE_TOL * max(1, max |T_n|) crosses it
+        instances = [random_instance(rng, n=2 + k % 3, max_size=(9, 6, 4)[k % 3])
+                     for k in range(12)]
+        instances += [(random_cost(rng, ms), ms) for ms in map(
+            MarginalSequence, TestStackedCascades.ONE_ATOM_LEVELS)]
+        above_one = 0
+        for cost, ms in instances:
+            coupling = solve_primal(cost, ms).coupling
+            u = random_duals(rng, ms, scale=float(rng.choice([0.1, 10.0])))
+            t1 = cascade_down("proposition", cost, ms, u).levels[0]
+            scale = max(1.0, float(np.abs(terminal_tensor(cost, ms, u)).max()))
+            above_one += scale > 1.0
+            with monkeypatch.context() as patch:  # a scan of several blocks
+                patch.setattr("motbounds.certification.BLOCK_VALUES",
+                              int(rng.integers(1, 4)) * ms.sizes[-1])
+                raised = t1 + 1.0 + np.abs(_subhedge(cost, ms, u, coupling, t1).slacks).max()
+                worst = _subhedge(cost, ms, u, coupling, raised).min_slack
+                assert worst < 0
+                for factor, ok in ((1 + 1e-12, True), (1 - 1e-12, False)):
+                    patch.setattr("motbounds.certification.SUBHEDGE_TOL",
+                                  factor * abs(worst) / scale)
+                    assert _subhedge(cost, ms, u, coupling, raised).ok is ok
+        assert above_one >= 3  # the scale is max |T_n|, not the floor of 1, often enough
 
 
 class TestCostSpec:

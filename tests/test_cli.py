@@ -113,6 +113,17 @@ class TestCheck:
     def test_missing_file_exit_1(self):
         assert main(["check", "/nonexistent/instance.json"]) == 1
 
+    @pytest.mark.parametrize("command", ["check", "solve", "certify"])
+    @pytest.mark.parametrize("kind,message", [("missing", "No such file or directory"),
+                                              ("directory", "Is a directory")])
+    def test_unreadable_file_named_once(self, tmp_path, capsys, command, kind, message):
+        path = tmp_path / "instance.json"
+        if kind == "directory":
+            path.mkdir()
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("command", ["check", "certify"])
     def test_integer_too_long_exit_1(self, tmp_path, capsys, command):
         # past Python's 4,300-digit limit json.load raises a plain ValueError
@@ -541,6 +552,13 @@ class TestEnvelopeCommand:
         assert message is None or err == f"error: {csv}: {message}\n"
 
 
+    def test_missing_csv_named_once(self, tmp_path, capsys):
+        csv = tmp_path / "missing.csv"
+        assert main(["envelope", str(csv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {csv}: No such file or directory\n"
+
+
 class TestQuantizeCommand:
     def test_emits_measure_json(self, capsys):
         assert main(["quantize", "--location", "0.0", "--scale", "0.3", "--m", "8"]) == 0
@@ -749,6 +767,12 @@ class TestInstanceParsing:
         assert main(["check", write_instance(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == (
             "error: cost.path: tensor does not cover the full product grid\n")
+
+    def test_cost_table_missing_file_exit_1(self, tmp_path, capsys):
+        csv = tmp_path / "nope.csv"
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": str(csv)})
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"error: cost.path: {csv}: No such file or directory\n"
 
     def test_cost_table_nan_value_exit_1(self, tmp_path, capsys):
         # every point is listed, so the NaN is a non-finite entry, not a hole

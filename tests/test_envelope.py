@@ -100,6 +100,28 @@ class TestConcaveEnvelope:
                     -eval_envelope(lo, t), abs=1e-10
                 )
 
+    @pytest.mark.parametrize("case", ["criterion_7", "integer_valued", "docstring_line"])
+    def test_is_the_negated_convex_envelope_of_minus_f(self, case):
+        # negation is exact, so grid, values and indices match to the byte
+        rng = np.random.default_rng(27182)
+        if case == "criterion_7":  # the random grids of acceptance criterion 7
+            functions = [random_grid_function(rng, max_len=200, min_len=1) for _ in range(1000)]
+        elif case == "integer_valued":  # small integers: many exactly collinear knots
+            functions = []
+            for _ in range(300):
+                m = int(rng.integers(1, 60))
+                grid = np.sort(rng.choice(np.arange(-100, 100), size=m, replace=False))
+                functions.append(GridFunction(grid, rng.integers(-5, 6, size=m)))
+        else:  # 3x+1 on linspace(0, 1, 11), collinear up to rounding
+            x = np.linspace(0, 1, 11)
+            functions = [GridFunction(x, 3 * x + 1), GridFunction(x, -(3 * x + 1))]
+        for f in functions:
+            up = concave_envelope(f)
+            lo = convex_envelope(GridFunction(f.grid, -f.values))
+            for got, want in ((up.hull_grid, lo.hull_grid), (up.hull_values, -lo.hull_values),
+                              (up.hull_indices, lo.hull_indices)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestEvalAndWeights:
     def test_knot_hit(self):
