@@ -310,12 +310,6 @@ def _envelope(section_rows, level: _Level):
     """
     k, rows, m = len(section_rows), level.t.size, level.grid.size
     vals = np.empty((k, rows))
-    if m == 1:
-        f = _section_buffer(rows).reshape(rows, 1)
-        for p, rows_of in enumerate(section_rows):
-            rows_of(0, rows, f)
-            vals[p] = f[:, 0]
-        return vals, np.zeros((k, rows), np.intp), np.zeros((k, rows), np.intp), np.ones((k, rows))
     left = np.empty((k, rows), dtype=np.intp)
     right = np.empty((k, rows), dtype=np.intp)
     lam = np.empty((k, rows))
@@ -366,6 +360,8 @@ def _supporting_pairs(f, y, t, split, kernel, bars, spare):
     lam*f(y_a) + (1-lam)*f(y_b).
     """
     rows, m = f.shape
+    if m == 1:  # the one atom is the hull: the pair (0, 0) with lam 1
+        return [np.zeros(rows, np.intp), np.zeros(rows, np.intp), np.ones(rows), f[:, 0].copy()]
     left = np.empty(rows, dtype=np.intp)
     right = np.empty(rows, dtype=np.intp)
     lam_out = np.empty(rows)

@@ -108,10 +108,12 @@ def _read_csv(path: str) -> np.ndarray:
     return raw
 
 
-def _load_cost_table(path, ms: MarginalSequence) -> np.ndarray:
-    """Tensor CSV: one row per product-grid point, columns x_1..x_n,value."""
+def _load_cost_table(path, ms: MarginalSequence, directory: str) -> np.ndarray:
+    """Tensor CSV: one row per product-grid point, columns x_1..x_n,value; a
+    relative path is read from directory, the instance file's."""
     if not isinstance(path, str):
         raise InputError("cost.path", f"expected a file name, got {json_text(path)}")
+    path = os.path.join(directory, path)  # an absolute path stays as it is
     try:
         raw = _read_csv(path)
     except OSError as exc:
@@ -176,7 +178,7 @@ def parse_instance(path: str, var_cap=None) -> Instance:
     if form == "custom_table":
         if "path" not in raw_cost:
             raise InputError("cost.path", "custom_table needs a tensor CSV path")
-        table = _load_cost_table(raw_cost["path"], ms)
+        table = _load_cost_table(raw_cost["path"], ms, os.path.dirname(path))
     elif strike is not None:
         strike = read_number(strike, "cost.strike")
     try:

@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
+import operator
 import os
 import sys
 import threading
@@ -135,7 +137,7 @@ def validate_coupling(coupling: Coupling, ms: MarginalSequence) -> CouplingRepor
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """Equality-form LP: min c.x, A x = b, x >= 0, rows laid out as assemble_lp says.
+    """Equality-form LP: min c.x, A x = b, x >= 0, rows laid out as _block_starts says.
 
     A is held as its compressed-column (CSC) arrays, the layout HiGHS reads:
     column p's entries are data[indptr[p]:indptr[p + 1]], in the rows
@@ -171,16 +173,26 @@ class LpProblem:
         return self.b.size
 
 
-def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> LpProblem:
-    """Build the coupling polytope LP on the product grid.
+def _block_starts(sizes: tuple) -> list:
+    """The first row of each of assemble_lp's 2n - 1 row blocks, then the row count.
 
-    The rows come in 2n - 1 consecutive blocks, which multipliers_to_semistatic
-    relies on:
+    The rows come in 2n - 1 consecutive blocks, named from the sizes alone:
       - n marginal blocks, block i holding one row per atom of mu_i (m_i rows,
         in atom order), coefficients one on the paths through that atom;
       - then n - 1 martingale blocks, block i holding one row per prefix
-        (x_1, ..., x_{i+1}) in row-major order, coefficients x_{i+2} - x_{i+1}
-        on the paths extending the prefix.
+        (x_1, ..., x_{i+1}) in row-major order (m_1 ... m_{i+1} rows),
+        coefficients x_{i+2} - x_{i+1} on the paths extending the prefix.
+    Marginal block i pairs with the static table u_i and martingale block i
+    with the trading position Delta_i, so multipliers_to_semistatic cuts the
+    multipliers at these starts. The entries are Python ints.
+    """
+    counts = [*sizes, *itertools.accumulate(sizes[:-1], operator.mul)]
+    return [0, *itertools.accumulate(counts)]
+
+
+def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR_CAP) -> LpProblem:
+    """Build the coupling polytope LP on the product grid, rows as _block_starts lays them out.
+
     Every path enters one row of each block, and the blocks' rows increase, so
     column p of the CSC matrix A is entry p of every block, in block order.
     The rows have 2(n - 1) linear dependencies, two identities per later
@@ -194,31 +206,19 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     n_paths = ms.path_count
     sizes = ms.sizes
     n = ms.n
+    starts = _block_starts(sizes)
     c = cost.tensor_on(ms).ravel()
     paths = np.arange(n_paths, dtype=np.int32)
     atom = np.indices(sizes, dtype=np.int32).reshape(n, n_paths)  # atom index of each path per period
-    row_blocks = []
-    coef_blocks = []
-    b = []
-    offset = 0
-
-    for i in range(n):
-        row_blocks.append(offset + atom[i])
-        coef_blocks.append(np.ones(n_paths))
-        b.extend(ms[i].weights)
-        offset += sizes[i]
-
-    for i in range(n - 1):
-        prefix_count = int(np.prod(sizes[: i + 1]))
-        row_blocks.append(offset + paths // (n_paths // prefix_count))
-        coef_blocks.append(ms.grids[i + 1][atom[i + 1]] - ms.grids[i][atom[i]])
-        offset += prefix_count
-        b.extend([0.0] * prefix_count)
-
-    per_path = 2 * n - 1
-    return LpProblem(c, np.stack(coef_blocks, 1).ravel(), np.stack(row_blocks, 1).ravel(),
-                     np.arange(0, per_path * n_paths + 1, per_path, dtype=np.int32),
-                     np.asarray(b), sizes)
+    rows = [starts[i] + atom[i] for i in range(n)]
+    rows += [starts[n + i] + paths // (n_paths // (starts[n + i + 1] - starts[n + i]))
+             for i in range(n - 1)]
+    coefs = [np.ones(n_paths)] * n
+    coefs += [ms.grids[i + 1][atom[i + 1]] - ms.grids[i][atom[i]] for i in range(n - 1)]
+    b = np.concatenate([mu.weights for mu in ms.marginals] + [np.zeros(starts[-1] - starts[n])])
+    per_path = len(starts) - 1  # one entry in each block
+    return LpProblem(c, np.stack(coefs, 1).ravel(), np.stack(rows, 1).ravel(),
+                     np.arange(0, per_path * n_paths + 1, per_path, dtype=np.int32), b, sizes)
 
 
 def _implied_rows(sizes: tuple) -> np.ndarray:
@@ -232,14 +232,14 @@ def _implied_rows(sizes: tuple) -> np.ndarray:
     first row is named. Without these 2(n - 1) rows a valid sequence's A
     has full row rank.
     """
-    starts = np.cumsum((0,) + tuple(sizes))
+    starts, n = _block_starts(sizes), len(sizes)
     rows = []
-    for j in range(1, len(sizes)):
+    for j in range(1, n):
         rows.append(starts[j])
         if sizes[j] > 1:
             rows.append(starts[j + 1] - 1)
-        elif math.prod(sizes[:j]) == 1:  # martingale blocks 0..j-2 have one row each
-            rows.append(starts[-1] + j - 1)
+        elif starts[n + j] - starts[n + j - 1] == 1:  # martingale block j - 1 has one row
+            rows.append(starts[n + j - 1])
     return np.array(rows, dtype=np.int64)
 
 
@@ -252,7 +252,7 @@ class PrimalSolution:
     wall seconds of the solver call alone, and method, the path _solve took
     ("dual simplex", "primal simplex, equilibrated, no presolve" or "primal
     simplex, equilibrated"). duals holds one multiplier per equality row in
-    assemble_lp's block layout, a sub-hedge of the cost for a minimisation
+    _block_starts' layout, a sub-hedge of the cost for a minimisation
     and a super-hedge for a maximisation.
     """
 
@@ -416,7 +416,8 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     kept = np.ones(lp.n_rows, bool)  # the rows of lp that HiGHS gets
     b, indptr, indices, values = lp.b, lp.indptr, lp.indices, lp.data
     if equilibrate:
-        martingale = lp.indices >= sum(lp.grid_shape)
+        first_martingale = _block_starts(lp.grid_shape)[len(lp.grid_shape)]
+        martingale = lp.indices >= first_martingale
         scale_m = float(np.abs(data[martingale]).max(initial=0.0)) or 1.0
         scale_c = float(np.abs(c).max(initial=0.0)) or 1.0
         c, data = c / scale_c, np.where(martingale, data / scale_m, data)
@@ -454,9 +455,8 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     duals = np.zeros(lp.n_rows)
     duals[kept] = sense * np.array(solution.row_dual)
     if equilibrate:
-        marginal_rows = sum(lp.grid_shape)
-        duals[:marginal_rows] *= scale_c
-        duals[marginal_rows:] *= scale_c / scale_m
+        duals[:first_martingale] *= scale_c
+        duals[first_martingale:] *= scale_c / scale_m
     missed = np.abs(lp.b - rows)
     if np.any(missed[~kept] > MARGINAL_TOL):
         # the kept rows imply the rows left out, so b itself is inconsistent
@@ -481,21 +481,19 @@ def solve_primal_max(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAUL
 def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):
     """Split LP equality multipliers into static tables and trading positions.
 
-    The multipliers are cut at the block boundaries of assemble_lp: the n
-    marginal blocks become u_1, ..., u_n, and the n - 1 martingale blocks
-    become the trading positions, block i reshaped onto the prefix grid of
-    the first i + 1 marginals. The tables share one copy of solution.duals.
+    The multipliers are cut at _block_starts: the n marginal blocks become
+    u_1, ..., u_n, and the n - 1 martingale blocks become the trading
+    positions, block i reshaped onto the prefix grid of the first i + 1
+    marginals. The tables share one copy of solution.duals.
     Dual feasibility of the LP is exactly the pointwise domination of the
     cost by the static tables plus the trading positions, on every path;
     the tests check it with their semistatic_value_check oracle.
     """
     if solution.duals is None:
         raise ValueError("solution carries no multipliers")
-    prefixes = [ms.sizes[: i + 1] for i in range(ms.n - 1)]
-    counts = list(ms.sizes) + [int(np.prod(p)) for p in prefixes]
+    starts = _block_starts(ms.sizes)
     duals = np.array(solution.duals, dtype=float)
-    if duals.shape != (sum(counts),):
-        raise ValueError(f"{duals.size} multipliers for an LP of {sum(counts)} rows")
-    blocks = np.split(duals, np.cumsum(counts)[:-1])
-    return blocks[: ms.n], [d.reshape(p) for d, p in zip(blocks[ms.n:], prefixes)]
-
+    if duals.shape != (starts[-1],):
+        raise ValueError(f"{duals.size} multipliers for an LP of {starts[-1]} rows")
+    blocks = np.split(duals, starts[1:-1])
+    return blocks[: ms.n], [d.reshape(ms.sizes[: i + 1]) for i, d in enumerate(blocks[ms.n:])]

@@ -559,6 +559,27 @@ class TestBatchedEnvelope:
                 np.testing.assert_array_equal(x, y)
             self.assert_matches_enumeration(sections, grid, eval_atoms, lower)
 
+    def test_a_one_atom_level_of_several_blocks(self, rng, monkeypatch):
+        # one-atom sections take the block loop like any other: two rows a block,
+        # so two stacks of seven rows span four blocks; each row's value is its
+        # section's one value, supported by the pair (0, 0) with lam 1
+        grid = np.array([1.5])
+        sections = rng.standard_normal((2, 7, 1))
+        rows_of = [lambda lo, hi, out, s=s: np.copyto(out, s[lo:hi]) for s in sections]
+        search, blocks = cascade_module._supporting_pairs, []
+
+        def counted(f, *args):
+            blocks.append(f.shape)
+            return search(f, *args)
+
+        monkeypatch.setattr(cascade_module, "_supporting_pairs", counted)
+        monkeypatch.setattr(cascade_module, "BLOCK_VALUES", 2)
+        vals, left, right, lam = _envelope(rows_of, _Level(grid, grid, 7))
+        assert blocks == [(4, 1)] * 3 + [(2, 1)]
+        assert vals.tobytes() == sections[..., 0].tobytes()
+        assert left.dtype == right.dtype == np.intp
+        assert (left == 0).all() and (right == 0).all() and (lam == 1.0).all()
+
     @pytest.mark.parametrize("lower", [True, False])
     def test_windows_of_one_or_two_columns(self, rng, lower):
         """Blocks whose rows sit at the first, second or last atom.

@@ -774,6 +774,58 @@ class TestInstanceParsing:
         assert main(["check", write_instance(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == f"error: cost.path: {csv}: No such file or directory\n"
 
+    @pytest.mark.parametrize("path,text", [(12, "12"), (None, "null"), (True, "true"),
+                                           (["t.csv"], '["t.csv"]')],
+                             ids=["number", "null", "bool", "list"])
+    def test_cost_table_path_not_a_string_exit_1(self, tmp_path, capsys, path, text):
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": path})
+        assert main(["check", write_instance(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"error: cost.path: expected a file name, got {text}\n"
+
+    # the table in sub/ is the cost (x_1 + x_2)^2; a t.csv in the working directory is not
+    SUB_TABLE = "-1.0,-2.0,9.0\n-1.0,2.0,1.0\n1.0,-2.0,1.0\n1.0,2.0,9.0\n"
+
+    def test_relative_cost_table_is_read_beside_the_instance(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "t.csv").write_text(self.SUB_TABLE)
+        (tmp_path / "t.csv").write_text("0,0,0\n")
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": "t.csv"})
+        write_instance(tmp_path / "sub", payload, "inst.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "sub/inst.json"]) == 0
+        capsys.readouterr()
+        for instance in ("sub/inst.json", str(tmp_path / "sub" / "inst.json")):
+            table = parse_instance(instance).cost.table
+            assert table.tolist() == [[9.0, 1.0], [1.0, 9.0]]
+        monkeypatch.chdir(tmp_path / "sub")
+        assert parse_instance("inst.json").cost.table.tolist() == [[9.0, 1.0], [1.0, 9.0]]
+
+    def test_relative_cost_table_missing_names_the_joined_path(self, tmp_path, monkeypatch,
+                                                                capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "nope.csv").write_text(self.SUB_TABLE)  # beside the working directory only
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": "nope.csv"})
+        write_instance(tmp_path / "sub", payload, "inst.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "sub/inst.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cost.path: sub/nope.csv: No such file or directory\n")
+
+    def test_absolute_cost_table_is_read_as_it_is(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "sub").mkdir()
+        csv = tmp_path / "tables" / "t.csv"
+        csv.write_text(self.SUB_TABLE)
+        payload = dict(HAND_INSTANCE, cost={"form": "custom_table", "path": str(csv)})
+        write_instance(tmp_path / "sub", payload, "inst.json")
+        monkeypatch.chdir(tmp_path / "tables")
+        assert main(["check", "../sub/inst.json"]) == 0
+        assert parse_instance("../sub/inst.json").cost.table.tolist() == [[9.0, 1.0], [1.0, 9.0]]
+        csv.unlink()
+        capsys.readouterr()
+        assert main(["check", "../sub/inst.json"]) == 1
+        assert capsys.readouterr().err == f"error: cost.path: {csv}: No such file or directory\n"
+
     def test_cost_table_nan_value_exit_1(self, tmp_path, capsys):
         # every point is listed, so the NaN is a non-finite entry, not a hole
         rows = ["-1.0,-2.0,0.0", "-1.0,2.0,nan", "1.0,-2.0,0.0", "1.0,2.0,0.0"]

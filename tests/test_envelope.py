@@ -268,6 +268,13 @@ class TestScaleFree:
 
 
 class TestGridFunctionValidation:
+    @pytest.mark.parametrize("grid,values", [([], []), ([], [1.0])], ids=["empty", "empty_grid"])
+    def test_refuses_an_empty_grid(self, grid, values):
+        with pytest.raises(ValueError) as refused:
+            GridFunction(grid, values)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "grid must have at least one point"
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="increasing"):
             GridFunction([0.0, 0.0], [1.0, 2.0])

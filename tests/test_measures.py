@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import lognorm
 
 from motbounds import (
+    CostSpec,
     DiscreteMeasure,
     MarginalSequence,
     SizeCapError,
@@ -19,7 +20,7 @@ from motbounds import (
     validate_sequence,
 )
 from motbounds.cli import _parse_measure
-from motbounds.measures import DEFAULT_VAR_CAP, _normal_slices
+from motbounds.measures import COST_FORMS, DEFAULT_VAR_CAP, _normal_slices
 
 from conftest import lognormal_showcase, spread_measure
 from oracles import lognormal_atoms, lognormal_mean_shares, normal_slice_edges
@@ -164,11 +165,35 @@ class TestConvexOrder:
             assert convex_order_check(mu, rho).ordered
 
 
+class TestRefusals:
+    """Each constructor and builder refuses bad input with its own type and message."""
+
+    @pytest.mark.parametrize("call,kind,message", [
+        (lambda: m([0.0, 1.0], [1.0]), ValueError, "atoms and weights length mismatch: 2 vs 1"),
+        (lambda: split_atom(PM1, 0, -0.5), ValueError, "spread width must be nonnegative"),
+        (lambda: MarginalSequence([DELTA0, [0.0]]), TypeError,
+         "marginals must be DiscreteMeasure instances"),
+        (lambda: CostSpec(1, "squared_increment"), ValueError, "cost arity must be at least 2"),
+        (lambda: CostSpec(2, "bogus"), ValueError,
+         f"unknown cost form 'bogus'; expected one of {COST_FORMS}"),
+        (lambda: CostSpec(2, "custom_table"), ValueError, "custom_table needs a value tensor"),
+        (lambda: CostSpec(2, "custom_table", table=np.zeros(4)), ValueError,
+         "table has 1 axes, expected 2"),
+        (lambda: CostSpec(3, "squared_increment").tensor_on(MarginalSequence([DELTA0, PM1])),
+         ValueError, "cost arity 3 vs 2 marginals"),
+    ], ids=["length_mismatch", "negative_spread", "not_a_measure", "one_period", "unknown_form",
+            "no_table", "table_axes", "tensor_arity"])
+    def test_refusals(self, call, kind, message):
+        with pytest.raises(kind) as refused:
+            call()
+        assert type(refused.value) is kind and str(refused.value) == message
+
+
 class TestMarginalSequence:
     def test_sizes_and_grids_are_built_once(self):
         ms = MarginalSequence([DELTA0, PM1, PM2])
         assert ms.sizes is ms.sizes and ms.grids is ms.grids
-        assert ms.sizes == (1, 2, 2) and ms.path_count == 4
+        assert ms.sizes == (1, 2, 2) and ms.path_count == 4 and len(ms) == ms.n == 3
         assert all(g is mu.atoms for g, mu in zip(ms.grids, ms))
 
 

@@ -693,6 +693,16 @@ class TestSemistatic:
         with pytest.raises(ValueError, match="multipliers for an LP"):
             multipliers_to_semistatic(sol, MarginalSequence(ms.marginals[:2]))
 
+    @pytest.mark.parametrize("solution", [
+        lambda: primal_module.PrimalSolution(float("nan"), None, "failed"),
+        lambda: solve_primal(SQ2, MarginalSequence([PM2, PM1])),
+    ], ids=["hand_built", "infeasible"])
+    def test_a_solution_without_multipliers_refused(self, solution):
+        with pytest.raises(ValueError) as refused:
+            multipliers_to_semistatic(solution(), MS_PAIR)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "solution carries no multipliers"
+
 
 class TestCouplingValidation:
     def test_accepts_exact_coupling(self):
