@@ -10,9 +10,9 @@ is equilibrated, its martingale rows and its cost each divided by their
 largest magnitude, and solved by primal simplex: on the ladder of
 BENCH_lp_method.json that is the faster method from there up, and a
 rescaling of the prices changes neither its verdict nor, beyond rounding,
-its value. HiGHS gets that LP without the 2(n - 1) rows that the others
-imply (_implied_rows), so its presolve has no dependent rows to search
-for, and the multipliers come back with 0 on those rows
+its value. HiGHS loads that LP whole and then deletes the 2(n - 1) rows
+that the others imply (_implied_rows), so its presolve has no dependent
+rows to search for, and the multipliers come back with 0 on those rows
 (BENCH_full_rank_lp.json). HiGHS's presolve removes about (n - 2) m^(n-2)
 rows of that LP: none at n = 2 and about one in twenty at n = 3, where it
 costs a quarter to a third of a solve's resident growth and more time than
@@ -33,10 +33,10 @@ each assemble their own LP, while certification.certify assembles one and
 solves both senses of it at once, the maximisation on the one long-lived LP
 worker of _lp_worker. A solve only reads its LpProblem, and HiGHS releases
 the interpreter lock while it runs, so two solves of one LP can share it
-from two threads. Each thread keeps one HiGHS object, which every solve on
-it reloads with its model and with options that the thread builds once per
-method and presolve setting; a solve on the kept object is the same to the
-bit as one on a fresh object. A forked child drops the worker and the
+from two threads. Each thread keeps one HiGHS object, its output turned off
+once; every solve on it sets its method and presolve options and reloads it
+with its model, so a solve on the kept object is the same to the bit as
+one on a fresh object. A forked child drops the worker and the
 forking thread's HiGHS object that it inherits, and builds its own on first
 use.
 """
@@ -200,7 +200,7 @@ def assemble_lp(cost: CostSpec, ms: MarginalSequence, var_cap: int = DEFAULT_VAR
     as block 1 does) and the mean identity (martingale block j - 1 sums to
     the mean of mu_j minus that of mu_{j-1}). They are kept here, so the
     multipliers have one entry per row of this layout; an equilibrated
-    _solve leaves out the rows that _implied_rows names.
+    _solve deletes the rows that _implied_rows names from HiGHS's model.
     """
     ms.check_path_cap(var_cap)
     n_paths = ms.path_count
@@ -230,7 +230,8 @@ def _implied_rows(sizes: tuple) -> np.ndarray:
     mean identity on the one row of martingale block j - 1, which is named
     instead; after a larger block it is out of convex order, and only its
     first row is named. Without these 2(n - 1) rows a valid sequence's A
-    has full row rank.
+    has full row rank. The rows come as int32, the index type of HiGHS's
+    deleteRows.
     """
     starts, n = _block_starts(sizes), len(sizes)
     rows = []
@@ -240,7 +241,7 @@ def _implied_rows(sizes: tuple) -> np.ndarray:
             rows.append(starts[j + 1] - 1)
         elif starts[n + j] - starts[n + j - 1] == 1:  # martingale block j - 1 has one row
             rows.append(starts[n + j - 1])
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,9 +276,8 @@ _CHECK_TOL = 10 * math.sqrt(1e-9)
 _HIGHS = "scipy.optimize._highspy._core"
 _LOCK = threading.Lock()  # guards the first load of the extension and the worker's creation
 _WORKER = None  # the LP worker of _lp_worker, created on first use
-# .highs, this thread's HiGHS object, built on its first solve, and .options,
-# its HiGHS options by (primal simplex, presolve), each built on the thread's
-# first solve that reads it
+# .highs, this thread's HiGHS object, built on its first solve; each solve
+# sets its method and presolve options
 _THREAD = threading.local()
 # an LP with this many columns or more is equilibrated and solved by primal
 # simplex; fitted on the ladder of BENCH_lp_method.json
@@ -351,44 +351,33 @@ def _highs():
 
 
 def _thread_highs(highs):
-    """This thread's HiGHS object, built on its first solve and reloaded by every later one."""
+    """This thread's HiGHS object, output off, built on its first solve and
+    reloaded and reconfigured by every later one."""
     solver = getattr(_THREAD, "highs", None)
     if solver is None:
         solver = _THREAD.highs = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        solver.setOptionValue("log_to_console", False)
     return solver
-
-
-def _options(highs, primal: bool, presolve: bool):
-    """This thread's HiGHS options, output off: the defaults (dual simplex) or
-    primal simplex, with HiGHS's presolve or without it."""
-    built = vars(_THREAD).setdefault("options", {})
-    options = built.get((primal, presolve))
-    if options is None:
-        options = built[primal, presolve] = highs.HighsOptions()
-        options.output_flag = options.log_to_console = False
-        if primal:
-            options.simplex_strategy = 4  # HiGHS's primal simplex
-        if not presolve:
-            options.presolve = "off"
-    return options
 
 
 def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
-    Reads lp without changing it. Each call loads the LP into the thread's
-    HiGHS object, with options built once per thread and HiGHS's output off. An LP
-    of fewer than PRIMAL_FROM_PATHS columns is passed as it is and solved
-    with HiGHS's default options, dual simplex. A larger one is equilibrated
-    first: the martingale rows' entries are divided by their largest
-    magnitude scale_m, and c by max|c|, each factor 1 where that is 0. The
-    rows _implied_rows names are left out, so HiGHS gets a full-row-rank LP
-    of a valid sequence and its presolve has no dependent rows to search
-    for; it solves that LP by primal simplex, with HiGHS's presolve off
-    below PRESOLVE_FROM_PERIODS periods and on from there up. The
-    multipliers are scattered back into lp's rows, 0 on the rows left out,
-    and scaled back, marginal rows times max|c| and martingale rows times
-    max|c| / scale_m, so they are those of lp itself; the value is lp.c.x.
+    Reads lp without changing it. Each call sets the simplex_strategy and
+    presolve options of the thread's HiGHS object and loads the LP into it.
+    An LP of fewer than PRIMAL_FROM_PATHS columns is passed as it is and
+    solved with HiGHS's default options, dual simplex. A larger one is
+    equilibrated first: the martingale rows' entries are divided by their
+    largest magnitude scale_m, and c by max|c|, each factor 1 where that is
+    0. It is loaded whole, and the object then deletes the rows
+    _implied_rows names, so it holds a full-row-rank LP of a valid sequence
+    and its presolve has no dependent rows to search for; it solves that LP
+    by primal simplex, with HiGHS's presolve off below PRESOLVE_FROM_PERIODS
+    periods and on from there up. The multipliers are scattered back into
+    lp's rows, 0 on the rows left out, and scaled back, marginal rows times
+    max|c| and martingale rows times max|c| / scale_m, so they are those of
+    lp itself; the value is lp.c.x.
     stats["method"] names the path, as _METHODS spells it.
     HiGHS's model status maps as in _STATUS; HiGHS refuses to load a model
     with a matrix entry of 1e15 or more in magnitude, which is
@@ -402,50 +391,46 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     validation accepts lands on the marginal rows left out. The kept rows
     imply those, so a row left out that is missed by more than MARGINAL_TOL
     means lp's b is inconsistent: the solve is "infeasible".
-    stats["solve_s"] is the wall time of the solver call alone, the
-    equilibration and loading the model included; max_primal_infeasibility
-    and max_dual_infeasibility are HiGHS's own figures for the solution of
-    the LP it solved, None where it has none to measure.
+    stats["solve_s"] is the wall time of the solver call alone, setting the
+    options, the equilibration and loading the model included;
+    max_primal_infeasibility and max_dual_infeasibility are HiGHS's own
+    figures for the solution of the LP it solved, None where it has none to
+    measure.
     """
     highs = _highs()
     equilibrate = lp.n_paths >= PRIMAL_FROM_PATHS
     presolve = not equilibrate or len(lp.grid_shape) >= PRESOLVE_FROM_PERIODS
-    options = _options(highs, equilibrate, presolve)
     start = time.perf_counter()
+    solver = _thread_highs(highs)
+    solver.setOptionValue("simplex_strategy", 4 if equilibrate else 1)  # primal, or the default
+    solver.setOptionValue("presolve", "choose" if presolve else "off")
     c, data = lp.c, lp.data
-    kept = np.ones(lp.n_rows, bool)  # the rows of lp that HiGHS gets
-    b, indptr, indices, values = lp.b, lp.indptr, lp.indices, lp.data
+    kept = np.ones(lp.n_rows, bool)  # the rows of lp left in HiGHS's model
     if equilibrate:
         first_martingale = _block_starts(lp.grid_shape)[len(lp.grid_shape)]
         martingale = lp.indices >= first_martingale
         scale_m = float(np.abs(data[martingale]).max(initial=0.0)) or 1.0
         scale_c = float(np.abs(c).max(initial=0.0)) or 1.0
         c, data = c / scale_c, np.where(martingale, data / scale_m, data)
-        kept[_implied_rows(lp.grid_shape)] = False
-        entries = kept[lp.indices]
-        before = np.zeros(entries.size + 1, np.int32)  # kept entries before each entry
-        np.cumsum(entries, dtype=np.int32, out=before[1:])
-        rank = np.cumsum(kept, dtype=np.int32) - 1  # a kept row's index in HiGHS's model
-        b, indptr = lp.b[kept], before[lp.indptr]
-        indices, values = rank[lp.indices[entries]], data[entries]
-    solver = _thread_highs(highs)
-    solver.passOptions(options)
+        implied = _implied_rows(lp.grid_shape)
+        kept[implied] = False
     # the array overload; all-continuous integrality, since an empty array is refused
     loaded = solver.passModel(
-        lp.n_paths, b.size, values.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
-        0.0, sense * c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), b, b,
-        indptr, indices, values, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
+        lp.n_paths, lp.n_rows, data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, sense * c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), lp.b, lp.b,
+        lp.indptr, lp.indices, data, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
     if loaded:
+        if equilibrate:
+            solver.deleteRows(implied.size, implied)
         solver.run()
     solve_s = time.perf_counter() - start
     info = solver.getInfo()
-    iterations = info.simplex_iteration_count or info.ipm_iteration_count
     figures = [x if math.isfinite(x) else None  # HiGHS says infinity without a solution
                for x in (info.max_primal_infeasibility, info.max_dual_infeasibility)]
-    stats = {"rows": lp.n_rows, "columns": lp.n_paths, "iterations": iterations if loaded else 0,
+    stats = {"rows": lp.n_rows, "columns": lp.n_paths,
+             "iterations": info.simplex_iteration_count if loaded else 0,
              "max_primal_infeasibility": figures[0], "max_dual_infeasibility": figures[1],
-             "solve_s": solve_s,
-             "method": _METHODS[equilibrate, presolve]}
+             "solve_s": solve_s, "method": _METHODS[equilibrate, presolve]}
     status = _STATUS.get(solver.getModelStatus().name, "failed") if loaded else "model_error"
     if status != "optimal":
         return PrimalSolution(float("nan"), None, status, stats)
@@ -484,7 +469,8 @@ def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):
     The multipliers are cut at _block_starts: the n marginal blocks become
     u_1, ..., u_n, and the n - 1 martingale blocks become the trading
     positions, block i reshaped onto the prefix grid of the first i + 1
-    marginals. The tables share one copy of solution.duals.
+    marginals. The tables share one copy of solution.duals. A solution
+    solved on other grids is refused, even one with as many rows.
     Dual feasibility of the LP is exactly the pointwise domination of the
     cost by the static tables plus the trading positions, on every path;
     the tests check it with their semistatic_value_check oracle.
@@ -495,5 +481,8 @@ def multipliers_to_semistatic(solution: PrimalSolution, ms: MarginalSequence):
     duals = np.array(solution.duals, dtype=float)
     if duals.shape != (starts[-1],):
         raise ValueError(f"{duals.size} multipliers for an LP of {starts[-1]} rows")
+    if tuple(solution.coupling.shape) != ms.sizes:
+        raise ValueError(f"solution solved on grids {tuple(solution.coupling.shape)}, "
+                         f"not on {ms.sizes}")
     blocks = np.split(duals, starts[1:-1])
     return blocks[: ms.n], [d.reshape(ms.sizes[: i + 1]) for i, d in enumerate(blocks[ms.n:])]

@@ -372,31 +372,29 @@ class TestHighsBindingsAgainstLinprog:
 
 
     def test_thread_options_solve_as_fresh_ones(self, monkeypatch):
-        # each thread builds its HiGHS object and each of its three HiGHS
-        # options objects once; a refused model, an infeasible one, both
-        # senses of the showcase (no presolve), an n = 4 LP (presolve) and
-        # LPs on either side of PRIMAL_FROM_PATHS come between, and every
-        # solve is the same to the bit as one on a fresh object from freshly
-        # built options
+        # each thread builds its HiGHS object once, and each solve sets its
+        # options on it; a refused model, an infeasible one, both senses of
+        # the showcase (no presolve), an n = 4 LP (presolve), a small LP
+        # between two showcases (dual simplex right after primal, and primal
+        # right after dual) and LPs on either side of PRIMAL_FROM_PATHS come
+        # between, and every solve is the same to the bit as one on a fresh
+        # object
         rng = np.random.default_rng(11)
         wide = DiscreteMeasure(np.array([-1e16, 1e16]), np.array([0.5, 0.5]))
-        lps = [assemble_lp(*lognormal_showcase()), assemble_lp(*lognormal_basket(4, 6)),
+        showcase = assemble_lp(*lognormal_showcase())
+        lps = [showcase, assemble_lp(SQ2, MS_PAIR), showcase,
+               assemble_lp(*lognormal_basket(4, 6)),
                assemble_lp(CostSpec(2, "abs_increment"), MarginalSequence([D0, wide])),
                assemble_lp(SQ2, MarginalSequence([PM2, PM1]))]
         lps += [assemble_lp(*random_instance(rng, n=2 + k % 3)) for k in range(20)]
-        assert {lp.n_paths >= PRIMAL_FROM_PATHS for lp in lps[4:]} == {False, True}
-        for lp in lps[:2] + lps[3:4]:
-            _solve(lp, +1)
-        options = dict(primal_module._THREAD.options)
-        assert sorted(options) == [(False, True), (True, False), (True, True)]
-        assert len({id(o) for o in options.values()}) == 3
-        assert [options[key].presolve for key in sorted(options)] == ["choose", "off", "choose"]
-        highs = primal_module._THREAD.highs  # the thread's one HiGHS object, reloaded per solve
+        assert {lp.n_paths >= PRIMAL_FROM_PATHS for lp in lps[6:]} == {False, True}
+        # the thread's one HiGHS object, reloaded per solve
+        highs = primal_module._thread_highs(primal_module._highs())
+        methods = []
         for lp in lps:
             for sense in (+1, -1):
                 kept = _solve(lp, sense)
-                assert primal_module._THREAD.options.keys() == options.keys()
-                assert all(primal_module._THREAD.options[key] is o for key, o in options.items())
+                methods.append(kept.stats["method"] if kept.status == "optimal" else None)
                 assert primal_module._THREAD.highs is highs
                 with monkeypatch.context() as m:
                     m.setattr(primal_module, "_THREAD", threading.local())
@@ -410,6 +408,9 @@ class TestHighsBindingsAgainstLinprog:
                     assert kept.duals.tobytes() == fresh.duals.tobytes()
                     assert kept.coupling.paths.tobytes() == fresh.coupling.paths.tobytes()
                     assert kept.coupling.mass.tobytes() == fresh.coupling.mass.tobytes()
+        orders = set(zip(methods, methods[1:]))
+        primal = "primal simplex, equilibrated, no presolve"
+        assert {(primal, "dual simplex"), ("dual simplex", primal)} <= orders
 
 
     def test_the_showcase_solves_without_presolve(self):
@@ -417,7 +418,9 @@ class TestHighsBindingsAgainstLinprog:
         lp = assemble_lp(cost, ms)
         assert lp.n_paths >= PRIMAL_FROM_PATHS and len(lp.grid_shape) < PRESOLVE_FROM_PERIODS
         self.assert_matches_linprog(lp, cost, ms)  # and its method names no presolve
-        assert primal_module._THREAD.options[True, False].presolve == "off"
+        highs = primal_module._THREAD.highs
+        assert highs.getOptionValue("presolve")[1] == "off"
+        assert highs.getOptionValue("simplex_strategy")[1] == 4
 
     def test_the_lp_worker_keeps_its_own_object(self):
         lp = assemble_lp(*lognormal_showcase())
@@ -484,18 +487,14 @@ class TestLpMethod:
 
     @staticmethod
     def solve_with_presolve(lp, sense, monkeypatch):
-        """_solve on a fresh HiGHS object, with the options of an equilibrated
-        solve that keeps HiGHS's presolve: output off, primal simplex and
-        every other option at HiGHS's default."""
-        highs = primal_module._highs()
-        options = highs.HighsOptions()
-        options.output_flag = options.log_to_console = False
-        options.simplex_strategy = 4
-        assert options.presolve == "choose"
+        """_solve on a fresh HiGHS object as an equilibrated solve that keeps
+        HiGHS's presolve, at any number of periods."""
         with monkeypatch.context() as m:
             m.setattr(primal_module, "_THREAD", threading.local())
-            m.setattr(primal_module, "_options", lambda *_: options)
-            return _solve(lp, sense)
+            m.setattr(primal_module, "PRESOLVE_FROM_PERIODS", 0)
+            solution = _solve(lp, sense)
+            assert primal_module._THREAD.highs.getOptionValue("presolve")[1] == "choose"
+            return solution
 
     @pytest.mark.parametrize("n, m", [(2, 32), (2, 50), (4, 6)])
     def test_presolve_only_leaves_out_a_no_op(self, n, m, monkeypatch):
@@ -605,6 +604,15 @@ class TestImpliedRows:
         assert np.linalg.matrix_rank(A) == A.shape[0] - dropped.size
         assert np.linalg.matrix_rank(kept) == kept.shape[0]
 
+    @pytest.mark.parametrize("n, m, deleted", [(2, 15, 0), (3, 15, 4), (4, 6, 6)])
+    def test_the_kept_object_deletes_the_implied_rows(self, n, m, deleted):
+        # an equilibrated LP is loaded whole and the object deletes its
+        # 2(n - 1) implied rows; one below PRIMAL_FROM_PATHS keeps every row
+        lp = assemble_lp(*lognormal_basket(n, m))
+        assert (lp.n_paths >= PRIMAL_FROM_PATHS) == (deleted > 0)
+        assert _solve(lp, +1).status == "optimal"
+        assert primal_module._THREAD.highs.getNumRow() == lp.n_rows - deleted
+
     def test_one_atom_after_more_names_only_the_mass_row(self):
         # out of convex order, so no mean identity to drop a row for
         np.testing.assert_array_equal(_implied_rows((3, 1)), [3])
@@ -692,6 +700,14 @@ class TestSemistatic:
         sol = solve_primal(cost, ms)
         with pytest.raises(ValueError, match="multipliers for an LP"):
             multipliers_to_semistatic(sol, MarginalSequence(ms.marginals[:2]))
+
+    def test_a_solution_on_other_grids_refused(self):
+        # sizes (2, 2) and (1, 4) both give 6 rows, so the count alone passes
+        sol = solve_primal(SQ2, MS_PAIR)
+        other = sequence_of_sizes(np.random.default_rng(0), (1, 4))
+        with pytest.raises(ValueError) as refused:
+            multipliers_to_semistatic(sol, other)
+        assert str(refused.value) == "solution solved on grids (2, 2), not on (1, 4)"
 
     @pytest.mark.parametrize("solution", [
         lambda: primal_module.PrimalSolution(float("nan"), None, "failed"),
