@@ -230,8 +230,8 @@ def _implied_rows(sizes: tuple) -> np.ndarray:
     mean identity on the one row of martingale block j - 1, which is named
     instead; after a larger block it is out of convex order, and only its
     first row is named. Without these 2(n - 1) rows a valid sequence's A
-    has full row rank. The rows come as int32, the index type of HiGHS's
-    deleteRows.
+    has full row rank. The rows come sorted, as int32: HiGHS's deleteRows
+    takes an increasing set of that index type and refuses any other.
     """
     starts, n = _block_starts(sizes), len(sizes)
     rows = []
@@ -241,7 +241,7 @@ def _implied_rows(sizes: tuple) -> np.ndarray:
             rows.append(starts[j + 1] - 1)
         elif starts[n + j] - starts[n + j - 1] == 1:  # martingale block j - 1 has one row
             rows.append(starts[n + j - 1])
-    return np.array(rows, dtype=np.int32)
+    return np.sort(np.array(rows, dtype=np.int32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +267,9 @@ class PrimalSolution:
 # the path _solve takes, by (equilibrated, presolve)
 _METHODS = {(False, True): "dual simplex", (True, True): "primal simplex, equilibrated",
             (True, False): "primal simplex, equilibrated, no presolve"}
-# HiGHS model statuses by name; a model HiGHS refuses to load is "model_error",
-# and any other status (numerical trouble, an error in the solver) is "failed"
+# HiGHS model statuses by name; a model HiGHS refuses to load, or whose implied
+# rows it refuses to delete, is "model_error", and any other status (numerical
+# trouble, an error in the solver) is "failed"
 _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded",
            "kTimeLimit": "iteration_limit", "kIterationLimit": "iteration_limit"}
 # this module's check of an optimum: 10 * sqrt(1e-9), about 3.2e-4
@@ -381,11 +382,12 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     stats["method"] names the path, as _METHODS spells it.
     HiGHS's model status maps as in _STATUS; HiGHS refuses to load a model
     with a matrix entry of 1e15 or more in magnitude, which is
-    "model_error". As a safety check, an "optimal" x with a mass below
-    -_CHECK_TOL, or an equality row missed by more than _CHECK_TOL, is
-    "failed". The check computes every row of lp from x, rows left out
-    included, rather than reading HiGHS's row values, which equal the
-    bound on every nonbasic row. For an equilibrated LP the rows are those
+    "model_error", as is a refused deletion of the implied rows. As a
+    safety check, an "optimal" x with a mass below -_CHECK_TOL, or an
+    equality row missed by more than _CHECK_TOL, is "failed". The check
+    computes every row of lp from x, rows left out included, rather than
+    reading HiGHS's row values, which equal the bound on every nonbasic
+    row. For an equilibrated LP the rows are those
     of the scaled matrix, lp's martingale rows divided by scale_m, so their
     rounding does not grow with the atoms, and a mean mismatch that
     validation accepts lands on the marginal rows left out. The kept rows
@@ -419,9 +421,9 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
         lp.n_paths, lp.n_rows, data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
         0.0, sense * c, np.zeros(lp.n_paths), np.full(lp.n_paths, highs.kHighsInf), lp.b, lp.b,
         lp.indptr, lp.indices, data, np.zeros(lp.n_paths, np.int32)) != highs.HighsStatus.kError
+    if loaded and equilibrate:
+        loaded = solver.deleteRows(implied.size, implied) != highs.HighsStatus.kError
     if loaded:
-        if equilibrate:
-            solver.deleteRows(implied.size, implied)
         solver.run()
     solve_s = time.perf_counter() - start
     info = solver.getInfo()

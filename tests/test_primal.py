@@ -600,6 +600,7 @@ class TestImpliedRows:
         A = lp_matrix(assemble_lp(CostSpec(ms.n, "basket", strike=0.0), ms))
         dropped = _implied_rows(ms.sizes)
         assert dropped.size == np.unique(dropped).size == 2 * (ms.n - 1)
+        assert np.all(np.diff(dropped) > 0)  # the increasing set deleteRows takes
         kept = np.delete(A, dropped, axis=0)
         assert np.linalg.matrix_rank(A) == A.shape[0] - dropped.size
         assert np.linalg.matrix_rank(kept) == kept.shape[0]
@@ -612,6 +613,28 @@ class TestImpliedRows:
         assert (lp.n_paths >= PRIMAL_FROM_PATHS) == (deleted > 0)
         assert _solve(lp, +1).status == "optimal"
         assert primal_module._THREAD.highs.getNumRow() == lp.n_rows - deleted
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 5), (1, 1, 1, 4), (1, 2, 2, 3)])
+    def test_one_atom_levels_delete_their_rows_too(self, sizes, monkeypatch):
+        # leading one-atom blocks name a martingale row before a later
+        # marginal row, and HiGHS deletes rows only given in increasing order
+        monkeypatch.setattr(primal_module, "PRIMAL_FROM_PATHS", 0)
+        ms = sequence_of_sizes(np.random.default_rng(sum(sizes)), sizes)
+        lp = assemble_lp(CostSpec(ms.n, "basket", strike=0.0), ms)
+        for sense in (+1, -1):
+            sol = _solve(lp, sense)
+            assert sol.status == "optimal"
+            assert sol.stats["method"].startswith("primal simplex, equilibrated")
+            assert primal_module._THREAD.highs.getNumRow() == lp.n_rows - 2 * (ms.n - 1)
+
+    def test_a_refused_deletion_is_a_model_error(self, monkeypatch):
+        # rows out of increasing order: HiGHS deletes none, and the full
+        # model is not solved in place of the reduced one
+        rows = _implied_rows((3, 15, 15))[::-1].copy()
+        monkeypatch.setattr(primal_module, "_implied_rows", lambda sizes: rows)
+        lp = assemble_lp(*lognormal_basket(3, 15))
+        sol = _solve(lp, +1)
+        assert sol.status == "model_error" and sol.coupling is None and sol.duals is None
 
     def test_one_atom_after_more_names_only_the_mass_row(self):
         # out of convex order, so no mean identity to drop a row for
