@@ -30,9 +30,9 @@ holds at most one block-sized temporary at a time.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
-the cost tensor, read-only, and every level's clamped and tiled evaluation
-points, their splits, and the slope kernel and bar rows of the search, one
-kernel for both hulls. Every cascade reads the levels, so none is deferred.
+the cost tensor, read-only, and its max |c|; every level's clamped and tiled
+evaluation points, their splits, and the search's slope kernel and bar rows,
+one kernel for both hulls. Every cascade reads the levels, so none is deferred.
 A one-entry cache keeps them for the last pair seen: the read-only cost
 tensor, the only array of prod m_i values on the dual path, plus, per level
 i, one m_{i+1} x m_{i+1} kernel and two entries per prefix. The arrays of
@@ -271,16 +271,18 @@ class _Built(NamedTuple):
     """The part of every cascade on one (cost, ms) that no u changes.
 
     top is the cost tensor, read-only; levels[i-1] is the _Level of the
-    envelopes that build T_i.
+    envelopes that build T_i; scale is max |c| over the product grid, T_n's
+    max |T_n| at u = 0, the sub-hedge check's tolerance scale.
     """
 
     top: np.ndarray
     levels: tuple
+    scale: float
 
 
 @functools.lru_cache(maxsize=1)
 def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
-    """The top tensor and every level of (cost, ms), built while the pair is the last one seen.
+    """The _Built of (cost, ms), built while the pair is the last one seen.
 
     The levels are built from the top one down, so an evaluation point
     outside its grid raises where the level loop would. CostSpec and
@@ -292,7 +294,8 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     top.setflags(write=False)
     levels = [_Level(ms.grids[i], ms.grids[i - 1], math.prod(ms.sizes[:i]))
               for i in range(ms.n - 1, 0, -1)]
-    return _Built(top, tuple(reversed(levels)))
+    scale = max(float(top.max()), -float(top.min()))  # max |c| with no temporary of top's size
+    return _Built(top, tuple(reversed(levels)), scale)
 
 
 def _envelope(section_rows, level: _Level):
@@ -439,7 +442,7 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions) -> list:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     for u in dict.fromkeys(u for _, u in positions):  # each u once, by identity
         u.check(ms)
-    top, geometry = _built(cost, ms)
+    top, geometry, _ = _built(cost, ms)
     levels = [[None] * (ms.n - 1) for _ in positions]
     supports = [[None] * (ms.n - 1) for _ in positions]
     current = [top] * len(positions)

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .cascade import (
-    BLOCK_VALUES,
     DEFAULT_TARGET_GAP,
     CascadeTensors,
     DualCertificate,
@@ -27,7 +26,6 @@ from .cascade import (
     _minus_u,
     _objective,
     _project_zero_mean,
-    _terminal_rows,
     cascade_down,
     relative_gap,
 )
@@ -44,7 +42,7 @@ from .primal import (
     validate_coupling,
 )
 
-SUBHEDGE_TOL = 1e-9  # times max(1, max |T_n|), so a rescaled instance keeps its verdict
+SUBHEDGE_TOL = 1e-9  # times max(1, max |c|), so a rescaled instance keeps its verdict
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,11 @@ def verify_subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables,
     For every first-period atom with positive mass the conditional expectation
     under the coupling of T_1(S_1) + sum u_i(S_i) must not exceed the
     conditional expectation of the cost, up to SUBHEDGE_TOL times
-    max(1, max |T_n|); equivalently T_1 must not exceed the conditional
+    max(1, max |c|); equivalently T_1 must not exceed the conditional
     expectation of the terminal tensor T_n. The coupling must pass marginal
     and martingale validation first, else ValueError. The expectations sum
     over its rows, so T_n is read on those rows alone; T_1 is read from the
-    proposition cascade at u, and max |T_n| by _subhedge.
+    proposition cascade at u.
     """
     check = validate_coupling(coupling, ms)
     if not check.ok:
@@ -91,22 +89,18 @@ def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: 
               t1: np.ndarray) -> SubhedgeReport:
     """verify_subhedge on a coupling that passed validation, at t1, the proposition T_1 at u.
 
-    The tolerance scale max |T_n| is taken over the whole product grid, in
-    blocks of rows sized as the cascade's by BLOCK_VALUES (_terminal_rows),
-    so T_n is never held whole.
+    The tolerance scale is _built's scale, the instance's max |c| (max |T_n|
+    at u = 0), which no u changes, so T_n is read on the coupling's rows alone.
     """
-    top = _built(cost, ms).top
+    top, _, scale = _built(cost, ms)
     atom, m_1 = coupling.atoms(), ms.sizes[0]
     start_mass = np.bincount(atom[0], coupling.mass, m_1)
     mass = np.where(start_mass > 0, start_mass, 1.0)
     keep = ms[0].weights > 0
     t_n = _minus_u(top[atom], u, atom[1:])  # T_n on the coupling's rows
     slacks = (np.bincount(atom[0], coupling.mass * t_n, m_1) / mass - t1)[keep]
-    rows, block = top.size // ms.sizes[-1], max(1, BLOCK_VALUES // ms.sizes[-1])
-    t_n_max = max(np.abs(_terminal_rows(top, ms, u, lo, min(lo + block, rows))).max()
-                  for lo in range(0, rows, block))
-    tol = SUBHEDGE_TOL * max(1.0, float(t_n_max))
-    return SubhedgeReport(ms[0].atoms[keep], slacks, bool(np.all(slacks >= -tol)))
+    ok = bool(np.all(slacks >= -SUBHEDGE_TOL * max(1.0, scale)))
+    return SubhedgeReport(ms[0].atoms[keep], slacks, ok)
 
 
 @dataclass(eq=False)
@@ -227,10 +221,12 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
     caller checks the lower one, in one cascade pass over three positions:
     proposition and remark_b at its multipliers, and proposition at u = 0.
     The sub-hedges, for u = 0 and for the proposition certificate's u, read
-    their T_1 from that pass and take their own max |T_n|; they run on its
-    coupling only if that passes validation, which HiGHS's absolute
-    tolerances can break on a tiny price scale. remark_a then reads the
-    upper side's multipliers.
+    their T_1 from that pass and their tolerance scale, max |c|, from the
+    worker's build; they run on its coupling only if that passes validation,
+    which HiGHS's absolute tolerances can break on a tiny price scale.
+    remark_a then reads the upper side's multipliers. A side whose solve
+    reaches HiGHS's iteration bound is "iteration_limit" (primal._solve),
+    and the report does not pass.
     Each certificate is one cascade at its side's multipliers u_2, ..., u_n,
     gauge-fixed as ascend fixes its start, with the value of
     dual_objective. It is a valid bound whatever its gap; a gap not below

@@ -34,11 +34,12 @@ solves both senses of it at once, the maximisation on the one long-lived LP
 worker of _lp_worker. A solve only reads its LpProblem, and HiGHS releases
 the interpreter lock while it runs, so two solves of one LP can share it
 from two threads. Each thread keeps one HiGHS object, its output turned off
-once; every solve on it sets its method and presolve options and reloads it
-with its model, so a solve on the kept object is the same to the bit as
-one on a fresh object. A forked child drops the worker and the
-forking thread's HiGHS object that it inherits, and builds its own on first
-use.
+once; every solve on it sets its method, presolve and iteration-limit
+options and reloads it with its model, so a solve on the kept object is the
+same to the bit as one on a fresh object. The iteration limit bounds every
+solve, so none hangs: a solve that cycles ends as "iteration_limit". A
+forked child drops the worker and the forking thread's HiGHS object that it
+inherits, and builds its own on first use.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ _HIGHS = "scipy.optimize._highspy._core"
 _LOCK = threading.Lock()  # guards the first load of the extension and the worker's creation
 _WORKER = None  # the LP worker of _lp_worker, created on first use
 # .highs, this thread's HiGHS object, built on its first solve; each solve
-# sets its method and presolve options
+# sets its method, presolve and iteration-limit options
 _THREAD = threading.local()
 # an LP with this many columns or more is equilibrated and solved by primal
 # simplex; fitted on the ladder of BENCH_lp_method.json
@@ -286,6 +287,10 @@ PRIMAL_FROM_PATHS = 1000
 # an equilibrated LP of this many periods or more keeps HiGHS's presolve, which
 # removes rows there; below, it removes none or a few (BENCH_presolve.json)
 PRESOLVE_FROM_PERIODS = 4
+# every solve stops after this many simplex iterations per row and column of its LP,
+# so a cycling solve ends as "iteration_limit"; the optimal solves of criterion 1's
+# suite rescaled by 1e-8..1e12 took at most 901 per row and column (232 below 1e10)
+ITERATIONS_PER_SIZE = 1000
 
 
 def _forget_in_child() -> None:
@@ -365,8 +370,11 @@ def _thread_highs(highs):
 def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     """Minimize (sense +1) or maximize (sense -1) c.x over an assembled LP.
 
-    Reads lp without changing it. Each call sets the simplex_strategy and
-    presolve options of the thread's HiGHS object and loads the LP into it.
+    Reads lp without changing it. Each call sets the simplex_strategy,
+    presolve and simplex_iteration_limit options of the thread's HiGHS object
+    and loads the LP into it. The limit is ITERATIONS_PER_SIZE times lp's
+    rows plus columns, at most HiGHS's largest integer, and a solve that
+    reaches it is "iteration_limit".
     An LP of fewer than PRIMAL_FROM_PATHS columns is passed as it is and
     solved with HiGHS's default options, dual simplex. A larger one is
     equilibrated first: the martingale rows' entries are divided by their
@@ -406,6 +414,8 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     solver = _thread_highs(highs)
     solver.setOptionValue("simplex_strategy", 4 if equilibrate else 1)  # primal, or the default
     solver.setOptionValue("presolve", "choose" if presolve else "off")
+    solver.setOptionValue("simplex_iteration_limit",
+                          min(ITERATIONS_PER_SIZE * (lp.n_rows + lp.n_paths), 2**31 - 1))
     c, data = lp.c, lp.data
     kept = np.ones(lp.n_rows, bool)  # the rows of lp left in HiGHS's model
     if equilibrate:

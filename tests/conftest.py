@@ -81,6 +81,31 @@ def random_instance(rng, n: int, max_size: int = 15, start_atoms: int = 1):
     return random_cost(rng, ms), ms
 
 
+def criterion1_instance(index: int, scale: float = 1.0):
+    """Instance index of criterion 1's suite (test_acceptance's suite50), drawn the same way.
+
+    Every atom and the strike are times scale.
+    """
+    rng = np.random.default_rng(20260808)
+    drawn = []
+    while len(drawn) <= index:
+        n = 2 if len(drawn) % 2 == 0 else 3
+        ms = random_marginals(rng, n, max_size=15, start_atoms=3)
+        if 3 <= min(ms.sizes) and max(ms.sizes) <= 15:
+            drawn.append((random_cost(rng, ms), ms))
+    cost, ms = drawn[index]
+    strike = None if cost.strike is None else scale * cost.strike
+    return (CostSpec(cost.n, cost.form, strike=strike),
+            MarginalSequence([DiscreteMeasure(scale * mu.atoms, mu.weights) for mu in ms.marginals]))
+
+
+def instance_payload(cost: CostSpec, ms: MarginalSequence) -> dict:
+    """The instance JSON object of a named-form cost on ms, as cli.parse_instance reads it."""
+    form = {"form": cost.form} if cost.strike is None else {"form": cost.form, "strike": cost.strike}
+    return {"marginals": [{"atoms": mu.atoms.tolist(), "weights": mu.weights.tolist()}
+                          for mu in ms.marginals], "cost": form}
+
+
 def lognormal_basket(n: int, m: int, scale: float = 1.0):
     """An at-the-money basket call on n mean-one lognormal marginals of m atoms.
 

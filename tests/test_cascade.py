@@ -473,6 +473,20 @@ class TestInstanceCache:
             assert value == fresh[id(inst), variant][0]
             np.testing.assert_array_equal(grad, fresh[id(inst), variant][1])
 
+    @pytest.mark.parametrize("form", COST_FORMS)
+    def test_scale_is_max_abs_cost(self, rng, form):
+        for k in range(6):
+            ms = random_instance(rng, n=2 + k % 3, max_size=6)[1]
+            strike = float(rng.normal(ms[0].mean, ms.span)) if form in STRIKE_FORMS else None
+            table = rng.normal(0.0, 10.0, ms.sizes) if form == "custom_table" else None
+            cost = CostSpec(ms.n, form, strike=strike, table=table)
+            assert _built(cost, ms).scale == np.abs(cost.tensor_on(ms)).max()
+
+    def test_scale_of_one_atom_levels(self, rng):
+        for ms in map(MarginalSequence, TestStackedCascades.ONE_ATOM_LEVELS):
+            cost = random_cost(rng, ms)
+            assert _built(cost, ms).scale == np.abs(cost.tensor_on(ms)).max()
+
     def test_remark_b_and_terminal_tensor_leave_the_cache_unchanged(self, rng):
         cost, ms = random_instance(rng, 3)
         u = random_duals(rng, ms)
@@ -1033,30 +1047,32 @@ class TestVerifySubhedge:
         np.testing.assert_allclose(report.slacks, dense, rtol=0, atol=1e-12)
 
     def test_tolerance_scale_is_max_abs_terminal_tensor(self, rng, monkeypatch):
-        # with t1 raised by a known amount the worst slack is negative, and the
-        # verdict flips where SUBHEDGE_TOL * max(1, max |T_n|) crosses it
+        # the scale is max(1, max |T_n| at u = 0) = max(1, max |c|), the same at
+        # u = 0 and at a random u: with t1 raised by a known amount the worst
+        # slack is negative, and the verdict flips where SUBHEDGE_TOL * scale crosses it
         instances = [random_instance(rng, n=2 + k % 3, max_size=(9, 6, 4)[k % 3])
                      for k in range(12)]
         instances += [(random_cost(rng, ms), ms) for ms in map(
             MarginalSequence, TestStackedCascades.ONE_ATOM_LEVELS)]
-        above_one = 0
+        above_one = off_u = 0
         for cost, ms in instances:
             coupling = solve_primal(cost, ms).coupling
-            u = random_duals(rng, ms, scale=float(rng.choice([0.1, 10.0])))
-            t1 = cascade_down("proposition", cost, ms, u).levels[0]
-            scale = max(1.0, float(np.abs(terminal_tensor(cost, ms, u)).max()))
+            scale = max(1.0, float(np.abs(cost.tensor_on(ms)).max()))
             above_one += scale > 1.0
-            with monkeypatch.context() as patch:  # a scan of several blocks
-                patch.setattr("motbounds.certification.BLOCK_VALUES",
-                              int(rng.integers(1, 4)) * ms.sizes[-1])
+            for u in (DualVariables.zeros(ms),
+                      random_duals(rng, ms, scale=float(rng.choice([0.1, 10.0])))):
+                off_u += scale != max(1.0, float(np.abs(terminal_tensor(cost, ms, u)).max()))
+                t1 = cascade_down("proposition", cost, ms, u).levels[0]
                 raised = t1 + 1.0 + np.abs(_subhedge(cost, ms, u, coupling, t1).slacks).max()
                 worst = _subhedge(cost, ms, u, coupling, raised).min_slack
                 assert worst < 0
                 for factor, ok in ((1 + 1e-12, True), (1 - 1e-12, False)):
-                    patch.setattr("motbounds.certification.SUBHEDGE_TOL",
-                                  factor * abs(worst) / scale)
-                    assert _subhedge(cost, ms, u, coupling, raised).ok is ok
-        assert above_one >= 3  # the scale is max |T_n|, not the floor of 1, often enough
+                    with monkeypatch.context() as patch:
+                        patch.setattr("motbounds.certification.SUBHEDGE_TOL",
+                                      factor * abs(worst) / scale)
+                        assert _subhedge(cost, ms, u, coupling, raised).ok is ok
+        assert above_one >= 3  # the scale is max |c|, not the floor of 1, often enough
+        assert off_u >= 3  # and max |T_n| at the random u is another scale, often enough
 
 
 class TestCostSpec:

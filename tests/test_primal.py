@@ -1,6 +1,8 @@
 """LP assembly, HiGHS solve, vertex-enumeration oracle, semi-static check."""
 
+import json
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,9 +25,12 @@ from motbounds import (
     validate_sequence,
 )
 import motbounds.primal as primal_module
-from motbounds.primal import PRESOLVE_FROM_PERIODS, PRIMAL_FROM_PATHS, _implied_rows, _solve
+from motbounds import cli
+from motbounds.primal import (ITERATIONS_PER_SIZE, PRESOLVE_FROM_PERIODS, PRIMAL_FROM_PATHS,
+                              _implied_rows, _solve)
 
-from conftest import lognormal_basket, lognormal_showcase, random_instance, spread_measure
+from conftest import (criterion1_instance, instance_payload, lognormal_basket, lognormal_showcase,
+                      random_instance, spread_measure)
 from oracles import brute_force_value, lp_matrix, semistatic_value_check, support_rows
 
 D0 = DiscreteMeasure.point(0.0)
@@ -587,6 +592,64 @@ def shifted_showcase(shift):
     last = ms[-1]
     return cost, MarginalSequence(ms.marginals[:-1] + (DiscreteMeasure(last.atoms + shift,
                                                                        last.weights),))
+
+
+class TestIterationBound:
+    """Every solve stops after ITERATIONS_PER_SIZE simplex iterations per row and column.
+
+    Criterion 1's suite with every atom and the strike times k: instance 1's
+    lower side at k = 1e6 and both sides of instance 5 at k = 1e12 cycle, and
+    without the bound ran for minutes inside HiGHS, where SIGTERM cannot stop
+    them.
+    """
+
+    def test_a_cycling_solve_stops_within_seconds(self):
+        lp = assemble_lp(*criterion1_instance(1, 1e6))
+        start = time.perf_counter()
+        sol = _solve(lp, +1)
+        assert time.perf_counter() - start < 60
+        assert sol.status == "iteration_limit"
+        assert sol.coupling is None and sol.duals is None and np.isnan(sol.value)
+        limit = ITERATIONS_PER_SIZE * (lp.n_rows + lp.n_paths)
+        assert sol.stats["iterations"] == limit
+        assert primal_module._THREAD.highs.getOptionValue("simplex_iteration_limit")[1] == limit
+
+    def test_a_solve_after_a_capped_one_is_optimal(self, monkeypatch):
+        # the limit is set per solve, so a capped solve leaves nothing behind
+        small = assemble_lp(SQ2, MS_PAIR)
+        fresh = _solve(small, +1)
+        with monkeypatch.context() as patch:
+            patch.setattr(primal_module, "ITERATIONS_PER_SIZE", 0)
+            capped = _solve(assemble_lp(*lognormal_showcase()), +1)
+        assert capped.status == "iteration_limit" and capped.stats["iterations"] == 0
+        after = _solve(small, +1)
+        assert after.status == "optimal" and after.value == fresh.value
+        assert after.duals.tobytes() == fresh.duals.tobytes()
+        assert after.stats["iterations"] == fresh.stats["iterations"]
+
+    def test_a_limit_past_highs_integers_is_capped(self, monkeypatch):
+        # HiGHS refuses a value past its 32-bit integer and keeps the last one
+        lp = assemble_lp(SQ2, MS_PAIR)
+        _solve(lp, +1)
+        monkeypatch.setattr(primal_module, "ITERATIONS_PER_SIZE", 10**9)
+        assert _solve(lp, +1).status == "optimal"
+        limit = primal_module._THREAD.highs.getOptionValue("simplex_iteration_limit")[1]
+        assert limit == 2**31 - 1
+
+    def test_certify_of_a_cycling_instance_exits_2_with_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance_payload(*criterion1_instance(5, 1e12))))
+        start = time.perf_counter()
+        code = cli.main(["--json", "certify", str(path)])
+        assert time.perf_counter() - start < 60
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 2 and report["feasible"] is True and report["passed"] is False
+        for side in ("primal_lower", "primal_upper"):
+            assert report[side]["status"] == "iteration_limit" and report[side]["value"] is None
 
 
 class TestImpliedRows:
