@@ -33,7 +33,6 @@ from .measures import DEFAULT_VAR_CAP, CostSpec, MarginalSequence, SequenceRepor
 from .primal import (
     Coupling,
     CouplingReport,
-    LpProblem,
     PrimalSolution,
     _lp_worker,
     _solve,
@@ -197,16 +196,6 @@ def _gauged_position(side: PrimalSolution, ms: MarginalSequence) -> DualVariable
     return DualVariables(ms.grids[1:], tuple(tables))
 
 
-def _upper_side(cost: CostSpec, ms: MarginalSequence, lp: LpProblem) -> PrimalSolution:
-    """The LP worker's task: build what every cascade of (cost, ms) shares, then maximise.
-
-    The build runs while the caller is inside HiGHS, which releases the
-    interpreter lock, so the caller's first cascade finds it in _built's cache.
-    """
-    _built(cost, ms)
-    return _solve(lp, -1)
-
-
 def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT_TARGET_GAP,
             var_cap: int = DEFAULT_VAR_CAP) -> CertifyReport:
     """Solve both LP sides and evaluate all three dual certificates at their multipliers.
@@ -214,19 +203,19 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
     target_gap must be finite and positive (else ValueError). The LP is
     assembled once on the calling thread, so a var_cap refusal
     (SizeCapError) starts no thread. The one long-lived LP worker
-    (primal._lp_worker), which concurrent certify calls share, builds what
-    every cascade of the instance shares (cascade._built) and then solves
+    (primal._lp_worker), which concurrent certify calls share, only solves
     the maximisation, while the caller solves the minimisation; result()
     re-raises the worker's exception. While the upper side solves, the
     caller checks the lower one, in one cascade pass over three positions:
-    proposition and remark_b at its multipliers, and proposition at u = 0.
-    The sub-hedges, for u = 0 and for the proposition certificate's u, read
-    their T_1 from that pass and their tolerance scale, max |c|, from the
-    worker's build; they run on its coupling only if that passes validation,
-    which HiGHS's absolute tolerances can break on a tiny price scale.
-    remark_a then reads the upper side's multipliers. A side whose solve
-    reaches HiGHS's iteration bound is "iteration_limit" (primal._solve),
-    and the report does not pass.
+    proposition and remark_b at its multipliers, and proposition at u = 0;
+    its first cascade builds cascade._built, what every cascade of the
+    instance shares. The sub-hedges, for u = 0 and for the proposition
+    certificate's u, read their T_1 from that pass and their tolerance
+    scale, max |c|, from that build; they run on the lower side's coupling
+    only if it passes validation, which HiGHS's absolute tolerances can
+    break on a tiny price scale. remark_a then reads the upper side's
+    multipliers. A side whose solve reaches HiGHS's iteration bound is
+    "iteration_limit" (primal._solve), and the report does not pass.
     Each certificate is one cascade at its side's multipliers u_2, ..., u_n,
     gauge-fixed as ascend fixes its start, with the value of
     dual_objective. It is a valid bound whatever its gap; a gap not below
@@ -250,7 +239,7 @@ def certify(cost: CostSpec, ms: MarginalSequence, *, target_gap: float = DEFAULT
         report.elapsed_s = time.perf_counter() - start
         return report
     lp = assemble_lp(cost, ms, var_cap)
-    pending = _lp_worker().submit(_upper_side, cost, ms, lp)
+    pending = _lp_worker().submit(_solve, lp, -1)
     lower = _solve(lp, +1)
     lap("lp_lower")
     found = {}  # the lower side's report fields, set once both sides are optimal

@@ -249,7 +249,8 @@ def _implied_rows(sizes: tuple) -> np.ndarray:
 class PrimalSolution:
     """Transport LP outcome with solver statistics and equality multipliers.
 
-    stats holds rows, columns, the solver's iterations, HiGHS's
+    stats holds rows, columns, the solver's simplex iterations (0 where
+    HiGHS counts none, as after a run that ends in an error), HiGHS's
     max_primal_infeasibility and max_dual_infeasibility, solve_s, the
     wall seconds of the solver call alone, and method, the path _solve took
     ("dual simplex", "primal simplex, equilibrated, no presolve" or "primal
@@ -440,7 +441,7 @@ def _solve(lp: LpProblem, sense: int) -> PrimalSolution:
     figures = [x if math.isfinite(x) else None  # HiGHS says infinity without a solution
                for x in (info.max_primal_infeasibility, info.max_dual_infeasibility)]
     stats = {"rows": lp.n_rows, "columns": lp.n_paths,
-             "iterations": info.simplex_iteration_count if loaded else 0,
+             "iterations": max(info.simplex_iteration_count, 0) if loaded else 0,
              "max_primal_infeasibility": figures[0], "max_dual_infeasibility": figures[1],
              "solve_s": solve_s, "method": _METHODS[equilibrate, presolve]}
     status = _STATUS.get(solver.getModelStatus().name, "failed") if loaded else "model_error"

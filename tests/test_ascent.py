@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import motbounds.ascent as ascent_module
+import motbounds.cascade as cascade_module
 import motbounds.certification as certification_module
 from motbounds import (
     AscentConfig,
@@ -689,6 +690,25 @@ class TestCertifyOverlap:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == want
+        assert len(lp_upper_threads()) == 1
+
+    def test_the_worker_only_solves(self, monkeypatch):
+        # cascade._built, what every cascade of an instance shares, is built
+        # and read on the thread that calls certify, never on the LP worker
+        seen = []
+        built = cascade_module._built
+
+        def record(cost, ms):
+            seen.append(threading.current_thread().name)
+            return built(cost, ms)
+
+        for module in (cascade_module, certification_module):
+            monkeypatch.setattr(module, "_built", record)
+        rng = np.random.default_rng(38)
+        for cost, ms in (random_instance(rng, n=3, max_size=8), lognormal_showcase()):
+            rep = certify(cost, ms)
+            assert list(rep.certificates) == ["proposition", "remark_b", "remark_a"]
+        assert seen and set(seen) == {threading.current_thread().name}
         assert len(lp_upper_threads()) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

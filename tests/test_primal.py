@@ -614,6 +614,14 @@ class TestIterationBound:
         assert sol.stats["iterations"] == limit
         assert primal_module._THREAD.highs.getOptionValue("simplex_iteration_limit")[1] == limit
 
+    def test_a_side_that_ends_before_any_iteration_reports_0(self):
+        # instance 1 at k = 1e6: HiGHS's dual simplex stops in its first ratio
+        # test on the large costs, model status kNotset, and counts -1
+        lp = assemble_lp(*criterion1_instance(1, 1e6))
+        sol = _solve(lp, -1)
+        assert (lp.n_rows, lp.n_paths) == (64, 462)
+        assert sol.status == "failed" and sol.stats["iterations"] == 0
+
     def test_a_solve_after_a_capped_one_is_optimal(self, monkeypatch):
         # the limit is set per solve, so a capped solve leaves nothing behind
         small = assemble_lp(SQ2, MS_PAIR)
