@@ -15,11 +15,15 @@ the factors hold, such as a short run on a wide instance, holds no
 (sum m_i)^2 array.
 The reference only sets the step length: when the transport LP value is
 available and not yet reached, the step targets the remaining gap directly;
-otherwise it is INITIAL_STEP / sqrt(k). Every iterate is a valid bound, so
-the best-so-far certificate is sound regardless of oscillation. One
-routine, ascend, runs every variant, and the variant alone sets the
-direction: it maximizes the lower variants and minimizes remark_a. A run
-starts at u = 0 unless it is given a start.
+otherwise it is Shor's normalised step (see _run). That step, and the cap
+on the targeted one, scale with the cost's spread, max c - min c over the
+product grid: u is in price units, while the supergradient and the metric
+are dimensionless masses, so atoms and prices scaled by a power of two
+scale the whole run exactly, and a constant cost takes no step. Every
+iterate is a valid bound, so the best-so-far certificate is sound
+regardless of oscillation. One routine, ascend, runs every variant, and
+the variant alone sets the direction: it maximizes the lower variants and
+minimizes remark_a. A run starts at u = 0 unless it is given a start.
 
 This module reads no LP code: a reference is a number from the caller.
 Certification runs no optimizer, and lives in certification.
@@ -40,6 +44,7 @@ from .cascade import (
     VARIANTS,
     DualCertificate,
     DualVariables,
+    _built,
     _check_target_gap,
     _project_zero_mean,
     dual_value_and_subgradient,
@@ -79,8 +84,8 @@ class AscentTrace:
         return self.values.size
 
 
-MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length
-INITIAL_STEP = 1.0  # the step without a gap to target is INITIAL_STEP / sqrt(k)
+MAX_GAP_STEP = 1e3  # cap on the gap-targeted step length, times the cost's spread
+INITIAL_STEP = 0.2  # the step without a gap to target is INITIAL_STEP * spread / sqrt(k) long
 
 
 class _Metric:
@@ -129,6 +134,15 @@ class _Metric:
 
 def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
          reference: Optional[float], start=None):
+    """ascend's run: step k is alpha B B^T g, with B the metric and g the supergradient.
+
+    With a gap to target, alpha = min(gap / |B^T g|^2, MAX_GAP_STEP * spread);
+    without one, alpha = INITIAL_STEP * spread / (sqrt(k) |B^T g|), a step of
+    that length in the dilated space. spread = hi - lo of cascade._built, and
+    there is no step when |B^T g| <= EPSILON.
+    """
+    if reference is not None and (isinstance(reference, bool) or not -np.inf < reference < np.inf):
+        raise ValueError("primal_value must be a finite number")
     variant = config.variant
     maximize = variant in LOWER_VARIANTS
     sign = 1.0 if maximize else -1.0
@@ -137,6 +151,8 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     cuts = np.cumsum(ms.sizes[1:])[:-1]
     tables = np.split(x, cuts)  # views into x
     _project_zero_mean(tables, ms)
+    built = _built(cost, ms)
+    spread = built.hi - built.lo
     # A metric of at most BLOCK_VALUES entries is held dense, each dilation folded at once: a
     # dense product costs less than the thin ones' calls. A larger one holds factors of at most
     # size // 2 rows, so B v costs no more than a dense product, and at most BLOCK_VALUES // size,
@@ -185,10 +201,12 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
         direction = metric.dot(dilated)
         gap = (reference - value) * sign if reference is not None else 0.0
         denom = float(dilated @ dilated)
-        if gap > 0 and denom > EPSILON**2:
-            alpha = min(gap / denom, MAX_GAP_STEP)
+        if denom <= EPSILON**2:  # |B^T g| <= EPSILON: no step
+            alpha = 0.0
+        elif gap > 0:
+            alpha = min(gap / denom, MAX_GAP_STEP * spread)
         else:
-            alpha = INITIAL_STEP / np.sqrt(k)
+            alpha = INITIAL_STEP * spread / (np.sqrt(k) * np.sqrt(denom))
         x += sign * alpha * direction
         _project_zero_mean(tables, ms)
     trace = AscentTrace(
@@ -208,8 +226,9 @@ def ascend(cost: CostSpec, ms: MarginalSequence, config: Optional[AscentConfig] 
     The run maximizes the lower variants and minimizes remark_a. start holds
     the tables u_2, ..., u_n, checked by DualVariables.from_tables. Every
     iterate is a valid bound by weak duality; the certificate carries the best
-    value seen and its gap_vs_primal. With a primal value the run stops at the
-    configured relative gap, otherwise at a flat supergradient or the cap.
+    value seen and its gap_vs_primal. With a primal value, a finite number
+    (ValueError otherwise), the run stops at the configured relative gap,
+    otherwise at a flat supergradient or the cap.
     """
     return _run(cost, ms, config or AscentConfig(), reference=primal_value, start=start)
 

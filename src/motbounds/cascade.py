@@ -30,10 +30,10 @@ holds at most one block-sized temporary at a time.
 
 Only u changes between the evaluations of one instance. What does not
 depend on it is built once per (cost, ms) pair, in one eager call to _built:
-the cost tensor, read-only, and its max |c|; every level's clamped and tiled
-evaluation points, their splits, and the search's slope kernel and bar rows,
-one kernel for both hulls. Every cascade reads the levels, so none is deferred.
-A one-entry cache keeps them for the last pair seen: the read-only cost
+the cost tensor, read-only, and its least and greatest entry; every level's
+clamped and tiled evaluation points, their splits, and the search's slope
+kernel and bar rows, one kernel for both hulls. Every cascade reads the
+levels, so none is deferred. A one-entry cache keeps them for the last pair seen: the read-only cost
 tensor, the only array of prod m_i values on the dual path, plus, per level
 i, one m_{i+1} x m_{i+1} kernel and two entries per prefix. The arrays of
 the marginals and of a custom table are read-only, so an entry cannot go
@@ -271,18 +271,27 @@ class _Built(NamedTuple):
     """The part of every cascade on one (cost, ms) that no u changes.
 
     top is the cost tensor, read-only; levels[i-1] is the _Level of the
-    envelopes that build T_i; scale is max |c| over the product grid, T_n's
-    max |T_n| at u = 0, the sub-hedge check's tolerance scale.
+    envelopes that build T_i; lo and hi are min c and max c over the product
+    grid, T_n's extremes at u = 0. hi - lo, the cost's spread, is the length
+    scale of the reference-free ascent's step; scale, max |c| (max |T_n| at
+    u = 0), is the sub-hedge check's tolerance scale.
     """
 
     top: np.ndarray
     levels: tuple
-    scale: float
+    lo: float
+    hi: float
+
+    @property
+    def scale(self) -> float:
+        return max(self.hi, -self.lo)
 
 
 @functools.lru_cache(maxsize=1)
 def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     """The _Built of (cost, ms), built while the pair is the last one seen.
+
+    lo and hi are reduced here once per instance, for every ascent and sub-hedge.
 
     The levels are built from the top one down, so an evaluation point
     outside its grid raises where the level loop would. CostSpec and
@@ -294,8 +303,8 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     top.setflags(write=False)
     levels = [_Level(ms.grids[i], ms.grids[i - 1], math.prod(ms.sizes[:i]))
               for i in range(ms.n - 1, 0, -1)]
-    scale = max(float(top.max()), -float(top.min()))  # max |c| with no temporary of top's size
-    return _Built(top, tuple(reversed(levels)), scale)
+    # min c and max c with no temporary of top's size
+    return _Built(top, tuple(reversed(levels)), float(top.min()), float(top.max()))
 
 
 def _envelope(section_rows, level: _Level):
@@ -442,7 +451,8 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions) -> list:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     for u in dict.fromkeys(u for _, u in positions):  # each u once, by identity
         u.check(ms)
-    top, geometry, _ = _built(cost, ms)
+    built = _built(cost, ms)
+    top, geometry = built.top, built.levels
     levels = [[None] * (ms.n - 1) for _ in positions]
     supports = [[None] * (ms.n - 1) for _ in positions]
     current = [top] * len(positions)

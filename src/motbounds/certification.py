@@ -91,7 +91,8 @@ def _subhedge(cost: CostSpec, ms: MarginalSequence, u: DualVariables, coupling: 
     The tolerance scale is _built's scale, the instance's max |c| (max |T_n|
     at u = 0), which no u changes, so T_n is read on the coupling's rows alone.
     """
-    top, _, scale = _built(cost, ms)
+    built = _built(cost, ms)
+    top, scale = built.top, built.scale
     atom, m_1 = coupling.atoms(), ms.sizes[0]
     start_mass = np.bincount(atom[0], coupling.mass, m_1)
     mass = np.where(start_mass > 0, start_mass, 1.0)

@@ -34,7 +34,8 @@ from motbounds import (
     verify_subhedge,
 )
 
-from conftest import checkout_env, lognormal_showcase, random_cost, random_instance, random_marginals
+from conftest import (checkout_env, lognormal_basket, lognormal_showcase, random_cost, random_instance,
+                      random_marginals)
 
 D0 = DiscreteMeasure.point(0.0)
 PM1 = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -292,6 +293,51 @@ class TestTraceInvariants:
         c2, t2 = ascend(cost, ms, primal_value=lo.value)
         assert np.array_equal(t1.values, t2.values)
         assert c1.dual_value == c2.dual_value
+
+
+class TestReferenceFreeStep:
+    """Without a reference the step is INITIAL_STEP * spread / sqrt(k) along the unit direction."""
+
+    @staticmethod
+    def runs(cost, ms):
+        config = AscentConfig(max_iters=60)
+        return [ascend(cost, ms, config), descend_upper(cost, ms, config)]
+
+    @pytest.mark.parametrize("form,power", [("basket", 1), ("squared_increment", 2)])
+    def test_scaled_prices_scale_the_run_exactly(self, form, power):
+        # u is in price units and the step carries the cost's spread, so atoms
+        # (and the strike) times 2^e scale every iterate by 2^(power * e), to the bit
+        def instance(scale):
+            cost, ms = lognormal_basket(3, 8, scale)
+            return (cost if form == "basket" else CostSpec(3, form)), ms
+
+        base = self.runs(*instance(1.0))
+        assert all(len(trace) == 60 for _, trace in base)
+        for e in (10, -10):
+            factor = 2.0 ** (power * e)
+            for (cert, trace), (c0, t0) in zip(self.runs(*instance(2.0**e)), base):
+                assert trace.values.tobytes() == (factor * t0.values).tobytes()
+                assert trace.best_values.tobytes() == (factor * t0.best_values).tobytes()
+                assert trace.grad_norms.tobytes() == t0.grad_norms.tobytes()
+                assert cert.dual_value == factor * c0.dual_value
+                for a, b in zip(cert.dual_variables.values, c0.dual_variables.values):
+                    assert a.tobytes() == (factor * b).tobytes()
+
+    def test_upper_side_closes_the_showcase_gap(self):
+        cost, ms = lognormal_showcase()
+        cert, trace = descend_upper(cost, ms, AscentConfig(max_iters=100))
+        assert len(trace) == 100
+        assert relative_gap(cert.dual_value, solve_primal_max(cost, ms).value) < 1e-3
+
+    def test_constant_cost_takes_no_step(self):
+        # a spread of 0: u stays at 0, where both bounds are the constant
+        ms = MarginalSequence([PM1, TRI])
+        cost = CostSpec(2, "custom_table", table=np.full(ms.sizes, 0.75))
+        for cert, trace in self.runs(cost, ms):
+            assert len(trace) == 60 and trace.status == "iteration_limit"
+            assert np.all(trace.values == 0.75)
+            assert cert.dual_value == 0.75
+            assert all(np.all(t == 0.0) for t in cert.dual_variables.values)
 
 
 class DenseMetric:
@@ -768,3 +814,11 @@ class TestConfigValidation:
         cost, ms = random_instance(rng, n=2, max_size=6)
         _, trace = ascend(cost, ms, AscentConfig(max_iters=np.int64(3)))
         assert len(trace) <= 3
+
+    def test_non_finite_or_bool_primal_value_rejected(self):
+        # a NaN reference would run reference-free and certify a NaN gap,
+        # which DualCertificate.from_dict then refuses
+        for run in (ascend, descend_upper):
+            for ref in (float("nan"), float("inf"), -float("inf"), np.nan, True):
+                with pytest.raises(ValueError, match="primal_value must be a finite number"):
+                    run(SQ2, MS_SINGLE, AscentConfig(max_iters=3), primal_value=ref)
