@@ -21,9 +21,12 @@ product grid: u is in price units, while the supergradient and the metric
 are dimensionless masses, so atoms and prices scaled by a power of two
 scale the whole run exactly, and a constant cost takes no step. Every
 iterate is a valid bound, so the best-so-far certificate is sound
-regardless of oscillation. One routine, ascend, runs every variant, and
-the variant alone sets the direction: it maximizes the lower variants and
-minimizes remark_a. A run starts at u = 0 unless it is given a start.
+regardless of oscillation. Each evaluation of a run starts the cascade's
+supporting-pair search from the pairs of the one before, which one step
+mostly leaves in place; the first starts cold, and nothing outlives the run.
+One routine, ascend, runs every variant, and the variant alone sets the
+direction: it maximizes the lower variants and minimizes remark_a. A run
+starts at u = 0 unless it is given a start.
 
 This module reads no LP code: a reference is a number from the caller.
 Certification runs no optimizer, and lives in certification.
@@ -46,8 +49,8 @@ from .cascade import (
     DualVariables,
     _built,
     _check_target_gap,
+    _evaluate,
     _project_zero_mean,
-    dual_value_and_subgradient,
     relative_gap,
 )
 from .measures import CostSpec, MarginalSequence, check_positive_int
@@ -139,7 +142,9 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     With a gap to target, alpha = min(gap / |B^T g|^2, MAX_GAP_STEP * spread);
     without one, alpha = INITIAL_STEP * spread / (sqrt(k) |B^T g|), a step of
     that length in the dilated space. spread = hi - lo of cascade._built, and
-    there is no step when |B^T g| <= EPSILON.
+    there is no step when |B^T g| <= EPSILON. Each evaluation after the first
+    searches from the last one's supporting pairs (cascade._evaluate), which
+    live in this call alone, so every run starts cold.
     """
     if reference is not None and (isinstance(reference, bool) or not -np.inf < reference < np.inf):
         raise ValueError("primal_value must be a finite number")
@@ -160,7 +165,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     dense = x.size**2 <= BLOCK_VALUES
     cap = 1 if dense else min(BLOCK_VALUES // x.size, x.size // 2, config.max_iters)
     metric = _Metric(x.size, max(1, cap))
-    grad_prev = None
+    grad_prev = supports = None  # supports: the last evaluation's pairs, where the next starts
     values, norms, bests, stamps = [], [], [], []
     best_value = -np.inf if maximize else np.inf
     best_x = x.copy()
@@ -168,7 +173,7 @@ def _run(cost: CostSpec, ms: MarginalSequence, config: AscentConfig,
     t0 = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         u = DualVariables(ms.grids[1:], tuple(tables))  # views of x, checked by the cascade
-        value, grads = dual_value_and_subgradient(variant, cost, ms, u)
+        value, grads, supports = _evaluate(variant, cost, ms, u, supports)
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
         if (value > best_value) if maximize else (value < best_value):
             best_value = value

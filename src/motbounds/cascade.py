@@ -15,9 +15,12 @@ differ only in where u is subtracted and which way the hull faces:
 Each level evaluates its sections one block of rows at a time: an exact
 alternating search finds the pair of atoms whose chord supports the lower
 hull at the evaluation point, at O(m) per section and round and a few rounds
-per section. The search sees lower hulls only: remark_a's top rows are
-negated where they are built, since the concave envelope of f is minus the
-convex envelope of -f, and its levels stay negated until its CascadeTensors.
+per section. It starts from the left atom nearest the point, or from a given
+left atom per row, such as the last evaluation's pair (ascent._run); either
+start gives a supporting pair. The search sees lower hulls only: remark_a's
+top rows are negated where they are built, since the concave envelope of f
+is minus the convex envelope of -f, and its levels stay negated until its
+CascadeTensors.
 The top level's blocks are built from the cost tensor as they are searched,
 so no cascade holds T_n whole. The block loop returns envelopes only: each
 level's values and supporting pairs, and nothing else read off its rows. A
@@ -307,7 +310,7 @@ def _built(cost: CostSpec, ms: MarginalSequence) -> _Built:
     return _Built(top, tuple(reversed(levels)), float(top.min()), float(top.max()))
 
 
-def _envelope(section_rows, level: _Level):
+def _envelope(section_rows, level: _Level, start=None):
     """Lower-hull values of k stacks of section rows at the points of level.
 
     section_rows[p](lo, hi, out) writes rows lo:hi of stack p's sections,
@@ -317,8 +320,9 @@ def _envelope(section_rows, level: _Level):
     a supporting pair y_a <= t <= y_b of the hull, with lam*y_a +
     (1-lam)*y_b = t; the pair is returned for the supergradient. A block's
     rows of every stack go to one _supporting_pairs call, which searches
-    each row on its own, as in a stack of one. Returns vals, left, right and
-    lam, of shape (k, rows).
+    each row on its own, as in a stack of one, from start's left atoms
+    when start, a (k, rows) index array, is given. Returns vals, left,
+    right and lam, of shape (k, rows).
     """
     k, rows, m = len(section_rows), level.t.size, level.grid.size
     vals = np.empty((k, rows))
@@ -337,22 +341,26 @@ def _envelope(section_rows, level: _Level):
             rows_of(lo, hi, out)
         f = f.reshape(-1, m)
         t, split = (np.concatenate([x[rs]] * k) for x in (level.t, level.split))  # np.tile is slower
-        found = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars, spare)
+        found = _supporting_pairs(f, level.grid, t, split, level.kernel, level.bars, spare,
+                                  None if start is None else start[:, rs].ravel())
         for out, x in zip((left, right, lam, vals), found):
             out[:, rs] = x.reshape(k, -1)
     return vals, left, right, lam
 
 
-def _supporting_pairs(f, y, t, split, kernel, bars, spare):
+def _supporting_pairs(f, y, t, split, kernel, bars, spare, start=None):
     """Exact supporting pair (a, b), weight lam and value of each row's lower hull at its t.
 
     Atoms before split[r] are the left points of row r (y <= t, except that
     the last atom is always a right point), the rest its right points. From
-    a = the left point nearest t, b becomes the right point of least slope
-    seen from a, then a the left point of greatest slope seen from b, and so
-    on. No half-step raises the chord value at t. A row stops when a
-    half-step returns the index it replaces: every point then lies on or
-    above the line through (a, b), so the pair supports the hull at t. It
+    a = start[r], any left point, or by default the left point nearest t, b
+    becomes the right point of least slope seen from a, then a the left
+    point of greatest slope seen from b, and so on. No half-step raises the
+    chord value at t. A row stops when a half-step returns the index it
+    replaces: every point then lies on or above the line through (a, b),
+    whatever a started from, so the pair supports the hull at t. A start
+    near the row's pair, such as the left atom of the pair found for the
+    same row at a nearby u, saves half-steps. It
     also stops when its chord value did not drop over the last two
     half-steps; in exact arithmetic that only happens at such a pair, and it
     ends the search whatever the rounding. Each half-step costs O(m) per row
@@ -379,7 +387,7 @@ def _supporting_pairs(f, y, t, split, kernel, bars, spare):
     lam_out = np.empty(rows)
     value = np.empty(rows)
     live = np.arange(rows)  # the rows still searching
-    a = split - 1
+    a = split - 1 if start is None else start
     b = np.full(rows, -1)
     w_back1 = np.full(rows, np.inf)  # chord value one half-step back
     w_back2 = np.full(rows, np.inf)  # and two half-steps back
@@ -436,15 +444,17 @@ def cascade_down(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVari
     return _cascades(cost, ms, [(variant, u)])[0]
 
 
-def _cascades(cost: CostSpec, ms: MarginalSequence, positions) -> list:
+def _cascades(cost: CostSpec, ms: MarginalSequence, positions, starts=None) -> list:
     """cascade_down at every (variant, u) of positions, in one pass over the levels.
 
     Each block of each level's rows is searched for every position at once
     (see _envelope), and every position gets the levels and supports that
     cascade_down gives it alone, to the bit. Each position writes its rows
     into the section buffer, a held level by a copy; remark_a's are negated,
-    and its CascadeTensors negates its levels back. Returns the positions'
-    CascadeTensors, in order.
+    and its CascadeTensors negates its levels back. starts, when given,
+    holds per position the supports of an earlier cascade on (cost, ms),
+    and each level's search starts from their left atoms; a tie may then
+    give another supporting pair. Returns the positions' CascadeTensors.
     """
     for variant, _ in positions:
         if variant not in VARIANTS:
@@ -472,7 +482,8 @@ def _cascades(cost: CostSpec, ms: MarginalSequence, positions) -> list:
             else:
                 rows_of = functools.partial(_terminal_rows, top, ms, u)
             section_rows.append(rows_of)
-        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1])
+        start = None if starts is None else np.stack([s[i - 1][0] for s in starts])
+        vals, lft, rgt, lam = _envelope(section_rows, geometry[i - 1], start)
         for p in range(len(positions)):
             current[p] = levels[p][i - 1] = vals[p].reshape(ms.sizes[:i])
             supports[p][i - 1] = (lft[p], rgt[p], lam[p])
@@ -507,7 +518,17 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
     marginal unchanged and the same push-down serves all three variants. Sums
     to zero per u_i by conservation.
     """
-    casc = cascade_down(variant, cost, ms, u)
+    return _evaluate(variant, cost, ms, u)[:2]
+
+
+def _evaluate(variant: str, cost: CostSpec, ms: MarginalSequence, u: DualVariables, starts=None):
+    """dual_value_and_subgradient's value and tables, and the supports of its cascade.
+
+    starts, the supports of an earlier evaluation on (cost, ms), sets where
+    each level's search starts (see _cascades); without it the value and
+    tables are dual_value_and_subgradient's to the bit.
+    """
+    casc = _cascades(cost, ms, [(variant, u)], None if starts is None else [starts])[0]
     value = _objective(ms, u, casc)
     grads = []
     mass = ms[0].weights
@@ -521,4 +542,4 @@ def dual_value_and_subgradient(variant: str, cost: CostSpec, ms: MarginalSequenc
             base = np.arange(mass.size) * m_next
             mass = (np.bincount(base + lft, to_left, mass.size * m_next)
                     + np.bincount(base + rgt, to_right, mass.size * m_next))
-    return value, grads
+    return value, grads, casc.supports

@@ -427,7 +427,7 @@ class TestInstanceCache:
     @staticmethod
     def trace_of(cost, ms, variant, fresh, monkeypatch):
         """A 10-iteration reference-free run; fresh clears the cache before every evaluation."""
-        evaluate = ascent_module.dual_value_and_subgradient
+        evaluate = ascent_module._evaluate
 
         def evaluate_fresh(*args):
             _built.cache_clear()
@@ -435,7 +435,7 @@ class TestInstanceCache:
 
         with monkeypatch.context() as patch:
             if fresh:
-                patch.setattr(ascent_module, "dual_value_and_subgradient", evaluate_fresh)
+                patch.setattr(ascent_module, "_evaluate", evaluate_fresh)
             _built.cache_clear()
             cert, trace = ascend(cost, ms, AscentConfig(variant=variant, max_iters=10))
         return cert, trace, _built.cache_info().misses
@@ -642,6 +642,111 @@ class TestBatchedEnvelope:
             for lower in (True, False):
                 self.assert_matches_enumeration(sections, grid, eval_atoms, lower,
                                                 same_split=False)
+
+
+class TestWarmSearch:
+    """The supporting-pair search from any left atom per row finds a supporting pair;
+    without a start it starts from the left atom nearest t, to the bit."""
+
+    @staticmethod
+    def search(sections, grid, eval_atoms, start=None):
+        """_supporting_pairs over every row of sections at eval_atoms[r % len(eval_atoms)]."""
+        level = _Level(grid, eval_atoms, sections.shape[0])
+        found = cascade_module._supporting_pairs(
+            sections.copy(), grid, level.t, level.split, level.kernel, level.bars,
+            np.empty(sections.size), start)
+        return found, level
+
+    @staticmethod
+    def random_starts(rng, split):
+        """A random left atom below each split (0 for a one-atom grid, whose split is 0)."""
+        return (rng.random(split.size) * np.maximum(split, 1)).astype(np.intp)
+
+    def cases(self, rng):
+        """(sections, grid, eval_atoms): random rows and integer rows with collinear ties,
+        at points inside the grid, on its atoms and within the clamp past both ends."""
+        for m in [1, 2] * 10 + list(rng.integers(3, 25, 40)):
+            grid = TestBatchedEnvelope.random_grid(rng, int(m))
+            eps = CLAMP_REL * (grid[-1] - grid[0])
+            eval_atoms = np.concatenate([rng.uniform(grid[0], grid[-1], 3), rng.choice(grid, 2),
+                                         [grid[0] - 0.5 * eps, grid[-1] + 0.5 * eps]])
+            sections = rng.standard_normal((3 * eval_atoms.size, m))
+            yield sections, grid, eval_atoms
+            yield np.round(3.0 * sections), np.arange(m, dtype=float), np.clip(
+                eval_atoms - grid[0], -0.5 * CLAMP_REL * (m - 1), (m - 1) * (1 + 0.5 * CLAMP_REL))
+
+    def test_any_left_start_gives_a_supporting_pair(self, rng):
+        for sections, grid, eval_atoms in self.cases(rng):
+            rows, m = sections.shape
+            level = self.search(sections, grid, eval_atoms)[1]
+            for _ in range(3):
+                start = self.random_starts(rng, level.split)
+                (left, right, lam, value), _ = self.search(sections, grid, eval_atoms, start)
+                if m == 1:
+                    assert (left == 0).all() and (right == 0).all() and (lam == 1.0).all()
+                    assert value.tobytes() == sections[:, 0].tobytes()
+                    continue
+                assert np.all(left < level.split) and np.all(level.split <= right)
+                assert np.all((lam >= 0) & (lam <= 1))
+                want = pair_enumeration(sections, grid, eval_atoms, True)[0]
+                np.testing.assert_allclose(value, want, rtol=0, atol=1e-12 * max(1.0, np.abs(sections).max()))
+                # every point lies on or above the chord through the pair, up to rounding
+                ya, yb = grid[left], grid[right]
+                fa, fb = sections[np.arange(rows), left], sections[np.arange(rows), right]
+                chord = fa[:, None] + (fb - fa)[:, None] * (grid[None, :] - ya[:, None]) / (yb - ya)[:, None]
+                assert np.all(sections >= chord - 1e-12 * max(1.0, np.abs(sections).max()))
+
+    def test_without_a_start_the_search_starts_next_to_t(self, rng):
+        for sections, grid, eval_atoms in self.cases(rng):
+            cold, level = self.search(sections, grid, eval_atoms)
+            if grid.size > 1:
+                from_split, _ = self.search(sections, grid, eval_atoms, level.split - 1)
+                for x, y in zip(cold, from_split, strict=True):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            via_envelope = batched_envelope(sections, grid, eval_atoms, True)
+            for x, y in zip((cold[3], *cold[:3]), via_envelope, strict=True):
+                assert x.tobytes() == y.tobytes()
+
+    def test_a_stack_with_starts_equals_its_positions_run_alone(self, rng, monkeypatch):
+        """Each position of a stack searches from its own starts, block by block: every
+        row's start is a left atom of that row."""
+        search = cascade_module._supporting_pairs
+
+        def checked(f, y, t, split, kernel, bars, spare, start):
+            assert start is None or y.size == 1 or np.all(start < split)
+            return search(f, y, t, split, kernel, bars, spare, start)
+
+        monkeypatch.setattr(cascade_module, "_supporting_pairs", checked)
+        for cost, ms in TestStackedCascades.instances(rng, count=60):
+            positions = [(VARIANTS[rng.integers(3)], random_duals(rng, ms))
+                         for _ in range(int(rng.integers(1, 4)))]
+            starts = [cascade_down(v, cost, ms, random_duals(rng, ms)).supports for v, _ in positions]
+            with monkeypatch.context() as patch:  # levels of several blocks
+                patch.setattr(cascade_module, "BLOCK_VALUES",
+                              int(rng.integers(1, 4)) * max(ms.sizes[1:]))
+                stacked = _cascades(cost, ms, positions, starts)
+                alone = [_cascades(cost, ms, [p], [s])[0] for p, s in zip(positions, starts)]
+            for (variant, u), got, want in zip(positions, stacked, alone, strict=True):
+                cold = cascade_down(variant, cost, ms, u)
+                for x, y, z in zip(got.levels, want.levels, cold.levels, strict=True):
+                    assert x.tobytes() == y.tobytes()
+                    np.testing.assert_allclose(x, z, rtol=0, atol=1e-12 * max(1.0, np.abs(z).max()))
+                for x, y in zip(got.supports, want.supports, strict=True):
+                    for a, b in zip(x, y, strict=True):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_evaluate_without_starts_is_the_public_evaluation(self, rng):
+        for cost, ms in TestStackedCascades.instances(rng, count=30):
+            u = random_duals(rng, ms)
+            for variant in VARIANTS:
+                value, grads = dual_value_and_subgradient(variant, cost, ms, u)
+                got, got_grads, supports = cascade_module._evaluate(variant, cost, ms, u)
+                assert got == value
+                for x, y in zip(got_grads, grads, strict=True):
+                    assert x.tobytes() == y.tobytes()
+                warm, warm_grads, _ = cascade_module._evaluate(variant, cost, ms, u, supports)
+                assert warm == pytest.approx(value, rel=1e-12, abs=1e-12)
+                assert [g.shape for g in warm_grads] == [g.shape for g in grads]
 
 
 class TestBlocksOfRows:
